@@ -120,16 +120,7 @@ class Harness
                          "also write structured results to this file "
                          "(see bench/report.hpp for the schema)",
                          &json_);
-        std::string error;
-        if (!parser.parse(argc, argv, &error)) {
-            std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                         parser.usage().c_str());
-            std::exit(2);
-        }
-        if (parser.helpRequested()) {
-            std::fputs(parser.usage().c_str(), stdout);
-            std::exit(0);
-        }
+        parser.parseOrExit(argc, argv);
         banner(title, paper_ref);
         start_ = std::chrono::steady_clock::now();
     }

@@ -152,16 +152,7 @@ main(int argc, char **argv)
                      "also write the engine_compare results to this "
                      "file (gated by check_bench.py --engine-gate)",
                      &json);
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 2;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    parser.parseOrExit(argc, argv);
 
     bench::banner("idle_drain — event-engine cycle-skip win",
                   "DESIGN.md §6i (engine bit-identity + perf gate)");

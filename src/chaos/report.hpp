@@ -1,7 +1,7 @@
 /**
  * @file
- * Structured campaign-result emitter shared by tpnet_chaos and
- * tpnet_verify (`--json out.json`).
+ * Structured campaign-result emitter behind tpnet_verify's
+ * `--json out.json` (monolithic runs, shard files, --compare).
  *
  * One object per campaign: verdict, cycle/message totals, fault
  * counts, the CWG tally (cycles / benign / violations / persistent

@@ -190,6 +190,8 @@ Network::finalizeKillWalk(Message &msg)
     }
 
     // Dynamic-fault kill completion.
+    if (msg.state == MsgState::Complete)
+        return;  // its MsgAck landed while the walk was out: retired
     if (msg.state == MsgState::Delivered) {
         // The tail already reached the destination; only the held path
         // (awaiting the message acknowledgment) was torn down.

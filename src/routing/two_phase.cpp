@@ -50,7 +50,16 @@ TwoPhaseRouting::route(Network &net, Message &msg)
         }
 
         const int ep = net.ecubePort(msg);
-        const bool ep_faulty = net.channelFaulty(hdr.cur, ep);
+        // On an express cube the local e-cube hop is not minimal, so a
+        // profitable adaptive hop can bring the probe back to a node
+        // its own circuit left by the escape channel. That trio frees
+        // only with the circuit: waiting on it would wedge the probe on
+        // itself, so it counts as faulty.
+        const bool ep_own =
+            net.linkAt(hdr.cur, ep)
+                .vcs[static_cast<std::size_t>(net.escapeClass(msg, ep))]
+                .owner == msg.id;
+        const bool ep_faulty = ep_own || net.channelFaulty(hdr.cur, ep);
         const bool ep_unsafe = !ep_faulty && net.channelUnsafe(hdr.cur, ep);
 
         // 2. Safe deterministic channel; block while it is merely busy.

@@ -118,8 +118,8 @@ struct SimConfig
 {
     // --- Network geometry -------------------------------------------------
     /// Topology family (--topology). Torus with wrap = false is
-    /// normalized to Mesh by effectiveTopology(), preserving the
-    /// historical --mesh spelling; Express and Dragonfly ignore wrap.
+    /// normalized to Mesh by effectiveTopology(); Express and Dragonfly
+    /// ignore wrap.
     TopologyKind topology = TopologyKind::Torus;
     int k = 16;  ///< cube radix (nodes per dimension); unused by dragonfly
     int n = 2;   ///< cube dimensions; unused by dragonfly

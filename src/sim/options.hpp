@@ -1,29 +1,65 @@
 /**
  * @file
- * Minimal command-line option parser for the tools and benches.
+ * Minimal command-line option parser for the tools and benches, plus
+ * the one registration of every SimConfig-backed simulator option.
  *
  * Supports `--name value`, `--name=value`, boolean flags (`--flag` /
- * `--flag=0`), and generated `--help` text. No external dependencies;
- * targets are plain pointers so a SimConfig can be wired up directly.
+ * `--flag=0`), and generated `--help` text. No external dependencies.
+ * Every value is checked while parsing: numbers must parse whole, and
+ * named values (protocol, topology, pattern, ...) must name something,
+ * so a tool never sees a half-parsed command line.
  */
 
 #ifndef TPNET_SIM_OPTIONS_HPP
 #define TPNET_SIM_OPTIONS_HPP
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/config.hpp"
+
 namespace tpnet {
+
+/**
+ * Strict number parsing: the whole token must be one number of the
+ * type (no blanks, no trailing characters, no out-of-range or
+ * non-finite values); an unsigned value takes no sign. @p out is only
+ * written on success.
+ */
+bool parseNumber(const std::string &text, int *out);
+bool parseNumber(const std::string &text, std::uint64_t *out);
+bool parseNumber(const std::string &text, double *out);
+
+/**
+ * A non-empty comma-separated list, each item parsed by parseNumber().
+ * @p out is only written on success.
+ */
+bool parseNumbers(const std::string &csv, std::vector<int> *out);
+bool parseNumbers(const std::string &csv, std::vector<double> *out);
+
+class SimConfigOptions;
 
 /** Declarative command-line parser. */
 class OptionParser
 {
   public:
+    /**
+     * Checks and stores one option value. Returns false to reject the
+     * value; @p why may then say what was expected.
+     */
+    using Setter =
+        std::function<bool(const std::string &value, std::string *why)>;
+
     OptionParser(std::string program, std::string description);
 
     void addFlag(const std::string &name, const std::string &help,
                  bool *target);
+    /** A flag whose value (on or off) goes to @p set. */
+    void addFlag(const std::string &name, const std::string &help,
+                 std::function<void(bool)> set);
     void addInt(const std::string &name, const std::string &help,
                 int *target);
     void addUint64(const std::string &name, const std::string &help,
@@ -32,6 +68,14 @@ class OptionParser
                    double *target);
     void addString(const std::string &name, const std::string &help,
                    std::string *target);
+
+    /**
+     * An option whose value @p set checks and stores while parsing
+     * (enum names, spec strings). @p metavar names the value in the
+     * usage text, e.g. "<name>".
+     */
+    void addValue(const std::string &name, const std::string &metavar,
+                  const std::string &help, Setter set);
 
     /**
      * Register the standard `--jobs` knob shared by every tool and
@@ -48,31 +92,77 @@ class OptionParser
     bool parse(int argc, const char *const *argv,
                std::string *error = nullptr);
 
+    /**
+     * parse() the way every tool does it: a usage error prints the
+     * message and the usage text to stderr and exits 2; `--help`
+     * prints the usage text to stdout and exits 0.
+     */
+    void parseOrExit(int argc, const char *const *argv);
+
     bool helpRequested() const { return helpRequested_; }
 
     /** Generated usage text. */
     std::string usage() const;
 
   private:
-    enum class Kind : std::uint8_t { Flag, Int, Uint64, Double, String };
+    friend void addSimConfigOptions(OptionParser &, SimConfigOptions *,
+                                    const std::vector<std::string> &);
 
     struct Option
     {
         std::string name;
         std::string help;
-        Kind kind;
-        void *target;
+        std::string metavar;  ///< empty for a flag
+        Setter set;
     };
 
+    template <typename T>
+    void addNumber(const std::string &name, const std::string &help,
+                   T *target);
     const Option *find(const std::string &name) const;
-    bool apply(const Option &opt, const std::string &value,
-               std::string *error);
 
     std::string program_;
     std::string description_;
     std::vector<Option> options_;
     bool helpRequested_ = false;
 };
+
+/**
+ * The simulator options argv gave, kept in argv order so apply() can
+ * replay them onto any config: a tool's defaults, a recorded scenario,
+ * or every cell of a campaign grid. Options argv did not give leave
+ * the config alone, so no sentinel value ever means "keep".
+ */
+class SimConfigOptions
+{
+  public:
+    /** Set the field of every given option in @p cfg. */
+    void apply(SimConfig *cfg) const;
+
+    /** True if argv gave `--name`. */
+    bool given(const std::string &name) const;
+
+    /** Note that argv gave `--name`, with effect @p set. */
+    void record(const std::string &name,
+                std::function<void(SimConfig &)> set);
+
+  private:
+    std::vector<std::pair<std::string, std::function<void(SimConfig &)>>>
+        given_;
+};
+
+/**
+ * Register every SimConfig-backed simulator option on @p parser,
+ * recording into @p out: protocol, topology and geometry, message
+ * length, K / m / VCs / buffers, load / pattern / classes, tail and
+ * hardware acks, CWG analyzer / recovery / victim / heal budget, seed,
+ * retries and the event-engine switch. This is the only place these
+ * options are spelled; every tool shares the spellings (and the
+ * shrinker's replay lines use them). A non-empty @p only registers just
+ * the options it names.
+ */
+void addSimConfigOptions(OptionParser &parser, SimConfigOptions *out,
+                         const std::vector<std::string> &only = {});
 
 } // namespace tpnet
 

@@ -123,7 +123,7 @@ TEST(Campaign, SameSeedIsDeterministic)
 
 TEST(Campaign, ParallelGridMatchesSequential)
 {
-    // The tpnet_chaos --jobs N path: the same campaign grid run on one
+    // The tpnet_verify --jobs N path: the same campaign grid run on one
     // worker and on several must produce bit-identical results — a
     // campaign is a pure function of its spec, never of thread
     // identity or completion order.

@@ -109,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(Registry, TopologyDifferential,
 
 TEST(TopologySpellings, MeshFlagAndMeshKindAreByteIdentical)
 {
-    // Legacy spelling: torus with wraparound off (tpnet_cli --mesh).
+    // Legacy spelling: torus with wraparound off (SimConfig::wrap).
     obs::RecordSpec legacy;
     legacy.cfg = loadedConfig(TopologyKind::Mesh);
     legacy.cfg.topology = TopologyKind::Torus;

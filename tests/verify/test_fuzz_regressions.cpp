@@ -1,11 +1,11 @@
 /**
  * @file
- * Regressions pinned from the tpnet_verify fuzz campaign (ISSUE 4).
+ * Regressions pinned from the tpnet_verify fuzz campaign.
  *
  * Each campaign test replays a shrunken failing seed exactly as the
- * fuzzer's --replay-seed path would build it. Both seeds wedged the
- * drain before their fixes landed; both must now run to quiescence
- * with a clean wait graph.
+ * fuzzer's --replay-seed path would build it. Every seed wedged or
+ * crashed before its fix landed; each must now run to quiescence with
+ * a clean wait graph.
  *
  *  - seed 36 (DP): duatoSelect blocked forever on a *faulty* escape
  *    channel. DP headers legitimately wait unboundedly on busy
@@ -20,8 +20,8 @@
  *    gating the follower flits below K forever. Fixed by dropping
  *    walkers that fall behind the data front.
  *
- *  - seed 35 (SR K=3, hardware acks; found by the widened ISSUE 5
- *    grid, shrunk event-by-event to five scripted faults): the
+ *  - seed 35 (SR K=3, hardware acks; found by the widened grid,
+ *    shrunk event-by-event to five scripted faults): the
  *    dedicated ack lane popped one flit per cycle, so an ack walker
  *    could queue behind unrelated circuits' acks and fall behind the
  *    header retreating on the control lane; when the probe re-advanced
@@ -109,6 +109,59 @@ TEST(FuzzRegressions, SrHardwareAckStaleWalkerNoLongerCorruptsCounters)
     ASSERT_TRUE(chaos::parseFaultEvents(
         "84:n:35:-1:0,249:l:28:1:0,381:n:58:-1:0,474:n:5:-1:0,"
         "812:n:7:-1:0",
+        &spec.scriptedFaults));
+    const chaos::CampaignResult r = chaos::runCampaign(spec);
+    EXPECT_TRUE(r.passed) << r.summary();
+    EXPECT_TRUE(r.quiescent);
+    EXPECT_EQ(r.cwgViolations, 0u);
+}
+
+// tpnet_verify --replay-seed 1001 --protocol TP --scout-k 3 --k 8 --n 2
+//   --topology torus --tail-ack --load 0.1500 --classes
+//   "pattern=uniform,load=0.10,outstanding=2,replylen=4" --inject 4000
+//   --node-kills 4 --link-kills 4 --intermittents 6
+//
+// A message's MsgAck marked it Complete (queued for retirement) in the
+// same cycle its outstanding kill walk finished. The walk's completion
+// only looked for Delivered, so it took the tail-ack retransmit branch
+// and brought the completed message back to life; retiring it then
+// panicked with "retiring non-terminal message". A completed message
+// now stays terminal.
+TEST(FuzzRegressions, TailAckKillWalkKeepsCompletedMessageTerminal)
+{
+    chaos::CampaignSpec spec = replaySpec(
+        Protocol::TwoPhase, 8, 3, 0.15, 4000, 1001, 4, 4, 6);
+    spec.cfg.tailAck = true;
+    std::string err;
+    ASSERT_TRUE(parseTrafficClasses(
+        "pattern=uniform,load=0.10,outstanding=2,replylen=4",
+        &spec.cfg.trafficClasses, &err))
+        << err;
+    const chaos::CampaignResult r = chaos::runCampaign(spec);
+    EXPECT_TRUE(r.passed) << r.summary();
+    EXPECT_TRUE(r.quiescent);
+    EXPECT_EQ(r.cwgViolations, 0u);
+}
+
+// tpnet_verify --replay-seed 78 --protocol TP --scout-k 0 --k 8 --n 2
+//   --topology express --express-gap 4 --load 0.1500 --inject 1000
+//   --fault-events "21:n:56:-1:0,737:n:5:-1:0,807:n:53:-1:0,807:n:41:-1:0"
+//
+// On the express cube the local e-cube hop is not minimal. Message 242
+// (16->52) took the escape channel 20->28, then a profitable adaptive
+// hop straight back to 20, where the express channels to 52 were unsafe
+// and the e-cube port was its own escape trio. Phase 1 of TP blocked on
+// that trio forever (no wait edge: a circuit waiting on itself). A
+// self-held escape trio now counts as faulty, so the probe switches to
+// SR mode over the unsafe express channel instead.
+TEST(FuzzRegressions, TpExpressCubeProbeNeverWaitsOnItsOwnEscape)
+{
+    chaos::CampaignSpec spec = replaySpec(
+        Protocol::TwoPhase, 8, 0, 0.15, 1000, 78, 0, 0, 0);
+    spec.cfg.topology = TopologyKind::Express;
+    spec.cfg.expressGap = 4;
+    ASSERT_TRUE(chaos::parseFaultEvents(
+        "21:n:56:-1:0,737:n:5:-1:0,807:n:53:-1:0,807:n:41:-1:0",
         &spec.scriptedFaults));
     const chaos::CampaignResult r = chaos::runCampaign(spec);
     EXPECT_TRUE(r.passed) << r.summary();

@@ -1,14 +1,15 @@
 /**
  * @file
- * Shared CLI plumbing for campaign sharding and checkpoint/restore.
+ * Campaign sharding and checkpoint/restore options for tpnet_verify.
  *
- * tpnet_verify and tpnet_chaos expose identical sharding semantics
- * (--shard i/N, --manifest, --merge-shards, --cache) and identical
- * replay checkpointing (--checkpoint, --checkpoint-every, --restore);
- * this header holds the option registration, validation, and the
- * merge/cache/manifest drivers so the two tools cannot drift apart.
+ * Sharding (--shard i/N, --manifest, --merge-shards, --cache) and
+ * replay checkpointing (--checkpoint, --checkpoint-every, --restore)
+ * act on the campaign list, not on a simulator config; this header
+ * holds their registration, validation, and the merge/cache/manifest
+ * steps.
+ * tpnet_cli shares the --shard spelling through addShardOption().
  *
- * The flow a sharded tool follows:
+ * The flow a sharded run follows:
  *   1. build the FULL campaign spec list exactly as a monolithic run
  *      would (the shard key and the manifest cover every cell);
  *   2. --merge-shards: probe the directory for N, compute the expected
@@ -35,24 +36,39 @@
 namespace tpnet {
 namespace tools {
 
-/** Sharding options shared by the campaign tools. */
+/**
+ * Register `--shard i/N` (checked while parsing) into @p spec; @p given
+ * records that argv gave it.
+ */
+inline void
+addShardOption(OptionParser &parser, const std::string &help,
+               chaos::ShardSpec *spec, bool *given)
+{
+    parser.addValue("shard", "<i/N>", help,
+                    [spec, given](const std::string &v, std::string *why) {
+                        *why = "expected i/N with 0 <= i < N";
+                        return *given = chaos::parseShardSpec(v, spec);
+                    });
+}
+
+/** Sharding options of the campaign tool. */
 struct ShardCli
 {
-    std::string shardText;     ///< --shard "i/N" (empty = unsharded)
+    bool shardGiven = false;   ///< --shard given
+    chaos::ShardSpec shard;    ///< --shard "i/N" (default: 0/1)
     std::string manifestPath;  ///< --manifest FILE
     std::string mergeDir;      ///< --merge-shards DIR (exclusive mode)
     std::string cacheDir;      ///< --cache DIR
-    chaos::ShardSpec shard;    ///< resolved from shardText
 };
 
 inline void
 addShardOptions(OptionParser &parser, ShardCli *s)
 {
-    parser.addString("shard",
-                     "run only shard i/N of the campaign list "
-                     "(round-robin by campaign index, i in 0..N-1); "
-                     "--json then writes a shard result file",
-                     &s->shardText);
+    addShardOption(parser,
+                   "run only shard i/N of the campaign list "
+                   "(round-robin by campaign index, i in 0..N-1); "
+                   "--json then writes a shard result file",
+                   &s->shard, &s->shardGiven);
     parser.addString("manifest",
                      "write the shard manifest (every shard's key and "
                      "cell count) for this campaign list, then run",
@@ -73,46 +89,28 @@ addShardOptions(OptionParser &parser, ShardCli *s)
 inline bool
 sharded(const ShardCli &s)
 {
-    return !s.shardText.empty() || !s.cacheDir.empty();
+    return s.shardGiven || !s.cacheDir.empty();
 }
 
 /**
- * Parse and cross-validate the sharding options. @p replay: sharding a
- * single replayed campaign is meaningless, so it is rejected.
+ * Cross-validate the sharding options. @p replay: sharding a single
+ * replayed campaign is meaningless, so it is rejected.
  */
 inline bool
-resolveShardCli(ShardCli *s, bool have_json, bool replay,
-                std::string *error)
+validateShardCli(const ShardCli &s, bool have_json, bool replay,
+                 std::string *error)
 {
-    if (!s->shardText.empty() &&
-        !chaos::parseShardSpec(s->shardText, &s->shard)) {
-        *error = "malformed --shard '" + s->shardText +
-                 "' (expected i/N with 0 <= i < N)";
-        return false;
-    }
-    if (replay && sharded(*s)) {
+    if (replay && sharded(s)) {
         *error = "--shard/--cache cannot be combined with "
                  "--replay-seed (a replay is a single campaign)";
         return false;
     }
-    if (!s->cacheDir.empty() && !have_json) {
+    if (!s.cacheDir.empty() && !have_json) {
         *error = "--cache needs --json (the cache stores the shard "
                  "result file)";
         return false;
     }
     return true;
-}
-
-/** Expected key of every shard of @p count over the full spec list. */
-inline std::vector<std::uint64_t>
-expectedShardKeys(const std::vector<chaos::CampaignSpec> &specs,
-                  int count)
-{
-    std::vector<std::uint64_t> keys;
-    keys.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        keys.push_back(chaos::shardKey(specs, {i, count}));
-    return keys;
 }
 
 /**
@@ -135,8 +133,8 @@ runMergeShards(const ShardCli &s, const std::string &tool,
             : json_path;
     std::vector<std::uint64_t> keys;
     const int n = chaos::probeShardCount(s.mergeDir, out);
-    if (n > 0)
-        keys = expectedShardKeys(all_specs, n);
+    for (int i = 0; i < n; ++i)
+        keys.push_back(chaos::shardKey(all_specs, {i, n}));
     return chaos::mergeShards(s.mergeDir, tool, keys, out, std::cout);
 }
 
@@ -265,15 +263,6 @@ validateCheckpointCli(const CheckpointCli &c, bool replay,
         return false;
     }
     return true;
-}
-
-/** Copy the checkpoint options into the (single) replayed spec. */
-inline void
-applyCheckpointCli(const CheckpointCli &c, chaos::CampaignSpec *spec)
-{
-    spec->checkpointEvery = c.every;
-    spec->checkpointPath = c.path;
-    spec->restorePath = c.restore;
 }
 
 /**

@@ -11,37 +11,18 @@
  * Examples:
  *   tpnet_cli --protocol TP --load 0.2 --faults 10
  *   tpnet_cli --protocol MB-m --sweep "0.05,0.1,0.15,0.2" --reps 3
- *   tpnet_cli --protocol TP --K 3 --faults 20 --load 0.25 --stats
- *   tpnet_cli --protocol SR --K 3 --k 8 --n 3 --length 16 --dynamic 5
+ *   tpnet_cli --protocol TP --scout-k 3 --faults 20 --load 0.25 --stats
+ *   tpnet_cli --protocol SR --scout-k 3 --k 8 --n 3 --length 16 --dynamic 5
  */
 
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 
-#include "chaos/manifest.hpp"
+#include "core/pool.hpp"
 #include "core/tpnet.hpp"
 #include "metrics/netstats.hpp"
 #include "sim/options.hpp"
-
-#include "core/pool.hpp"
-
-namespace {
-
-using namespace tpnet;
-
-std::vector<double>
-parseLoads(const std::string &csv)
-{
-    std::vector<double> loads;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ','))
-        loads.push_back(std::atof(item.c_str()));
-    return loads;
-}
-
-} // namespace
+#include "shard_cli.hpp"
 
 int
 main(int argc, char **argv)
@@ -49,67 +30,25 @@ main(int argc, char **argv)
     using namespace tpnet;
 
     SimConfig cfg;
-    std::string protocol = "TP";
-    std::string topology = "torus";
-    std::string pattern = "uniform";
-    std::string victim = "youngest";
-    std::string sweep;
-    std::string shard_text;
-    std::string classes_spec;
+    SimConfigOptions simopts;
+    std::vector<double> loads;
+    bool shard_given = false;
+    chaos::ShardSpec shard;
     int reps = 1;
     int jobs = 0;
-    double dynamic_faults = 0.0;
     bool stats = false;
-    bool mesh = false;
     bool no_unsafe = false;
-    bool no_event_skip = false;
 
     OptionParser parser(
         "tpnet_cli",
         "flit-level simulator of fault-tolerant routing with "
         "configurable flow control (Dao/Duato/Yalamanchili, ISCA'95)");
-    parser.addString("protocol", "DOR | DP | SR | PCS | MB-m | TP",
-                     &protocol);
-    parser.addString("topology",
-                     "torus | mesh | express | dragonfly",
-                     &topology);
-    parser.addInt("k", "radix (nodes per dimension)", &cfg.k);
-    parser.addInt("n", "dimensions", &cfg.n);
-    parser.addInt("express-gap",
-                  "express-channel stride per dimension "
-                  "(--topology express)",
-                  &cfg.expressGap);
-    parser.addInt("df-routers",
-                  "routers per group (--topology dragonfly)",
-                  &cfg.dfRouters);
-    parser.addInt("df-global",
-                  "global channels per router (--topology dragonfly)",
-                  &cfg.dfGlobal);
-    parser.addInt("length", "data flits per message", &cfg.msgLength);
-    parser.addInt("K", "scouting distance (SR mode)", &cfg.scoutK);
-    parser.addInt("m", "misroute limit", &cfg.misrouteLimit);
-    parser.addInt("adaptive-vcs", "adaptive VCs per link",
-                  &cfg.adaptiveVcs);
-    parser.addInt("escape-vcs", "escape (dateline) VCs per link",
-                  &cfg.escapeVcs);
-    parser.addInt("buffers", "DIBU depth in flits", &cfg.bufDepth);
-    parser.addDouble("load", "offered load, data flits/node/cycle",
-                     &cfg.load);
-    parser.addString("pattern",
-                     "uniform | bit-complement | transpose | neighbor "
-                     "| tornado | bit-reversal | shuffle",
-                     &pattern);
-    parser.addString("classes",
-                     "workload classes replacing --pattern/--load: "
-                     "\"pattern=<name>,load=<f>[,len=][,prio=]"
-                     "[,hotspot=][,hotspots=][,burst=][,duty=]"
-                     "[,outstanding=][,replylen=]\" joined by ';'",
-                     &classes_spec);
+    addSimConfigOptions(parser, &simopts);
     parser.addInt("faults", "static node faults", &cfg.staticNodeFaults);
     parser.addInt("link-faults", "static link faults",
                   &cfg.staticLinkFaults);
     parser.addDouble("dynamic", "dynamic node faults over the run",
-                     &dynamic_faults);
+                     &cfg.dynamicNodeFaults);
     parser.addDouble("dynamic-links", "dynamic link faults over the run",
                      &cfg.dynamicLinkFaults);
     parser.addDouble("intermittent",
@@ -118,112 +57,44 @@ main(int argc, char **argv)
     parser.addInt("intermittent-down",
                   "cycles an intermittent link stays down",
                   &cfg.intermittentDownCycles);
-    parser.addFlag("mesh", "mesh instead of torus (no wraparound)",
-                   &mesh);
     parser.addFlag("no-unsafe", "disable unsafe-channel marking",
                    &no_unsafe);
-    parser.addFlag("tailack", "hold paths + message acks + retransmit",
-                   &cfg.tailAck);
-    parser.addFlag("hw-acks", "dedicated acknowledgment signalling",
-                   &cfg.hardwareAcks);
-    parser.addFlag("verify-cwg",
-                   "run the channel-wait-for-graph deadlock analyzer "
-                   "(Theorem 3 checked online; violations panic)",
-                   &cfg.verifyCwg);
-    parser.addFlag("recovery",
-                   "knot-triggered deadlock recovery: free the escape "
-                   "bandwidth for adaptive use and heal detected knots "
-                   "by victim abort + source retransmit",
-                   &cfg.recoveryMode);
-    parser.addString("victim",
-                     "recovery victim policy: youngest | fewest-hops "
-                     "| random",
-                     &victim);
-    parser.addInt("heal-budget",
-                  "max heals per knot before livelock escalation",
-                  &cfg.maxHealAttempts);
-    parser.addUint64("seed", "RNG seed", &cfg.seed);
     parser.addUint64("warmup", "warmup cycles", &cfg.warmup);
     parser.addUint64("measure", "measurement window cycles",
                      &cfg.measure);
     parser.addInt("reps", "max replications (95% CI rule when > 1)",
                   &reps);
-    parser.addString("sweep", "comma-separated offered loads", &sweep);
-    parser.addString("shard",
-                     "sweep only: run the load points whose index mod "
-                     "N equals i (\"i/N\", round-robin like the "
-                     "campaign tools)",
-                     &shard_text);
+    parser.addValue("sweep", "<loads>", "comma-separated offered loads",
+                    [&loads](const std::string &v, std::string *why) {
+                        *why = "expected numbers joined by ','";
+                        return parseNumbers(v, &loads);
+                    });
+    tools::addShardOption(parser,
+                          "sweep only: run the load points whose index "
+                          "mod N equals i (round-robin like "
+                          "tpnet_verify)",
+                          &shard, &shard_given);
     parser.addJobs(&jobs);
     parser.addFlag("stats", "print structural network statistics",
                    &stats);
-    parser.addFlag("no-event-skip",
-                   "disable the event engine's idle-cycle fast path "
-                   "(step every cycle; results are bit-identical)",
-                   &no_event_skip);
+    parser.parseOrExit(argc, argv);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
+    if (shard_given && loads.empty()) {
+        std::fprintf(stderr, "error: --shard needs --sweep\n");
+        return 2;
     }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
-    if (!parseProtocolName(protocol, &cfg.protocol)) {
-        std::fprintf(stderr, "error: unknown protocol '%s'\n",
-                     protocol.c_str());
-        return 1;
-    }
-    if (!parseTopologyName(topology, &cfg.topology)) {
-        std::fprintf(stderr, "error: unknown topology '%s'\n",
-                     topology.c_str());
-        return 1;
-    }
-    if (!parsePatternName(pattern, &cfg.pattern)) {
-        std::fprintf(stderr, "error: unknown pattern '%s'\n",
-                     pattern.c_str());
-        return 1;
-    }
-    if (!parseVictimPolicyName(victim, &cfg.victimPolicy)) {
-        std::fprintf(stderr, "error: unknown victim policy '%s'\n",
-                     victim.c_str());
-        return 1;
-    }
-    if (!classes_spec.empty()) {
-        std::string clsErr;
-        if (!parseTrafficClasses(classes_spec, &cfg.trafficClasses,
-                                 &clsErr)) {
-            std::fprintf(stderr, "error: --classes: %s\n", clsErr.c_str());
-            return 1;
-        }
-    }
-    chaos::ShardSpec shard;
-    if (!shard_text.empty()) {
-        if (!chaos::parseShardSpec(shard_text, &shard)) {
-            std::fprintf(stderr, "error: malformed --shard '%s' "
-                                 "(expected i/N with 0 <= i < N)\n",
-                         shard_text.c_str());
-            return 1;
-        }
-        if (sweep.empty()) {
-            std::fprintf(stderr, "error: --shard needs --sweep\n");
-            return 1;
-        }
-    }
-    cfg.dynamicNodeFaults = dynamic_faults;
-    cfg.wrap = !mesh;
+    simopts.apply(&cfg);
     cfg.markUnsafe = !no_unsafe;
-    cfg.eventEngine = cfg.eventEngine && !no_event_skip;
     cfg.validate();
 
     std::printf("# %s\n", cfg.summary().c_str());
 
-    if (!sweep.empty()) {
-        std::vector<double> loads = parseLoads(sweep);
-        if (!shard_text.empty()) {
+    SweepOptions opt;
+    opt.minReps = reps > 1 ? 2 : 1;
+    opt.maxReps = static_cast<std::size_t>(reps);
+    opt.jobs = jobs;
+    if (!loads.empty()) {
+        if (shard_given) {
             std::vector<double> mine;
             for (std::size_t i = 0; i < loads.size(); ++i)
                 if (chaos::shardOwns(shard, i))
@@ -233,10 +104,6 @@ main(int argc, char **argv)
                         loads.size());
             loads.swap(mine);
         }
-        SweepOptions opt;
-        opt.minReps = reps > 1 ? 2 : 1;
-        opt.maxReps = static_cast<std::size_t>(reps);
-        opt.jobs = jobs;
         const Series s =
             loadSweep(cfg, protocolName(cfg.protocol), loads, opt);
         printSeries(std::cout, s, "offered");
@@ -256,10 +123,6 @@ main(int argc, char **argv)
 
     bool degenerate = false;
     if (reps > 1) {
-        SweepOptions opt;
-        opt.minReps = 2;
-        opt.maxReps = static_cast<std::size_t>(reps);
-        opt.jobs = jobs;
         const ReplicatedResult r = runReplicated(cfg, opt);
         std::printf("%s\n%s\n", RunResult::header().c_str(),
                     r.mean.row().c_str());

@@ -5,8 +5,9 @@
  * a live run (legacy mode) or offline from a recorded trace.
  *
  * Subcommands:
- *   record  run a canonical seeded scenario with a TraceRecorder
- *           attached and write the binary trace (plus optional JSONL);
+ *   record  run a canonical seeded scenario (simulator options apply
+ *           on top of its config) with a TraceRecorder attached and
+ *           write the binary trace (plus optional JSONL);
  *           --jobs N records N concurrent copies and verifies their
  *           digests match before writing. Prints the 64-bit digest.
  *   dump    print recorded events as JSONL, filterable by kind/message.
@@ -14,13 +15,13 @@
  *           trace (no simulation) and print the re-computed digest.
  *   digest  print the digest and record count of a trace file.
  *   check   run the trace-level property checks (VC conservation and,
- *           with --K, the Section 2.2 scout-gap invariant).
+ *           with --scout-k, the Section 2.2 scout-gap invariant).
  *   ckinfo  print the header of a campaign checkpoint file (version,
  *           payload size, payload digest, config digest).
  *
  * Without a subcommand, the legacy live mode renders the diagram of a
  * single freshly simulated message:
- *   tpnet_trace --protocol SR --K 3 --hops 5 --length 8
+ *   tpnet_trace --protocol SR --scout-k 3 --hops 5 --length 8
  *
  * Examples:
  *   tpnet_trace --seed 7 record --scenario sr-k3 --out t.bin
@@ -28,11 +29,11 @@
  *   tpnet_trace dump --in t.bin --kind vc-alloc | head
  */
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "core/pool.hpp"
 #include "core/tpnet.hpp"
@@ -47,17 +48,6 @@ namespace {
 
 using namespace tpnet;
 
-std::vector<NodeId>
-parseNodes(const std::string &csv)
-{
-    std::vector<NodeId> nodes;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ','))
-        nodes.push_back(static_cast<NodeId>(std::atoi(item.c_str())));
-    return nodes;
-}
-
 int
 scenarioIndex(const std::string &name)
 {
@@ -68,9 +58,16 @@ scenarioIndex(const std::string &name)
     return -1;
 }
 
+/** A recorded trace file, read whole. */
+struct LoadedTrace
+{
+    std::vector<obs::TraceEvent> events;
+    std::uint64_t digest = 0;
+    std::uint64_t seed = 0;
+};
+
 bool
-loadTrace(const std::string &path, std::vector<obs::TraceEvent> *events,
-          std::uint64_t *digest, std::uint64_t *seed)
+loadTrace(const std::string &path, LoadedTrace *trace)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is) {
@@ -78,20 +75,16 @@ loadTrace(const std::string &path, std::vector<obs::TraceEvent> *events,
         return false;
     }
     obs::TraceReader reader(is);
-    if (!reader.ok()) {
-        std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
-                     reader.error().c_str());
-        return false;
-    }
-    const obs::CheckResult read = obs::readAll(reader, events);
+    const obs::CheckResult read =
+        reader.ok() ? obs::readAll(reader, &trace->events)
+                    : obs::CheckResult{false, reader.error()};
     if (!read.ok) {
         std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
                      read.error.c_str());
         return false;
     }
-    *digest = reader.digest();
-    if (seed)
-        *seed = reader.info().seed;
+    trace->digest = reader.digest();
+    trace->seed = reader.info().seed;
     return true;
 }
 
@@ -100,83 +93,40 @@ cmdRecord(OptionParser &parser, int argc, const char *const *argv)
 {
     std::string out = "trace.bin";
     std::string jsonl;
-    std::string scenario = "sr-k3";
-    std::uint64_t seed = 1;
+    int scenario = scenarioIndex("sr-k3");
+    SimConfigOptions simopts;
     int jobs = 1;
     int cycles = 0;
-    bool recovery = false;
-    bool no_event_skip = false;
-    std::string victim = "youngest";
-    std::string classes_spec;
+    addSimConfigOptions(parser, &simopts);
     parser.addString("out", "output trace file", &out);
-    parser.addString("classes",
-                     "workload classes override for the scenario's "
-                     "traffic: \"pattern=<name>,load=<f>[,burst=]"
-                     "[,duty=][,outstanding=]...\" joined by ';' "
-                     "(default: the scenario's own open-loop uniform)",
-                     &classes_spec);
-    parser.addFlag("recovery",
-                   "record the scenario in knot-triggered deadlock "
-                   "recovery mode (digest comparison across --jobs "
-                   "checks recovery determinism)",
-                   &recovery);
-    parser.addString("victim",
-                     "recovery victim policy: youngest | fewest-hops "
-                     "| random",
-                     &victim);
     parser.addString("jsonl", "also write a JSONL text dump here",
                      &jsonl);
-    parser.addString("scenario",
-                     "wr-faultfree | sr-k3 | tp-staticfault | tp-dynkill",
-                     &scenario);
-    parser.addUint64("seed", "scenario seed", &seed);
+    parser.addValue("scenario", "<name>",
+                    "wr-faultfree | sr-k3 | tp-staticfault | tp-dynkill",
+                    [&scenario](const std::string &v, std::string *why) {
+                        scenario = scenarioIndex(v);
+                        *why = "expected wr-faultfree | sr-k3 | "
+                               "tp-staticfault | tp-dynkill";
+                        return scenario >= 0;
+                    });
     parser.addInt("cycles", "injection window override (0: default)",
                   &cycles);
-    parser.addFlag("no-event-skip",
-                   "disable the event engine's idle-cycle fast path "
-                   "(step every cycle; the trace is bit-identical)",
-                   &no_event_skip);
     parser.addJobs(&jobs);
+    parser.parseOrExit(argc, argv);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
-
-    const int idx = scenarioIndex(scenario);
-    if (idx < 0) {
-        std::fprintf(stderr, "error: unknown scenario '%s'\n",
-                     scenario.c_str());
-        return 1;
-    }
+    // --seed picks the scenario family (each scenario derives its own
+    // seed from it); every other simulator option applies on top of
+    // the scenario's config.
+    SimConfig given;
+    simopts.apply(&given);
+    const std::uint64_t seed = given.seed;
     obs::RecordSpec spec =
-        obs::goldenSpecs(seed)[static_cast<std::size_t>(idx)];
+        obs::goldenSpecs(seed)[static_cast<std::size_t>(scenario)];
+    const std::uint64_t scenario_seed = spec.cfg.seed;
+    simopts.apply(&spec.cfg);
+    spec.cfg.seed = scenario_seed;
     if (cycles > 0)
         spec.cycles = static_cast<Cycle>(cycles);
-    if (!classes_spec.empty()) {
-        std::string clsErr;
-        if (!parseTrafficClasses(classes_spec,
-                                 &spec.cfg.trafficClasses, &clsErr)) {
-            std::fprintf(stderr, "error: --classes: %s\n",
-                         clsErr.c_str());
-            return 1;
-        }
-    }
-    spec.cfg.eventEngine = spec.cfg.eventEngine && !no_event_skip;
-    if (recovery) {
-        spec.cfg.recoveryMode = true;
-        if (!parseVictimPolicyName(victim, &spec.cfg.victimPolicy)) {
-            std::fprintf(stderr, "error: unknown victim policy '%s'\n",
-                         victim.c_str());
-            return 1;
-        }
-    }
 
     const obs::TraceRecorder rec =
         obs::recordRun(spec, resolveJobs(jobs));
@@ -197,7 +147,8 @@ cmdRecord(OptionParser &parser, int argc, const char *const *argv)
         rec.writeJsonl(js);
     }
     std::printf("recorded %s seed %" PRIu64 ": %zu events -> %s\n",
-                scenario.c_str(), seed, rec.size(), out.c_str());
+                obs::goldenSpecName(static_cast<std::size_t>(scenario)),
+                seed, rec.size(), out.c_str());
     std::printf("digest %016" PRIx64 "\n", rec.digest());
     return 0;
 }
@@ -219,24 +170,14 @@ cmdDump(OptionParser &parser, int argc, const char *const *argv)
     parser.addInt("limit", "stop after N matching events (0: all)",
                   &limit);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    parser.parseOrExit(argc, argv);
 
-    std::vector<obs::TraceEvent> events;
-    std::uint64_t digest = 0;
-    if (!loadTrace(in, &events, &digest, nullptr))
+    LoadedTrace trace;
+    if (!loadTrace(in, &trace))
         return 1;
 
     int printed = 0;
-    for (const obs::TraceEvent &ev : events) {
+    for (const obs::TraceEvent &ev : trace.events) {
         if (!kind.empty() && kind != obs::traceEventKindName(ev.kind))
             continue;
         if (msg != ~0ull && ev.msg != static_cast<std::int64_t>(msg))
@@ -260,32 +201,21 @@ cmdReplay(OptionParser &parser, int argc, const char *const *argv)
                      &msg);
     parser.addInt("width", "max diagram columns", &width);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    parser.parseOrExit(argc, argv);
 
-    std::vector<obs::TraceEvent> events;
-    std::uint64_t digest = 0;
-    std::uint64_t seed = 0;
-    if (!loadTrace(in, &events, &digest, &seed))
+    LoadedTrace trace;
+    if (!loadTrace(in, &trace))
         return 1;
 
     const MsgId target = msg == ~0ull ? invalidMsg
                                       : static_cast<MsgId>(msg);
-    const TimeSpaceTrace ts = obs::replayTimeSpace(events, target);
+    const TimeSpaceTrace ts = obs::replayTimeSpace(trace.events, target);
     std::printf("# replay of %s  seed %" PRIu64 "  (%zu events)\n",
-                in.c_str(), seed, events.size());
+                in.c_str(), trace.seed, trace.events.size());
     std::fputs(ts.render(static_cast<std::size_t>(width)).c_str(),
                stdout);
     std::printf("max header lead %d links\n", ts.maxHeaderLead());
-    std::printf("digest %016" PRIx64 "\n", digest);
+    std::printf("digest %016" PRIx64 "\n", trace.digest);
     return 0;
 }
 
@@ -295,24 +225,13 @@ cmdDigest(OptionParser &parser, int argc, const char *const *argv)
     std::string in = "trace.bin";
     parser.addString("in", "input trace file", &in);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    parser.parseOrExit(argc, argv);
 
-    std::vector<obs::TraceEvent> events;
-    std::uint64_t digest = 0;
-    std::uint64_t seed = 0;
-    if (!loadTrace(in, &events, &digest, &seed))
+    LoadedTrace trace;
+    if (!loadTrace(in, &trace))
         return 1;
-    std::printf("%016" PRIx64 "  %zu events  seed %" PRIu64 "\n", digest,
-                events.size(), seed);
+    std::printf("%016" PRIx64 "  %zu events  seed %" PRIu64 "\n",
+                trace.digest, trace.events.size(), trace.seed);
     return 0;
 }
 
@@ -320,35 +239,28 @@ int
 cmdCheck(OptionParser &parser, int argc, const char *const *argv)
 {
     std::string in = "trace.bin";
-    int scout_k = -1;
+    SimConfigOptions simopts;
     bool partial = false;
     parser.addString("in", "input trace file", &in);
-    parser.addInt("K", "check the scout-gap invariant with this K "
-                       "(-1: skip)",
-                  &scout_k);
+    // --scout-k names the K the trace was recorded with; given, the
+    // scout-gap invariant is checked against it.
+    addSimConfigOptions(parser, &simopts, {"scout-k"});
     parser.addFlag("partial",
                    "trace did not run to quiescence (skip the "
                    "all-released check)",
                    &partial);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    parser.parseOrExit(argc, argv);
+    SimConfig recorded;
+    simopts.apply(&recorded);
+    const int scout_k = simopts.given("scout-k") ? recorded.scoutK : -1;
 
-    std::vector<obs::TraceEvent> events;
-    std::uint64_t digest = 0;
-    if (!loadTrace(in, &events, &digest, nullptr))
+    LoadedTrace trace;
+    if (!loadTrace(in, &trace))
         return 1;
 
     int failures = 0;
-    const obs::CheckResult vc = obs::checkVcBalance(events, !partial);
+    const obs::CheckResult vc = obs::checkVcBalance(trace.events, !partial);
     if (vc.ok) {
         std::printf("vc-balance: ok (%zu alloc/release events)\n",
                     vc.checked);
@@ -357,7 +269,8 @@ cmdCheck(OptionParser &parser, int argc, const char *const *argv)
         ++failures;
     }
     if (scout_k >= 0) {
-        const obs::CheckResult gap = obs::checkScoutGap(events, scout_k);
+        const obs::CheckResult gap =
+            obs::checkScoutGap(trace.events, scout_k);
         if (gap.ok) {
             std::printf("scout-gap (K=%d): ok (%zu data crossings)\n",
                         scout_k, gap.checked);
@@ -376,16 +289,7 @@ cmdCkInfo(OptionParser &parser, int argc, const char *const *argv)
     std::string in = "campaign.ck";
     parser.addString("in", "input checkpoint file", &in);
 
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
+    parser.parseOrExit(argc, argv);
 
     std::ifstream is(in, std::ios::binary);
     if (!is) {
@@ -393,6 +297,7 @@ cmdCkInfo(OptionParser &parser, int argc, const char *const *argv)
         return 1;
     }
     obs::CheckpointFileInfo info;
+    std::string error;
     if (!obs::readCheckpointInfo(is, &info, &error)) {
         std::fprintf(stderr, "error: %s: %s\n", in.c_str(),
                      error.c_str());
@@ -409,11 +314,11 @@ int
 legacyLive(int argc, const char *const *argv)
 {
     SimConfig cfg;
+    cfg.protocol = Protocol::Scouting;
     cfg.msgLength = 8;
     cfg.load = 0.0;
-    std::string protocol = "SR";
-    std::string topology = "torus";
-    std::string fail_csv;
+    SimConfigOptions simopts;
+    std::vector<int> failed;
     int hops = 5;
     int dst = -1;
     int src = 0;
@@ -423,65 +328,43 @@ legacyLive(int argc, const char *const *argv)
                         "time-space diagram of one message (Fig. 1); "
                         "see also the record/dump/replay/digest/check "
                         "subcommands");
-    parser.addString("protocol", "DOR | DP | SR | PCS | MB-m | TP",
-                     &protocol);
-    parser.addString("topology",
-                     "torus | mesh (the hop-count synthesizer walks "
-                     "cube coordinates; express/dragonfly diagrams "
-                     "need an explicit --dst via the record subcommand)",
-                     &topology);
-    parser.addInt("k", "radix", &cfg.k);
-    parser.addInt("n", "dimensions", &cfg.n);
-    parser.addInt("K", "scouting distance", &cfg.scoutK);
-    parser.addInt("m", "misroute limit", &cfg.misrouteLimit);
-    parser.addInt("length", "data flits", &cfg.msgLength);
+    addSimConfigOptions(parser, &simopts);
     parser.addInt("hops", "path length along dim 0 (ignored with --dst)",
                   &hops);
     parser.addInt("src", "source node id", &src);
     parser.addInt("dst", "destination node id (-1: use --hops)", &dst);
-    parser.addString("fail", "comma-separated failed node ids",
-                     &fail_csv);
+    parser.addValue("fail", "<nodes>", "comma-separated failed node ids",
+                    [&failed](const std::string &v, std::string *why) {
+                        *why = "expected node ids joined by ','";
+                        return parseNumbers(v, &failed);
+                    });
     parser.addInt("width", "max diagram columns", &width);
-
-    std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 1;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
-    if (!parseProtocolName(protocol, &cfg.protocol)) {
-        std::fprintf(stderr, "error: unknown protocol '%s'\n",
-                     protocol.c_str());
-        return 1;
-    }
-    if (!parseTopologyName(topology, &cfg.topology)) {
-        std::fprintf(stderr, "error: unknown topology '%s'\n",
-                     topology.c_str());
-        return 1;
-    }
+    parser.parseOrExit(argc, argv);
+    simopts.apply(&cfg);
     if (cfg.topology != TopologyKind::Torus &&
         cfg.topology != TopologyKind::Mesh) {
+        // The hop-count synthesizer walks cube coordinates.
         std::fprintf(stderr,
                      "error: the time-space synthesizer only draws "
-                     "torus/mesh paths; record a trace on --topology "
-                     "%s with tpnet_cli and use the dump/replay "
-                     "subcommands instead\n",
+                     "torus/mesh paths; record a trace with "
+                     "`tpnet_trace record --topology %s` and use the "
+                     "dump/replay subcommands instead\n",
                      topologyName(cfg.topology));
-        return 1;
+        return 2;
     }
-    cfg.wrap = cfg.topology != TopologyKind::Mesh;
     cfg.validate();
+    const int nodes = cfg.nodes();
+    if (src < 0 || src >= nodes || dst >= nodes) {
+        std::fprintf(stderr, "error: --src/--dst must be node ids below "
+                             "%d\n", nodes);
+        return 2;
+    }
 
     if (cfg.protocol == Protocol::Scouting && cfg.scoutK == 0)
         cfg.scoutK = 3;  // an SR diagram with K = 0 is just WR
     if (dst < 0) {
         const int dx = std::min(hops, cfg.k / 2 - 1);
         const int dy = hops - dx;
-        dst = src;
         OffsetVec coords{};
         TorusTopology topo(cfg.k, cfg.n, cfg.wrap);
         for (int d = 0; d < cfg.n; ++d)
@@ -493,11 +376,11 @@ legacyLive(int argc, const char *const *argv)
     }
 
     Network net(cfg);
-    for (NodeId f : parseNodes(fail_csv)) {
-        if (f == src || f == dst) {
-            std::fprintf(stderr, "error: cannot fail src/dst node %d\n",
-                         f);
-            return 1;
+    for (NodeId f : failed) {
+        if (f < 0 || f >= nodes || f == src || f == dst) {
+            std::fprintf(stderr, "error: cannot fail node %d (out of "
+                                 "range, or the src/dst)\n", f);
+            return 2;
         }
         net.failNode(f);
     }
@@ -529,24 +412,34 @@ legacyLive(int argc, const char *const *argv)
 int
 main(int argc, char **argv)
 {
+    static const struct
+    {
+        const char *name;
+        const char *description;
+        int (*run)(OptionParser &, int, const char *const *);
+    } commands[] = {
+        {"record", "record a canonical seeded scenario", cmdRecord},
+        {"dump", "print recorded events as JSONL", cmdDump},
+        {"replay", "time-space diagram from a recorded trace", cmdReplay},
+        {"digest", "digest and record count of a trace file", cmdDigest},
+        {"check", "trace-level property checks", cmdCheck},
+        {"ckinfo", "header of a campaign checkpoint file", cmdCkInfo},
+    };
+
     // The subcommand is the first argument matching a known name; flags
     // may precede it (`tpnet_trace --seed 7 record` works). Everything
     // else is passed on to the subcommand's parser.
-    static const char *const subcommands[] = {"record", "dump", "replay",
-                                              "digest", "check",
-                                              "ckinfo"};
-    const char *sub = nullptr;
+    const auto *cmd = std::end(commands);
     std::vector<const char *> rest;
     rest.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
-        if (!sub) {
-            for (const char *name : subcommands) {
-                if (std::strcmp(argv[i], name) == 0) {
-                    sub = argv[i];
-                    break;
-                }
-            }
-            if (sub == argv[i])
+        if (cmd == std::end(commands)) {
+            cmd = std::find_if(std::begin(commands), std::end(commands),
+                               [&](const auto &c) {
+                                   return std::strcmp(argv[i], c.name) ==
+                                          0;
+                               });
+            if (cmd != std::end(commands))
                 continue;
         }
         rest.push_back(argv[i]);
@@ -554,42 +447,9 @@ main(int argc, char **argv)
     const int rargc = static_cast<int>(rest.size());
     const char *const *rargv = rest.data();
 
-    if (!sub)
+    if (cmd == std::end(commands))
         return legacyLive(rargc, rargv);
-
-    if (std::strcmp(sub, "record") == 0) {
-        OptionParser parser("tpnet_trace record",
-                            "record a canonical seeded scenario");
-        return cmdRecord(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "dump") == 0) {
-        OptionParser parser("tpnet_trace dump",
-                            "print recorded events as JSONL");
-        return cmdDump(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "replay") == 0) {
-        OptionParser parser("tpnet_trace replay",
-                            "time-space diagram from a recorded trace");
-        return cmdReplay(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "digest") == 0) {
-        OptionParser parser("tpnet_trace digest",
-                            "digest and record count of a trace file");
-        return cmdDigest(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "check") == 0) {
-        OptionParser parser("tpnet_trace check",
-                            "trace-level property checks");
-        return cmdCheck(parser, rargc, rargv);
-    }
-    if (std::strcmp(sub, "ckinfo") == 0) {
-        OptionParser parser("tpnet_trace ckinfo",
-                            "header of a campaign checkpoint file");
-        return cmdCkInfo(parser, rargc, rargv);
-    }
-    std::fprintf(stderr,
-                 "error: unknown subcommand '%s' (record | dump | replay "
-                 "| digest | check | ckinfo)\n",
-                 sub);
-    return 1;
+    OptionParser parser(std::string("tpnet_trace ") + cmd->name,
+                        cmd->description);
+    return cmd->run(parser, rargc, rargv);
 }

@@ -1,18 +1,26 @@
 /**
  * @file
- * tpnet_verify — fuzz the CWG deadlock analyzer across protocol grids.
+ * tpnet_verify — the standing robustness gate: seeded chaos campaigns
+ * with the CWG deadlock analyzer armed, across protocol grids.
  *
  * Runs N seeded chaos campaigns with the channel-wait-for-graph tracker
  * armed, sweeping {DP, PCS, SR K=1..5, TP K=0, TP K=3} x topology
  * (8-ary 2-cube, binary and 4-ary 3-cubes, 16-ary 2-cube, 8-ary
  * 2-mesh, express cube, dragonfly) x offered load x fault intensity x
- * ack configuration (TAck, hardware acks).
- * Every campaign audits deadlock freedom online: any wait cycle through
- * an escape class and any knot (a blocked set whose entire candidate
- * ownership closes over itself with no exit) is a violation; benign
- * cycles that persist past their bound surface as warnings. The
- * watchdog and delivery oracle run too, so ordinary chaos violations
- * are also caught.
+ * ack configuration (TAck, hardware acks), plus a Two-Phase tail-ack
+ * block on 8-ary and 4-ary 2-cubes. Every campaign injects randomized
+ * node kills, permanent link kills and intermittent link faults into
+ * live traffic and audits deadlock freedom online: any wait cycle
+ * through an escape class and any knot (a blocked set whose entire
+ * candidate ownership closes over itself with no exit) is a violation;
+ * benign cycles that persist past their bound surface as warnings. The
+ * progress watchdog and the exactly-once delivery oracle run too, so
+ * ordinary chaos violations are also caught.
+ *
+ * The simulator options (protocol, topology, geometry, K, load,
+ * classes, acks, ...) apply on top of every grid cell: a replay pins a
+ * campaign to the shrunk case, and a sweep can be focused on one
+ * protocol or topology (`--protocol TP`, `--topology mesh`).
  *
  * The grid interleaves its topology blocks round-robin, so any window
  * of consecutive seeds (e.g. a 25-campaign CI smoke) samples every
@@ -36,18 +44,22 @@
  * escalations (livelock) fail a campaign. --compare runs the headline
  * avoidance-vs-recovery experiment: both modes over the full grid at
  * each point of a fault-intensity axis, summarized as one table.
+ * --hook-skip-kills breaks fault recovery on purpose; the campaigns
+ * must then FAIL, which proves the oracle can see it.
  *
  * Examples:
  *   tpnet_verify --campaigns 200 --jobs 8
  *   tpnet_verify --campaigns 25 --max-cycles 6000
  *   tpnet_verify --campaigns 200 --recovery --victim fewest-hops
  *   tpnet_verify --compare --campaigns 80 --jobs 8
+ *   tpnet_verify --campaigns 3 --hook-skip-kills
  *   tpnet_verify --replay-seed 42 --k 16 --n 2 --verbose
  *   tpnet_verify --replay-seed 42 --fault-events "120:n:5:-1:0"
  */
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,56 +77,47 @@ using namespace tpnet;
 using namespace tpnet::chaos;
 
 /** One cell of the fuzz grid. */
-struct GridPoint
+struct Cell
 {
-    Protocol proto;
-    int scoutK;
-    double load;
-    double faultScale;
-    int k;                    ///< radix
-    int n;                    ///< dimensions
-    /// Topology family; the cube fields above only apply to cube kinds.
-    TopologyKind topo = TopologyKind::Torus;
-    int expressGap = 4;       ///< express-channel stride (Express)
-    int dfRouters = 4;        ///< routers per group (Dragonfly)
-    int dfGlobal = 1;         ///< global channels per router (Dragonfly)
-    bool tailAck = false;
-    bool hardwareAcks = false;
-    /// Workload-library cell: a --classes spec replacing the open-loop
-    /// uniform injector (empty = legacy uniform at `load`).
-    std::string workload;     ///< short display tag
-    std::string classes;      ///< parseTrafficClasses spec
+    SimConfig cfg;             ///< the cell's simulator configuration
+    double faultScale = 1.0;   ///< fault-intensity multiplier
+    const char *workload = ""; ///< tag of a workload-library cell
 };
 
+/**
+ * Label of the campaign @p spec, as it ran (after the options on top
+ * of its grid cell).
+ */
 std::string
-describe(const GridPoint &g)
+describe(const CampaignSpec &spec, double fx, const std::string &workload)
 {
+    const SimConfig &cfg = spec.cfg;
     char topo[32];
-    switch (g.topo) {
+    switch (cfg.effectiveTopology()) {
       case TopologyKind::Mesh:
-        std::snprintf(topo, sizeof topo, "%2d-ary %d-mesh", g.k, g.n);
+        std::snprintf(topo, sizeof topo, "%2d-ary %d-mesh", cfg.k, cfg.n);
         break;
       case TopologyKind::Express:
-        std::snprintf(topo, sizeof topo, "%2d-ary %d-xc/e%d", g.k, g.n,
-                      g.expressGap);
+        std::snprintf(topo, sizeof topo, "%2d-ary %d-xc/e%d", cfg.k,
+                      cfg.n, cfg.expressGap);
         break;
       case TopologyKind::Dragonfly:
-        std::snprintf(topo, sizeof topo, "dfly(%d,%d)", g.dfRouters,
-                      g.dfGlobal);
+        std::snprintf(topo, sizeof topo, "dfly(%d,%d)", cfg.dfRouters,
+                      cfg.dfGlobal);
         break;
       default:
-        std::snprintf(topo, sizeof topo, "%2d-ary %d-cube", g.k, g.n);
+        std::snprintf(topo, sizeof topo, "%2d-ary %d-cube", cfg.k, cfg.n);
         break;
     }
     char buf[112];
     std::snprintf(buf, sizeof buf,
                   "%-4s %-13s K=%d load=%.2f fx%.1f%s%s",
-                  protocolName(g.proto), topo, g.scoutK, g.load,
-                  g.faultScale, g.tailAck ? " TAck" : "",
-                  g.hardwareAcks ? " HWAck" : "");
+                  protocolName(cfg.protocol), topo, cfg.scoutK, cfg.load,
+                  fx, cfg.tailAck ? " TAck" : "",
+                  cfg.hardwareAcks ? " HWAck" : "");
     std::string out = buf;
-    if (!g.workload.empty())
-        out += " [" + g.workload + "]";
+    if (!workload.empty())
+        out += " [" + workload + "]";
     return out;
 }
 
@@ -125,8 +128,8 @@ describe(const GridPoint &g)
  * against the same fault timelines, on the paper's own topologies
  * (Section 6 evaluates 16-ary 2-cubes; Section 5.0 walks a 3-cube).
  */
-std::vector<GridPoint>
-buildGrid()
+std::vector<Cell>
+buildGrid(const SimConfig &base)
 {
     struct ProtoCell
     {
@@ -140,36 +143,47 @@ buildGrid()
         {Protocol::Scouting, 5}, {Protocol::TwoPhase, 0},
         {Protocol::TwoPhase, 3},
     };
+    // A k-ary n-cube cell over the base config.
+    const auto cube = [&base](const ProtoCell &p, double load, double fx,
+                              int k, int n) {
+        Cell c{base, fx};
+        c.cfg.protocol = p.proto;
+        c.cfg.scoutK = p.scoutK;
+        c.cfg.load = load;
+        c.cfg.k = k;
+        c.cfg.n = n;
+        return c;
+    };
 
     // Block 0: the original 8-ary 2-cube grid.
-    std::vector<std::vector<GridPoint>> blocks(1);
+    std::vector<std::vector<Cell>> blocks(1);
     for (const ProtoCell &p : protos)
         for (double load : {0.05, 0.15})
             for (double fx : {1.0, 2.0})
-                blocks[0].push_back(
-                    {p.proto, p.scoutK, load, fx, 8, 2});
+                blocks[0].push_back(cube(p, load, fx, 8, 2));
 
-    // Block 1: binary 3-cube (the n=3 hypercube of Section 5.0 —
-    // 8 nodes, so faults bite hard).
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos)
-        blocks.back().push_back({p.proto, p.scoutK, 0.10, 1.0, 2, 3});
-
-    // Block 2: 4-ary 3-cube (64 nodes, three dimensions of adaptivity).
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos)
-        blocks.back().push_back({p.proto, p.scoutK, 0.15, 2.0, 4, 3});
-
-    // Block 3: 16-ary 2-cube (the Section 6 evaluation topology) at a
-    // higher injection load.
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos)
-        blocks.back().push_back({p.proto, p.scoutK, 0.25, 2.0, 16, 2});
-
-    // Block 4: high load on the base torus — saturation transients.
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos)
-        blocks.back().push_back({p.proto, p.scoutK, 0.30, 1.0, 8, 2});
+    // Blocks 1-4: every protocol on one more cube each.
+    const struct
+    {
+        double load, fx;
+        int k, n;
+    } cubes[] = {
+        // binary 3-cube (the n=3 hypercube of Section 5.0 — 8 nodes,
+        // so faults bite hard)
+        {0.10, 1.0, 2, 3},
+        // 4-ary 3-cube (64 nodes, three dimensions of adaptivity)
+        {0.15, 2.0, 4, 3},
+        // 16-ary 2-cube (the Section 6 evaluation topology) at a higher
+        // injection load
+        {0.25, 2.0, 16, 2},
+        // high load on the base torus — saturation transients
+        {0.30, 1.0, 8, 2},
+    };
+    for (const auto &c : cubes) {
+        blocks.emplace_back();
+        for (const ProtoCell &p : protos)
+            blocks.back().push_back(cube(p, c.load, c.fx, c.k, c.n));
+    }
 
     // Block 5: ack-configuration cells — tail acks and hardware ack
     // signalling change teardown timing, the raw material of kill
@@ -182,11 +196,11 @@ buildGrid()
         {Protocol::TwoPhase, 3},
     };
     for (const ProtoCell &p : ackProtos) {
-        GridPoint tack{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        tack.tailAck = true;
+        Cell tack = cube(p, 0.15, 2.0, 8, 2);
+        tack.cfg.tailAck = true;
         blocks.back().push_back(tack);
-        GridPoint hw{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        hw.hardwareAcks = true;
+        Cell hw = cube(p, 0.15, 2.0, 8, 2);
+        hw.cfg.hardwareAcks = true;
         blocks.back().push_back(hw);
     }
 
@@ -215,49 +229,65 @@ buildGrid()
     };
     for (const WorkloadCell &w : workloads) {
         for (const ProtoCell &p : ackProtos) {
-            GridPoint cell{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
+            Cell cell = cube(p, 0.15, 2.0, 8, 2);
             cell.workload = w.name;
-            cell.classes = w.classes;
+            std::string err;
+            if (!parseTrafficClasses(w.classes, &cell.cfg.trafficClasses,
+                                     &err))
+                tpnet_panic("bad grid workload spec '", w.classes,
+                            "': ", err);
             blocks.back().push_back(cell);
         }
     }
 
-    // Block 7: 8-ary 2-mesh — first-class mesh: no wraparound
-    // channels, boundary-truncated escape routing (single dateline
-    // class suffices, but the grid keeps the configured default).
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos) {
-        GridPoint cell{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        cell.topo = TopologyKind::Mesh;
-        blocks.back().push_back(cell);
+    // Blocks 7-9: every protocol on the other topology families, all
+    // 8-ary 2-D where they have a radix:
+    //  - the mesh: no wraparound channels, boundary-truncated escape
+    //    routing (a single dateline class suffices, but the grid keeps
+    //    the configured default);
+    //  - the express cube with stride-4 express channels: adaptive hops
+    //    cross datelines in stride-length jumps while the escape
+    //    subnetwork stays the local-channel e-cube;
+    //  - the dragonfly with 4-router groups and 2 global channels per
+    //    router (9 groups, 36 nodes): hierarchical escape routing with
+    //    destination-group VC classes instead of datelines.
+    for (TopologyKind topo : {TopologyKind::Mesh, TopologyKind::Express,
+                              TopologyKind::Dragonfly}) {
+        blocks.emplace_back();
+        for (const ProtoCell &p : protos) {
+            Cell cell = cube(p, 0.15, 2.0, 8, 2);
+            cell.cfg.topology = topo;
+            cell.cfg.wrap = topo != TopologyKind::Mesh;
+            if (topo == TopologyKind::Express)
+                cell.cfg.expressGap = 4;
+            if (topo == TopologyKind::Dragonfly) {
+                cell.cfg.dfRouters = 4;
+                cell.cfg.dfGlobal = 2;
+            }
+            blocks.back().push_back(cell);
+        }
     }
 
-    // Block 8: 8-ary 2-cube with express channels of stride 4 —
-    // adaptive hops can cross datelines in stride-length jumps while
-    // the escape subnetwork stays the local-channel e-cube.
+    // Block 10: Two-Phase with tail acks on 2-cubes of both sizes —
+    // held paths, message acks and source retransmission racing the
+    // kill walks of every fault class, with and without scouting.
+    // Block 5 already holds the K=3, load 0.15, fx2, 8-ary cell.
     blocks.emplace_back();
-    for (const ProtoCell &p : protos) {
-        GridPoint cell{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        cell.topo = TopologyKind::Express;
-        cell.expressGap = 4;
-        blocks.back().push_back(cell);
-    }
-
-    // Block 9: dragonfly with 4-router groups and 2 global channels
-    // per router (9 groups, 36 nodes) — hierarchical escape routing
-    // with destination-group VC classes instead of datelines.
-    blocks.emplace_back();
-    for (const ProtoCell &p : protos) {
-        GridPoint cell{p.proto, p.scoutK, 0.15, 2.0, 8, 2};
-        cell.topo = TopologyKind::Dragonfly;
-        cell.dfRouters = 4;
-        cell.dfGlobal = 2;
-        blocks.back().push_back(cell);
-    }
+    for (int k : {8, 4})
+        for (double load : {0.05, 0.15})
+            for (int scoutK : {0, 3})
+                for (double fx : {1.0, 2.0}) {
+                    if (k == 8 && load == 0.15 && scoutK == 3 && fx == 2.0)
+                        continue;
+                    Cell cell = cube({Protocol::TwoPhase, scoutK}, load,
+                                     fx, k, 2);
+                    cell.cfg.tailAck = true;
+                    blocks.back().push_back(cell);
+                }
 
     // Interleave the blocks round-robin so consecutive seeds sample
     // every topology.
-    std::vector<GridPoint> grid;
+    std::vector<Cell> grid;
     std::size_t idx = 0;
     for (bool any = true; any; ++idx) {
         any = false;
@@ -271,51 +301,82 @@ buildGrid()
     return grid;
 }
 
+/** Everything argv sets on top of a grid cell. */
+struct Overrides
+{
+    SimConfigOptions sim;
+    Cycle inject = 8000;
+    Cycle drain = 200000;
+    double faultScale = 1.0;
+    std::optional<int> nodeKills;
+    std::optional<int> linkKills;
+    std::optional<int> intermittents;
+    std::vector<FaultEvent> scripted;  ///< empty: randomized timeline
+    bool skipKillBug = false;
+};
+
+/**
+ * The campaign of @p seed on @p cell with the options @p o on top, at
+ * fault-intensity multiplier @p fault_scale.
+ */
 CampaignSpec
-buildSpec(const SimConfig &base, const GridPoint &g, std::uint64_t seed,
-          Cycle inject, Cycle drain, double fault_scale)
+buildSpec(const Cell &cell, std::uint64_t seed, const Overrides &o,
+          double fault_scale)
 {
     CampaignSpec spec;
-    spec.cfg = base;
-    spec.cfg.protocol = g.proto;
-    spec.cfg.scoutK = g.scoutK;
-    spec.cfg.load = g.load;
-    spec.cfg.k = g.k;
-    spec.cfg.n = g.n;
-    spec.cfg.topology = g.topo;
-    spec.cfg.wrap = g.topo != TopologyKind::Mesh;
-    spec.cfg.expressGap = g.expressGap;
-    spec.cfg.dfRouters = g.dfRouters;
-    spec.cfg.dfGlobal = g.dfGlobal;
-    spec.cfg.tailAck = g.tailAck;
-    spec.cfg.hardwareAcks = g.hardwareAcks;
-    if (!g.classes.empty()) {
-        std::string err;
-        if (!parseTrafficClasses(g.classes, &spec.cfg.trafficClasses,
-                                 &err))
-            tpnet_panic("bad grid workload spec '%s': %s",
-                        g.classes.c_str(), err.c_str());
+    spec.cfg = cell.cfg;
+    o.sim.apply(&spec.cfg);
+    if (o.sim.given("topology")) {
+        // A topology override re-bases the whole grid, including
+        // workload cells whose patterns are defined on cube
+        // coordinates or node-index bits. Coerce those to uniform
+        // (keeping load, bursts, priorities, and closed-loop settings)
+        // rather than dying in validate(); an explicit --pattern or
+        // --classes is kept and still rejects loudly.
+        const bool cube =
+            spec.cfg.effectiveTopology() != TopologyKind::Dragonfly;
+        const int nn = spec.cfg.nodes();
+        const bool pow2 = (nn & (nn - 1)) == 0;
+        const auto unsupported = [&](TrafficPattern p) {
+            if (!cube)
+                return p != TrafficPattern::Uniform;
+            return !pow2 && (p == TrafficPattern::BitReversal ||
+                             p == TrafficPattern::Shuffle);
+        };
+        if (!o.sim.given("pattern") && unsupported(spec.cfg.pattern))
+            spec.cfg.pattern = TrafficPattern::Uniform;
+        if (!o.sim.given("classes")) {
+            for (TrafficClassConfig &tc : spec.cfg.trafficClasses)
+                if (unsupported(tc.pattern))
+                    tc.pattern = TrafficPattern::Uniform;
+        }
     }
     spec.seed = seed;
-    spec.injectCycles = inject;
-    spec.drainCycles = drain;
+    spec.injectCycles = o.inject;
+    spec.drainCycles = o.drain;
     spec.verifyCwg = true;
+    spec.injectSkipKillBug = o.skipKillBug;
 
-    const double fx = fault_scale * g.faultScale;
-    spec.faults.horizon = inject;
-    spec.faults.earliest = inject / 100;
-    spec.faults.nodeKills = static_cast<int>(std::lround(2.0 * fx));
-    spec.faults.linkKills = static_cast<int>(std::lround(2.0 * fx));
-    spec.faults.intermittents = static_cast<int>(std::lround(3.0 * fx));
+    const double fx = fault_scale * cell.faultScale;
+    spec.faults.horizon = o.inject;
+    spec.faults.earliest = o.inject / 100;
+    spec.faults.nodeKills =
+        o.nodeKills.value_or(static_cast<int>(std::lround(2.0 * fx)));
+    spec.faults.linkKills =
+        o.linkKills.value_or(static_cast<int>(std::lround(2.0 * fx)));
+    spec.faults.intermittents =
+        o.intermittents.value_or(static_cast<int>(std::lround(3.0 * fx)));
     spec.faults.downMin = 100;
     spec.faults.downMax = 2000;
+    spec.scriptedFaults = o.scripted;
     return spec;
 }
 
 /**
- * One-line replay of @p spec, topology-qualified (--k AND --n, plus
- * the ack flags when set) so failures on non-default tori reproduce
- * exactly. A pinned fault timeline rides along as --fault-events.
+ * One-line replay of @p spec, topology-qualified (--topology, --k AND
+ * --n, plus the ack flags when set) so failures on non-default tori
+ * reproduce exactly. A pinned fault timeline rides along as
+ * --fault-events.
  */
 std::string
 replayCommand(const CampaignSpec &spec)
@@ -324,16 +385,13 @@ replayCommand(const CampaignSpec &spec)
     os << "tpnet_verify --replay-seed " << spec.seed << " --protocol "
        << protocolName(spec.cfg.protocol) << " --scout-k "
        << spec.cfg.scoutK << " --k " << spec.cfg.k << " --n "
-       << spec.cfg.n;
-    if (spec.cfg.effectiveTopology() != TopologyKind::Torus) {
-        os << " --topology "
-           << topologyName(spec.cfg.effectiveTopology());
-        if (spec.cfg.effectiveTopology() == TopologyKind::Express)
-            os << " --express-gap " << spec.cfg.expressGap;
-        if (spec.cfg.effectiveTopology() == TopologyKind::Dragonfly)
-            os << " --df-routers " << spec.cfg.dfRouters
-               << " --df-global " << spec.cfg.dfGlobal;
-    }
+       << spec.cfg.n << " --topology "
+       << topologyName(spec.cfg.effectiveTopology());
+    if (spec.cfg.effectiveTopology() == TopologyKind::Express)
+        os << " --express-gap " << spec.cfg.expressGap;
+    if (spec.cfg.effectiveTopology() == TopologyKind::Dragonfly)
+        os << " --df-routers " << spec.cfg.dfRouters << " --df-global "
+           << spec.cfg.dfGlobal;
     if (spec.cfg.tailAck)
         os << " --tail-ack";
     if (spec.cfg.hardwareAcks)
@@ -341,6 +399,8 @@ replayCommand(const CampaignSpec &spec)
     if (spec.cfg.recoveryMode)
         os << " --recovery --victim "
            << victimPolicyName(spec.cfg.victimPolicy);
+    if (spec.injectSkipKillBug)
+        os << " --hook-skip-kills";
     char load[32];
     std::snprintf(load, sizeof load, "%.4f", spec.cfg.load);
     os << " --load " << load;
@@ -359,10 +419,13 @@ replayCommand(const CampaignSpec &spec)
     return os.str();
 }
 
-/** Aggregate one mode x fault-intensity cell of the comparison. */
-struct ModeTotals
+/** Totals over a set of campaigns (a sweep, or a comparison cell). */
+struct Totals
 {
     int failures = 0;
+    std::uint64_t cwgCycles = 0;
+    std::uint64_t cwgBenign = 0;
+    std::uint64_t cwgWarnings = 0;
     std::uint64_t violations = 0;
     std::uint64_t delivered = 0;
     std::uint64_t undeliverable = 0;
@@ -378,6 +441,9 @@ struct ModeTotals
     {
         if (!r.passed)
             ++failures;
+        cwgCycles += r.cwgCycles;
+        cwgBenign += r.cwgBenign;
+        cwgWarnings += r.cwgWarnings;
         violations += r.violations.size();
         delivered += r.counters.delivered;
         undeliverable += r.counters.dropped;
@@ -391,6 +457,23 @@ struct ModeTotals
 };
 
 /**
+ * Print up to @p cap of @p lines as "    <tag> <line>", then how many
+ * more there are.
+ */
+void
+printCapped(const char *tag, const std::vector<std::string> &lines,
+            std::size_t cap)
+{
+    const std::size_t show = std::min(cap, lines.size());
+    for (std::size_t j = 0; j < show; ++j)
+        std::printf("    %s %s\n", tag, lines[j].c_str());
+    if (show < lines.size()) {
+        std::printf("    %s ... %zu more (--verbose for all)\n", tag,
+                    lines.size() - show);
+    }
+}
+
+/**
  * The headline experiment: avoidance (reserved escape bandwidth,
  * Theorem 3 contract verified online) vs recovery (escape pool freed,
  * knots detected and healed) over the full grid, swept across a fault-
@@ -402,9 +485,8 @@ struct ModeTotals
  * the columns.
  */
 int
-runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
-              std::uint64_t seed, int campaigns, int jobs,
-              Cycle inject, Cycle drain, VictimPolicy victim_policy,
+runComparison(const SimConfig &base, const std::vector<Cell> &grid,
+              int campaigns, int jobs, const Overrides &o,
               const std::string &json_path)
 {
     const double axis[] = {0.5, 1.0, 2.0, 4.0};
@@ -425,7 +507,7 @@ runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
                 "4}, workload axis x{uniform, bursty, transpose}, "
                 "victim policy %s\n",
                 campaigns, grid.size(),
-                victimPolicyName(victim_policy));
+                victimPolicyName(base.victimPolicy));
     std::printf("# %-9s %-4s %-10s %5s %5s %7s %8s %8s %5s %10s %8s "
                 "%7s %9s\n",
                 "workload", "fx", "mode", "fail", "viol", "knots",
@@ -442,27 +524,23 @@ runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
             specs.reserve(static_cast<std::size_t>(campaigns));
             for (int i = 0; i < campaigns; ++i) {
                 const std::uint64_t s =
-                    seed + static_cast<std::uint64_t>(i);
-                const GridPoint &g = grid[s % grid.size()];
+                    base.seed + static_cast<std::uint64_t>(i);
                 CampaignSpec spec =
-                    buildSpec(base, g, s, inject, drain, fx);
+                    buildSpec(grid[s % grid.size()], s, o, fx);
                 if (w.classes[0] != '\0') {
                     std::string err;
                     if (!parseTrafficClasses(w.classes,
                                              &spec.cfg.trafficClasses,
                                              &err))
-                        tpnet_panic("bad workload axis spec '%s': %s",
-                                    w.classes, err.c_str());
+                        tpnet_panic("bad workload axis spec '", w.classes,
+                                    "': ", err);
                 }
-                if (recovery) {
-                    spec.cfg.recoveryMode = true;
-                    spec.cfg.victimPolicy = victim_policy;
-                }
+                spec.cfg.recoveryMode = recovery;
                 specs.push_back(spec);
             }
             const std::vector<CampaignResult> results =
                 runCampaigns(specs, jobs);
-            ModeTotals t;
+            Totals t;
             for (const CampaignResult &r : results)
                 t.fold(r);
             failures += t.failures;
@@ -515,40 +593,14 @@ runComparison(const SimConfig &base, const std::vector<GridPoint> &grid,
 int
 main(int argc, char **argv)
 {
-    SimConfig base;
-    base.maxRetries = 6;
-
+    Overrides o;
     int campaigns = 50;
     int jobs = 0;
-    std::uint64_t max_cycles = 8000;
-    std::uint64_t drain_cycles = 200000;
-    std::uint64_t seed = 1;
     std::uint64_t replay_seed = 0;
-    double fault_scale = 1.0;
-    double load_override = -1.0;
-    std::uint64_t inject_override = 0;
-    int node_kills = -1;
-    int link_kills = -1;
-    int intermittents = -1;
-    int scout_k = -1;
-    int k_override = 0;
-    int n_override = 0;
-    std::string topology;
-    int express_gap = 0;
-    int df_routers = 0;
-    int df_global = 0;
-    bool tail_ack = false;
-    bool hardware_acks = false;
     bool no_shrink = false;
     bool verbose = false;
-    bool recovery = false;
     bool compare = false;
-    bool no_event_skip = false;
-    std::string victim = "youngest";
     std::string json_path;
-    std::string protocol;
-    std::string fault_events;
-    std::string classes_spec;
     tools::ShardCli shardcli;
     tools::CheckpointCli ckcli;
 
@@ -557,82 +609,53 @@ main(int argc, char **argv)
         "fuzz the online channel-wait-for-graph deadlock analyzer "
         "(knot-based verdicts) across protocol / topology / K / load / "
         "fault grids; failing seeds are shrunk class-level then "
-        "event-by-event to a minimal replayable case");
-    parser.addInt("campaigns", "number of seeded campaigns", &campaigns);
+        "event-by-event to a minimal replayable case. Simulator options "
+        "apply on top of every grid cell");
+    addSimConfigOptions(parser, &o.sim);
+    parser.addInt("campaigns", "number of seeded campaigns (campaign i "
+                               "uses --seed + i)",
+                  &campaigns);
     parser.addJobs(&jobs);
     parser.addUint64("max-cycles", "traffic injection window per campaign",
-                     &max_cycles);
+                     &o.inject);
+    parser.addUint64("inject",
+                     "same as --max-cycles (the spelling replay lines "
+                     "use)",
+                     &o.inject);
     parser.addUint64("drain", "extra cycles allowed to reach quiescence",
-                     &drain_cycles);
-    parser.addUint64("seed", "base seed (campaign i uses seed + i)",
-                     &seed);
+                     &o.drain);
     parser.addUint64("replay-seed",
                      "replay exactly one campaign by its seed",
                      &replay_seed);
-    parser.addString("protocol",
-                     "replay override: DOR | DP | SR | PCS | MB-m | TP",
-                     &protocol);
-    parser.addInt("scout-k", "replay override: scouting distance K",
-                  &scout_k);
-    parser.addInt("k", "replay override: radix (0 = grid cell's)",
-                  &k_override);
-    parser.addInt("n", "replay override: dimensions (0 = grid cell's)",
-                  &n_override);
-    parser.addString("topology",
-                     "override: force torus | mesh | express | "
-                     "dragonfly on every campaign (replay, or a "
-                     "focused sweep of one topology)",
-                     &topology);
-    parser.addInt("express-gap",
-                  "override: express-channel stride (0 = grid cell's)",
-                  &express_gap);
-    parser.addInt("df-routers",
-                  "override: dragonfly routers per group (0 = grid "
-                  "cell's)",
-                  &df_routers);
-    parser.addInt("df-global",
-                  "override: dragonfly global channels per router "
-                  "(0 = grid cell's)",
-                  &df_global);
-    parser.addFlag("tail-ack", "replay override: force tail acks on",
-                   &tail_ack);
-    parser.addFlag("hardware-acks",
-                   "replay override: force hardware ack signalling on",
-                   &hardware_acks);
-    parser.addDouble("load", "replay override: offered load",
-                     &load_override);
-    parser.addString("classes",
-                     "replay override: workload classes spec "
-                     "(\"pattern=<name>,load=<f>[,burst=][,duty=]"
-                     "[,outstanding=]...\" joined by ';'), replacing "
-                     "the grid cell's traffic",
-                     &classes_spec);
-    parser.addUint64("inject", "replay override: injection window",
-                     &inject_override);
-    parser.addInt("node-kills", "replay override: node kill count",
-                  &node_kills);
-    parser.addInt("link-kills", "replay override: link kill count",
-                  &link_kills);
-    parser.addInt("intermittents",
-                  "replay override: intermittent fault count",
-                  &intermittents);
-    parser.addString("fault-events",
-                     "replay override: pinned fault timeline "
-                     "(at:kind:node:port:down,... with kind n|l|i); "
-                     "replaces the randomized schedule",
-                     &fault_events);
+    const auto addCount = [&parser](const char *name, const char *help,
+                                    std::optional<int> *count) {
+        parser.addValue(name, "<int>", help,
+                        [count](const std::string &v, std::string *) {
+                            int n = 0;
+                            if (!parseNumber(v, &n) || n < 0)
+                                return false;
+                            *count = n;
+                            return true;
+                        });
+    };
+    addCount("node-kills", "node kill count (default: the cell's)",
+             &o.nodeKills);
+    addCount("link-kills", "link kill count (default: the cell's)",
+             &o.linkKills);
+    addCount("intermittents",
+             "intermittent fault count (default: the cell's)",
+             &o.intermittents);
+    parser.addValue("fault-events", "<events>",
+                    "pinned fault timeline (at:kind:node:port:down,... "
+                    "with kind n|l|i); replaces the randomized schedule",
+                    [&o](const std::string &v, std::string *why) {
+                        *why = "expected at:kind:node:port:down,... with "
+                               "kind n|l|i";
+                        return parseFaultEvents(v, &o.scripted);
+                    });
     parser.addDouble("fault-scale",
                      "global multiplier on the per-campaign fault mix",
-                     &fault_scale);
-    parser.addFlag("recovery",
-                   "knot-triggered deadlock recovery mode: heal knots "
-                   "by victim abort + retransmit instead of reserving "
-                   "escape bandwidth",
-                   &recovery);
-    parser.addString("victim",
-                     "recovery victim policy: youngest | fewest-hops "
-                     "| random",
-                     &victim);
+                     &o.faultScale);
     parser.addFlag("compare",
                    "headline experiment: avoidance vs recovery over "
                    "the grid across a fault-intensity axis",
@@ -644,55 +667,32 @@ main(int argc, char **argv)
     parser.addFlag("no-shrink", "report failures without minimizing",
                    &no_shrink);
     parser.addFlag("verbose", "print every violation in full", &verbose);
-    parser.addFlag("no-event-skip",
-                   "disable the event engine's idle-cycle fast path "
-                   "(step every cycle; results are bit-identical)",
-                   &no_event_skip);
+    parser.addFlag("hook-skip-kills",
+                   "TEST HOOK: break fault recovery on purpose to prove "
+                   "the oracle detects it (campaigns must FAIL)",
+                   &o.skipKillBug);
     tools::addShardOptions(parser, &shardcli);
     tools::addCheckpointOptions(parser, &ckcli);
+    parser.parseOrExit(argc, argv);
+
+    // The grid's base: the options apply here too, so base.seed is the
+    // first campaign's seed.
+    SimConfig base;
+    base.maxRetries = 6;
+    o.sim.apply(&base);
+    const std::vector<Cell> grid = buildGrid(base);
 
     std::string error;
-    if (!parser.parse(argc, argv, &error)) {
-        std::fprintf(stderr, "error: %s\n\n%s", error.c_str(),
-                     parser.usage().c_str());
-        return 2;
-    }
-    if (parser.helpRequested()) {
-        std::fputs(parser.usage().c_str(), stdout);
-        return 0;
-    }
-
-    std::vector<FaultEvent> scripted;
-    if (!parseFaultEvents(fault_events, &scripted)) {
-        std::fprintf(stderr, "error: malformed --fault-events '%s'\n",
-                     fault_events.c_str());
-        return 2;
-    }
-
-    VictimPolicy victim_policy = VictimPolicy::YoungestMessage;
-    if (!parseVictimPolicyName(victim, &victim_policy)) {
-        std::fprintf(stderr, "error: unknown victim policy '%s'\n",
-                     victim.c_str());
-        return 2;
-    }
-
-    TopologyKind topo_override = TopologyKind::Torus;
-    if (!topology.empty() &&
-        !parseTopologyName(topology, &topo_override)) {
-        std::fprintf(stderr, "error: unknown topology '%s'\n",
-                     topology.c_str());
-        return 2;
-    }
-
-    base.eventEngine = base.eventEngine && !no_event_skip;
-
-    const std::vector<GridPoint> grid = buildGrid();
-
     const bool replay = replay_seed != 0;
-    if (!tools::resolveShardCli(&shardcli, !json_path.empty(), replay,
-                                &error) ||
+    if (!tools::validateShardCli(shardcli, !json_path.empty(), replay,
+                                 &error) ||
         !tools::validateCheckpointCli(ckcli, replay, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
+        return 2;
+    }
+    if (!replay && campaigns < 1) {
+        // A gate that runs zero campaigns passes vacuously; refuse.
+        std::fprintf(stderr, "error: --campaigns must be >= 1\n");
         return 2;
     }
 
@@ -704,114 +704,18 @@ main(int argc, char **argv)
                                  "cannot be combined with --compare\n");
             return 2;
         }
-        if (campaigns < 1) {
-            std::fprintf(stderr, "error: --campaigns must be >= 1\n");
-            return 2;
-        }
-        return runComparison(base, grid, seed, campaigns, jobs,
-                             max_cycles, drain_cycles, victim_policy,
-                             json_path);
-    }
-
-    std::vector<std::uint64_t> seeds;
-    if (replay) {
-        seeds.push_back(replay_seed);
-    } else {
-        if (campaigns < 1) {
-            std::fprintf(stderr, "error: --campaigns must be >= 1\n");
-            return 2;
-        }
-        for (int i = 0; i < campaigns; ++i)
-            seeds.push_back(seed + static_cast<std::uint64_t>(i));
+        return runComparison(base, grid, campaigns, jobs, o, json_path);
     }
 
     std::vector<CampaignSpec> specs;
-    specs.reserve(seeds.size());
-    for (std::uint64_t s : seeds) {
-        GridPoint g = grid[s % grid.size()];
-        CampaignSpec spec = buildSpec(base, g, s, max_cycles,
-                                      drain_cycles, fault_scale);
-        // Replay overrides reproduce a shrunk case exactly.
-        if (!protocol.empty() &&
-            !parseProtocolName(protocol, &spec.cfg.protocol)) {
-            std::fprintf(stderr, "error: unknown protocol '%s'\n",
-                         protocol.c_str());
-            return 2;
-        }
-        if (scout_k >= 0)
-            spec.cfg.scoutK = scout_k;
-        if (k_override > 0)
-            spec.cfg.k = k_override;
-        if (n_override > 0)
-            spec.cfg.n = n_override;
-        if (!topology.empty()) {
-            spec.cfg.topology = topo_override;
-            spec.cfg.wrap = topo_override != TopologyKind::Mesh;
-        }
-        if (express_gap > 0)
-            spec.cfg.expressGap = express_gap;
-        if (df_routers > 0)
-            spec.cfg.dfRouters = df_routers;
-        if (df_global > 0)
-            spec.cfg.dfGlobal = df_global;
-        if (!topology.empty()) {
-            // A topology override re-bases the whole grid, including
-            // workload cells whose patterns are defined on cube
-            // coordinates or node-index bits. Coerce those to uniform
-            // (keeping load, bursts, priorities, and closed-loop
-            // settings) rather than dying in validate(); an explicit
-            // --classes below still rejects loudly.
-            const bool cube =
-                spec.cfg.effectiveTopology() != TopologyKind::Dragonfly;
-            const int nn = spec.cfg.nodes();
-            const bool pow2 = (nn & (nn - 1)) == 0;
-            const auto unsupported = [&](TrafficPattern p) {
-                if (!cube)
-                    return p != TrafficPattern::Uniform;
-                return !pow2 && (p == TrafficPattern::BitReversal ||
-                                 p == TrafficPattern::Shuffle);
-            };
-            if (unsupported(spec.cfg.pattern))
-                spec.cfg.pattern = TrafficPattern::Uniform;
-            for (TrafficClassConfig &tc : spec.cfg.trafficClasses)
-                if (unsupported(tc.pattern))
-                    tc.pattern = TrafficPattern::Uniform;
-        }
-        if (tail_ack)
-            spec.cfg.tailAck = true;
-        if (hardware_acks)
-            spec.cfg.hardwareAcks = true;
-        if (load_override >= 0.0)
-            spec.cfg.load = load_override;
-        if (!classes_spec.empty()) {
-            std::string clsErr;
-            if (!parseTrafficClasses(classes_spec,
-                                     &spec.cfg.trafficClasses,
-                                     &clsErr)) {
-                std::fprintf(stderr, "error: --classes: %s\n",
-                             clsErr.c_str());
-                return 2;
-            }
-        }
-        if (inject_override > 0) {
-            spec.injectCycles = inject_override;
-            spec.faults.horizon = inject_override;
-            spec.faults.earliest = inject_override / 100;
-        }
-        if (node_kills >= 0)
-            spec.faults.nodeKills = node_kills;
-        if (link_kills >= 0)
-            spec.faults.linkKills = link_kills;
-        if (intermittents >= 0)
-            spec.faults.intermittents = intermittents;
-        if (recovery) {
-            spec.cfg.recoveryMode = true;
-            spec.cfg.victimPolicy = victim_policy;
-        }
-        if (!scripted.empty())
-            spec.scriptedFaults = scripted;
-        if (replay)
-            tools::applyCheckpointCli(ckcli, &spec);
+    for (int i = 0; i < (replay ? 1 : campaigns); ++i) {
+        const std::uint64_t s =
+            replay ? replay_seed : base.seed + static_cast<std::uint64_t>(i);
+        CampaignSpec spec = buildSpec(grid[s % grid.size()], s, o,
+                                      o.faultScale);
+        spec.checkpointEvery = ckcli.every;  // replay only (validated)
+        spec.checkpointPath = ckcli.path;
+        spec.restorePath = ckcli.restore;
         specs.push_back(spec);
     }
 
@@ -840,15 +744,9 @@ main(int argc, char **argv)
         if (cached >= 0)
             return cached;
         std::vector<CampaignSpec> mine;
-        std::vector<std::uint64_t> mine_seeds;
-        mine.reserve(owned.size());
-        mine_seeds.reserve(owned.size());
-        for (std::size_t idx : owned) {
+        for (std::size_t idx : owned)
             mine.push_back(specs[idx]);
-            mine_seeds.push_back(seeds[idx]);
-        }
         specs.swap(mine);
-        seeds.swap(mine_seeds);
         std::printf("# shard %d/%d: owns %zu of %zu campaign(s), "
                     "key %s\n",
                     shardcli.shard.index, shardcli.shard.count,
@@ -857,38 +755,29 @@ main(int argc, char **argv)
     }
 
     std::printf("# tpnet_verify: %zu campaign(s), grid of %zu cells "
-                "(8-ary/16-ary 2-cubes, binary/4-ary 3-cubes, mesh, "
+                "(4/8/16-ary 2-cubes, binary/4-ary 3-cubes, mesh, "
                 "express cube, dragonfly, ack variants, workload "
-                "cells), inject %llu + drain %llu "
+                "cells, TP tail-ack), inject %llu + drain %llu "
                 "cycles, CWG armed%s\n",
-                seeds.size(), grid.size(),
-                static_cast<unsigned long long>(max_cycles),
-                static_cast<unsigned long long>(drain_cycles),
-                recovery ? ", RECOVERY mode" : "");
+                specs.size(), grid.size(),
+                static_cast<unsigned long long>(o.inject),
+                static_cast<unsigned long long>(o.drain),
+                base.recoveryMode ? ", RECOVERY mode" : "");
 
     const std::vector<CampaignResult> results =
         runCampaigns(specs, jobs);
 
-    int failures = 0;
-    std::uint64_t cycles_seen = 0;
-    std::uint64_t benign_seen = 0;
-    std::uint64_t warnings_seen = 0;
-    std::uint64_t knots_seen = 0;
-    std::uint64_t victims_seen = 0;
-    std::uint64_t retx_seen = 0;
-    std::uint64_t esc_seen = 0;
+    Totals t;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const CampaignResult &r = results[i];
-        cycles_seen += r.cwgCycles;
-        benign_seen += r.cwgBenign;
-        warnings_seen += r.cwgWarnings;
-        knots_seen += r.counters.knotsDetected;
-        victims_seen += r.counters.victimsAborted;
-        retx_seen += r.counters.healRetransmits;
-        esc_seen += r.counters.healEscalations;
-        std::printf("%-40s %s\n",
-                    describe(grid[seeds[i] % grid.size()]).c_str(),
-                    r.summary().c_str());
+        const Cell &cell = grid[specs[i].seed % grid.size()];
+        t.fold(r);
+        std::printf(
+            "%-40s %s\n",
+            describe(specs[i], o.faultScale * cell.faultScale,
+                     o.sim.given("classes") ? "--classes" : cell.workload)
+                .c_str(),
+            r.summary().c_str());
         if (verbose) {
             for (const std::string &w : r.warnings)
                 std::printf("    ~ %s\n", w.c_str());
@@ -897,25 +786,8 @@ main(int argc, char **argv)
             std::fflush(stdout);
             continue;
         }
-        ++failures;
-        const std::size_t show =
-            verbose ? r.violations.size()
-                    : std::min<std::size_t>(r.violations.size(), 5);
-        for (std::size_t j = 0; j < show; ++j)
-            std::printf("    ! %s\n", r.violations[j].c_str());
-        if (show < r.violations.size()) {
-            std::printf("    ! ... %zu more (--verbose for all)\n",
-                        r.violations.size() - show);
-        }
-        const std::size_t dump =
-            verbose ? r.liveDump.size()
-                    : std::min<std::size_t>(r.liveDump.size(), 10);
-        for (std::size_t j = 0; j < dump; ++j)
-            std::printf("    live %s\n", r.liveDump[j].c_str());
-        if (dump < r.liveDump.size()) {
-            std::printf("    live ... %zu more (--verbose for all)\n",
-                        r.liveDump.size() - dump);
-        }
+        printCapped("!", r.violations, verbose ? r.violations.size() : 5);
+        printCapped("live", r.liveDump, verbose ? r.liveDump.size() : 10);
         if (!no_shrink) {
             const ShrinkOutcome shrunk =
                 shrinkCampaign(specs[i], runCampaign);
@@ -927,25 +799,25 @@ main(int argc, char **argv)
                                             : " (timeline not pinned)",
                         replayCommand(shrunk.spec).c_str());
         } else if (!replay) {
-            std::printf("    replay: tpnet_verify --replay-seed %llu\n",
-                        static_cast<unsigned long long>(seeds[i]));
+            std::printf("    replay: %s\n",
+                        replayCommand(specs[i]).c_str());
         }
         std::fflush(stdout);
     }
 
     std::printf("# cwg: %llu wait cycle(s) observed across all "
                 "campaigns, %llu benign, %llu persistent warning(s)\n",
-                static_cast<unsigned long long>(cycles_seen),
-                static_cast<unsigned long long>(benign_seen),
-                static_cast<unsigned long long>(warnings_seen));
-    if (recovery) {
+                static_cast<unsigned long long>(t.cwgCycles),
+                static_cast<unsigned long long>(t.cwgBenign),
+                static_cast<unsigned long long>(t.cwgWarnings));
+    if (base.recoveryMode) {
         std::printf("# recovery: %llu knot(s) detected, %llu victim "
                     "abort(s), %llu retransmission(s), %llu "
                     "escalation(s)\n",
-                    static_cast<unsigned long long>(knots_seen),
-                    static_cast<unsigned long long>(victims_seen),
-                    static_cast<unsigned long long>(retx_seen),
-                    static_cast<unsigned long long>(esc_seen));
+                    static_cast<unsigned long long>(t.knots),
+                    static_cast<unsigned long long>(t.victims),
+                    static_cast<unsigned long long>(t.retransmits),
+                    static_cast<unsigned long long>(t.escalations));
     }
     if (replay && tools::checkpointArmed(ckcli))
         tools::printCheckpointReport(ckcli, results[0]);
@@ -960,11 +832,11 @@ main(int argc, char **argv)
                      json_path.c_str());
         return 2;
     }
-    if (failures == 0) {
-        std::printf("# all %zu campaign(s) clean\n", seeds.size());
+    if (t.failures == 0) {
+        std::printf("# all %zu campaign(s) clean\n", specs.size());
         return 0;
     }
-    std::printf("# %d of %zu campaign(s) FAILED\n", failures,
-                seeds.size());
+    std::printf("# %d of %zu campaign(s) FAILED\n", t.failures,
+                specs.size());
     return 1;
 }
