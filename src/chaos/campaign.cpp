@@ -6,9 +6,9 @@
 #include "chaos/manifest.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/snapshot.hpp"
-#include "core/engine.hpp"
 #include "core/network.hpp"
 #include "core/pool.hpp"
+#include "core/run_loop.hpp"
 #include "obs/checkpoint.hpp"
 #include "traffic/injector.hpp"
 
@@ -121,106 +121,38 @@ runCampaign(const CampaignSpec &spec)
         tee.reset(net.now());
     }
 
-    auto maybeCheckpoint = [&](std::uint8_t phase) {
-        if (spec.checkpointEvery == 0 || spec.checkpointPath.empty())
-            return;
-        if (net.now() == 0 || net.now() % spec.checkpointEvery != 0)
-            return;
-        st.phase = phase;
-        std::string err;
-        if (writeCampaignCheckpoint(spec.checkpointPath, specDigest, st,
-                                    &err)) {
-            ++result.checkpointsWritten;
-            tee.reset(net.now());
-        } else if (result.checkpointError.empty()) {
-            result.checkpointError = err;
-            result.violations.push_back(
-                "checkpoint: write failed: " + err);
-        }
-    };
-
-    // Event-engine cycle skipping. When an iteration leaves the whole
-    // system provably frozen, aggregate every external wakeup source
-    // into one next-event cycle and jump the clock there. A stop that
-    // turns out early is harmless — an executed iteration of a frozen
-    // network is bit-identical under both engines; only skipping an
-    // iteration that would have done work can diverge.
-    enum : std::uint32_t {
-        TokCheckpoint,
-        TokFault,
-        TokNet,
-        TokWatchdog,
-        TokPhaseEnd,
-        TokCount,
-    };
-    WakeupQueue wake;
-    auto skipAhead = [&](Cycle phaseEnd, bool draining) {
-        if (!injector.inert() || !net.eventEngine() || !net.idle() ||
-            watchdog.deadlocked()) {
-            return;
-        }
-        // Quiescence ends the drain loop; the stop cycle is part of
-        // the reported result, so never coast past it.
-        if (draining && net.quiescent())
-            return;
-        const Cycle now = net.now();
-        wake.reset(TokCount);
-        wake.schedule(TokPhaseEnd, phaseEnd);
-        wake.schedule(TokFault, schedule.nextEventAt());
-        wake.schedule(TokNet, net.nextInternalEvent());
-        // observe() of iteration c sees cycle c+1: a watchdog deadline
-        // at observe-value v means iteration v-1 must still execute.
-        const Cycle wd = watchdog.nextDeadline();
-        if (wd != cycleNever)
-            wake.schedule(TokWatchdog, wd > now + 1 ? wd - 1 : now);
-        if (spec.checkpointEvery > 0 && !spec.checkpointPath.empty()) {
-            wake.schedule(TokCheckpoint,
-                          now % spec.checkpointEvery == 0
-                              ? now
-                              : (now / spec.checkpointEvery + 1) *
-                                    spec.checkpointEvery);
-        }
-        const Cycle target = wake.nextAt();
-        if (target == cycleNever || target <= now)
-            return;
-        net.skipTo(target);
-        watchdog.skipTo(target);
-    };
+    RunLoop loop(net, injector);
+    loop.schedule = &schedule;
+    loop.faultRng = &faultRng;
+    loop.watchdog = &watchdog;
+    if (spec.checkpointEvery > 0 && !spec.checkpointPath.empty()) {
+        loop.checkpointEvery = spec.checkpointEvery;
+        loop.checkpoint = [&] {
+            std::string err;
+            if (writeCampaignCheckpoint(spec.checkpointPath, specDigest,
+                                        st, &err)) {
+                ++result.checkpointsWritten;
+                tee.reset(net.now());
+            } else if (result.checkpointError.empty()) {
+                result.checkpointError = err;
+                result.violations.push_back(
+                    "checkpoint: write failed: " + err);
+            }
+        };
+    }
 
     if (st.phase == 0) {
-        const Cycle injectEnd = spec.injectCycles;
-        while (net.now() < injectEnd && !watchdog.deadlocked()) {
-            maybeCheckpoint(0);
-            schedule.apply(net, faultRng);
-            injector.step();
-            net.step();
-            watchdog.observe();
-            skipAhead(injectEnd, false);
-        }
+        loop.run(spec.injectCycles);
         injector.stop();
     }
-    {
-        // Same drain budget as before, in absolute cycles: a restore
-        // into the drain phase has already consumed part of it.
-        const Cycle spent =
-            st.phase == 1 ? net.now() - spec.injectCycles : 0;
-        const Cycle drainEnd =
-            net.now() +
-            (spent < spec.drainCycles ? spec.drainCycles - spent : 0);
-        // A drained network with a reply still waiting for queue space
-        // is not done: the injector must keep flushing (it generates
-        // nothing new once stopped).
-        while (net.now() < drainEnd &&
-               !(net.quiescent() && !injector.repliesPending()) &&
-               !watchdog.deadlocked()) {
-            maybeCheckpoint(1);
-            schedule.apply(net, faultRng);  // scripted late events, if any
-            injector.step();
-            net.step();
-            watchdog.observe();
-            skipAhead(drainEnd, true);
-        }
-    }
+    // The drain budget ends at an absolute cycle, so a restore into the
+    // drain phase resumes it where the checkpoint left off. A drained
+    // network with a reply still waiting for queue space is not done:
+    // the injector must keep flushing (it generates nothing new once
+    // stopped). Late scripted faults still fire.
+    st.phase = 1;
+    loop.run(spec.injectCycles + spec.drainCycles, false,
+             [&] { return net.quiescent() && !injector.repliesPending(); });
 
     if (ckArmed) {
         result.tailDigest = tee.digest();

@@ -15,13 +15,11 @@
  *    entities the full scan would still have reached this cycle — so
  *    iteration is bit-identical to the full scan by construction.
  *
- *  - WakeupQueue: a stable min-heap of (cycle, token) wakeups used by
- *    the drivers (Simulator, chaos campaigns) to aggregate external
- *    wakeup sources — injector on/off boundaries, fault schedules,
- *    watchdog deadlines, checkpoint-every boundaries, metrics
- *    sampling — into a single next-event cycle for the skip fast
- *    path. Rescheduling an armed token keeps the earliest cycle;
- *    same-cycle pops are FIFO in schedule order.
+ *  - WakeupQueue: earliest-wins wakeup slots, one per token, used by
+ *    the RunLoop (core/run_loop.hpp) to aggregate external wakeup
+ *    sources — phase ends, fault schedules, watchdog deadlines,
+ *    checkpoint-every boundaries, the network's own next event — into
+ *    a single next-event cycle for the skip fast path.
  *
  * Waking an entity (or a cycle) that turns out to have nothing to do
  * is always safe: a visit of a drained entity mutates nothing, and a
@@ -207,13 +205,6 @@ class ActivitySet
         return kNone;
     }
 
-    /** Abandon the current pass (bookkeeping only). */
-    void
-    endPass()
-    {
-        inPass_ = false;
-    }
-
   private:
     std::uint32_t
     key(std::uint32_t id) const
@@ -239,9 +230,9 @@ class ActivitySet
 };
 
 /**
- * Min-heap of (cycle, token) wakeups with earliest-wins coalescing.
- * Tokens are small dense integers chosen by the driver. Stale heap
- * entries left behind by reschedules are pruned lazily on access.
+ * Wakeup slots with earliest-wins coalescing: one armed cycle per token.
+ * Tokens are small dense integers chosen by the driver; nextAt() is the
+ * earliest armed cycle.
  */
 class WakeupQueue
 {
@@ -251,8 +242,6 @@ class WakeupQueue
     reset(std::size_t tokens)
     {
         at_.assign(tokens, cycleNever);
-        heap_.clear();
-        seq_ = 0;
     }
 
     /**
@@ -263,93 +252,19 @@ class WakeupQueue
     void
     schedule(std::uint32_t token, Cycle cycle)
     {
-        if (cycle >= at_[token])
-            return;
-        at_[token] = cycle;
-        heap_.push_back(Item{cycle, seq_++, token});
-        std::push_heap(heap_.begin(), heap_.end(), later);
-    }
-
-    /** Disarm @p token. */
-    void
-    cancel(std::uint32_t token)
-    {
-        at_[token] = cycleNever;
-    }
-
-    Cycle
-    scheduledAt(std::uint32_t token) const
-    {
-        return at_[token];
+        at_[token] = std::min(at_[token], cycle);
     }
 
     /** Cycle of the earliest armed wakeup, or cycleNever. */
     Cycle
-    nextAt()
+    nextAt() const
     {
-        prune();
-        return heap_.empty() ? cycleNever : heap_.front().at;
-    }
-
-    /**
-     * Pop the earliest armed wakeup and return its token, or kNone
-     * when nothing is armed. Same-cycle wakeups pop in the order their
-     * winning schedule() calls were made.
-     */
-    static constexpr std::uint32_t kNone = 0xffffffffu;
-
-    std::uint32_t
-    pop()
-    {
-        prune();
-        if (heap_.empty())
-            return kNone;
-        const std::uint32_t token = heap_.front().token;
-        popTop();
-        at_[token] = cycleNever;
-        return token;
-    }
-
-    bool
-    empty()
-    {
-        prune();
-        return heap_.empty();
+        return at_.empty() ? cycleNever
+                           : *std::min_element(at_.begin(), at_.end());
     }
 
   private:
-    struct Item
-    {
-        Cycle at;
-        std::uint64_t seq;
-        std::uint32_t token;
-    };
-
-    static bool
-    later(const Item &a, const Item &b)
-    {
-        // std::push_heap builds a max-heap; invert for earliest-first,
-        // with the schedule sequence breaking same-cycle ties FIFO.
-        return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-
-    void
-    popTop()
-    {
-        std::pop_heap(heap_.begin(), heap_.end(), later);
-        heap_.pop_back();
-    }
-
-    void
-    prune()
-    {
-        while (!heap_.empty() && heap_.front().at != at_[heap_.front().token])
-            popTop();
-    }
-
     std::vector<Cycle> at_;  ///< armed cycle per token (cycleNever = off)
-    std::vector<Item> heap_;
-    std::uint64_t seq_ = 0;
 };
 
 } // namespace tpnet

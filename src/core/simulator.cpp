@@ -1,9 +1,9 @@
 #include "core/simulator.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/network.hpp"
+#include "core/run_loop.hpp"
 #include "obs/metrics_registry.hpp"
 #include "sim/stats.hpp"
 #include "traffic/injector.hpp"
@@ -47,54 +47,22 @@ Simulator::run(std::uint64_t replication, TraceSink *sink) const
             static_cast<Cycle>(cfg.intermittentDownCycles));
     }
 
-    // Event-engine cycle skipping: when the injector is provably a
-    // no-op (zero offered load) and the network reports no scheduled
-    // work, jump straight to the next internal event, bounded by the
-    // phase end. Any skipped sampling ticks are replayed against the
-    // frozen network so the run stays bit-identical to stepping.
-    auto skipIdle = [&](Cycle phaseEnd, bool sampling) {
-        if (!inj.inert() || !net.eventEngine() || !net.idle())
-            return;
-        const Cycle target = std::min(phaseEnd, net.nextInternalEvent());
-        if (target <= net.now())
-            return;
-        const Cycle skipped = target - net.now();
-        net.skipTo(target);
-        if (sampling)
-            registry.skipIdle(net, skipped);
-    };
-
-    for (const Cycle end = cfg.warmup; net.now() < end;) {
-        inj.step();
-        net.step();
-        skipIdle(end, false);
-    }
-
+    RunLoop loop(net, inj);
+    loop.registry = &registry;
+    loop.run(cfg.warmup);
     net.setMeasuring(true);
-    for (const Cycle end = cfg.warmup + cfg.measure; net.now() < end;) {
-        inj.step();
-        net.step();
-        registry.tick(net);
-        skipIdle(end, true);
-    }
+    loop.run(cfg.warmup + cfg.measure, true);
     net.setMeasuring(false);
-
     // Drain: keep background traffic flowing so tagged messages finish
     // under realistic contention, until every measured message is
     // resolved (and every closed-loop transaction has completed its
     // reply) or the drain budget runs out.
-    for (const Cycle end = cfg.warmup + cfg.measure + cfg.drain;
-         net.now() < end;) {
-        const Counters &k = net.counters();
-        if (k.measuredDelivered + k.measuredDropped >=
-                k.measuredGenerated &&
-            k.e2ePending == 0) {
-            break;
-        }
-        inj.step();
-        net.step();
-        skipIdle(end, false);
-    }
+    const Counters &k = net.counters();
+    loop.run(cfg.warmup + cfg.measure + cfg.drain, false, [&k] {
+        return k.measuredDelivered + k.measuredDropped >=
+                   k.measuredGenerated &&
+               k.e2ePending == 0;
+    });
 
     if (sink)
         net.attachTrace(nullptr);
@@ -119,19 +87,9 @@ foldReplications(const std::function<RunResult(std::size_t)> &run_rep,
     RunningStat p95;
     RunningStat dfrac;
     VcMetrics vcm;
+    Counters counters;
     std::uint64_t undeliverable = 0;
-    // Recovery-mode totals: summed (not averaged) across replications,
-    // with the heal-latency accumulators merged exactly.
-    std::uint64_t knots = 0, victims = 0, healRetx = 0, healEsc = 0;
-    RunningStat healLat;
-    Histogram healHist{4.0, 64};
-    // Workload totals: summed/merged across replications like the
-    // recovery counters; degenerate is sticky (any degenerate rep
-    // poisons the point).
-    std::uint64_t rejected = 0, fallbacks = 0;
-    std::uint64_t repGen = 0, repDel = 0, repAband = 0;
-    RunningStat e2eLat;
-    std::vector<ClassStat> classes;
+    // Degenerate is sticky: any degenerate rep poisons the point.
     bool degenerate = false;
     RunResult last;
 
@@ -144,23 +102,8 @@ foldReplications(const std::function<RunResult(std::size_t)> &run_rep,
         p95.add(last.p95Latency);
         dfrac.add(last.deliveredFraction);
         vcm.merge(last.vc);
+        counters.merge(last.counters);
         undeliverable += last.undeliverable;
-        knots += last.counters.knotsDetected;
-        victims += last.counters.victimsAborted;
-        healRetx += last.counters.healRetransmits;
-        healEsc += last.counters.healEscalations;
-        healLat.merge(last.counters.healLatency);
-        healHist.merge(last.counters.healLatencyHist);
-        rejected += last.counters.notAccepted;
-        fallbacks += last.counters.uniformFallbacks;
-        repGen += last.counters.repliesGenerated;
-        repDel += last.counters.repliesDelivered;
-        repAband += last.counters.repliesAbandoned;
-        e2eLat.merge(last.counters.e2eLatency);
-        if (classes.size() < last.counters.classes.size())
-            classes.resize(last.counters.classes.size());
-        for (std::size_t i = 0; i < last.counters.classes.size(); ++i)
-            classes[i].merge(last.counters.classes[i]);
         degenerate = degenerate || last.degenerate;
         if (reps >= min_reps && lat.acceptable(min_reps) &&
             thr.acceptable(min_reps)) {
@@ -175,20 +118,8 @@ foldReplications(const std::function<RunResult(std::size_t)> &run_rep,
     out.mean.p95Latency = p95.mean();
     out.mean.deliveredFraction = dfrac.mean();
     out.mean.vc = vcm;
+    out.mean.counters = counters;
     out.mean.undeliverable = undeliverable / reps;
-    out.mean.counters.knotsDetected = knots;
-    out.mean.counters.victimsAborted = victims;
-    out.mean.counters.healRetransmits = healRetx;
-    out.mean.counters.healEscalations = healEsc;
-    out.mean.counters.healLatency = healLat;
-    out.mean.counters.healLatencyHist = healHist;
-    out.mean.counters.notAccepted = rejected;
-    out.mean.counters.uniformFallbacks = fallbacks;
-    out.mean.counters.repliesGenerated = repGen;
-    out.mean.counters.repliesDelivered = repDel;
-    out.mean.counters.repliesAbandoned = repAband;
-    out.mean.counters.e2eLatency = e2eLat;
-    out.mean.counters.classes = classes;
     out.mean.degenerate = degenerate;
     out.latencyHw95 = lat.halfWidth95();
     out.throughputHw95 = thr.halfWidth95();

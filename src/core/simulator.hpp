@@ -22,7 +22,10 @@ class TraceSink;
 /** Aggregate of several independent replications of one configuration. */
 struct ReplicatedResult
 {
-    RunResult mean;          ///< scalar fields averaged over replications
+    /// Scalar fields averaged over the replications the fold consumed;
+    /// `counters` and `vc` are their exact sums (Counters::merge,
+    /// VcMetrics::merge), not averages.
+    RunResult mean;
     double latencyHw95 = 0;  ///< 95% CI half-width of the latency mean
     double throughputHw95 = 0;
     std::size_t replications = 0;

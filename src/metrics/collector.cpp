@@ -37,6 +37,58 @@ ClassStat::merge(const ClassStat &other)
 }
 
 void
+Counters::merge(const Counters &o)
+{
+    generated += o.generated;
+    notAccepted += o.notAccepted;
+    delivered += o.delivered;
+    dropped += o.dropped;
+    lost += o.lost;
+    retransmits += o.retransmits;
+    retriesScheduled += o.retriesScheduled;
+    headerMoves += o.headerMoves;
+    backtracks += o.backtracks;
+    misroutes += o.misroutes;
+    detoursBuilt += o.detoursBuilt;
+    setupAborts += o.setupAborts;
+    dataCrossings += o.dataCrossings;
+    ctrlCrossings += o.ctrlCrossings;
+    posAcks += o.posAcks;
+    negAcks += o.negAcks;
+    killFlits += o.killFlits;
+    msgAcks += o.msgAcks;
+    dataFlitsDelivered += o.dataFlitsDelivered;
+    dynamicFaults += o.dynamicFaults;
+    intermittentFaults += o.intermittentFaults;
+    linksRestored += o.linksRestored;
+    messagesKilled += o.messagesKilled;
+    headersSalvaged += o.headersSalvaged;
+    knotsDetected += o.knotsDetected;
+    victimsAborted += o.victimsAborted;
+    healRetransmits += o.healRetransmits;
+    healEscalations += o.healEscalations;
+    uniformFallbacks += o.uniformFallbacks;
+    repliesGenerated += o.repliesGenerated;
+    repliesDelivered += o.repliesDelivered;
+    repliesAbandoned += o.repliesAbandoned;
+    closedLoopPending += o.closedLoopPending;
+    e2ePending += o.e2ePending;
+    measuredGenerated += o.measuredGenerated;
+    measuredDelivered += o.measuredDelivered;
+    measuredDropped += o.measuredDropped;
+    windowDataFlits += o.windowDataFlits;
+    healLatency.merge(o.healLatency);
+    healLatencyHist.merge(o.healLatencyHist);
+    latency.merge(o.latency);
+    latencyHist.merge(o.latencyHist);
+    e2eLatency.merge(o.e2eLatency);
+    if (classes.size() < o.classes.size())
+        classes.resize(o.classes.size());
+    for (std::size_t i = 0; i < o.classes.size(); ++i)
+        classes[i].merge(o.classes[i]);
+}
+
+void
 VcMetrics::merge(const VcMetrics &other)
 {
     occupancy.merge(other.occupancy);

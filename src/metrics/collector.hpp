@@ -117,6 +117,12 @@ struct Counters
     /// Per-class slices; sized by the injector (empty when no workload
     /// classes are configured and legacy counters tell the whole story).
     std::vector<ClassStat> classes;
+
+    /**
+     * Fold another run's counters into these (exact): every count is
+     * summed, every RunningStat, Histogram and ClassStat merged.
+     */
+    void merge(const Counters &other);
 };
 
 /**

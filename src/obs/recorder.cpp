@@ -5,6 +5,7 @@
 #include "core/message.hpp"
 #include "core/network.hpp"
 #include "core/pool.hpp"
+#include "core/run_loop.hpp"
 #include "router/link.hpp"
 #include "sim/log.hpp"
 #include "traffic/injector.hpp"
@@ -223,22 +224,20 @@ recordOne(const RecordSpec &spec)
     Injector inj(net);
     TraceRecorder rec;
     net.attachTrace(&rec);
-    for (Cycle c = 0; c < spec.cycles; ++c) {
-        if (spec.killNode != invalidNode && c == spec.killAt)
-            net.failNode(spec.killNode);
-        inj.step();
-        net.step();
+    RunLoop loop(net, inj);
+    // A dynamic kill strikes at the start of its cycle, before that
+    // cycle's injection.
+    if (spec.killNode != invalidNode && spec.killAt < spec.cycles) {
+        loop.run(spec.killAt);
+        net.failNode(spec.killNode);
     }
+    loop.run(spec.cycles);
     inj.stop();
     // Keep stepping the (stopped) injector through the drain so
     // closed-loop replies still flush; a stopped open-loop injector
     // draws nothing, so legacy trace digests are unchanged.
-    for (Cycle c = 0;
-         c < spec.drain && !(net.quiescent() && !inj.repliesPending());
-         ++c) {
-        inj.step();
-        net.step();
-    }
+    loop.run(spec.cycles + spec.drain, false,
+             [&] { return net.quiescent() && !inj.repliesPending(); });
     net.attachTrace(nullptr);
     return rec;
 }

@@ -35,13 +35,14 @@ duatoSelect(Network &net, Message &msg)
     if (ep < 0)
         return Decision::eject();
     if (net.config().recoveryMode) {
-        // Recovery mode: the escape partition is part of the adaptive
-        // scan above (adaptiveVcFloor() == 0), so there is no separate
-        // escape fallback — a blocked header just waits, and the knot
-        // detector heals any deadlock that forms. A faulty e-cube port
-        // still aborts: DP has no detour or backtracking.
+        // Recovery mode: the escape VCs join the adaptive scan above
+        // (adaptiveVcFloor() == 0), and the knot detector heals any
+        // deadlock that forms. A faulty e-cube port still aborts: DP
+        // has no detour or backtracking.
         if (net.channelFaulty(msg.hdr.cur, ep))
             return Decision::abort();
+        if (auto c = select::recoveryEscape(net, msg, ep))
+            return Decision::forward(c->port, c->vc);
         return Decision::block();
     }
     if (net.channelFaulty(msg.hdr.cur, ep)) {

@@ -54,6 +54,17 @@ adaptiveProfitable(Network &net, const Message &msg, Safety safety)
 }
 
 std::optional<Candidate>
+recoveryEscape(Network &net, const Message &msg, int ep)
+{
+    const NodeId cur = msg.hdr.cur;
+    const int vc = net.freeAdaptiveVc(cur, ep);
+    if (vc >= 0)
+        return Candidate{ep, vc};
+    noteCandidateRange(net, cur, ep, net.adaptiveVcFloor(), net.vcCount());
+    return std::nullopt;
+}
+
+std::optional<Candidate>
 anyVcProfitableUntried(Network &net, Message &msg)
 {
     const NodeId cur = msg.hdr.cur;

@@ -74,6 +74,14 @@ std::optional<Candidate> misrouteUntried(Network &net, Message &msg,
                                          bool adaptive_only,
                                          bool allow_uturn);
 
+/**
+ * Recovery mode's wait on the healthy e-cube port @p ep, which the
+ * profitable-port scan may have skipped (dragonfly, express cube): a
+ * free VC on it, or nullopt with all its trios reported as candidates.
+ */
+std::optional<Candidate> recoveryEscape(Network &net, const Message &msg,
+                                        int ep);
+
 } // namespace select
 
 } // namespace tpnet

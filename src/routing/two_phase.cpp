@@ -65,11 +65,15 @@ TwoPhaseRouting::route(Network &net, Message &msg)
         // 2. Safe deterministic channel; block while it is merely busy.
         //    Recovery mode folds the escape VCs into step 1's adaptive
         //    scan (adaptiveVcFloor() == 0), so a healthy safe e-cube
-        //    port simply means "wait" — its candidates are already
-        //    committed, and a knot that forms is healed, not avoided.
+        //    port means "wait" (a knot that forms is healed, not
+        //    avoided) — unless the port was never scanned because it is
+        //    not profitable and has a free VC.
         if (!ep_faulty && !ep_unsafe) {
-            if (net.config().recoveryMode)
+            if (net.config().recoveryMode) {
+                if (auto c = select::recoveryEscape(net, msg, ep))
+                    return Decision::forward(c->port, c->vc);
                 return Decision::block();
+            }
             if (net.escapeVcFree(msg, ep))
                 return Decision::forward(ep, net.escapeClass(msg, ep));
             net.cwgNoteCandidate(hdr.cur, ep, net.escapeClass(msg, ep));

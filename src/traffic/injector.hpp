@@ -70,13 +70,6 @@ class Injector : public RetireListener
     /** Closed-loop replies awaiting injection-queue space. */
     bool repliesPending() const { return !pendingReplies_.empty(); }
 
-    /** Closed-loop transactions still in flight (drain gate). */
-    std::uint64_t
-    closedLoopPending() const
-    {
-        return net_.counters().closedLoopPending;
-    }
-
     /** RetireListener: recycle closed-loop budget, queue replies. */
     void messageRetired(Cycle now, const Message &msg) override;
 

@@ -20,6 +20,7 @@
 #include "core/simulator.hpp"
 #include "helpers.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/recorder.hpp"
 
 namespace tpnet {
 namespace {
@@ -279,6 +280,83 @@ TEST(EventSkip, RetryBackoffWakesTheSourceOnTheExactCycle)
     }
     EXPECT_EQ(on, off);
     EXPECT_GT(on, 2u * 4096u);  // the backoffs were actually served
+}
+
+TEST(EventSkip, ScriptedFaultAfterALongIdleGapFiresOnItsExactCycle)
+{
+    // Zero offered load: the whole campaign is idle, so the event
+    // engine skips straight from cycle 1 to the scripted fault. The
+    // fault is an intermittent outage whose restore races a permanent
+    // kill of the same link, scripted for the first cycle the link is
+    // back: a fault that fired even one cycle late would still be down
+    // then, and the kill would be skipped instead of fired.
+    const Cycle at = 5000;
+    const Cycle down = 3000;
+    CampaignSpec spec;
+    spec.cfg = test::smallConfig(Protocol::TwoPhase, 4);
+    spec.seed = 3;
+    spec.injectCycles = 12000;
+    spec.drainCycles = 1000;
+    const Network probe(spec.cfg);
+    const NodeId node = probe.link(0).src;
+    const int port = probe.link(0).srcPort;
+    spec.scriptedFaults = {
+        {at, FaultKind::LinkIntermittent, node, port, down},
+        {at + down + 1, FaultKind::LinkKill, node, port, 0},
+    };
+
+    spec.cfg.eventEngine = true;
+    const CampaignResult on = runCampaign(spec);
+    spec.cfg.eventEngine = false;
+    const CampaignResult off = runCampaign(spec);
+
+    EXPECT_TRUE(on.passed) << on.summary();
+    EXPECT_EQ(off.faultsFired, 2u);
+    EXPECT_EQ(on.faultsFired, off.faultsFired);
+    ASSERT_EQ(on.firedEvents.size(), off.firedEvents.size());
+    for (std::size_t i = 0; i < on.firedEvents.size(); ++i)
+        EXPECT_EQ(on.firedEvents[i].at, off.firedEvents[i].at);
+    EXPECT_EQ(campaignJson(on), campaignJson(off));
+}
+
+TEST(EventSkip, SimulatorDrainStoppingOnAnIdleNetworkIsEngineInvariant)
+{
+    // Zero offered load with intermittent link faults: the network is
+    // idle between outages and restores, so warmup and measurement are
+    // mostly skipped, and the drain's stop predicate (every measured
+    // message resolved) already holds on the idle network. Both
+    // engines must return the same result and the same trace.
+    SimConfig cfg;
+    cfg.k = 4;
+    cfg.n = 2;
+    cfg.protocol = Protocol::TwoPhase;
+    cfg.load = 0.0;
+    cfg.warmup = 300;
+    cfg.measure = 2000;
+    cfg.drain = 5000;
+    cfg.intermittentFaults = 3;
+    cfg.intermittentDownCycles = 400;
+    cfg.metricsPeriod = 16;
+    cfg.seed = 17;
+
+    auto run = [&](bool engine, obs::TraceRecorder *rec) {
+        SimConfig c = cfg;
+        c.eventEngine = engine;
+        return Simulator(c).run(0, rec);
+    };
+    obs::TraceRecorder recOn;
+    obs::TraceRecorder recOff;
+    const RunResult on = run(true, &recOn);
+    const RunResult off = run(false, &recOff);
+
+    EXPECT_GT(off.counters.linksRestored, 0u);
+    EXPECT_EQ(on.row(), off.row());
+    EXPECT_EQ(on.counters.dynamicFaults, off.counters.dynamicFaults);
+    EXPECT_EQ(on.counters.linksRestored, off.counters.linksRestored);
+    EXPECT_EQ(on.vc.samples, off.vc.samples);
+    EXPECT_EQ(on.vc.occupancy.count(), off.vc.occupancy.count());
+    EXPECT_EQ(recOn.digest(), recOff.digest());
+    EXPECT_EQ(recOn.size(), recOff.size());
 }
 
 } // namespace

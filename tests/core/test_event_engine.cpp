@@ -133,48 +133,18 @@ TEST(ActivitySet, EmptyPassReturnsNoneImmediately)
 
 // --- WakeupQueue --------------------------------------------------------
 
-TEST(WakeupQueue, PopsInCycleOrder)
-{
-    WakeupQueue q;
-    q.reset(3);
-    q.schedule(0, 30);
-    q.schedule(1, 10);
-    q.schedule(2, 20);
-    EXPECT_EQ(q.nextAt(), 10u);
-    EXPECT_EQ(q.pop(), 1u);
-    EXPECT_EQ(q.pop(), 2u);
-    EXPECT_EQ(q.pop(), 0u);
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.pop(), WakeupQueue::kNone);
-    EXPECT_EQ(q.nextAt(), cycleNever);
-}
-
-TEST(WakeupQueue, SameCycleWakeupsPopFifo)
-{
-    WakeupQueue q;
-    q.reset(3);
-    q.schedule(2, 7);
-    q.schedule(0, 7);
-    q.schedule(1, 7);
-    EXPECT_EQ(q.pop(), 2u);
-    EXPECT_EQ(q.pop(), 0u);
-    EXPECT_EQ(q.pop(), 1u);
-}
-
 TEST(WakeupQueue, ReschedulingCoalescesToTheEarliestCycle)
 {
     WakeupQueue q;
     q.reset(1);
+    EXPECT_EQ(q.nextAt(), cycleNever);
     q.schedule(0, 50);
     q.schedule(0, 20);   // earlier wins
-    EXPECT_EQ(q.scheduledAt(0), 20u);
-    q.schedule(0, 80);   // later is ignored
-    EXPECT_EQ(q.scheduledAt(0), 20u);
     EXPECT_EQ(q.nextAt(), 20u);
-    EXPECT_EQ(q.pop(), 0u);
-    // The stale entries at 50/80 were pruned, not delivered.
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.scheduledAt(0), cycleNever);
+    q.schedule(0, 80);   // later is ignored
+    EXPECT_EQ(q.nextAt(), 20u);
+    q.reset(1);          // reset disarms every token
+    EXPECT_EQ(q.nextAt(), cycleNever);
 }
 
 TEST(WakeupQueue, RescheduleWhilePendingReordersAgainstOtherTokens)
@@ -186,21 +156,6 @@ TEST(WakeupQueue, RescheduleWhilePendingReordersAgainstOtherTokens)
     EXPECT_EQ(q.nextAt(), 30u);
     q.schedule(0, 10);  // token 0 jumps ahead of token 1
     EXPECT_EQ(q.nextAt(), 10u);
-    EXPECT_EQ(q.pop(), 0u);
-    EXPECT_EQ(q.pop(), 1u);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(WakeupQueue, CancelDisarmsAToken)
-{
-    WakeupQueue q;
-    q.reset(2);
-    q.schedule(0, 5);
-    q.schedule(1, 9);
-    q.cancel(0);
-    EXPECT_EQ(q.nextAt(), 9u);
-    EXPECT_EQ(q.pop(), 1u);
-    EXPECT_TRUE(q.empty());
 }
 
 // --- Digest-identity properties -----------------------------------------

@@ -4,7 +4,8 @@
  * on: Histogram percentiles on empty/one-sample data, RunningStat merge
  * exactness and associativity (the property foldReplications relies on
  * when folding per-replication VcMetrics in arbitrary grouping), and
- * VcMetrics::merge itself — including through a real Simulator fold.
+ * VcMetrics::merge and Counters::merge themselves — including through a
+ * real Simulator fold.
  */
 
 #include <cmath>
@@ -257,6 +258,38 @@ TEST(VcMetricsEdges, FoldReplicationsAggregatesVcSamples)
     EXPECT_EQ(folded.mean.vc.occupancy.count(), want_occ);
     EXPECT_EQ(folded.mean.vc.perVc.size(),
               static_cast<std::size_t>(cfg.vcsPerLink()));
+}
+
+TEST(CountersEdges, FoldReplicationsSumsEveryCounter)
+{
+    SimConfig cfg;
+    cfg.k = 4;
+    cfg.n = 2;
+    cfg.protocol = Protocol::TwoPhase;
+    cfg.msgLength = 8;
+    cfg.load = 0.1;
+    cfg.warmup = 100;
+    cfg.measure = 400;
+    cfg.seed = 7;
+    const Simulator sim(cfg);
+    const RunResult a = sim.run(0);
+    const RunResult b = sim.run(1);
+    ASSERT_GT(a.counters.dataCrossings, 0u);
+    ASSERT_NE(a.counters.dataCrossings, b.counters.dataCrossings);
+
+    const ReplicatedResult folded = foldReplications(
+        [&](std::size_t r) { return r == 0 ? a : b; }, 2, 2);
+    ASSERT_EQ(folded.replications, 2u);
+    const Counters &sum = folded.mean.counters;
+    EXPECT_EQ(sum.dataCrossings,
+              a.counters.dataCrossings + b.counters.dataCrossings);
+    EXPECT_EQ(sum.headerMoves,
+              a.counters.headerMoves + b.counters.headerMoves);
+    EXPECT_EQ(sum.generated, a.counters.generated + b.counters.generated);
+    EXPECT_EQ(sum.latency.count(),
+              a.counters.latency.count() + b.counters.latency.count());
+    EXPECT_EQ(sum.latencyHist.total(),
+              a.counters.latencyHist.total() + b.counters.latencyHist.total());
 }
 
 TEST(VcMetricsEdges, DisabledPeriodTakesNoSamples)

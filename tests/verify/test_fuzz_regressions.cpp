@@ -30,6 +30,9 @@
  *    zero. Fixed by draining every ready ack flit each cycle —
  *    dedicated per-trio signals do not contend like the shared lane —
  *    which keeps walkers strictly ahead of the retreating header.
+ *
+ *  - seeds 9 (DP, dragonfly), 86 (TP, dragonfly) and 85 (TP, express
+ *    cube), all in recovery mode: see the RecoveryEscape tests below.
  */
 
 #include <gtest/gtest.h>
@@ -163,6 +166,74 @@ TEST(FuzzRegressions, TpExpressCubeProbeNeverWaitsOnItsOwnEscape)
     ASSERT_TRUE(chaos::parseFaultEvents(
         "21:n:56:-1:0,737:n:5:-1:0,807:n:53:-1:0,807:n:41:-1:0",
         &spec.scriptedFaults));
+    const chaos::CampaignResult r = chaos::runCampaign(spec);
+    EXPECT_TRUE(r.passed) << r.summary();
+    EXPECT_TRUE(r.quiescent);
+    EXPECT_EQ(r.cwgViolations, 0u);
+}
+
+// In recovery mode DP and TP fold the escape VCs into their adaptive
+// scan, which only looks at profitable ports. The e-cube port need not
+// be one: a dragonfly escape route runs through the group's gateway
+// router, and an express cube escapes over local channels. A header
+// whose profitable ports were all dead (DP) or unsafe (TP phase 1)
+// blocked on its healthy, free e-cube port forever, with no candidate
+// reported to the CWG, so the knot detector never saw a wait and the
+// watchdog declared a deadlock (seed 9: message 168, 21->26, stuck at
+// node 22). The header now takes a free VC on the e-cube port, and
+// reports the port's trios as its wait when they are all busy
+// (select::recoveryEscape).
+chaos::CampaignSpec
+recoverySpec(Protocol proto, TopologyKind topo, double load, Cycle inject,
+             std::uint64_t seed, int linkKills)
+{
+    chaos::CampaignSpec spec =
+        replaySpec(proto, 8, 0, load, inject, seed, 0, linkKills, 0);
+    spec.cfg.topology = topo;
+    spec.cfg.dfRouters = 4;
+    spec.cfg.dfGlobal = 2;
+    spec.cfg.expressGap = 4;
+    spec.cfg.recoveryMode = true;
+    spec.cfg.victimPolicy = VictimPolicy::YoungestMessage;
+    return spec;
+}
+
+// tpnet_verify --replay-seed 9 --protocol DP --scout-k 0 --k 8 --n 2
+//   --topology dragonfly --df-routers 4 --df-global 2 --recovery
+//   --victim youngest --load 0.1500 --inject 2000 --node-kills 0
+//   --link-kills 4 --intermittents 0
+TEST(FuzzRegressions, RecoveryEscapeDpDragonflyTakesTheGatewayPort)
+{
+    const chaos::CampaignResult r = chaos::runCampaign(recoverySpec(
+        Protocol::Duato, TopologyKind::Dragonfly, 0.15, 2000, 9, 4));
+    EXPECT_TRUE(r.passed) << r.summary();
+    EXPECT_TRUE(r.quiescent);
+    EXPECT_EQ(r.cwgViolations, 0u);
+}
+
+// tpnet_verify --replay-seed 86 --protocol TP --scout-k 0 --k 8 --n 2
+//   --topology dragonfly --df-routers 4 --df-global 2 --recovery
+//   --victim youngest --load 0.1500 --inject 2000 --node-kills 0
+//   --link-kills 4 --intermittents 0
+TEST(FuzzRegressions, RecoveryEscapeTpDragonflyTakesTheGatewayPort)
+{
+    const chaos::CampaignResult r = chaos::runCampaign(recoverySpec(
+        Protocol::TwoPhase, TopologyKind::Dragonfly, 0.15, 2000, 86, 4));
+    EXPECT_TRUE(r.passed) << r.summary();
+    EXPECT_TRUE(r.quiescent);
+    EXPECT_EQ(r.cwgViolations, 0u);
+}
+
+// tpnet_verify --replay-seed 85 --protocol TP --scout-k 0 --k 8 --n 2
+//   --topology express --express-gap 4 --recovery --victim youngest
+//   --load 0.0750 --inject 500 --fault-events
+//   "263:n:16:-1:0,309:n:25:-1:0,426:n:11:-1:0"
+TEST(FuzzRegressions, RecoveryEscapeTpExpressCubeTakesTheLocalPort)
+{
+    chaos::CampaignSpec spec = recoverySpec(
+        Protocol::TwoPhase, TopologyKind::Express, 0.075, 500, 85, 0);
+    ASSERT_TRUE(chaos::parseFaultEvents(
+        "263:n:16:-1:0,309:n:25:-1:0,426:n:11:-1:0", &spec.scriptedFaults));
     const chaos::CampaignResult r = chaos::runCampaign(spec);
     EXPECT_TRUE(r.passed) << r.summary();
     EXPECT_TRUE(r.quiescent);

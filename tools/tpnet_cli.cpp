@@ -19,8 +19,9 @@
 #include <iostream>
 
 #include "core/pool.hpp"
+#include "core/run_loop.hpp"
 #include "core/tpnet.hpp"
-#include "metrics/netstats.hpp"
+#include "obs/metrics_registry.hpp"
 #include "sim/options.hpp"
 #include "shard_cli.hpp"
 
@@ -149,11 +150,9 @@ main(int argc, char **argv)
         // Re-run a short window on a live network for the snapshot.
         Network net(cfg);
         Injector inj(net);
-        for (Cycle c = 0; c < cfg.warmup + cfg.measure; ++c) {
-            inj.step();
-            net.step();
-        }
-        std::printf("\n%s", collectStats(net).report().c_str());
+        RunLoop(net, inj).run(cfg.warmup + cfg.measure);
+        std::printf("\n%s",
+                    obs::MetricsRegistry::snapshot(net).report().c_str());
     }
     return 0;
 }

@@ -427,14 +427,7 @@ struct Totals
     std::uint64_t cwgBenign = 0;
     std::uint64_t cwgWarnings = 0;
     std::uint64_t violations = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t undeliverable = 0;
-    std::uint64_t lost = 0;
-    std::uint64_t knots = 0;
-    std::uint64_t victims = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t escalations = 0;
-    RunningStat healLat;
+    Counters counters;  ///< exact sum (Counters::merge)
 
     void
     fold(const CampaignResult &r)
@@ -445,14 +438,7 @@ struct Totals
         cwgBenign += r.cwgBenign;
         cwgWarnings += r.cwgWarnings;
         violations += r.violations.size();
-        delivered += r.counters.delivered;
-        undeliverable += r.counters.dropped;
-        lost += r.counters.lost;
-        knots += r.counters.knotsDetected;
-        victims += r.counters.victimsAborted;
-        retransmits += r.counters.healRetransmits;
-        escalations += r.counters.healEscalations;
-        healLat.merge(r.counters.healLatency);
+        counters.merge(r.counters);
     }
 };
 
@@ -545,9 +531,10 @@ runComparison(const SimConfig &base, const std::vector<Cell> &grid,
                 t.fold(r);
             failures += t.failures;
             char lat[32];
-            if (t.healLat.count() > 0)
+            const Counters &c = t.counters;
+            if (c.healLatency.count() > 0)
                 std::snprintf(lat, sizeof lat, "%9.1f",
-                              t.healLat.mean());
+                              c.healLatency.mean());
             else
                 std::snprintf(lat, sizeof lat, "%9s", "-");
             std::printf("  %-9s %-4.1f %-10s %5d %5llu %7llu %8llu "
@@ -556,14 +543,13 @@ runComparison(const SimConfig &base, const std::vector<Cell> &grid,
                         recovery ? "recovery" : "avoidance",
                         t.failures,
                         static_cast<unsigned long long>(t.violations),
-                        static_cast<unsigned long long>(t.knots),
-                        static_cast<unsigned long long>(t.victims),
-                        static_cast<unsigned long long>(t.retransmits),
-                        static_cast<unsigned long long>(t.escalations),
-                        static_cast<unsigned long long>(t.delivered),
-                        static_cast<unsigned long long>(
-                            t.undeliverable),
-                        static_cast<unsigned long long>(t.lost), lat);
+                        static_cast<unsigned long long>(c.knotsDetected),
+                        static_cast<unsigned long long>(c.victimsAborted),
+                        static_cast<unsigned long long>(c.healRetransmits),
+                        static_cast<unsigned long long>(c.healEscalations),
+                        static_cast<unsigned long long>(c.delivered),
+                        static_cast<unsigned long long>(c.dropped),
+                        static_cast<unsigned long long>(c.lost), lat);
             std::fflush(stdout);
             for (const CampaignResult &r : results)
                 all_results.push_back(r);
@@ -811,13 +797,14 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(t.cwgBenign),
                 static_cast<unsigned long long>(t.cwgWarnings));
     if (base.recoveryMode) {
+        const Counters &c = t.counters;
         std::printf("# recovery: %llu knot(s) detected, %llu victim "
                     "abort(s), %llu retransmission(s), %llu "
                     "escalation(s)\n",
-                    static_cast<unsigned long long>(t.knots),
-                    static_cast<unsigned long long>(t.victims),
-                    static_cast<unsigned long long>(t.retransmits),
-                    static_cast<unsigned long long>(t.escalations));
+                    static_cast<unsigned long long>(c.knotsDetected),
+                    static_cast<unsigned long long>(c.victimsAborted),
+                    static_cast<unsigned long long>(c.healRetransmits),
+                    static_cast<unsigned long long>(c.healEscalations));
     }
     if (replay && tools::checkpointArmed(ckcli))
         tools::printCheckpointReport(ckcli, results[0]);
