@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/report.hpp"
 #include "core/experiment.hpp"
 
 namespace tpnet::bench {
@@ -62,22 +63,7 @@ struct LabelledSeries
     std::string xName;
 };
 
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
+using chaos::jsonEscape;
 
 /**
  * Format one numeric field. JSON has no inf/nan literal, and a

@@ -264,7 +264,7 @@ writeShardJson(const std::string &path, const std::string &tool,
     std::ofstream os(path);
     if (!os)
         return false;
-    os << "{\n  \"tool\": \"" << campaignJsonEscape(tool) << "\",\n"
+    os << "{\n  \"tool\": \"" << jsonEscape(tool) << "\",\n"
        << "  \"shard\": { \"index\": " << shard.index
        << ", \"count\": " << shard.count
        << ", \"total\": " << total
@@ -287,7 +287,7 @@ writeManifest(const std::string &path, const std::string &tool,
     std::ofstream os(path);
     if (!os)
         return false;
-    os << "{\n  \"tool\": \"" << campaignJsonEscape(tool) << "\",\n"
+    os << "{\n  \"tool\": \"" << jsonEscape(tool) << "\",\n"
        << "  \"total\": " << specs.size() << ",\n"
        << "  \"count\": " << count << ",\n  \"shards\": [\n";
     for (int i = 0; i < count; ++i) {
@@ -530,7 +530,7 @@ mergeShards(const std::string &dir, const std::string &tool,
         log << "merge-shards: cannot write " << out_path << "\n";
         return 2;
     }
-    os << "{\n  \"tool\": \"" << campaignJsonEscape(first.tool)
+    os << "{\n  \"tool\": \"" << jsonEscape(first.tool)
        << "\",\n  \"campaigns\": [";
     for (std::size_t i = 0; i < byCell.size(); ++i)
         os << (i ? ",\n    " : "\n    ") << byCell[i];

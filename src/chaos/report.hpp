@@ -24,8 +24,13 @@
 namespace tpnet {
 namespace chaos {
 
+/**
+ * Escape @p s for a JSON string: quotes and backslashes get a
+ * backslash, control characters become spaces. The bench reports use
+ * it too.
+ */
 inline std::string
-campaignJsonEscape(const std::string &s)
+jsonEscape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
@@ -107,11 +112,11 @@ campaignJson(const CampaignResult &r)
     os << ", \"violations\": [";
     for (std::size_t i = 0; i < r.violations.size(); ++i)
         os << (i ? ", " : "") << "\""
-           << campaignJsonEscape(r.violations[i]) << "\"";
+           << jsonEscape(r.violations[i]) << "\"";
     os << "], \"warnings\": [";
     for (std::size_t i = 0; i < r.warnings.size(); ++i)
         os << (i ? ", " : "") << "\""
-           << campaignJsonEscape(r.warnings[i]) << "\"";
+           << jsonEscape(r.warnings[i]) << "\"";
     os << "] }";
     return os.str();
 }
@@ -128,7 +133,7 @@ writeCampaignJson(const std::string &path, const std::string &tool,
     std::ofstream os(path);
     if (!os)
         return false;
-    os << "{\n  \"tool\": \"" << campaignJsonEscape(tool)
+    os << "{\n  \"tool\": \"" << jsonEscape(tool)
        << "\",\n  \"campaigns\": [";
     for (std::size_t i = 0; i < results.size(); ++i)
         os << (i ? ",\n    " : "\n    ") << campaignJson(results[i]);

@@ -481,12 +481,6 @@ struct SnapshotAccess
               [](Ar &a, int &v) { ioInt(a, v); });
         ioMap(ar, t.trueOut_, std::less<MsgId>{}, msgKey, msgList);
         ioMap(ar, t.dagOut_, std::less<MsgId>{}, msgKey, msgList);
-        ioMap(ar, t.dagIn_, std::less<MsgId>{}, msgKey, msgList);
-        ioMap(ar, t.inDag_, edgeLess, edgeIo,
-              [](Ar &a, bool &v) { a.b(v); });
-        ioMap(ar, t.ord_, std::less<MsgId>{}, msgKey,
-              [](Ar &a, int &v) { ioInt(a, v); });
-        ioInt(ar, t.nextOrd_);
         ioMap(ar, t.benignSeen_, std::less<std::uint64_t>{},
               [](Ar &a, std::uint64_t &k) { a.u64(k); },
               [](Ar &a, Cycle &v) { a.u64(v); });

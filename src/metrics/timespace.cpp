@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/message.hpp"
-#include "router/link.hpp"
-
 namespace tpnet {
 
 void
@@ -18,100 +15,76 @@ TimeSpaceTrace::add(Cycle t, int row, char sym)
 }
 
 void
-TimeSpaceTrace::flitCrossed(Cycle now, const Link &link, int vc,
-                            const Flit &flit, bool control_lane)
+TimeSpaceTrace::onEvent(const obs::TraceEvent &ev)
 {
-    (void)link;
-    (void)vc;
-    onFlitCrossed(now, flit, control_lane);
-}
-
-void
-TimeSpaceTrace::flitDelivered(Cycle now, NodeId node, const Flit &flit)
-{
-    (void)node;
-    onFlitDelivered(now, flit);
-}
-
-void
-TimeSpaceTrace::probeEvent(Cycle now, const Message &msg, ProbeEvent event)
-{
-    onProbeEvent(now, msg.id, event);
-}
-
-void
-TimeSpaceTrace::onFlitCrossed(Cycle now, const Flit &flit, bool control_lane)
-{
-    if (flit.msg != target_)
+    if (ev.msg != target_)
         return;
+    const Cycle now = ev.cycle;
+    const auto type = static_cast<FlitType>(ev.flitType);
 
-    if (!control_lane) {
-        if (flit.type == FlitType::Header) {
-            add(now, flit.hopIdx, 'H');
-            headerAt_.emplace_back(now, flit.hopIdx);
+    switch (ev.kind) {
+      case obs::TraceEventKind::Probe:
+        if (static_cast<ProbeEvent>(ev.detail) == ProbeEvent::Backtracked)
+            backtracking_ = true;
+        return;
+      case obs::TraceEventKind::FlitDelivered:
+        if (ev.seq == 1)
+            leadDataAt_.emplace_back(now, ev.hop + 1);
+        return;
+      case obs::TraceEventKind::FlitCrossed:
+        break;
+      default:
+        return;
+    }
+
+    if (ev.vc >= 0) {  // data lane
+        if (type == FlitType::Header) {
+            add(now, ev.hop, 'H');
+            headerAt_.emplace_back(now, ev.hop);
         } else {
-            const char sym = flit.type == FlitType::Tail
+            const char sym = type == FlitType::Tail
                 ? 'T'
-                : static_cast<char>('0' + flit.seq % 10);
-            add(now, flit.hopIdx, sym);
-            if (flit.seq == 1)
-                leadDataAt_.emplace_back(now, flit.hopIdx);
+                : static_cast<char>('0' + ev.seq % 10);
+            add(now, ev.hop, sym);
+            if (ev.seq == 1)
+                leadDataAt_.emplace_back(now, ev.hop);
         }
         return;
     }
 
-    switch (flit.type) {
+    switch (type) {
       case FlitType::Header:
-        // Forward header crosses hop flit.hopIdx; a backtracking header
-        // recrosses hop flit.hopIdx + 1 in reverse.
+        // Forward header crosses hop ev.hop; a backtracking header
+        // recrosses hop ev.hop + 1 in reverse.
         if (backtracking_) {
-            add(now, flit.hopIdx + 1, 'B');
-            headerAt_.emplace_back(now, flit.hopIdx);
+            add(now, ev.hop + 1, 'B');
+            headerAt_.emplace_back(now, ev.hop);
             backtracking_ = false;
         } else {
-            add(now, flit.hopIdx, 'H');
-            headerAt_.emplace_back(now, flit.hopIdx);
+            add(now, ev.hop, 'H');
+            headerAt_.emplace_back(now, ev.hop);
         }
         break;
       case FlitType::AckPos:
       case FlitType::AckNeg:
-        add(now, flit.hopIdx + 1, '<');
+        add(now, ev.hop + 1, '<');
         break;
       case FlitType::PathDone:
-        add(now, flit.hopIdx + 1, 'D');
+        add(now, ev.hop + 1, 'D');
         break;
       case FlitType::Release:
-        add(now, flit.hopIdx + 1, 'R');
+        add(now, ev.hop + 1, 'R');
         break;
       case FlitType::KillUp:
       case FlitType::KillDown:
-        add(now, flit.hopIdx, 'K');
+        add(now, ev.hop, 'K');
         break;
       case FlitType::MsgAck:
-        add(now, flit.hopIdx + 1, 'A');
+        add(now, ev.hop + 1, 'A');
         break;
       default:
         break;
     }
-}
-
-void
-TimeSpaceTrace::onFlitDelivered(Cycle now, const Flit &flit)
-{
-    if (flit.msg != target_)
-        return;
-    if (flit.seq == 1)
-        leadDataAt_.emplace_back(now, flit.hopIdx + 1);
-}
-
-void
-TimeSpaceTrace::onProbeEvent(Cycle now, MsgId msg, ProbeEvent event)
-{
-    (void)now;
-    if (msg != target_)
-        return;
-    if (event == ProbeEvent::Backtracked)
-        backtracking_ = true;
 }
 
 int

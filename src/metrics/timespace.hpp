@@ -22,32 +22,22 @@
 #include <string>
 #include <vector>
 
-#include "sim/trace.hpp"
+#include "obs/trace_format.hpp"
 
 namespace tpnet {
 
 /** Records one message's events and renders the Fig. 1 diagram. */
-class TimeSpaceTrace : public TraceSink
+class TimeSpaceTrace : public obs::EventSink
 {
   public:
     /** @param target message to record (offer it first, id is known). */
     explicit TimeSpaceTrace(MsgId target) : target_(target) {}
 
-    void flitCrossed(Cycle now, const Link &link, int vc, const Flit &flit,
-                     bool control_lane) override;
-    void flitDelivered(Cycle now, NodeId node, const Flit &flit) override;
-    void probeEvent(Cycle now, const Message &msg,
-                    ProbeEvent event) override;
-
     /**
-     * Event-feeding primitives used both by the live TraceSink
-     * overrides above and by trace replay (obs/replay), which
-     * reconstructs flits from recorded events without live Link or
-     * Message objects.
+     * Take one event of a live run or of a recorded trace
+     * (obs::replayTimeSpace); events of other messages are ignored.
      */
-    void onFlitCrossed(Cycle now, const Flit &flit, bool control_lane);
-    void onFlitDelivered(Cycle now, const Flit &flit);
-    void onProbeEvent(Cycle now, MsgId msg, ProbeEvent event);
+    void onEvent(const obs::TraceEvent &ev) override;
 
     /** Number of recorded events. */
     std::size_t events() const { return events_.size(); }

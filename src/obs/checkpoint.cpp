@@ -5,9 +5,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "core/message.hpp"
-#include "router/link.hpp"
-
 namespace tpnet::obs {
 
 namespace {
@@ -318,11 +315,9 @@ readCheckpointInfo(std::istream &is, CheckpointFileInfo *info,
 }
 
 void
-DigestTee::fold(const TraceEvent &ev)
+DigestTee::onEvent(const TraceEvent &ev)
 {
-    std::uint8_t rec[traceRecordSize];
-    encodeTraceEvent(ev, rec);
-    digest_ = fnv1a64(rec, sizeof(rec), digest_);
+    digest_ = foldTraceEvent(ev, digest_);
     ++records_;
 }
 
@@ -332,147 +327,6 @@ DigestTee::reset(Cycle from)
     digest_ = 14695981039346656037ull;
     records_ = 0;
     tailFrom_ = from;
-}
-
-// The hook-to-record mapping below mirrors TraceRecorder exactly, so
-// the tee's digest equals the digest of the trace a recorder would
-// have produced for the same event window.
-
-void
-DigestTee::flitCrossed(Cycle now, const Link &link, int vc,
-                       const Flit &flit, bool control_lane)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitCrossed;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.src);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->flitCrossed(now, link, vc, flit, control_lane);
-}
-
-void
-DigestTee::flitInjected(Cycle now, NodeId node, const Flit &flit)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitInjected;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.node = static_cast<std::uint32_t>(node);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->flitInjected(now, node, flit);
-}
-
-void
-DigestTee::flitDelivered(Cycle now, NodeId node, const Flit &flit)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitDelivered;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.node = static_cast<std::uint32_t>(node);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->flitDelivered(now, node, flit);
-}
-
-void
-DigestTee::vcAllocated(Cycle now, const Link &link, int vc,
-                       const Message &msg, int hop_idx)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::VcAllocated;
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = hop_idx;
-    ev.epoch = msg.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->vcAllocated(now, link, vc, msg, hop_idx);
-}
-
-void
-DigestTee::vcReleased(Cycle now, const Link &link, int vc,
-                      const Message &msg, int hop_idx)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::VcReleased;
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = hop_idx;
-    ev.epoch = msg.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->vcReleased(now, link, vc, msg, hop_idx);
-}
-
-void
-DigestTee::probeEvent(Cycle now, const Message &msg, ProbeEvent event)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Probe;
-    ev.detail = static_cast<std::uint8_t>(event);
-    ev.node = static_cast<std::uint32_t>(msg.hdr.cur);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = static_cast<std::int32_t>(msg.path.size()) - 1;
-    ev.epoch = msg.epoch;
-    fold(ev);
-    if (downstream_)
-        downstream_->probeEvent(now, msg, event);
-}
-
-void
-DigestTee::messageCreated(Cycle now, const Message &msg)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::MsgCreated;
-    ev.node = static_cast<std::uint32_t>(msg.src);
-    ev.aux = static_cast<std::uint32_t>(msg.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.seq = msg.length;
-    fold(ev);
-    if (downstream_)
-        downstream_->messageCreated(now, msg);
-}
-
-void
-DigestTee::messageTerminal(Cycle now, const Message &msg,
-                           MsgOutcome outcome)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::MsgTerminal;
-    ev.detail = static_cast<std::uint8_t>(outcome);
-    ev.node = static_cast<std::uint32_t>(msg.src);
-    ev.aux = static_cast<std::uint32_t>(msg.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    fold(ev);
-    if (downstream_)
-        downstream_->messageTerminal(now, msg, outcome);
 }
 
 } // namespace tpnet::obs

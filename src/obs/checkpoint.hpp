@@ -18,10 +18,10 @@
  * reference-taking primitives so one field list per type serves both
  * save and load (see src/chaos/snapshot.cpp).
  *
- * DigestTee is a TraceSink that folds every event into a running
+ * DigestTee is an EventSink that folds every event into a running
  * FNV-1a digest using the exact trace_format record encoding (the
- * same mapping TraceRecorder applies), optionally forwarding to a
- * downstream sink. Resetting it at a checkpoint boundary yields a
+ * EventSink mapping TraceRecorder reads too), optionally forwarding
+ * to a downstream sink. Resetting it at a checkpoint boundary yields a
  * "tail digest" over the events after the snapshot — the golden value
  * a restore-then-run must reproduce bit-identically.
  */
@@ -35,13 +35,12 @@
 #include <vector>
 
 #include "obs/trace_format.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace tpnet::obs {
 
 /** Current checkpoint container version. */
-constexpr std::uint16_t checkpointFormatVersion = 1;
+constexpr std::uint16_t checkpointFormatVersion = 2;
 
 /** Parsed checkpoint-file header. */
 struct CheckpointFileInfo
@@ -143,32 +142,21 @@ bool readCheckpointInfo(std::istream &is, CheckpointFileInfo *info,
                         std::string *error);
 
 /**
- * TraceSink folding every event into a running FNV-1a digest over the
+ * EventSink folding every event into a running FNV-1a digest over the
  * trace_format record encoding, optionally forwarding each hook to a
  * downstream sink. reset(cycle) restarts the digest at a checkpoint
  * boundary so digest() covers only the tail after that boundary.
  */
-class DigestTee : public TraceSink
+class DigestTee : public EventSink
 {
   public:
     explicit DigestTee(TraceSink *downstream = nullptr)
-        : downstream_(downstream)
+        : EventSink(downstream)
     {
     }
 
-    void flitCrossed(Cycle now, const Link &link, int vc, const Flit &flit,
-                     bool control_lane) override;
-    void flitInjected(Cycle now, NodeId node, const Flit &flit) override;
-    void flitDelivered(Cycle now, NodeId node, const Flit &flit) override;
-    void vcAllocated(Cycle now, const Link &link, int vc,
-                     const Message &msg, int hop_idx) override;
-    void vcReleased(Cycle now, const Link &link, int vc,
-                    const Message &msg, int hop_idx) override;
-    void probeEvent(Cycle now, const Message &msg,
-                    ProbeEvent event) override;
-    void messageCreated(Cycle now, const Message &msg) override;
-    void messageTerminal(Cycle now, const Message &msg,
-                         MsgOutcome outcome) override;
+    /** Fold @p ev into the running digest. */
+    void onEvent(const TraceEvent &ev) override;
 
     /** Restart the digest; subsequent events form the tail. */
     void reset(Cycle from);
@@ -180,9 +168,6 @@ class DigestTee : public TraceSink
     Cycle tailFrom() const { return tailFrom_; }
 
   private:
-    void fold(const TraceEvent &ev);
-
-    TraceSink *downstream_ = nullptr;
     std::uint64_t digest_ = 14695981039346656037ull;
     std::uint64_t records_ = 0;
     Cycle tailFrom_ = 0;

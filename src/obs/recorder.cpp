@@ -2,145 +2,19 @@
 
 #include <ostream>
 
-#include "core/message.hpp"
 #include "core/network.hpp"
 #include "core/pool.hpp"
 #include "core/run_loop.hpp"
-#include "router/link.hpp"
 #include "sim/log.hpp"
 #include "traffic/injector.hpp"
 
 namespace tpnet::obs {
 
 void
-TraceRecorder::append(const TraceEvent &ev)
+TraceRecorder::onEvent(const TraceEvent &ev)
 {
-    std::uint8_t rec[traceRecordSize];
-    encodeTraceEvent(ev, rec);
-    digest_ = fnv1a64(rec, sizeof(rec), digest_);
+    digest_ = foldTraceEvent(ev, digest_);
     events_.push_back(ev);
-}
-
-void
-TraceRecorder::flitCrossed(Cycle now, const Link &link, int vc,
-                           const Flit &flit, bool control_lane)
-{
-    (void)control_lane;  // recoverable from vc < 0
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitCrossed;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.src);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    append(ev);
-}
-
-void
-TraceRecorder::flitInjected(Cycle now, NodeId node, const Flit &flit)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitInjected;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.node = static_cast<std::uint32_t>(node);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    append(ev);
-}
-
-void
-TraceRecorder::flitDelivered(Cycle now, NodeId node, const Flit &flit)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::FlitDelivered;
-    ev.flitType = static_cast<std::uint8_t>(flit.type);
-    ev.node = static_cast<std::uint32_t>(node);
-    ev.cycle = now;
-    ev.msg = flit.msg;
-    ev.seq = flit.seq;
-    ev.hop = flit.hopIdx;
-    ev.epoch = flit.epoch;
-    append(ev);
-}
-
-void
-TraceRecorder::vcAllocated(Cycle now, const Link &link, int vc,
-                           const Message &msg, int hop_idx)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::VcAllocated;
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = hop_idx;
-    ev.epoch = msg.epoch;
-    append(ev);
-}
-
-void
-TraceRecorder::vcReleased(Cycle now, const Link &link, int vc,
-                          const Message &msg, int hop_idx)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::VcReleased;
-    ev.vc = static_cast<std::int8_t>(vc);
-    ev.link = static_cast<std::uint32_t>(link.id);
-    ev.node = static_cast<std::uint32_t>(link.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = hop_idx;
-    ev.epoch = msg.epoch;
-    append(ev);
-}
-
-void
-TraceRecorder::probeEvent(Cycle now, const Message &msg, ProbeEvent event)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Probe;
-    ev.detail = static_cast<std::uint8_t>(event);
-    ev.node = static_cast<std::uint32_t>(msg.hdr.cur);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.hop = static_cast<std::int32_t>(msg.path.size()) - 1;
-    ev.epoch = msg.epoch;
-    append(ev);
-}
-
-void
-TraceRecorder::messageCreated(Cycle now, const Message &msg)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::MsgCreated;
-    ev.node = static_cast<std::uint32_t>(msg.src);
-    ev.aux = static_cast<std::uint32_t>(msg.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    ev.seq = msg.length;
-    append(ev);
-}
-
-void
-TraceRecorder::messageTerminal(Cycle now, const Message &msg,
-                               MsgOutcome outcome)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::MsgTerminal;
-    ev.detail = static_cast<std::uint8_t>(outcome);
-    ev.node = static_cast<std::uint32_t>(msg.src);
-    ev.aux = static_cast<std::uint32_t>(msg.dst);
-    ev.cycle = now;
-    ev.msg = msg.id;
-    append(ev);
 }
 
 void

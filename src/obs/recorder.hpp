@@ -20,27 +20,15 @@
 
 #include "obs/trace_format.hpp"
 #include "sim/config.hpp"
-#include "sim/trace.hpp"
 
 namespace tpnet::obs {
 
 /** Records every trace hook into an in-memory event sequence. */
-class TraceRecorder : public TraceSink
+class TraceRecorder : public EventSink
 {
   public:
-    void flitCrossed(Cycle now, const Link &link, int vc, const Flit &flit,
-                     bool control_lane) override;
-    void flitInjected(Cycle now, NodeId node, const Flit &flit) override;
-    void flitDelivered(Cycle now, NodeId node, const Flit &flit) override;
-    void vcAllocated(Cycle now, const Link &link, int vc,
-                     const Message &msg, int hop_idx) override;
-    void vcReleased(Cycle now, const Link &link, int vc,
-                    const Message &msg, int hop_idx) override;
-    void probeEvent(Cycle now, const Message &msg,
-                    ProbeEvent event) override;
-    void messageCreated(Cycle now, const Message &msg) override;
-    void messageTerminal(Cycle now, const Message &msg,
-                         MsgOutcome outcome) override;
+    /** Append @p ev and fold it into the digest. */
+    void onEvent(const TraceEvent &ev) override;
 
     const std::vector<TraceEvent> &events() const { return events_; }
     std::size_t size() const { return events_.size(); }
@@ -60,8 +48,6 @@ class TraceRecorder : public TraceSink
     void clear();
 
   private:
-    void append(const TraceEvent &ev);
-
     std::vector<TraceEvent> events_;
     std::uint64_t digest_ = 14695981039346656037ull;
 };

@@ -58,22 +58,8 @@ replayTimeSpace(const std::vector<TraceEvent> &events, MsgId target)
     }
 
     TimeSpaceTrace ts(target);
-    for (const TraceEvent &ev : events) {
-        switch (ev.kind) {
-          case TraceEventKind::FlitCrossed:
-            ts.onFlitCrossed(ev.cycle, ev.toFlit(), ev.vc < 0);
-            break;
-          case TraceEventKind::FlitDelivered:
-            ts.onFlitDelivered(ev.cycle, ev.toFlit());
-            break;
-          case TraceEventKind::Probe:
-            ts.onProbeEvent(ev.cycle, ev.msg,
-                            static_cast<ProbeEvent>(ev.detail));
-            break;
-          default:
-            break;
-        }
-    }
+    for (const TraceEvent &ev : events)
+        ts.onEvent(ev);
     return ts;
 }
 

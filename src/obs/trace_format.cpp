@@ -5,6 +5,9 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/message.hpp"
+#include "router/link.hpp"
+
 namespace tpnet::obs {
 
 namespace {
@@ -57,6 +60,38 @@ getU64(const std::uint8_t *p)
     return v;
 }
 
+/** The fields every flit record shares. */
+TraceEvent
+flitEvent(TraceEventKind kind, Cycle now, const Flit &flit)
+{
+    TraceEvent ev;
+    ev.kind = kind;
+    ev.flitType = static_cast<std::uint8_t>(flit.type);
+    ev.cycle = now;
+    ev.msg = flit.msg;
+    ev.seq = flit.seq;
+    ev.hop = flit.hopIdx;
+    ev.epoch = flit.epoch;
+    return ev;
+}
+
+/** A VC allocation or release; node is the link's downstream end. */
+TraceEvent
+vcEvent(TraceEventKind kind, Cycle now, const Link &link, int vc,
+        const Message &msg, int hop_idx)
+{
+    TraceEvent ev;
+    ev.kind = kind;
+    ev.vc = static_cast<std::int8_t>(vc);
+    ev.link = static_cast<std::uint32_t>(link.id);
+    ev.node = static_cast<std::uint32_t>(link.dst);
+    ev.cycle = now;
+    ev.msg = msg.id;
+    ev.hop = hop_idx;
+    ev.epoch = msg.epoch;
+    return ev;
+}
+
 } // namespace
 
 const char *
@@ -73,19 +108,6 @@ traceEventKindName(TraceEventKind k)
       case TraceEventKind::MsgTerminal:   return "msg-terminal";
     }
     return "?";
-}
-
-Flit
-TraceEvent::toFlit() const
-{
-    Flit f;
-    f.type = static_cast<FlitType>(flitType);
-    f.msg = msg;
-    f.seq = seq;
-    f.hopIdx = hop;
-    f.epoch = epoch;
-    f.readyAt = cycle;
-    return f;
 }
 
 std::uint64_t
@@ -114,6 +136,14 @@ encodeTraceEvent(const TraceEvent &ev, std::uint8_t *out)
     putU32(out + 32, static_cast<std::uint32_t>(ev.hop));
     putU32(out + 36, static_cast<std::uint32_t>(ev.epoch));
     putU32(out + 40, ev.aux);
+}
+
+std::uint64_t
+foldTraceEvent(const TraceEvent &ev, std::uint64_t h)
+{
+    std::uint8_t rec[traceRecordSize];
+    encodeTraceEvent(ev, rec);
+    return fnv1a64(rec, sizeof(rec), h);
 }
 
 TraceEvent
@@ -182,6 +212,107 @@ traceEventJson(const TraceEvent &ev)
     }
     os << '}';
     return os.str();
+}
+
+void
+EventSink::flitCrossed(Cycle now, const Link &link, int vc,
+                       const Flit &flit, bool control_lane)
+{
+    // The lane is recoverable from the record: vc < 0 on control.
+    TraceEvent ev = flitEvent(TraceEventKind::FlitCrossed, now, flit);
+    ev.vc = static_cast<std::int8_t>(vc);
+    ev.link = static_cast<std::uint32_t>(link.id);
+    ev.node = static_cast<std::uint32_t>(link.src);
+    onEvent(ev);
+    if (next_)
+        next_->flitCrossed(now, link, vc, flit, control_lane);
+}
+
+void
+EventSink::flitInjected(Cycle now, NodeId node, const Flit &flit)
+{
+    TraceEvent ev = flitEvent(TraceEventKind::FlitInjected, now, flit);
+    ev.node = static_cast<std::uint32_t>(node);
+    onEvent(ev);
+    if (next_)
+        next_->flitInjected(now, node, flit);
+}
+
+void
+EventSink::flitDelivered(Cycle now, NodeId node, const Flit &flit)
+{
+    TraceEvent ev = flitEvent(TraceEventKind::FlitDelivered, now, flit);
+    ev.node = static_cast<std::uint32_t>(node);
+    onEvent(ev);
+    if (next_)
+        next_->flitDelivered(now, node, flit);
+}
+
+void
+EventSink::vcAllocated(Cycle now, const Link &link, int vc,
+                       const Message &msg, int hop_idx)
+{
+    onEvent(vcEvent(TraceEventKind::VcAllocated, now, link, vc, msg,
+                    hop_idx));
+    if (next_)
+        next_->vcAllocated(now, link, vc, msg, hop_idx);
+}
+
+void
+EventSink::vcReleased(Cycle now, const Link &link, int vc,
+                      const Message &msg, int hop_idx)
+{
+    onEvent(vcEvent(TraceEventKind::VcReleased, now, link, vc, msg,
+                    hop_idx));
+    if (next_)
+        next_->vcReleased(now, link, vc, msg, hop_idx);
+}
+
+void
+EventSink::probeEvent(Cycle now, const Message &msg, ProbeEvent event)
+{
+    TraceEvent ev;
+    ev.kind = TraceEventKind::Probe;
+    ev.detail = static_cast<std::uint8_t>(event);
+    ev.node = static_cast<std::uint32_t>(msg.hdr.cur);
+    ev.cycle = now;
+    ev.msg = msg.id;
+    ev.hop = static_cast<std::int32_t>(msg.path.size()) - 1;
+    ev.epoch = msg.epoch;
+    onEvent(ev);
+    if (next_)
+        next_->probeEvent(now, msg, event);
+}
+
+void
+EventSink::messageCreated(Cycle now, const Message &msg)
+{
+    TraceEvent ev;
+    ev.kind = TraceEventKind::MsgCreated;
+    ev.node = static_cast<std::uint32_t>(msg.src);
+    ev.aux = static_cast<std::uint32_t>(msg.dst);
+    ev.cycle = now;
+    ev.msg = msg.id;
+    ev.seq = msg.length;
+    onEvent(ev);
+    if (next_)
+        next_->messageCreated(now, msg);
+}
+
+void
+EventSink::messageTerminal(Cycle now, const Message &msg,
+                           MsgOutcome outcome)
+{
+    TraceEvent ev;
+    ev.kind = TraceEventKind::MsgTerminal;
+    ev.detail = static_cast<std::uint8_t>(outcome);
+    ev.node = static_cast<std::uint32_t>(msg.src);
+    ev.aux = static_cast<std::uint32_t>(msg.dst);
+    ev.cycle = now;
+    ev.msg = msg.id;
+    onEvent(ev);
+    if (next_)
+        next_->messageTerminal(now, msg, outcome);
 }
 
 TraceWriter::TraceWriter(std::ostream &os, std::uint64_t seed)

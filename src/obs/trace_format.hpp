@@ -62,9 +62,6 @@ struct TraceEvent
     std::int32_t hop = 0;
     std::int32_t epoch = 0;
     std::uint32_t aux = 0;
-
-    /** Reconstruct the flit this record described (flit-kind records). */
-    Flit toFlit() const;
 };
 
 /** Serialized record size in bytes. */
@@ -80,11 +77,47 @@ std::uint64_t fnv1a64(const void *data, std::size_t n,
 /** Serialize @p ev into @p out (traceRecordSize bytes, little-endian). */
 void encodeTraceEvent(const TraceEvent &ev, std::uint8_t *out);
 
+/** Fold the serialized bytes of @p ev into the FNV-1a digest @p h. */
+std::uint64_t foldTraceEvent(const TraceEvent &ev, std::uint64_t h);
+
 /** Inverse of encodeTraceEvent. */
 TraceEvent decodeTraceEvent(const std::uint8_t *in);
 
 /** One JSON object (single line, no trailing newline) for JSONL dumps. */
 std::string traceEventJson(const TraceEvent &ev);
+
+/**
+ * The one hook-to-record mapping. Each TraceSink hook builds the
+ * TraceEvent it stands for, hands it to onEvent(), then forwards the
+ * raw hook to the optional next sink. Recorders, digests and the
+ * time-space diagram read events only through onEvent(), so a live
+ * run and a replayed file feed them the same records.
+ */
+class EventSink : public TraceSink
+{
+  public:
+    explicit EventSink(TraceSink *next = nullptr) : next_(next) {}
+
+    /** One event, live or replayed. */
+    virtual void onEvent(const TraceEvent &ev) = 0;
+
+    void flitCrossed(Cycle now, const Link &link, int vc, const Flit &flit,
+                     bool control_lane) final;
+    void flitInjected(Cycle now, NodeId node, const Flit &flit) final;
+    void flitDelivered(Cycle now, NodeId node, const Flit &flit) final;
+    void vcAllocated(Cycle now, const Link &link, int vc,
+                     const Message &msg, int hop_idx) final;
+    void vcReleased(Cycle now, const Link &link, int vc,
+                    const Message &msg, int hop_idx) final;
+    void probeEvent(Cycle now, const Message &msg,
+                    ProbeEvent event) final;
+    void messageCreated(Cycle now, const Message &msg) final;
+    void messageTerminal(Cycle now, const Message &msg,
+                         MsgOutcome outcome) final;
+
+  private:
+    TraceSink *next_ = nullptr;
+};
 
 /** Parsed trace-file header. */
 struct TraceFileInfo

@@ -220,96 +220,68 @@ CwgTracker::clearWaits(MsgId id)
     waits_.erase(it);
 }
 
-// --- Incremental cycle detection (Pearce–Kelly) ---------------------------
-
-int
-CwgTracker::ordOf(MsgId id)
-{
-    auto [it, fresh] = ord_.emplace(id, nextOrd_);
-    if (fresh)
-        ++nextOrd_;
-    return it->second;
-}
+// --- Incremental cycle detection ------------------------------------------
 
 void
 CwgTracker::addEdge(MsgId u, MsgId v)
 {
-    const EdgeKey e{u, v};
-    const int n = ++edgeCount_[e];
+    const int n = ++edgeCount_[EdgeKey{u, v}];
     if (n > 1)
         return;  // multiplicity only; the graph edge already exists
     trueOut_[u].push_back(v);
     std::vector<MsgId> cycle;
-    if (insertOrdered(u, v, &cycle)) {
-        inDag_[e] = true;
-        dagOut_[u].push_back(v);
-        dagIn_[v].push_back(u);
-    } else {
-        // The edge closes a cycle: keep the DAG invariant by leaving it
-        // out of the order (the true graph still holds it; the periodic
-        // sweep tracks its persistence) and report the cycle now.
-        inDag_[e] = false;
+    if (closesCycle(u, v, &cycle)) {
+        // Keep the DAG acyclic by leaving the edge out (the true graph
+        // still holds it; the periodic sweep tracks its persistence)
+        // and report the cycle now.
         reportCycle(cycle, false);
+    } else {
+        dagOut_[u].push_back(v);
     }
 }
 
 void
 CwgTracker::removeEdge(MsgId u, MsgId v)
 {
-    const EdgeKey e{u, v};
-    auto it = edgeCount_.find(e);
+    auto it = edgeCount_.find(EdgeKey{u, v});
     if (it == edgeCount_.end())
         return;
     if (--it->second > 0)
         return;
     edgeCount_.erase(it);
-    auto tout = trueOut_.find(u);
-    if (tout != trueOut_.end()) {
-        auto &outs = tout->second;
+    // Drop u->v from both adjacencies; a rejected edge is only in the
+    // true graph, and erasing an absent entry is a no-op.
+    for (auto *adj : {&trueOut_, &dagOut_}) {
+        auto out = adj->find(u);
+        if (out == adj->end())
+            continue;
+        auto &outs = out->second;
         outs.erase(std::remove(outs.begin(), outs.end(), v), outs.end());
         if (outs.empty())
-            trueOut_.erase(tout);
-    }
-    auto flag = inDag_.find(e);
-    const bool dag = flag != inDag_.end() && flag->second;
-    if (flag != inDag_.end())
-        inDag_.erase(flag);
-    if (dag) {
-        auto &outs = dagOut_[u];
-        outs.erase(std::remove(outs.begin(), outs.end(), v), outs.end());
-        if (outs.empty())
-            dagOut_.erase(u);
-        auto &ins = dagIn_[v];
-        ins.erase(std::remove(ins.begin(), ins.end(), u), ins.end());
-        if (ins.empty())
-            dagIn_.erase(v);
+            adj->erase(out);
     }
 }
 
 bool
-CwgTracker::insertOrdered(MsgId u, MsgId v, std::vector<MsgId> *cycle_out)
+CwgTracker::closesCycle(MsgId u, MsgId v,
+                        std::vector<MsgId> *cycle_out) const
 {
-    const int ou = ordOf(u);
-    const int ov = ordOf(v);
-    if (ov > ou)
-        return true;  // already consistent: O(1), the common case
+    if (!dagOut_.count(v))
+        return false;  // no DAG edge leaves v: the common case
 
-    // Forward discovery from v, bounded by ord <= ord[u] — the affected
-    // region. Reaching u closes a cycle.
+    // LIFO depth-first search from v over the DAG; reaching u closes
+    // the cycle u -> v -> ... -> w -> u.
     std::unordered_map<MsgId, MsgId> parent;
-    std::vector<MsgId> deltaF;
-    std::unordered_set<MsgId> seenF{v};
+    std::unordered_set<MsgId> seen{v};
     std::vector<MsgId> stack{v};
     while (!stack.empty()) {
         const MsgId w = stack.back();
         stack.pop_back();
-        deltaF.push_back(w);
         auto it = dagOut_.find(w);
         if (it == dagOut_.end())
             continue;
         for (MsgId x : it->second) {
             if (x == u) {
-                // Cycle: u -> v -> ... -> w -> u.
                 cycle_out->clear();
                 for (MsgId y = w;; y = parent.at(y)) {
                     cycle_out->push_back(y);
@@ -321,51 +293,15 @@ CwgTracker::insertOrdered(MsgId u, MsgId v, std::vector<MsgId> *cycle_out)
                 // Rotate so the blocked inserter leads the report.
                 std::rotate(cycle_out->begin(), cycle_out->end() - 1,
                             cycle_out->end());
-                return false;
+                return true;
             }
-            if (ord_[x] <= ou && seenF.insert(x).second) {
+            if (seen.insert(x).second) {
                 parent[x] = w;
                 stack.push_back(x);
             }
         }
     }
-
-    // Backward discovery from u, bounded by ord >= ord[v].
-    std::vector<MsgId> deltaB;
-    std::unordered_set<MsgId> seenB{u};
-    stack.push_back(u);
-    while (!stack.empty()) {
-        const MsgId w = stack.back();
-        stack.pop_back();
-        deltaB.push_back(w);
-        auto it = dagIn_.find(w);
-        if (it == dagIn_.end())
-            continue;
-        for (MsgId x : it->second) {
-            if (ord_[x] >= ov && seenB.insert(x).second)
-                stack.push_back(x);
-        }
-    }
-
-    // Reorder the affected region only: the nodes of deltaB keep their
-    // relative order, then the nodes of deltaF, packed into the sorted
-    // pool of the positions both sets already occupy.
-    auto byOrd = [this](MsgId a, MsgId b) { return ord_[a] < ord_[b]; };
-    std::sort(deltaB.begin(), deltaB.end(), byOrd);
-    std::sort(deltaF.begin(), deltaF.end(), byOrd);
-    std::vector<int> pool;
-    pool.reserve(deltaB.size() + deltaF.size());
-    for (MsgId w : deltaB)
-        pool.push_back(ord_[w]);
-    for (MsgId w : deltaF)
-        pool.push_back(ord_[w]);
-    std::sort(pool.begin(), pool.end());
-    std::size_t slot = 0;
-    for (MsgId w : deltaB)
-        ord_[w] = pool[slot++];
-    for (MsgId w : deltaF)
-        ord_[w] = pool[slot++];
-    return true;
+    return false;
 }
 
 // --- Classification and diagnosis -----------------------------------------

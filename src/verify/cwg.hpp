@@ -12,13 +12,13 @@
  * retract when the probe is granted a channel, retreats, or its circuit
  * is torn down, and when the waited trio is released.
  *
- * Cycle-freeness of the resulting message wait-for graph is maintained
- * with an incremental topological order (Pearce–Kelly): inserting an
- * edge u->v only does work when ord[v] <= ord[u], and then only over
- * the affected region between them. An edge that would close a cycle
- * is rejected from the order (keeping the DAG invariant) and the cycle
+ * Cycles are caught incrementally against an acyclic subgraph of the
+ * message wait-for graph: inserting an edge u->v searches depth-first
+ * from v over that subgraph, and reaching u closes a cycle. Such an
+ * edge is left out of the subgraph (keeping it acyclic) and the cycle
  * is extracted and classified on the spot. A low-frequency full SCC
- * sweep over the true wait graph re-classifies cycles that linger: a
+ * sweep over the true wait graph finds the cycles that close only
+ * through a rejected edge and re-classifies cycles that linger: a
  * cycle can degenerate into a knot without inserting a single new edge
  * (an exit evaporates when its holder blocks), so only the sweep can
  * observe that transition.
@@ -301,14 +301,12 @@ class CwgTracker
     void removeEdge(MsgId u, MsgId v);
 
     /**
-     * Pearce–Kelly insertion of u->v into the maintained topological
-     * order. @return false when the edge closes a cycle — the cycle
-     * (in wait order, starting at u) is written to @p cycle_out and
-     * the edge is left out of the DAG.
+     * True when the DAG already holds a path v -> ... -> u, so the
+     * edge u->v would close a cycle; the cycle (in wait order,
+     * starting at u) is written to @p cycle_out.
      */
-    bool insertOrdered(MsgId u, MsgId v, std::vector<MsgId> *cycle_out);
-
-    int ordOf(MsgId id);
+    bool closesCycle(MsgId u, MsgId v,
+                     std::vector<MsgId> *cycle_out) const;
 
     /** Classify, diagnose, and record one detected cycle. */
     void reportCycle(const std::vector<MsgId> &members, bool from_sweep);
@@ -354,14 +352,9 @@ class CwgTracker
     // rebuild it.
     std::unordered_map<EdgeKey, int, EdgeKeyHash> edgeCount_;
     std::unordered_map<MsgId, std::vector<MsgId>> trueOut_;
-    // DAG adjacency of the maintained order (rejected edges excluded).
+    // Acyclic subgraph: the true graph minus every edge that closed a
+    // cycle when it was inserted.
     std::unordered_map<MsgId, std::vector<MsgId>> dagOut_;
-    std::unordered_map<MsgId, std::vector<MsgId>> dagIn_;
-    std::unordered_map<EdgeKey, bool, EdgeKeyHash> inDag_;
-
-    // Pearce–Kelly topological order.
-    std::unordered_map<MsgId, int> ord_;
-    int nextOrd_ = 0;
 
     // Persistence tracking of benign cycles (hash -> first seen).
     std::unordered_map<std::uint64_t, Cycle> benignSeen_;

@@ -148,6 +148,16 @@ TEST(CheckpointContainer, RejectsEveryCorruptionMode)
         obs::CkReader r(is);
         EXPECT_FALSE(r.ok());
     }
+    {  // version 1 (it also serialized the CWG's topological order)
+        std::string bad = good;
+        bad[4] = 1;
+        std::istringstream is(bad, std::ios::binary);
+        obs::CkReader r(is);
+        EXPECT_FALSE(r.ok());
+        EXPECT_NE(r.error().find("unsupported checkpoint version 1"),
+                  std::string::npos)
+            << r.error();
+    }
     {  // truncated header
         std::istringstream is(good.substr(0, 20), std::ios::binary);
         obs::CkReader r(is);

@@ -22,7 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/network.hpp"
+#include "core/run_loop.hpp"
+#include "obs/checkpoint.hpp"
 #include "obs/recorder.hpp"
+#include "traffic/injector.hpp"
 
 namespace tpnet::obs {
 namespace {
@@ -103,6 +107,41 @@ TEST(GoldenTrace, DigestsMatchGoldensAtJobs1And8)
         std::printf("goldens updated: %s\n", TPNET_OBS_GOLDENS);
     } else if (mismatch) {
         std::printf("expected goldens would be:\n%s", regen.str().c_str());
+    }
+}
+
+TEST(GoldenTrace, DigestTeeAgreesWithTheRecorderBehindIt)
+{
+    // The checkpoint tail digest and the golden trace digest read the
+    // same EventSink records: a DigestTee forwarding to a TraceRecorder
+    // must fold exactly what the recorder appends, and forwarding must
+    // leave the recording equal to a plain recordRun.
+    const std::vector<RecordSpec> specs = goldenSpecs(goldenSeed);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const RecordSpec &spec = specs[i];
+        SCOPED_TRACE(goldenSpecName(i));
+        Network net(spec.cfg);
+        Injector inj(net);
+        TraceRecorder rec;
+        DigestTee tee(&rec);
+        net.attachTrace(&tee);
+        RunLoop loop(net, inj);
+        if (spec.killNode != invalidNode && spec.killAt < spec.cycles) {
+            loop.run(spec.killAt);
+            net.failNode(spec.killNode);
+        }
+        loop.run(spec.cycles);
+        inj.stop();
+        loop.run(spec.cycles + spec.drain, false,
+                 [&] { return net.quiescent() && !inj.repliesPending(); });
+        net.attachTrace(nullptr);
+
+        EXPECT_GT(rec.size(), 0u);
+        EXPECT_EQ(tee.digest(), rec.digest());
+        EXPECT_EQ(tee.records(), rec.size());
+        const TraceRecorder plain = recordRun(spec);
+        EXPECT_EQ(rec.digest(), plain.digest());
+        EXPECT_EQ(rec.size(), plain.size());
     }
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Channel-wait-for-graph analyzer: hand-constructed wait cycles with
- * known classifications, edge-lifecycle bookkeeping, the Pearce–Kelly
- * reordering path, persistence warnings, and the zero-perturbation
- * guarantee (golden digests identical with the tracker on).
+ * known classifications, edge-lifecycle bookkeeping, multi-hop cycle
+ * closure and the rejected-edge rule of the incremental search,
+ * persistence warnings, and the zero-perturbation guarantee (golden
+ * digests identical with the tracker on).
  * Knot-vs-heuristic disagreement cases live in test_knot.cpp.
  */
 
@@ -247,9 +248,9 @@ TEST_F(CwgTest, SelfWaitsAndFreeTriosAreNotEdges)
 
 TEST_F(CwgTest, CycleClosingThroughReorderedRegionIsDetected)
 {
-    // Insertion order 0->1, 2->0, 1->2 forces the Pearce–Kelly
-    // reordering path (2 enters with a higher order than 0) before the
-    // last edge closes the triangle.
+    // Insertion order 0->1, 2->0, 1->2: no edge but the last touches a
+    // cycle, and the last one is only found by searching two hops
+    // (2 -> 0 -> 1) from its head back to its tail.
     CwgTracker cwg(net_);
     const int vc = net_.escapeVcCount();
     own(1, vc, 1);
@@ -265,6 +266,37 @@ TEST_F(CwgTest, CycleClosingThroughReorderedRegionIsDetected)
     EXPECT_EQ(cwg.cyclesDetected(), 1u);
     EXPECT_EQ(cwg.violations().size(), 0u);  // closure exit via msg 4
     EXPECT_EQ(cwg.benignCycles(), 1u);
+}
+
+TEST_F(CwgTest, CycleThroughARejectedEdgeWaitsForTheSweep)
+{
+    // An edge that closed a cycle stays out of the acyclic subgraph the
+    // insertion search walks. A later edge whose cycle runs through it
+    // is therefore not reported on insertion; the next sweep over the
+    // true graph reports it. Searching the true graph on insertion
+    // instead would report it early and change campaign verdicts.
+    CwgConfig ccfg;
+    ccfg.sweepEvery = 4;
+    CwgTracker cwg(net_, ccfg);
+    const int vc = net_.escapeVcCount();
+    own(0, vc, 0);
+    own(1, vc, 1);
+    own(2, vc, 2);
+    own(4, vc, 4);  // external exit keeps every cycle benign
+
+    blockOn(cwg, 0, 1, vc);                   // 0 -> 1
+    blockOnMany(cwg, 1, {{0, vc}, {4, vc}});  // 1 -> 0 closes, rejected
+    EXPECT_EQ(cwg.cyclesDetected(), 1u);
+
+    cwg.onGranted(net_.message(0));  // 0 -> 1 retracts; 1 -> 0 stays
+    blockOn(cwg, 0, 2, vc);          // 0 -> 2
+    blockOn(cwg, 2, 1, vc);          // 2 -> 1 closes 2 -> 1 -> 0 -> 2
+    EXPECT_EQ(cwg.edgeCount(), 4u);
+    EXPECT_EQ(cwg.cyclesDetected(), 1u);  // not seen on insertion
+
+    cwg.onCycleEnd(4);
+    EXPECT_EQ(cwg.cyclesDetected(), 2u);
+    EXPECT_EQ(cwg.benignCycles(), 2u);
 }
 
 TEST_F(CwgTest, DissolvedCycleIsReReportedWhenItReforms)

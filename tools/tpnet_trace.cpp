@@ -36,6 +36,7 @@
 #include <fstream>
 
 #include "core/pool.hpp"
+#include "core/run_loop.hpp"
 #include "core/tpnet.hpp"
 #include "metrics/timespace.hpp"
 #include "obs/checkpoint.hpp"
@@ -375,7 +376,12 @@ legacyLive(int argc, const char *const *argv)
         dst = topo.nodeAt(coords);
     }
 
-    Network net(cfg);
+    // The one message offered below is the whole workload: the network
+    // sees no traffic classes, so a closed-loop class has no request
+    // to answer, and the injector is stopped before the first cycle.
+    SimConfig single = cfg;
+    single.trafficClasses.clear();
+    Network net(single);
     for (NodeId f : failed) {
         if (f < 0 || f >= nodes || f == src || f == dst) {
             std::fprintf(stderr, "error: cannot fail node %d (out of "
@@ -385,12 +391,14 @@ legacyLive(int argc, const char *const *argv)
         net.failNode(f);
     }
 
+    Injector inj(net);
+    inj.stop();
     TimeSpaceTrace trace(0);
     net.attachTrace(&trace);
     net.setMeasuring(true);
     net.offerMessage(src, dst);
-    for (Cycle c = 0; c < 100000 && net.activeMessages() > 0; ++c)
-        net.step();
+    RunLoop(net, inj).run(100000, false,
+                          [&] { return net.activeMessages() == 0; });
 
     std::printf("# %s   src=%d dst=%d\n", cfg.summary().c_str(), src,
                 dst);
