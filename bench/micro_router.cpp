@@ -64,7 +64,13 @@ BM_RngDraw(benchmark::State &state)
 }
 BENCHMARK(BM_RngDraw);
 
-/** Cost of one network cycle at a given offered load (x1000 cycles). */
+/**
+ * Cost of one network cycle at a given offered load (x1000 cycles).
+ * Arg(30) is the uniform_sat load, the saturation knee. The data phase's
+ * work per cycle — move attempts, moves, rejects by reason, injection
+ * attempts, message-table lookups — is reported as user counters from
+ * Network::dataWork(), so a speedup can be told apart from less work.
+ */
 void
 BM_NetworkCycle(benchmark::State &state)
 {
@@ -77,13 +83,35 @@ BM_NetworkCycle(benchmark::State &state)
         inj.step();
         net.step();
     }
+    const DataPhaseWork before = net.dataWork();
     for (auto _ : state) {
         inj.step();
         net.step();
     }
+    benchmark::DoNotOptimize(net.counters().dataCrossings);
     state.SetItemsProcessed(state.iterations());
+
+    const DataPhaseWork &after = net.dataWork();
+    const auto perCycle = [&](const char *name, std::uint64_t a,
+                              std::uint64_t b) {
+        state.counters[name] = benchmark::Counter(
+            static_cast<double>(a - b) /
+            static_cast<double>(state.iterations()));
+    };
+    perCycle("move_attempts", after.moveAttempts, before.moveAttempts);
+    perCycle("moves", after.moves, before.moves);
+    perCycle("rej_empty", after.rejectEmpty, before.rejectEmpty);
+    perCycle("rej_gated", after.rejectGated, before.rejectGated);
+    perCycle("rej_not_ready", after.rejectNotReady, before.rejectNotReady);
+    perCycle("rej_unmapped", after.rejectUnmapped, before.rejectUnmapped);
+    perCycle("rej_faulty", after.rejectFaulty, before.rejectFaulty);
+    perCycle("rej_full", after.rejectFull, before.rejectFull);
+    perCycle("rej_owner", after.rejectOwner, before.rejectOwner);
+    perCycle("inject_attempts", after.injectAttempts, before.injectAttempts);
+    perCycle("injections", after.injections, before.injections);
+    perCycle("msg_lookups", after.messageLookups, before.messageLookups);
 }
-BENCHMARK(BM_NetworkCycle)->Arg(0)->Arg(10)->Arg(25);
+BENCHMARK(BM_NetworkCycle)->Arg(0)->Arg(10)->Arg(25)->Arg(30);
 
 /** End-to-end single message setup+delivery, per protocol. */
 void

@@ -225,15 +225,13 @@ runCampaign(const CampaignSpec &spec)
                << "/" << msg->srcK << (msg->srcHold ? " HELD" : "")
                << ", leadHop " << msg->leadHop;
             for (const PathHop &hop : msg->path) {
-                const VcState &vc =
-                    net.link(hop.link)
-                        .vcs[static_cast<std::size_t>(hop.vc)];
+                const VcState &vc = net.vc(hop.link, hop.vc);
                 os << " [" << hop.link << ":" << hop.vc
                    << (vc.owner == msg->id ? "" : " NOTOWN") << " ctr "
                    << vc.counter << "/" << vc.kReg
                    << (vc.hold ? " HOLD" : "")
                    << (vc.routed ? "" : " UNROUTED") << " q"
-                   << vc.data.size() << "]";
+                   << vc.size() << "]";
             }
             if (const verify::CwgTracker *cwg = net.cwg()) {
                 const std::string waits = cwg->describeWaits(id);

@@ -31,6 +31,10 @@ namespace tpnet {
  */
 struct SnapshotAccess
 {
+    /** Widest id span a restored message table may cover (4 bytes of
+     *  window per id: 1 GiB). */
+    static constexpr std::uint64_t maxRestoredSpan = std::uint64_t{1} << 28;
+
     /** True when the archive is a reader that has already failed. */
     template <class Ar>
     static bool
@@ -197,34 +201,54 @@ struct SnapshotAccess
     }
 
     /**
-     * Flit FIFO through the public API: capacity is fixed by the
+     * One VC's DIBU through the data plane: the capacity is fixed by the
      * constructor, only the occupancy travels.
      */
     template <class Ar>
     static void
-    ioFifo(Ar &ar, Fifo<Flit> &q)
+    ioDibu(Ar &ar, DataPlane &plane, VcIndex i)
     {
-        std::uint64_t n = static_cast<std::uint64_t>(q.size());
+        std::uint64_t n = static_cast<std::uint64_t>(plane[i].size());
         ar.u64(n);
         if constexpr (Ar::isReader) {
-            if (n > q.capacity()) {
+            if (n > plane.depth()) {
                 ar.fail("checkpoint FIFO depth exceeds the configured "
                         "buffer capacity");
                 return;
             }
-            q.clear();
-            for (std::uint64_t i = 0; i < n; ++i) {
+            while (!plane[i].empty())
+                plane.pop(i);
+            for (std::uint64_t k = 0; k < n; ++k) {
                 if (!ar.ok())
                     return;
                 Flit f;
                 io(ar, f);
-                q.push(f);
+                plane.push(i, f);
             }
         } else {
-            for (std::uint64_t i = 0; i < n; ++i) {
-                Flit f = q.at(static_cast<std::size_t>(i));
+            for (std::uint64_t k = 0; k < n; ++k) {
+                Flit f = plane.at(i, static_cast<std::size_t>(k));
                 io(ar, f);
             }
+        }
+    }
+
+    /** An int-serialized field stored narrower; the reader range-checks. */
+    template <class Ar>
+    static void
+    ioNarrow(Ar &ar, std::int8_t &v, int lo, int hi, const char *what)
+    {
+        int x = v;
+        ioInt(ar, x);
+        if constexpr (Ar::isReader) {
+            if (x < lo || x >= hi) {
+                std::ostringstream os;
+                os << "checkpoint " << what << " " << x
+                   << " out of range";
+                ar.fail(os.str());
+                return;
+            }
+            v = static_cast<std::int8_t>(x);
         }
     }
 
@@ -270,18 +294,32 @@ struct SnapshotAccess
         ar.u64(f.readyAt);
     }
 
+    /** VC trio @p i of a network with @p radix ports. */
     template <class Ar>
     static void
-    io(Ar &ar, VcState &vc)
+    io(Ar &ar, DataPlane &plane, VcIndex i, int radix)
     {
-        ioFifo(ar, vc.data);
+        ioDibu(ar, plane, i);
+        VcState &vc = plane[i];
         ar.i64(vc.owner);
         ar.b(vc.routed);
-        ioInt(ar, vc.outPort);
-        ioInt(ar, vc.outVc);
+        ioNarrow(ar, vc.outPort, ejectPort, radix, "VC output port");
+        ioNarrow(ar, vc.outVc, -1, plane.vcsPerLink(), "VC output VC");
         ioInt(ar, vc.counter);
         ioInt(ar, vc.kReg);
         ar.b(vc.hold);
+        if constexpr (Ar::isReader) {
+            // The data phase indexes by the mapping of a routed VC: a
+            // routed VC names a port (and a VC unless it ejects), an
+            // unrouted one names neither.
+            const bool consistent = !vc.routed
+                ? vc.outPort == -1 && vc.outVc == -1
+                : vc.outPort == ejectPort ? vc.outVc == -1
+                                          : vc.outPort >= 0 && vc.outVc >= 0;
+            if (!consistent)
+                ar.fail("checkpoint VC mapping disagrees with its routed "
+                        "bit");
+        }
     }
 
     template <class Ar>
@@ -503,15 +541,127 @@ struct SnapshotAccess
         // traceOffset_ is a live callback, not state.
     }
 
+    /**
+     * Crossbar list of output @p port as (link, vc) pairs in mapping
+     * order; the reader re-maps each after checking it.
+     */
+    template <class Ar>
+    static void
+    ioInputs(Ar &ar, DataPlane &plane, Router &rt, int port)
+    {
+        const std::span<const VcIndex> list = rt.mappedInputs(port);
+        std::uint64_t n = list.size();
+        ar.u64(n);
+        if constexpr (Ar::isReader) {
+            if (n > rt.listCapacity()) {
+                ar.fail("checkpoint crossbar list exceeds the router's "
+                        "input VCs");
+                return;
+            }
+            for (std::uint64_t k = 0; k < n && ar.ok(); ++k) {
+                std::int32_t link = 0;
+                int vc = 0;
+                ar.i32(link);
+                ioInt(ar, vc);
+                const std::size_t links =
+                    plane.size() /
+                    static_cast<std::size_t>(plane.vcsPerLink());
+                if (link < 0 || static_cast<std::size_t>(link) >= links ||
+                    vc < 0 || vc >= plane.vcsPerLink()) {
+                    ar.fail("checkpoint crossbar entry names no VC");
+                    return;
+                }
+                rt.mapInput(port, plane.index(link, vc));
+            }
+        } else {
+            for (VcIndex in : list) {
+                std::int32_t link = plane.linkOf(in);
+                int vc = plane.vcOf(in);
+                ar.i32(link);
+                ioInt(ar, vc);
+            }
+        }
+    }
+
+    /** Round-robin pointer of one crossbar arbiter (at most a full list). */
+    template <class Ar>
+    static void
+    ioArbiter(Ar &ar, Router &rt, int port)
+    {
+        std::size_t at = rt.rr(port);
+        ioSz(ar, at);
+        if constexpr (Ar::isReader) {
+            if (at > rt.listCapacity()) {
+                ar.fail("checkpoint arbiter pointer beyond its crossbar "
+                        "list");
+                return;
+            }
+            rt.setRr(port, at);
+        }
+    }
+
+    /**
+     * The message table as (id, message) pairs in id order. The reader
+     * requires strictly increasing ids below the next id to issue, and
+     * a window no longer than the store is meant to span.
+     */
+    template <class Ar>
+    static void
+    ioMessages(Ar &ar, MessageStore &store, MsgId nextId)
+    {
+        std::uint64_t n = store.size();
+        ar.u64(n);
+        if constexpr (Ar::isReader) {
+            if (n > ar.remaining()) {
+                ar.fail("implausible checkpoint container size");
+                return;
+            }
+            store.clear();
+            MsgId first = invalidMsg;
+            MsgId last = invalidMsg;
+            for (std::uint64_t k = 0; k < n; ++k) {
+                if (!ar.ok())
+                    return;
+                MsgId id = invalidMsg;
+                ar.i64(id);
+                if (id <= last || id >= nextId) {
+                    ar.fail("checkpoint message ids out of order or "
+                            "beyond the next id");
+                    return;
+                }
+                if (first == invalidMsg)
+                    first = id;
+                if (static_cast<std::uint64_t>(id - first) >=
+                    maxRestoredSpan) {
+                    ar.fail("checkpoint message ids span more than the "
+                            "message window holds");
+                    return;
+                }
+                Message m;
+                io(ar, m);
+                if (m.id != id) {
+                    ar.fail("checkpoint message record under another id");
+                    return;
+                }
+                store.insert(std::move(m));
+                last = id;
+            }
+        } else {
+            store.forEach([&ar](Message &m) {
+                MsgId id = m.id;
+                ar.i64(id);
+                io(ar, m);
+            });
+        }
+    }
+
     template <class Ar>
     static void
     io(Ar &ar, Network &net)
     {
         const auto msgIdIo = [](Ar &a, MsgId &m) { a.i64(m); };
-        const auto inRefIo = [](Ar &a, InRef &r) {
-            a.i32(r.link);
-            ioInt(a, r.vc);
-        };
+        DataPlane &plane = net.plane_;
+        const int radix = net.topo_->radix();
 
         io(ar, net.rng_);
         io(ar, net.victimRng_);
@@ -525,9 +675,10 @@ struct SnapshotAccess
         for (Link &lk : net.links_) {
             if (bad(ar))
                 return;
-            ioCheckCount(ar, lk.vcs.size(), "virtual-channel");
-            for (VcState &vc : lk.vcs)
-                io(ar, vc);
+            ioCheckCount(ar, static_cast<std::size_t>(plane.vcsPerLink()),
+                         "virtual-channel");
+            for (int v = 0; v < plane.vcsPerLink() && !bad(ar); ++v)
+                io(ar, plane, plane.index(lk.id, v), radix);
             ioVec(ar, lk.ctrlQ, [](Ar &a, Flit &f) { io(a, f); });
             ioVec(ar, lk.ackQ, [](Ar &a, Flit &f) { io(a, f); });
             ar.b(lk.faulty);
@@ -547,20 +698,20 @@ struct SnapshotAccess
                 a.i64(e.msg);
                 ioInt(a, e.epoch);
             });
-            ioCheckCount(ar, rt.mappedInputs.size(), "router-port");
-            for (auto &list : rt.mappedInputs)
-                ioVec(ar, list, inRefIo);
-            ioVec(ar, rt.ejectInputs, inRefIo);
-            ioCheckCount(ar, rt.outRR.size(), "arbiter");
-            for (auto &p : rt.outRR)
-                ioSz(ar, p);
-            ioSz(ar, rt.ejectRR);
+            ioCheckCount(ar, static_cast<std::size_t>(radix),
+                         "router-port");
+            if constexpr (Ar::isReader)
+                rt.clearInputs();
+            for (int port = 0; port <= radix && !bad(ar); ++port)
+                ioInputs(ar, plane, rt, port == radix ? ejectPort : port);
+            ioCheckCount(ar, static_cast<std::size_t>(radix), "arbiter");
+            for (int port = 0; port <= radix && !bad(ar); ++port)
+                ioArbiter(ar, rt, port == radix ? ejectPort : port);
             ioSz(ar, rt.maxRcuDepth);
             ar.u64(rt.headersRouted);
         }
 
-        ioMap(ar, net.messages_, std::less<MsgId>{}, msgIdIo,
-              [](Ar &a, Message &m) { io(a, m); });
+        ioMessages(ar, net.messages_, net.nextMsgId_);
 
         ioCheckCount(ar, net.injQ_.size(), "injection-queue");
         for (auto &q : net.injQ_)
@@ -611,8 +762,8 @@ struct SnapshotAccess
         if (net.cwg_)
             io(ar, *net.cwg_);
 
-        // The ready sets and the live-id index are derived state: they
-        // are not serialized, just reconstructed from what was read.
+        // The ready sets and the mapped-flit counts are derived state:
+        // they are not serialized, just reconstructed from what was read.
         if constexpr (Ar::isReader) {
             if (!bad(ar))
                 net.rebuildActivity();

@@ -293,13 +293,11 @@ Watchdog::checkConservation()
         }
         int resident = 0;
         for (const PathHop &hop : msg->path) {
-            const Link &lk = net_.link(hop.link);
-            const VcState &vc =
-                lk.vcs[static_cast<std::size_t>(hop.vc)];
+            const VcState &vc = net_.vc(hop.link, hop.vc);
             if (vc.owner != msg->id)
                 continue;
-            for (std::size_t i = 0; i < vc.data.size(); ++i) {
-                const Flit &flit = vc.data.at(i);
+            for (std::size_t i = 0; i < vc.size(); ++i) {
+                const Flit &flit = net_.dibuFlit(hop.link, hop.vc, i);
                 if (flit.msg == msg->id && isDataLane(flit.type))
                     ++resident;
             }

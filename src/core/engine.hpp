@@ -81,26 +81,8 @@ class ActivitySet
     void
     add(std::uint32_t id)
     {
-        if (active_[id])
-            return;
-        active_[id] = 1;
-        ++count_;
-        if (!inList_[id]) {
-            inList_[id] = 1;
-            ids_.push_back(id);
-        }
-        // A scan-mode pass reaches every key ahead of the cursor by
-        // itself; only sorted passes need the mid-pass merge list.
-        if (inPass_ && !scan_ &&
-            static_cast<std::int64_t>(key(id)) > cursor_) {
-            const auto pos = std::lower_bound(
-                passAdds_.begin(), passAdds_.end(), id,
-                [this](std::uint32_t a, std::uint32_t b) {
-                    return key(a) < key(b);
-                });
-            if (pos == passAdds_.end() || *pos != id)
-                passAdds_.insert(pos, id);
-        }
+        if (!active_[id])
+            join(id);
     }
 
     /** Mark @p id inactive (membership is pruned lazily). */
@@ -168,8 +150,10 @@ class ActivitySet
     {
         if (scan_) {
             while (scanPos_ < n_) {
-                const std::uint32_t id = static_cast<std::uint32_t>(
-                    (rot_ + scanPos_) % static_cast<std::uint32_t>(n_));
+                std::size_t at = rot_ + scanPos_;
+                if (at >= n_)
+                    at -= n_;
+                const std::uint32_t id = static_cast<std::uint32_t>(at);
                 cursor_ = static_cast<std::int64_t>(scanPos_);
                 ++scanPos_;
                 if (active_[id])
@@ -206,6 +190,31 @@ class ActivitySet
     }
 
   private:
+    /** add() of an inactive entity (the rare case: the hot call finds
+     *  its entity already active). */
+    void
+    join(std::uint32_t id)
+    {
+        active_[id] = 1;
+        ++count_;
+        if (!inList_[id]) {
+            inList_[id] = 1;
+            ids_.push_back(id);
+        }
+        // A scan-mode pass reaches every key ahead of the cursor by
+        // itself; only sorted passes need the mid-pass merge list.
+        if (inPass_ && !scan_ &&
+            static_cast<std::int64_t>(key(id)) > cursor_) {
+            const auto pos = std::lower_bound(
+                passAdds_.begin(), passAdds_.end(), id,
+                [this](std::uint32_t a, std::uint32_t b) {
+                    return key(a) < key(b);
+                });
+            if (pos == passAdds_.end() || *pos != id)
+                passAdds_.insert(pos, id);
+        }
+    }
+
     std::uint32_t
     key(std::uint32_t id) const
     {

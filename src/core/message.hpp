@@ -34,53 +34,28 @@ enum class MsgState : std::uint8_t {
 /** Sentinel for "the leading data flit has already been ejected". */
 constexpr int leadEjected = std::numeric_limits<int>::max();
 
-/** One end-to-end message. */
-struct Message
+/** One end-to-end message (cache-line aligned, so the data plane's
+ *  fields below share one line). */
+struct alignas(64) Message
 {
+    // --- Data plane: injection, moves and ejection read these first
+    // --- 64 bytes (one cache line) -----------------------------------------
     MsgId id = invalidMsg;
-    NodeId src = invalidNode;
-    NodeId dst = invalidNode;
-    int length = 0;  ///< data flits (tail included)
-
-    Cycle created = 0;
-    Cycle deliveredAt = 0;
-
-    MsgState state = MsgState::Queued;
-    /** Created inside the measurement window (counts toward statistics). */
-    bool measured = false;
-
-    /** Live routing-probe state. */
-    HeaderState hdr;
 
     /** Reserved circuit, source to probe/tail frontier. */
     std::vector<PathHop> path;
 
-    /**
-     * History store of the depth-first backtracking search (Fig. 10):
-     * output ports already searched at each node during the current
-     * setup attempt. Cleared on every re-try.
-     */
-    std::unordered_map<NodeId, std::uint32_t> visited;
-
-    // --- Source-side flow control gate (the injection channel's CMU) -----
-    int srcCounter = 0;
-    int srcK = 0;
-    bool srcHold = false;
-
-    /** True once path[0] has been reserved (header left the source RCU). */
-    bool srcRouted = false;
-
-    /** Inline (pure WR) probes: the header flit has entered the network. */
-    bool headerInjected = false;
-
-    /** Still occupying a slot of the source injection queue. */
-    bool inQueue = true;
+    int length = 0;  ///< data flits (tail included)
 
     /** Data flits injected into the network so far (0..length). */
     int injectedFlits = 0;
 
     /** Data flits ejected at the destination so far. */
     int arrivedFlits = 0;
+
+    // Source-side flow control gate (the injection channel's CMU).
+    int srcCounter = 0;
+    int srcK = 0;
 
     /**
      * Hop index of the FIFO holding the leading data flit (seq 1):
@@ -91,6 +66,42 @@ struct Message
      */
     int leadHop = -1;
 
+    MsgState state = MsgState::Queued;
+
+    /** True once path[0] has been reserved (header left the source RCU). */
+    bool srcRouted = false;
+
+    /** A kill walk is tearing this circuit down. */
+    bool beingKilled = false;
+
+    bool srcHold = false;
+
+    /** Inline (pure WR) probes: the header flit has entered the network. */
+    bool headerInjected = false;
+
+    /** Still occupying a slot of the source injection queue. */
+    bool inQueue = true;
+
+    /** Created inside the measurement window (counts toward statistics). */
+    bool measured = false;
+
+    // --- Identity and routing state ---------------------------------------
+    NodeId src = invalidNode;
+    NodeId dst = invalidNode;
+
+    Cycle created = 0;
+    Cycle deliveredAt = 0;
+
+    /** Live routing-probe state. */
+    HeaderState hdr;
+
+    /**
+     * History store of the depth-first backtracking search (Fig. 10):
+     * output ports already searched at each node during the current
+     * setup attempt. Cleared on every re-try.
+     */
+    std::unordered_map<NodeId, std::uint32_t> visited;
+
     /** Hops already fully released behind the tail (exclusive index). */
     int releasedHops = 0;
 
@@ -99,9 +110,6 @@ struct Message
 
     /** Probe is currently enqueued at some router's RCU. */
     bool inRcu = false;
-
-    /** A kill walk is tearing this circuit down. */
-    bool beingKilled = false;
 
     /** The active teardown is voluntary (setup abort), not a fault kill. */
     bool killIsAbort = false;

@@ -21,8 +21,7 @@ Network::Network(const SimConfig &cfg)
             const LinkId id = topo_->linkId(node, port);
             const NodeId nbr = topo_->neighbor(node, port);
             Link &lk = links_[static_cast<std::size_t>(id)];
-            lk.init(id, node, port, nbr, topo_->arrivalPort(node, port),
-                    cfg_.vcsPerLink(), cfg_.bufDepth);
+            lk.init(id, node, port, nbr, topo_->arrivalPort(node, port));
             if (!topo_->portPresent(node, port)) {
                 // Structurally absent channels (mesh wraparound edges).
                 lk.absent = true;
@@ -31,9 +30,15 @@ Network::Network(const SimConfig &cfg)
         }
     }
 
+    plane_.init(links_.size(), cfg_.vcsPerLink(), cfg_.bufDepth);
+
     routers_.resize(static_cast<std::size_t>(topo_->nodes()));
     for (NodeId node = 0; node < topo_->nodes(); ++node)
-        routers_[static_cast<std::size_t>(node)].init(node, topo_->radix());
+        routers_[static_cast<std::size_t>(node)].init(node, topo_->radix(),
+                                                      cfg_.vcsPerLink());
+    listFlits_.assign(routers_.size() *
+                          (static_cast<std::size_t>(topo_->radix()) + 1),
+                      0);
 
     injQ_.resize(static_cast<std::size_t>(topo_->nodes()));
 
@@ -68,14 +73,18 @@ Network::rebuildActivity()
     }
     const NodeId nodes = static_cast<NodeId>(routers_.size());
     for (NodeId node = 0; node < nodes; ++node) {
+        const Router &rt = routers_[static_cast<std::size_t>(node)];
+        for (int port = ejectPort; port < topo_->radix(); ++port) {
+            if (port == -1)
+                continue;
+            std::uint32_t flits = 0;
+            for (VcIndex in : rt.mappedInputs(port))
+                flits += static_cast<std::uint32_t>(plane_[in].size());
+            listFlits_[listSlot(node, port)] = flits;
+        }
         if (!nodeFaulty(node) && !dataNodeIdle(node))
             dataActive_.add(static_cast<std::uint32_t>(node));
     }
-    liveIds_.clear();
-    liveIds_.reserve(messages_.size());
-    for (const auto &[id, msg] : messages_)
-        liveIds_.push_back(id);
-    std::sort(liveIds_.begin(), liveIds_.end());
 }
 
 bool
@@ -113,12 +122,9 @@ Network::nextInternalEvent() const
 {
     Cycle next = cycleNever;
     for (MsgId id : retryList_) {
-        const auto it = messages_.find(id);
-        if (it == messages_.end())
-            continue;
-        const Message &msg = it->second;
-        if (msg.state == MsgState::WaitRetry && msg.retryAt < next)
-            next = msg.retryAt;
+        const Message *msg = messages_.find(id);
+        if (msg && msg->state == MsgState::WaitRetry && msg->retryAt < next)
+            next = msg->retryAt;
     }
     for (const PendingRestore &pr : pendingRestores_)
         next = std::min(next, pr.at);
@@ -142,21 +148,11 @@ Network::skipTo(Cycle target)
     now_ = target;
 }
 
-Message *
-Network::findMessage(MsgId id)
-{
-    auto it = messages_.find(id);
-    return it == messages_.end() ? nullptr : &it->second;
-}
-
 std::vector<MsgId>
 Network::liveMessageIds() const
 {
-    // Sorted so reports are independent of the message table's
-    // iteration order (which differs between an organically grown
-    // table and one rebuilt from a checkpoint). The index is kept
-    // sorted incrementally — no per-call sort.
-    return liveIds_;
+    // The message window is in id order by construction.
+    return messages_.ids();
 }
 
 Message &
@@ -215,8 +211,7 @@ Network::offerMessage(NodeId src, NodeId dst, const OfferSpec &spec)
         msg.srcHold = true;
     else if (msg.hdr.flow == FlowMode::Scout)
         msg.srcK = cfg_.scoutK;  // the injection channel's K register
-    auto emplaced = messages_.emplace(id, std::move(msg));
-    liveIds_.push_back(id);  // ids are monotonic: stays sorted
+    Message &stored = messages_.insert(std::move(msg));
     queue.push_back(id);
     ++liveMessages_;
     ++counters_.generated;
@@ -228,7 +223,7 @@ Network::offerMessage(NodeId src, NodeId dst, const OfferSpec &spec)
             ++cs->measuredGenerated;
     }
     if (trace_)
-        trace_->messageCreated(now_, emplaced.first->second);
+        trace_->messageCreated(now_, stored);
 
     if (queue.front() == id)
         activateFront(src);
@@ -346,10 +341,11 @@ Network::phaseData()
 {
     const std::size_t nodes = routers_.size();
     if (!cfg_.eventEngine) {
-        for (std::size_t i = 0; i < nodes; ++i) {
-            const NodeId node = static_cast<NodeId>((i + rrNode_) % nodes);
-            if (!routers_[static_cast<std::size_t>(node)].faulty)
-                dataVisit(node);
+        for (std::size_t i = 0, n = rrNode_; i < nodes; ++i) {
+            if (!routers_[n].faulty)
+                dataVisit(static_cast<NodeId>(n));
+            if (++n == nodes)
+                n = 0;
         }
     } else {
         // Visit only nodes with buffered data or an injectable queue
@@ -369,127 +365,199 @@ Network::phaseData()
                 dataActive_.remove(id);
         }
     }
-    rrNode_ = (rrNode_ + 1) % nodes;
+    if (++rrNode_ == nodes)
+        rrNode_ = 0;
 }
 
 void
 Network::dataVisit(NodeId node)
 {
     Router &rt = routers_[static_cast<std::size_t>(node)];
+    const std::uint32_t *buffered = &listFlits_[listSlot(node, 0)];
+    const int radix = topo_->radix();
 
     // --- Ejection: one flit per node per cycle --------------------
-    const std::size_t ejn = rt.ejectInputs.size();
-    for (std::size_t e = 0; e < ejn; ++e) {
-        const InRef in = rt.ejectInputs[(e + rt.ejectRR) % ejn];
-        VcState &vc = link(in.link).vcs[static_cast<std::size_t>(in.vc)];
-        if (vc.data.empty() || !vc.dataEnabled())
-            continue;
-        Flit &front = vc.data.front();
-        if (front.readyAt > now_)
-            continue;
-        const Flit flit = vc.data.pop();
-        rt.ejectRR = (e + rt.ejectRR + 1) % ejn;
-        noteActivity();
-        Message *msg = findMessage(flit.msg);
-        if (msg && !msg->beingKilled)
-            deliverFlit(*msg, flit);
-        break;
+    const std::span<const VcIndex> ej = buffered[radix] > 0
+        ? rt.ejectInputs()
+        : std::span<const VcIndex>{};
+    if (!ej.empty()) {
+        const std::size_t ejn = ej.size();
+        const std::size_t rr = rt.rr(ejectPort);
+        std::size_t pick = rr < ejn ? rr : rr % ejn;
+        for (std::size_t e = 0; e < ejn; ++e) {
+            const VcIndex in = ej[pick];
+            if (++pick == ejn)
+                pick = 0;
+            const VcState &vc = plane_[in];
+            if (vc.empty() || !vc.dataEnabled() || vc.frontReady > now_)
+                continue;
+            const Flit flit = popData(node, in);
+            rt.setRr(ejectPort, pick);
+            noteActivity();
+            Message *msg = findMessage(flit.msg);
+            if (msg && !msg->beingKilled)
+                deliverFlit(*msg, flit);
+            break;
+        }
     }
 
     // --- One data flit per output link ----------------------------
-    for (int port = 0; port < topo_->radix(); ++port) {
-        Link &out = linkAt(node, port);
-        if (out.faulty)
+    // Only the injection queue's front can inject, and only on its
+    // path[0] port; resolve it once, again after a move whose side
+    // effects could reach it (header, tail, or its own flit).
+    const auto &queue = injQ_[static_cast<std::size_t>(node)];
+    MsgId front = queue.empty() ? invalidMsg : queue.front();
+    int injPort = injectionPort(node);
+    for (int port = 0; port < radix; ++port) {
+        // A list whose inputs hold no flit has nothing to arbitrate.
+        const std::span<const VcIndex> cands = buffered[port] > 0
+            ? rt.mappedInputs(port)
+            : std::span<const VcIndex>{};
+        if (cands.empty() && port != injPort)
             continue;
-        auto &cands = rt.mappedInputs[static_cast<std::size_t>(port)];
-        const std::size_t cn = cands.size();
+        // A failed output refuses both (tryMoveData, tryInjectOn).
         bool moved = false;
-        for (std::size_t c = 0; c < cn && !moved; ++c) {
-            const std::size_t pick =
-                (c + rt.outRR[static_cast<std::size_t>(port)]) % cn;
-            const InRef in = cands[pick];
-            if (tryMoveData(link(in.link), in.vc, rt)) {
-                rt.outRR[static_cast<std::size_t>(port)] = pick + 1;
-                moved = true;
+        if (!cands.empty()) {
+            const std::size_t cn = cands.size();
+            const std::size_t rr = rt.rr(port);
+            std::size_t pick = rr < cn ? rr : rr % cn;
+            Flit flit;
+            for (std::size_t c = 0; c < cn; ++c) {
+                if (tryMoveData(cands[pick], node, flit)) {
+                    rt.setRr(port, pick + 1);
+                    moved = true;
+                    if (flit.type != FlitType::Data || flit.msg == front) {
+                        front = queue.empty() ? invalidMsg : queue.front();
+                        injPort = injectionPort(node);
+                    }
+                    break;
+                }
+                if (++pick == cn)
+                    pick = 0;
             }
         }
-        if (!moved)
-            moved = tryInjectOn(node, port);
+        if (!moved && port == injPort && tryInjectOn(node, port)) {
+            front = queue.empty() ? invalidMsg : queue.front();
+            injPort = injectionPort(node);
+        }
     }
+}
+
+int
+Network::injectionPort(NodeId node)
+{
+    const auto &queue = injQ_[static_cast<std::size_t>(node)];
+    if (queue.empty())
+        return -1;
+    const Message *msg = findMessage(queue.front());
+    if (!msg || msg->state != MsgState::Active || !msg->srcRouted ||
+        msg->beingKilled) {
+        return -1;
+    }
+    if (msg->path.empty())
+        tpnet_panic("srcRouted message with empty path");
+    // Dense link ids: the links out of node are linkId(node, 0) + port.
+    const LinkId port = msg->path[0].link - topo_->linkId(node, 0);
+    return port >= 0 && port < topo_->radix() ? port : -1;
 }
 
 bool
 Network::dataNodeIdle(NodeId node) const
 {
-    const Router &rt = routers_[static_cast<std::size_t>(node)];
-    for (const InRef &in : rt.ejectInputs) {
-        if (!link(in.link).vcs[static_cast<std::size_t>(in.vc)]
-                 .data.empty()) {
+    const std::uint32_t *buffered = &listFlits_[listSlot(node, 0)];
+    for (int l = 0; l <= topo_->radix(); ++l) {
+        if (buffered[l] > 0)
             return false;
-        }
-    }
-    for (const auto &cands : rt.mappedInputs) {
-        for (const InRef &in : cands) {
-            if (!link(in.link).vcs[static_cast<std::size_t>(in.vc)]
-                     .data.empty()) {
-                return false;
-            }
-        }
     }
     const auto &queue = injQ_[static_cast<std::size_t>(node)];
     if (!queue.empty()) {
-        const auto it = messages_.find(queue.front());
-        if (it != messages_.end()) {
-            const Message &msg = it->second;
-            if (msg.state == MsgState::Active && msg.srcRouted &&
-                !msg.beingKilled) {
-                return false;
-            }
+        const Message *msg = messages_.find(queue.front());
+        if (msg && msg->state == MsgState::Active && msg->srcRouted &&
+            !msg->beingKilled) {
+            return false;
         }
     }
     return true;
 }
 
-bool
-Network::tryMoveData(Link &lk, int vcIdx, Router &rt)
+inline bool
+Network::tryMoveData(VcIndex in, NodeId node, Flit &moved)
 {
-    VcState &vc = lk.vcs[static_cast<std::size_t>(vcIdx)];
-    if (vc.data.empty() || !vc.dataEnabled())
+    // The rejects read only the two VcStates and stay inline in the
+    // arbiter's loop; the move itself is out of line.
+    ++work_.moveAttempts;
+    const VcState &vc = plane_[in];
+    if (vc.empty()) {
+        ++work_.rejectEmpty;
         return false;
-    Flit &front = vc.data.front();
-    if (front.readyAt > now_)
+    }
+    if (!vc.dataEnabled()) {
+        ++work_.rejectGated;
         return false;
-    if (vc.outPort < 0)
+    }
+    if (vc.frontReady > now_) {
+        ++work_.rejectNotReady;
         return false;
-    Link &out = linkAt(rt.id, vc.outPort);
-    if (out.faulty)
+    }
+    if (vc.outPort < 0) {
+        ++work_.rejectUnmapped;
         return false;
-    VcState &tvc = out.vcs[static_cast<std::size_t>(vc.outVc)];
-    if (tvc.data.full())
+    }
+    const LinkId outId = topo_->linkId(node, vc.outPort);
+    const VcIndex target = plane_.index(outId, vc.outVc);
+    const VcState &tvc = plane_[target];
+    if (plane_.full(target)) {
+        ++work_.rejectFull;
         return false;
+    }
     if (tvc.owner != vc.owner) {
         // The downstream trio was released by a teardown walk that has
         // not yet reached (and purged) this hop: hold the data here.
+        ++work_.rejectOwner;
+        return false;
+    }
+    return moveFlit(in, node, outId, moved);
+}
+
+bool
+Network::moveFlit(VcIndex in, NodeId node, LinkId outId, Flit &moved)
+{
+    const VcState &vc = plane_[in];
+    const VcIndex target = plane_.index(outId, vc.outVc);
+    Link &out = link(outId);
+    if (out.faulty) {
+        ++work_.rejectFaulty;
         return false;
     }
 
-    Flit flit = vc.data.pop();
+    Flit flit = popData(node, in);
     ++flit.hopIdx;
     flit.readyAt = now_ + 1;
-    tvc.data.push(flit);
-    dataWake(out.dst);
+    pushData(out, target, flit);
+    moved = flit;
+    ++work_.moves;
     ++out.dataCrossings;
     ++counters_.dataCrossings;
     noteActivity();
     if (trace_)
         trace_->flitCrossed(now_, out, vc.outVc, flit, false);
 
-    Message *msg = findMessage(flit.msg);
-    if (!msg)
+    // A mid-message data flit only proves its message live; the header,
+    // the lead flit and the tail also update it.
+    const bool updates = flit.type != FlitType::Data || flit.seq == 1;
+    Message *msg = nullptr;
+    if (updates)
+        msg = findMessage(flit.msg);
+    else
+        ++work_.messageLookups;
+    if (updates ? !msg : !messages_.contains(flit.msg))
         tpnet_panic("data flit of retired message in flight: msg=",
                     flit.msg, " type=", flitTypeName(flit.type),
                     " seq=", flit.seq, " hop=", flit.hopIdx,
-                    " link=", lk.id, " vc=", vcIdx, " owner=", vc.owner);
+                    " link=", plane_.linkOf(in), " vc=", plane_.vcOf(in),
+                    " owner=", vc.owner);
+    if (!updates)
+        return true;
 
     if (flit.type == FlitType::Header) {
         // Inline wormhole probe made a hop.
@@ -506,6 +574,7 @@ Network::tryMoveData(Link &lk, int vcIdx, Router &rt)
 bool
 Network::tryInjectOn(NodeId node, int port)
 {
+    ++work_.injectAttempts;
     auto &queue = injQ_[static_cast<std::size_t>(node)];
     if (queue.empty())
         return false;
@@ -516,26 +585,33 @@ Network::tryInjectOn(NodeId node, int port)
     }
     if (msg->path.empty())
         tpnet_panic("srcRouted message with empty path");
-    Link &first = link(msg->path[0].link);
-    if (first.src != node || first.srcPort != port)
+    if (msg->path[0].link != topo_->linkId(node, port))
         return false;
+
+    // Source-side flow control gate (the injection channel's CMU),
+    // checked before the channel so a closed gate touches no link.
+    const bool header = proto_->inlineHeader() && !msg->headerInjected;
+    if (!header && (msg->srcHold || msg->srcCounter < msg->srcK ||
+                    msg->injectedFlits >= msg->length)) {
+        return false;
+    }
+
+    Link &first = link(msg->path[0].link);
     if (first.faulty)
         return false;
-
-    VcState &vc = first.vcs[static_cast<std::size_t>(msg->path[0].vc)];
-    if (vc.owner != msg->id || vc.data.full())
+    const VcIndex target = plane_.index(first.id, msg->path[0].vc);
+    if (plane_[target].owner != msg->id || plane_.full(target))
         return false;
 
-    const bool inline_hdr = proto_->inlineHeader();
-    if (inline_hdr && !msg->headerInjected) {
+    if (header) {
         Flit flit;
         flit.type = FlitType::Header;
         flit.msg = msg->id;
         flit.seq = 0;
         flit.hopIdx = 0;
         flit.readyAt = now_ + 1;
-        vc.data.push(flit);
-        dataWake(first.dst);
+        pushData(first, target, flit);
+        ++work_.injections;
         msg->headerInjected = true;
         ++counters_.dataCrossings;
         noteActivity();
@@ -548,22 +624,14 @@ Network::tryInjectOn(NodeId node, int port)
         return true;
     }
 
-    // Source-side flow control gate (the injection channel's CMU).
-    if (msg->srcHold || msg->srcCounter < msg->srcK)
-        return false;
-    if (msg->injectedFlits >= msg->length)
-        return false;
-    if (inline_hdr && !msg->headerInjected)
-        return false;
-
     Flit flit;
     flit.msg = msg->id;
     flit.seq = msg->injectedFlits + 1;
     flit.type = flit.seq == msg->length ? FlitType::Tail : FlitType::Data;
     flit.hopIdx = 0;
     flit.readyAt = now_ + 1;
-    vc.data.push(flit);
-    dataWake(first.dst);
+    pushData(first, target, flit);
+    ++work_.injections;
     ++msg->injectedFlits;
     if (flit.seq == 1)
         msg->leadHop = 0;
@@ -653,21 +721,21 @@ Network::releaseHop(Message &msg, int idx, bool purge)
         return;
     PathHop &hop = msg.path[static_cast<std::size_t>(idx)];
     Link &lk = link(hop.link);
-    VcState &vc = lk.vcs[static_cast<std::size_t>(hop.vc)];
+    const VcIndex in = plane_.index(hop.link, hop.vc);
+    VcState &vc = plane_[in];
     if (vc.owner != msg.id)
         return;  // already released (idempotent under recovery races)
 
     if (purge) {
-        while (!vc.data.empty())
-            vc.data.pop();
-    } else if (!vc.data.empty()) {
+        while (!vc.empty())
+            popData(lk.dst, in);
+    } else if (!vc.empty()) {
         tpnet_panic("releasing a VC with resident flits");
     }
 
     if (trace_)
         trace_->vcReleased(now_, lk, hop.vc, msg, idx);
-    if (vc.routed)
-        router(lk.dst).unmapInput(vc.outPort, InRef{hop.link, hop.vc});
+    unmapVc(lk.dst, in);
     vc.release();
     if (cwg_)
         cwg_->onVcReleased(hop.link, hop.vc);
@@ -679,10 +747,10 @@ void
 Network::retireMessages()
 {
     for (MsgId id : retired_) {
-        auto it = messages_.find(id);
-        if (it == messages_.end())
+        const Message *found = messages_.find(id);
+        if (!found)
             continue;
-        const Message &msg = it->second;
+        const Message &msg = *found;
         if (!msg.terminal())
             tpnet_panic("retiring non-terminal message");
         if (trace_) {
@@ -696,14 +764,35 @@ Network::retireMessages()
             cwg_->onMessageGone(id);
         if (retire_)
             retire_->messageRetired(now_, msg);
-        messages_.erase(it);
-        const auto pos =
-            std::lower_bound(liveIds_.begin(), liveIds_.end(), id);
-        if (pos != liveIds_.end() && *pos == id)
-            liveIds_.erase(pos);
+        messages_.erase(id);
         --liveMessages_;
     }
     retired_.clear();
+}
+
+void
+Network::mapVc(NodeId node, VcIndex i, int port, int out_vc)
+{
+    VcState &vc = plane_[i];
+    vc.routed = true;
+    vc.outPort = static_cast<std::int8_t>(port);
+    vc.outVc = static_cast<std::int8_t>(out_vc);
+    router(node).mapInput(port, i);
+    listFlits_[listSlot(node, port)] += static_cast<std::uint32_t>(vc.size());
+}
+
+void
+Network::unmapVc(NodeId node, VcIndex i)
+{
+    VcState &vc = plane_[i];
+    if (!vc.routed)
+        return;
+    router(node).unmapInput(vc.outPort, i);
+    listFlits_[listSlot(node, vc.outPort)] -=
+        static_cast<std::uint32_t>(vc.size());
+    vc.routed = false;
+    vc.outPort = -1;
+    vc.outVc = -1;
 }
 
 void

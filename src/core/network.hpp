@@ -29,8 +29,10 @@
 
 #include "core/engine.hpp"
 #include "core/message.hpp"
+#include "core/message_store.hpp"
 #include "metrics/collector.hpp"
 #include "verify/cwg.hpp"
+#include "router/data_plane.hpp"
 #include "router/link.hpp"
 #include "router/router.hpp"
 #include "routing/protocol.hpp"
@@ -74,6 +76,27 @@ class RetireListener
   public:
     virtual ~RetireListener() = default;
     virtual void messageRetired(Cycle now, const Message &msg) = 0;
+};
+
+/**
+ * Work counts of the data phase (host-side instrumentation, like the
+ * benchmarks' clocks): not simulation state, so they are neither
+ * serialized nor restored and never enter a digest or Counters.
+ */
+struct DataPhaseWork
+{
+    std::uint64_t moveAttempts = 0;  ///< tryMoveData calls
+    std::uint64_t moves = 0;         ///< data flits moved link to link
+    std::uint64_t rejectEmpty = 0;   ///< input DIBU empty
+    std::uint64_t rejectGated = 0;   ///< unrouted, held, or counter < K
+    std::uint64_t rejectNotReady = 0;  ///< front flit crossed this cycle
+    std::uint64_t rejectUnmapped = 0;  ///< mapped to no output link
+    std::uint64_t rejectFaulty = 0;  ///< output link failed
+    std::uint64_t rejectFull = 0;    ///< downstream DIBU full
+    std::uint64_t rejectOwner = 0;   ///< downstream trio re-owned
+    std::uint64_t injectAttempts = 0;  ///< tryInjectOn calls
+    std::uint64_t injections = 0;    ///< flits injected (header or data)
+    std::uint64_t messageLookups = 0;  ///< message-table probes
 };
 
 /** The simulated interconnection network. */
@@ -122,7 +145,7 @@ class Network
     void skipTo(Cycle target);
 
     /**
-     * Recompute the activity sets (and the live-id index) from the
+     * Recompute the activity sets (and the mapped-flit counts) from the
      * current network state — used after a checkpoint restore, which
      * rebuilds state wholesale. A rebuilt set may omit active-but-
      * drained entities an organic run would still visit once more;
@@ -210,8 +233,54 @@ class Network
      */
     void attachRetireListener(RetireListener *l) { retire_ = l; }
 
+    /** VC trio @p vc of link @p link (the data plane's hot record). */
+    VcState &vc(LinkId link, int vc) { return plane_.vc(link, vc); }
+
+    const VcState &
+    vc(LinkId link, int vc) const
+    {
+        return plane_.vc(link, vc);
+    }
+
+    /** Flit @p i positions behind the head of (link, vc)'s DIBU. */
+    const Flit &
+    dibuFlit(LinkId link, int vc, std::size_t i) const
+    {
+        return plane_.at(plane_.index(link, vc), i);
+    }
+
+    /**
+     * The data plane: VC trios and DIBU slots of every link. Writing
+     * through it bypasses the mapped-flit counts (tests corrupt state
+     * this way; validateNetwork reports the drift).
+     */
+    DataPlane &dataPlane() { return plane_; }
+    const DataPlane &dataPlane() const { return plane_; }
+
+    /**
+     * Flits buffered in the input VCs mapped to output @p port of
+     * @p node's crossbar (ejectPort: to its PE).
+     */
+    std::uint32_t
+    mappedFlits(NodeId node, int port) const
+    {
+        return listFlits_[listSlot(node, port)];
+    }
+
+    /** The message table (validator access). */
+    const MessageStore &messageStore() const { return messages_; }
+
+    /** Data-phase work counts since construction. */
+    const DataPhaseWork &dataWork() const { return work_; }
+
     /** @return the message or nullptr if retired. */
-    Message *findMessage(MsgId id);
+    Message *
+    findMessage(MsgId id)
+    {
+        ++work_.messageLookups;
+        return messages_.find(id);
+    }
+
     Message &message(MsgId id);
 
     /** Ids of all non-retired messages, sorted ascending. */
@@ -280,6 +349,13 @@ class Network
     adaptiveVcFloor() const
     {
         return cfg_.recoveryMode ? 0 : cfg_.escapeVcs;
+    }
+
+    /** First free VC in [lo, hi) on the link out of (node, port), or -1. */
+    int
+    firstFreeVc(NodeId node, int port, int lo, int hi) const
+    {
+        return plane_.firstFreeVc(topo_->linkId(node, port), lo, hi);
     }
 
     /** First free adaptive VC on (node, port), or -1. */
@@ -414,6 +490,10 @@ class Network
      *  buffered data flit or an injectable queue front keeps it busy). */
     bool dataNodeIdle(NodeId node) const;
 
+    /** Output port the injection queue front of @p node may inject on
+     *  this cycle (its path[0] port), or -1 when it cannot inject. */
+    int injectionPort(NodeId node);
+
     /** Funnel for RCU queue pushes: enqueue + activity registration. */
     void
     enqueueRcu(NodeId node, const RcuEntry &entry)
@@ -451,8 +531,51 @@ class Network
     /** Probe reached its destination: complete the path. */
     void applyEject(Message &msg);
 
-    /** Move one data flit out of (link, vc); true if one moved. */
-    bool tryMoveData(Link &lk, int vc, Router &rt);
+    /**
+     * Move one data flit out of input VC @p in at @p node; true if one
+     * moved. @p moved receives the flit (valid only on success).
+     */
+    bool tryMoveData(VcIndex in, NodeId node, Flit &moved);
+
+    /** tryMoveData past its VcState checks: the output link @p out_id,
+     *  then the move. */
+    bool moveFlit(VcIndex in, NodeId node, LinkId out_id, Flit &moved);
+
+    /** Index of (node, port)'s count in listFlits_; the eject list
+     *  follows the ports. */
+    std::size_t
+    listSlot(NodeId node, int port) const
+    {
+        const std::size_t lists = static_cast<std::size_t>(topo_->radix()) + 1;
+        return static_cast<std::size_t>(node) * lists +
+               static_cast<std::size_t>(port == ejectPort ? topo_->radix()
+                                                          : port);
+    }
+
+    /** Push a flit into VC @p i of @p lk: DIBU, mapped-flit count, wake. */
+    void
+    pushData(const Link &lk, VcIndex i, const Flit &flit)
+    {
+        plane_.push(i, flit);
+        if (plane_[i].routed)
+            ++listFlits_[listSlot(lk.dst, plane_[i].outPort)];
+        dataWake(lk.dst);
+    }
+
+    /** Pop the front flit of VC @p i, an input VC of @p node. */
+    Flit
+    popData(NodeId node, VcIndex i)
+    {
+        if (plane_[i].routed)
+            --listFlits_[listSlot(node, plane_[i].outPort)];
+        return plane_.pop(i);
+    }
+
+    /** Map input VC @p i of @p node onto (port, out_vc) of its crossbar. */
+    void mapVc(NodeId node, VcIndex i, int port, int out_vc);
+
+    /** Undo a mapping of input VC @p i of @p node (no-op if unrouted). */
+    void unmapVc(NodeId node, VcIndex i);
 
     /** Try to inject the front message's next flit onto (node, port). */
     bool tryInjectOn(NodeId node, int port);
@@ -551,13 +674,16 @@ class Network
 
     std::vector<Link> links_;
     std::vector<Router> routers_;
-    std::unordered_map<MsgId, Message> messages_;
+    DataPlane plane_;
+    /// Per router and crossbar list (output ports, then ejection):
+    /// flits resident in the input VCs mapped there, kept by
+    /// pushData/popData/mapVc/unmapVc. Zero means that output has
+    /// nothing to arbitrate.
+    std::vector<std::uint32_t> listFlits_;
+    MessageStore messages_;
     std::vector<std::deque<MsgId>> injQ_;
     std::vector<MsgId> retryList_;
     std::vector<MsgId> retired_;
-    /// Live message ids, kept sorted (ids are issued monotonically, so
-    /// insertion is an O(1) append; retirement is a binary search).
-    std::vector<MsgId> liveIds_;
 
     // Per-phase ready sets of the event engine. Maintained even with
     // cfg.eventEngine off (registration is O(1)); only iteration
@@ -567,6 +693,7 @@ class Network
     ActivitySet dataActive_;  ///< nodes with possible data-phase work
 
     Counters counters_;
+    DataPhaseWork work_;
     TraceSink *trace_ = nullptr;
     RetireListener *retire_ = nullptr;
     std::unique_ptr<verify::CwgTracker> cwg_;

@@ -79,7 +79,7 @@ Network::applyForward(Message &msg, const Decision &d)
     Link &out = linkAt(cur, d.port);
     if (out.faulty || nodeFaulty(out.dst))
         tpnet_panic("protocol forwarded onto a faulty channel");
-    VcState &vc = out.vcs[static_cast<std::size_t>(d.vc)];
+    VcState &vc = plane_.vc(out.id, d.vc);
     if (!vc.free())
         tpnet_panic("protocol forwarded onto a busy VC");
 
@@ -117,13 +117,8 @@ Network::applyForward(Message &msg, const Decision &d)
         // injectable, so the node must re-register.
         dataWake(msg.src);
     } else {
-        PathHop &prev = msg.path.back();
-        VcState &pvc =
-            link(prev.link).vcs[static_cast<std::size_t>(prev.vc)];
-        pvc.routed = true;
-        pvc.outPort = d.port;
-        pvc.outVc = d.vc;
-        router(cur).mapInput(d.port, InRef{prev.link, prev.vc});
+        const PathHop &prev = msg.path.back();
+        mapVc(cur, plane_.index(prev.link, prev.vc), d.port, d.vc);
         // The mapping may expose already-buffered flits to this
         // router's data phase.
         dataWake(cur);
@@ -215,16 +210,8 @@ Network::applyBacktrack(Message &msg)
     if (msg.path.empty()) {
         msg.srcRouted = false;
     } else {
-        PathHop &prev = msg.path.back();
-        VcState &pvc =
-            link(prev.link).vcs[static_cast<std::size_t>(prev.vc)];
-        if (pvc.routed) {
-            router(lk.src).unmapInput(pvc.outPort,
-                                      InRef{prev.link, prev.vc});
-            pvc.routed = false;
-            pvc.outPort = -1;
-            pvc.outVc = -1;
-        }
+        const PathHop &prev = msg.path.back();
+        unmapVc(lk.src, plane_.index(prev.link, prev.vc));
     }
 
     // Undo the Theorem 2 bookkeeping for the removed hop. "Backtracking
@@ -265,12 +252,10 @@ Network::applyEject(Message &msg)
     Link &in = link(last.link);
     if (in.dst != msg.dst)
         tpnet_panic("eject away from destination");
-    VcState &vc = in.vcs[static_cast<std::size_t>(last.vc)];
+    const VcIndex lastVc = plane_.index(last.link, last.vc);
+    VcState &vc = plane_[lastVc];
 
-    vc.routed = true;
-    vc.outPort = ejectPort;
-    vc.outVc = -1;
-    router(msg.dst).mapInput(ejectPort, InRef{last.link, last.vc});
+    mapVc(msg.dst, lastVc, ejectPort, -1);
     dataWake(msg.dst);
     msg.headerAtDest = true;
     if (trace_)
@@ -306,8 +291,7 @@ Network::canBacktrack(const Message &msg) const
     if (msg.leadHop >= last)
         return false;  // a data flit resides at or beyond the probe's hop
     const PathHop &hop = msg.path[static_cast<std::size_t>(last)];
-    return link(hop.link)
-        .vcs[static_cast<std::size_t>(hop.vc)].data.empty();
+    return plane_.vc(hop.link, hop.vc).empty();
 }
 
 int
@@ -349,8 +333,7 @@ Network::channelSafe(NodeId node, int port) const
 int
 Network::freeAdaptiveVc(NodeId node, int port) const
 {
-    return linkAt(node, port).firstFreeVc(adaptiveVcFloor(),
-                                          cfg_.vcsPerLink());
+    return firstFreeVc(node, port, adaptiveVcFloor(), cfg_.vcsPerLink());
 }
 
 int
@@ -363,8 +346,9 @@ Network::escapeClass(const Message &msg, int port) const
 bool
 Network::escapeVcFree(const Message &msg, int port) const
 {
-    const Link &lk = linkAt(msg.hdr.cur, port);
-    return lk.vcs[static_cast<std::size_t>(escapeClass(msg, port))].free();
+    return plane_
+        .vc(topo_->linkId(msg.hdr.cur, port), escapeClass(msg, port))
+        .free();
 }
 
 int
@@ -411,7 +395,7 @@ Network::enterDetour(Message &msg)
         hdr.holdIdx = std::min(msg.leadHop,
                                static_cast<int>(msg.path.size()) - 1);
         PathHop &hop = msg.path[static_cast<std::size_t>(hdr.holdIdx)];
-        link(hop.link).vcs[static_cast<std::size_t>(hop.vc)].hold = true;
+        plane_.vc(hop.link, hop.vc).hold = true;
     }
 }
 
@@ -437,7 +421,7 @@ Network::completeDetour(Message &msg)
     // flits resume progress": a release sweeps upstream from the probe,
     // accepting every held trio down to the frozen gate.
     PathHop &hop = msg.path[static_cast<std::size_t>(last)];
-    VcState &vc = link(hop.link).vcs[static_cast<std::size_t>(hop.vc)];
+    VcState &vc = plane_.vc(hop.link, hop.vc);
     vc.hold = false;
     vc.counter = std::max(vc.counter, vc.kReg);
     if (last == hdr.holdIdx) {

@@ -56,17 +56,14 @@ validateNetwork(Network &net)
             continue;
         for (std::size_t i = 0; i < msg->path.size(); ++i) {
             const PathHop &hop = msg->path[i];
-            const Link &lk = net.link(hop.link);
-            if (hop.vc < 0 ||
-                hop.vc >= static_cast<int>(lk.vcs.size())) {
+            if (hop.vc < 0 || hop.vc >= net.vcCount()) {
                 os.str("");
                 os << "msg " << id << " hop " << i << " bad vc "
                    << hop.vc;
                 fail(os.str());
                 continue;
             }
-            const VcState &vc =
-                lk.vcs[static_cast<std::size_t>(hop.vc)];
+            const VcState &vc = net.vc(hop.link, hop.vc);
             if (vc.owner == msg->id) {
                 const VcKey key{hop.link, hop.vc};
                 if (claimed.count(key)) {
@@ -106,16 +103,38 @@ validateNetwork(Network &net)
     }
 
     // Pass 2: every owned trio belongs to a live message and its
-    // buffered flits belong to its owner; mappings are consistent.
+    // buffered flits belong to its owner; mappings are consistent; the
+    // cached occupancy and front-ready cycle match the DIBU's slots.
+    const DataPlane &plane = net.dataPlane();
     for (LinkId link_id = 0; link_id < topo.links(); ++link_id) {
         const Link &lk = net.link(link_id);
-        for (std::size_t v = 0; v < lk.vcs.size(); ++v) {
-            const VcState &vc = lk.vcs[v];
+        for (int v = 0; v < net.vcCount(); ++v) {
+            const VcIndex vi = plane.index(link_id, v);
+            const VcState &vc = plane[vi];
+            std::size_t occupied = 0;
+            for (std::size_t s = 0; s < plane.depth(); ++s) {
+                if (plane.slot(vi, s).msg != invalidMsg)
+                    ++occupied;
+            }
+            if (occupied != vc.size()) {
+                os.str("");
+                os << "trio (" << link_id << "," << v << ") caches "
+                   << vc.size() << " buffered flits, its DIBU slots hold "
+                   << occupied;
+                fail(os.str());
+            }
+            if (!vc.empty() && vc.frontReady != plane.at(vi, 0).readyAt) {
+                os.str("");
+                os << "trio (" << link_id << "," << v
+                   << ") caches front-ready cycle " << vc.frontReady
+                   << ", its front flit says " << plane.at(vi, 0).readyAt;
+                fail(os.str());
+            }
             if (vc.free()) {
-                if (!vc.data.empty()) {
+                if (!vc.empty()) {
                     os.str("");
                     os << "free trio (" << link_id << "," << v
-                       << ") holds " << vc.data.size() << " flits";
+                       << ") holds " << vc.size() << " flits";
                     fail(os.str());
                 }
                 continue;
@@ -144,8 +163,8 @@ validateNetwork(Network &net)
                     fail(os.str());
                 }
             }
-            for (std::size_t i = 0; i < vc.data.size(); ++i) {
-                const Flit &flit = vc.data.at(i);
+            for (std::size_t i = 0; i < vc.size(); ++i) {
+                const Flit &flit = plane.at(vi, i);
                 if (flit.msg != vc.owner) {
                     os.str("");
                     os << "foreign flit (msg " << flit.msg
@@ -167,8 +186,7 @@ validateNetwork(Network &net)
                     fail(os.str());
                 } else {
                     const Link &out = net.linkAt(lk.dst, vc.outPort);
-                    const VcState &tvc =
-                        out.vcs[static_cast<std::size_t>(vc.outVc)];
+                    const VcState &tvc = net.vc(out.id, vc.outVc);
                     // A mismatch is only legal transiently while a
                     // teardown (kill) walk or a tail-acknowledgment
                     // release walk is sweeping the circuit.
@@ -188,31 +206,48 @@ validateNetwork(Network &net)
     }
 
     // Pass 3: router mapped-input lists point at trios actually mapped
-    // to that output.
+    // to that output, and each list's cached flit count matches them.
     for (NodeId node = 0; node < topo.nodes(); ++node) {
         const Router &rt = net.router(node);
-        for (int port = 0; port < topo.radix(); ++port) {
-            for (const InRef &in :
-                 rt.mappedInputs[static_cast<std::size_t>(port)]) {
-                const VcState &vc = net.link(in.link)
-                    .vcs[static_cast<std::size_t>(in.vc)];
+        for (int port = ejectPort; port < topo.radix(); ++port) {
+            if (port == -1)
+                continue;
+            std::size_t flits = 0;
+            for (VcIndex in : rt.mappedInputs(port)) {
+                const VcState &vc = plane[in];
+                flits += vc.size();
                 if (!vc.routed || vc.outPort != port) {
                     os.str("");
-                    os << "stale mapped-input at node " << node
-                       << " port " << port;
+                    if (port == ejectPort)
+                        os << "stale eject mapping at node " << node;
+                    else
+                        os << "stale mapped-input at node " << node
+                           << " port " << port;
                     fail(os.str());
                 }
             }
-        }
-        for (const InRef &in : rt.ejectInputs) {
-            const VcState &vc = net.link(in.link)
-                .vcs[static_cast<std::size_t>(in.vc)];
-            if (!vc.routed || vc.outPort != ejectPort) {
+            if (flits != net.mappedFlits(node, port)) {
                 os.str("");
-                os << "stale eject mapping at node " << node;
+                os << "node " << node << " port " << port << " caches "
+                   << net.mappedFlits(node, port)
+                   << " flits in mapped inputs, its crossbar list holds "
+                   << flits;
                 fail(os.str());
             }
         }
+    }
+
+    // Pass 4: the message table's id window, slots and free list agree,
+    // and the network's live count matches it.
+    const std::string store = net.messageStore().audit();
+    if (!store.empty())
+        fail(store);
+    if (net.activeMessages() != net.messageStore().size()) {
+        os.str("");
+        os << "network counts " << net.activeMessages()
+           << " live messages, its message table holds "
+           << net.messageStore().size();
+        fail(os.str());
     }
 
     return out;

@@ -55,9 +55,10 @@ Network::killAffectedCircuits(const std::vector<LinkId> &failed)
     std::unordered_set<MsgId> seen;
     std::vector<MsgId> victims;
     for (LinkId id : failed) {
-        for (const VcState &vc : link(id).vcs) {
-            if (vc.owner != invalidMsg && seen.insert(vc.owner).second)
-                victims.push_back(vc.owner);
+        for (int v = 0; v < plane_.vcsPerLink(); ++v) {
+            const MsgId owner = plane_.vc(id, v).owner;
+            if (owner != invalidMsg && seen.insert(owner).second)
+                victims.push_back(owner);
         }
     }
     for (MsgId id : victims) {
@@ -232,8 +233,9 @@ Network::restoreLink(NodeId node, int port)
     // teardown of every interrupted circuit has swept past it — no trio
     // of either wire still owned, buffered, mapped, or gated.
     for (const Link *wire : {&fwd, &rev}) {
-        for (const VcState &vc : wire->vcs) {
-            if (!vc.free() || !vc.data.empty())
+        for (int v = 0; v < plane_.vcsPerLink(); ++v) {
+            const VcState &vc = plane_.vc(wire->id, v);
+            if (!vc.free() || !vc.empty())
                 return false;
         }
     }
@@ -244,8 +246,9 @@ Network::restoreLink(NodeId node, int port)
         wire->ctrlQ.clear();
         wire->ackQ.clear();
         ctrlActive_.remove(static_cast<std::uint32_t>(wire->id));
-        for (VcState &vc : wire->vcs)
-            vc.release();  // reset mappings, counters, K registers
+        // Reset mappings, counters, K registers.
+        for (int v = 0; v < plane_.vcsPerLink(); ++v)
+            plane_.vc(wire->id, v).release();
     }
     ++counters_.linksRestored;
     recomputeUnsafe();

@@ -197,7 +197,7 @@ Network::applyUpstream(Message &msg, const Flit &flit)
 {
     const int j = flit.hopIdx;
     PathHop &hop = msg.path[static_cast<std::size_t>(j)];
-    VcState &vc = link(hop.link).vcs[static_cast<std::size_t>(hop.vc)];
+    VcState &vc = plane_.vc(hop.link, hop.vc);
     const bool owned = vc.owner == msg.id;
 
     // "The RCU does not propagate the acknowledgment beyond the first

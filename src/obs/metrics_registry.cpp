@@ -26,10 +26,11 @@ forEachLink(const Network &net, Fn &&fn)
         if (lk.absent)
             continue;
         LinkLoad load;
-        for (const VcState &vc : lk.vcs) {
+        for (int v = 0; v < net.vcCount(); ++v) {
+            const VcState &vc = net.vc(id, v);
             if (!vc.free())
                 ++load.busy;
-            load.resident += vc.data.size();
+            load.resident += vc.size();
         }
         fn(id, lk, load);
     }
@@ -82,10 +83,11 @@ MetricsRegistry::sample(const Network &net)
     const double period = period_ > 0 ? static_cast<double>(period_) : 1.0;
 
     forEachLink(net, [&](LinkId id, const Link &lk, const LinkLoad &load) {
-        for (std::size_t v = 0;
-             v < lk.vcs.size() && v < metrics_.perVc.size(); ++v) {
+        for (std::size_t v = 0; v < static_cast<std::size_t>(net.vcCount()) &&
+                                v < metrics_.perVc.size();
+             ++v) {
             metrics_.perVc[v].add(
-                static_cast<double>(lk.vcs[v].data.size()) /
+                static_cast<double>(net.vc(id, static_cast<int>(v)).size()) /
                 static_cast<double>(cfg.bufDepth));
         }
         const double fill =
@@ -140,7 +142,7 @@ MetricsRegistry::snapshot(const Network &net)
         s.maxCtrlQueueDepth = std::max(s.maxCtrlQueueDepth, lk.maxCtrlDepth);
         if (lk.unsafe)
             ++s.unsafeLinks;
-        s.totalVcs += static_cast<int>(lk.vcs.size());
+        s.totalVcs += net.vcCount();
         s.busyVcs += load.busy;
         s.bufferedFlits += static_cast<int>(load.resident);
     });

@@ -14,7 +14,6 @@
 #ifndef TPNET_ROUTER_CHANNEL_HPP
 #define TPNET_ROUTER_CHANNEL_HPP
 
-#include "router/flit.hpp"
 #include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
@@ -28,21 +27,20 @@ namespace tpnet {
  * data flits at the head of this VC's DIBU move through the downstream
  * crossbar to (outPort, outVc), or to the local PE when outPort is
  * ejectPort.
+ *
+ * This is the hot record of the data plane (router/data_plane.hpp): 32
+ * bytes, two to a cache line, holding everything an arbitration attempt
+ * reads to reject a move — occupancy, gate, mapping, owner and the
+ * front flit's ready cycle. The DIBU's flit slots live in the plane's
+ * arena; `dibu` is this VC's position in its slice.
  */
 struct VcState
 {
-    /** Data input buffer (DIBU) at the downstream router. */
-    Fifo<Flit> data;
-
     /** Message whose circuit currently holds this trio. */
     MsgId owner = invalidMsg;
 
-    /** True once the downstream RCU has routed the circuit onward. */
-    bool routed = false;
-
-    /** Crossbar mapping at the downstream router (valid when routed). */
-    int outPort = -1;
-    int outVc = -1;
+    /** readyAt of the DIBU's front flit (meaningful while non-empty). */
+    Cycle frontReady = 0;
 
     /** CMU acknowledgment counter for the circuit on this channel. */
     int counter = 0;
@@ -50,12 +48,26 @@ struct VcState
     /** Programmed scouting distance K for this circuit (Section 5.0). */
     int kReg = 0;
 
+    /** Head and occupancy of the data input buffer (DIBU). */
+    RingPos dibu;
+
+    /** Crossbar mapping at the downstream router (valid when routed). */
+    std::int8_t outPort = -1;
+    std::int8_t outVc = -1;
+
+    /** True once the downstream RCU has routed the circuit onward. */
+    bool routed = false;
+
     /**
      * Detour hold: while set, data flits may not leave this channel even
      * if the counter has reached K ("all channels (or none) in a detour
      * are accepted before the data flits resume progress", Section 4.0).
      */
     bool hold = false;
+
+    /** Flits buffered in the DIBU. */
+    std::size_t size() const { return dibu.size(); }
+    bool empty() const { return dibu.empty(); }
 
     /** True when data flits may advance out of this channel. */
     bool
@@ -92,6 +104,8 @@ struct VcState
 
     bool free() const { return owner == invalidMsg; }
 };
+
+static_assert(sizeof(VcState) == 32, "VcState is the 32-byte hot record");
 
 } // namespace tpnet
 

@@ -71,17 +71,20 @@ isAckClass(FlitType t)
  */
 struct Flit
 {
-    FlitType type = FlitType::Data;
     MsgId msg = invalidMsg;
+    /** Earliest cycle this flit may (next) cross a lane. */
+    Cycle readyAt = 0;
     /** Payload sequence number, 1..L (tail carries L); 0 for headers. */
     std::int32_t seq = 0;
     /** Path hop index used by control flits while walking a path. */
     std::int32_t hopIdx = 0;
     /** Setup-attempt epoch of the owning message at spawn time. */
     std::int32_t epoch = 0;
-    /** Earliest cycle this flit may (next) cross a lane. */
-    Cycle readyAt = 0;
+    FlitType type = FlitType::Data;
 };
+
+// Wide fields first: 32 bytes, so a 4-deep DIBU spans two cache lines.
+static_assert(sizeof(Flit) == 32, "Flit packs into 32 bytes");
 
 /** Short name for tracing. */
 const char *flitTypeName(FlitType t);

@@ -11,14 +11,16 @@
 #define TPNET_ROUTER_LINK_HPP
 
 #include <deque>
-#include <vector>
 
-#include "router/channel.hpp"
+#include "router/flit.hpp"
 #include "sim/types.hpp"
 
 namespace tpnet {
 
-/** One unidirectional physical link and its virtual channels. */
+/**
+ * One unidirectional physical link. Its VC trios live in the network's
+ * data plane (router/data_plane.hpp) at DataPlane::index(id, vc).
+ */
 class Link
 {
   public:
@@ -28,8 +30,22 @@ class Link
     int srcPort = -1;           ///< output port at src
     int dstPort = -1;           ///< input port at dst
 
-    /** VC trios; [0, escapeVcs) deterministic classes, rest adaptive. */
-    std::vector<VcState> vcs;
+    /** Failed (fault model): no flit of any kind may cross. */
+    bool faulty = false;
+
+    /**
+     * Structurally absent (mesh wraparound channels): behaves like a
+     * permanently faulty link but is not a *failure* — it never marks
+     * neighbors unsafe and never triggers recovery.
+     */
+    bool absent = false;
+
+    /** Unsafe designation (Section 2.4): healthy but adjacent to faults. */
+    bool unsafe = false;
+
+    /** Data flits that crossed (statistics; beside the fields a data
+     *  move reads, so a move touches one line of the link). */
+    std::uint64_t dataCrossings = 0;
 
     /**
      * Control lane queue: flits waiting to cross this wire (the COBU at
@@ -45,54 +61,18 @@ class Link
      */
     std::deque<Flit> ackQ;
 
-    /** Failed (fault model): no flit of any kind may cross. */
-    bool faulty = false;
-
-    /**
-     * Structurally absent (mesh wraparound channels): behaves like a
-     * permanently faulty link but is not a *failure* — it never marks
-     * neighbors unsafe and never triggers recovery.
-     */
-    bool absent = false;
-
-    /** Unsafe designation (Section 2.4): healthy but adjacent to faults. */
-    bool unsafe = false;
-
     // --- Statistics --------------------------------------------------------
-    std::uint64_t dataCrossings = 0;
     std::uint64_t ctrlCrossings = 0;
     std::size_t maxCtrlDepth = 0;
 
     void
-    init(LinkId id_, NodeId src_, int src_port, NodeId dst_, int dst_port,
-         int num_vcs, int buf_depth)
+    init(LinkId id_, NodeId src_, int src_port, NodeId dst_, int dst_port)
     {
         id = id_;
         src = src_;
         srcPort = src_port;
         dst = dst_;
         dstPort = dst_port;
-        vcs.resize(static_cast<std::size_t>(num_vcs));
-        for (auto &vc : vcs)
-            vc.data.reset(static_cast<std::size_t>(buf_depth));
-    }
-
-    /** First free VC index in [lo, hi), or -1. */
-    int
-    firstFreeVc(int lo, int hi) const
-    {
-        for (int v = lo; v < hi; ++v) {
-            if (vcs[static_cast<std::size_t>(v)].free())
-                return v;
-        }
-        return -1;
-    }
-
-    /** True when any VC in [lo, hi) is free. */
-    bool
-    anyFreeVc(int lo, int hi) const
-    {
-        return firstFreeVc(lo, hi) >= 0;
     }
 };
 

@@ -11,7 +11,7 @@ namespace tpnet {
 
 namespace select {
 
-std::vector<int>
+PortList
 profitableByOffset(const Network &net, const Message &msg)
 {
     // The topology returns profitable ports already in its selection
@@ -74,8 +74,7 @@ anyVcProfitableUntried(Network &net, Message &msg)
             continue;
         if (net.channelFaulty(cur, port))
             continue;
-        const int vc =
-            net.linkAt(cur, port).firstFreeVc(0, net.vcCount());
+        const int vc = net.firstFreeVc(cur, port, 0, net.vcCount());
         if (vc >= 0)
             return Candidate{port, vc};
         noteCandidateRange(net, cur, port, 0, net.vcCount());
@@ -141,8 +140,7 @@ misrouteUntried(Network &net, Message &msg, bool adaptive_only,
         if (net.channelFaulty(cur, port))
             continue;
         const int lo = adaptive_only ? net.adaptiveVcFloor() : 0;
-        const int vc = net.linkAt(cur, port).firstFreeVc(lo,
-                                                         net.vcCount());
+        const int vc = net.firstFreeVc(cur, port, lo, net.vcCount());
         if (vc >= 0)
             return Candidate{port, vc};
         noteCandidateRange(net, cur, port, lo, net.vcCount());

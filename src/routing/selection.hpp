@@ -9,10 +9,10 @@
 #define TPNET_ROUTING_SELECTION_HPP
 
 #include <optional>
-#include <vector>
 
 #include "core/message.hpp"
 #include "sim/types.hpp"
+#include "topology/topology.hpp"
 
 namespace tpnet {
 
@@ -37,7 +37,7 @@ enum class Safety : std::uint8_t {
  * Profitable ports from the probe's position, most-remaining-offset
  * dimension first (the selection heuristic spreads load adaptively).
  */
-std::vector<int> profitableByOffset(const Network &net, const Message &msg);
+PortList profitableByOffset(const Network &net, const Message &msg);
 
 /**
  * First free adaptive VC on a profitable channel meeting @p safety,

@@ -56,8 +56,7 @@ TwoPhaseRouting::route(Network &net, Message &msg)
         // only with the circuit: waiting on it would wedge the probe on
         // itself, so it counts as faulty.
         const bool ep_own =
-            net.linkAt(hdr.cur, ep)
-                .vcs[static_cast<std::size_t>(net.escapeClass(msg, ep))]
+            net.vc(net.linkAt(hdr.cur, ep).id, net.escapeClass(msg, ep))
                 .owner == msg.id;
         const bool ep_faulty = ep_own || net.channelFaulty(hdr.cur, ep);
         const bool ep_unsafe = !ep_faulty && net.channelUnsafe(hdr.cur, ep);

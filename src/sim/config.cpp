@@ -167,8 +167,12 @@ SimConfig::validate() const
         adaptiveVcs < 1) {
         tpnet_fatal("DP/TP require at least one adaptive VC");
     }
-    if (bufDepth < 1)
-        tpnet_fatal("bufDepth must be >= 1");
+    if (bufDepth < 1 || bufDepth > maxBufDepth)
+        tpnet_fatal("bufDepth must be in [1, ", maxBufDepth, "] (got ",
+                    bufDepth, ")");
+    if (vcsPerLink() > maxVcsPerLink)
+        tpnet_fatal("at most ", maxVcsPerLink, " VCs per link (got ",
+                    vcsPerLink(), ")");
     if (msgLength < 1)
         tpnet_fatal("msgLength must be >= 1");
     if (scoutK < 0)

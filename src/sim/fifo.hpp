@@ -1,90 +1,78 @@
 /**
  * @file
- * Bounded ring-buffer FIFO used for every flit buffer in the router model
- * (DIBU, CIBU, DOBU, COBU). Capacity is fixed at construction; pushing into
- * a full FIFO is a simulator bug (the flow control layers must check
- * freeSlots() first — that check is the credit mechanism).
+ * Bounded FIFO ring position: the head slot and occupancy of a ring
+ * whose slots the caller owns, as every DIBU in the network's data
+ * plane (router/data_plane.hpp) uses it. Pushing into a full ring is a
+ * simulator bug (the flow control layers check for room first — that
+ * check is the credit mechanism), as is reading an empty one; both
+ * panic. Wrapping is a compare, never a division.
  */
 
 #ifndef TPNET_SIM_FIFO_HPP
 #define TPNET_SIM_FIFO_HPP
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
 
 #include "sim/log.hpp"
+#include "sim/types.hpp"
 
 namespace tpnet {
 
 /**
- * Fixed-capacity FIFO of trivially copyable elements.
- *
- * @tparam T element type (Flit in practice).
+ * Head slot and occupancy of a bounded FIFO whose slots live elsewhere
+ * (16-bit positions: capacity at most maxBufDepth).
  */
-template <typename T>
-class Fifo
+class RingPos
 {
   public:
-    Fifo() = default;
-
-    explicit Fifo(std::size_t capacity)
-        : buf_(capacity), cap_(capacity)
-    {}
-
-    /** Re-initialize with a new capacity, dropping all contents. */
-    void
-    reset(std::size_t capacity)
-    {
-        buf_.assign(capacity, T{});
-        cap_ = capacity;
-        head_ = 0;
-        size_ = 0;
-    }
-
-    std::size_t capacity() const { return cap_; }
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    bool full() const { return size_ == cap_; }
-    std::size_t freeSlots() const { return cap_ - size_; }
 
-    /** Append an element; the FIFO must not be full. */
-    void
-    push(const T &v)
+    /** Claim the slot behind the tail; the ring must not be full. */
+    std::size_t
+    push(std::size_t cap)
     {
-        if (full())
-            tpnet_panic("push into full FIFO (capacity ", cap_, ")");
-        buf_[(head_ + size_) % cap_] = v;
+        if (size_ == cap)
+            tpnet_panic("push into full FIFO (capacity ", cap, ")");
+        std::size_t slot = head_ + size_;
+        if (slot >= cap)
+            slot -= cap;
         ++size_;
+        return slot;
     }
 
-    /** @return the oldest element; the FIFO must not be empty. */
-    T &
-    front()
-    {
-        if (empty())
-            tpnet_panic("front of empty FIFO");
-        return buf_[head_];
-    }
-
-    const T &
+    /** Slot of the oldest element; the ring must not be empty. */
+    std::size_t
     front() const
     {
-        if (empty())
+        if (size_ == 0)
             tpnet_panic("front of empty FIFO");
-        return buf_[head_];
+        return head_;
     }
 
-    /** Remove and return the oldest element. */
-    T
-    pop()
+    /** Release the oldest element; @return the slot it occupied. */
+    std::size_t
+    pop(std::size_t cap)
     {
-        T v = front();
-        head_ = (head_ + 1) % cap_;
+        const std::size_t slot = front();
+        head_ = slot + 1 == cap ? 0 : static_cast<std::uint16_t>(slot + 1);
         --size_;
-        return v;
+        return slot;
     }
 
-    /** Drop every element. */
+    /** Slot of the element @p i positions behind the head. */
+    std::size_t
+    at(std::size_t i, std::size_t cap) const
+    {
+        if (i >= size_)
+            tpnet_panic("FIFO index ", i, " out of range ", size_);
+        std::size_t slot = head_ + i;
+        if (slot >= cap)
+            slot -= cap;
+        return slot;
+    }
+
     void
     clear()
     {
@@ -92,20 +80,9 @@ class Fifo
         size_ = 0;
     }
 
-    /** Element @p i positions behind the head (0 == front). */
-    const T &
-    at(std::size_t i) const
-    {
-        if (i >= size_)
-            tpnet_panic("FIFO index ", i, " out of range ", size_);
-        return buf_[(head_ + i) % cap_];
-    }
-
   private:
-    std::vector<T> buf_;
-    std::size_t cap_ = 0;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
+    std::uint16_t head_ = 0;
+    std::uint16_t size_ = 0;
 };
 
 } // namespace tpnet

@@ -42,6 +42,15 @@ constexpr int maxDims = 4;
  */
 constexpr int maxPorts = 32;
 
+/**
+ * Most virtual channels per link: a VC's crossbar mapping stores its
+ * output VC in 8 bits (router/channel.hpp).
+ */
+constexpr int maxVcsPerLink = 127;
+
+/** Deepest DIBU: ring positions are 16-bit (sim/fifo.hpp RingPos). */
+constexpr int maxBufDepth = 0xffff;
+
 /** Sentinel output port meaning "deliver to the local PE". */
 constexpr int ejectPort = -2;
 

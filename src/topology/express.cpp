@@ -96,14 +96,13 @@ ExpressCubeTopology::portProfitable(NodeId cur, int port, NodeId dst) const
            ringDist_[static_cast<std::size_t>(delta)];
 }
 
-std::vector<int>
+PortList
 ExpressCubeTopology::profitablePorts(NodeId cur, NodeId dst) const
 {
     // Per dimension prefer the express channel over the local one (cover
     // distance in fewer hops); across dimensions keep the cube heuristic
     // of serving the dimension with the most remaining distance first.
-    std::vector<int> ports;
-    ports.reserve(static_cast<std::size_t>(radix_));
+    PortList ports;
     for (int d = 0; d < n_; ++d) {
         for (int port : {2 * n_ + 2 * d, 2 * n_ + 2 * d + 1,
                          portOf(d, Dir::Plus), portOf(d, Dir::Minus)}) {
@@ -111,11 +110,9 @@ ExpressCubeTopology::profitablePorts(NodeId cur, NodeId dst) const
                 ports.push_back(port);
         }
     }
-    std::stable_sort(ports.begin(), ports.end(), [this, cur, dst](int a, int b) {
-        const int da = isExpress(a) ? expressDim(a) : dimOf(a);
-        const int db = isExpress(b) ? expressDim(b) : dimOf(b);
-        return ringDist_[static_cast<std::size_t>(ringDelta(cur, dst, da))] >
-               ringDist_[static_cast<std::size_t>(ringDelta(cur, dst, db))];
+    ports.stableSortDescending([this, cur, dst](int port) {
+        const int dim = isExpress(port) ? expressDim(port) : dimOf(port);
+        return ringDist_[static_cast<std::size_t>(ringDelta(cur, dst, dim))];
     });
     return ports;
 }

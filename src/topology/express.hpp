@@ -41,7 +41,7 @@ class ExpressCubeTopology : public TorusTopology
 
     int distance(NodeId from, NodeId to) const override;
 
-    std::vector<int> profitablePorts(NodeId cur, NodeId dst) const override;
+    PortList profitablePorts(NodeId cur, NodeId dst) const override;
     bool portProfitable(NodeId cur, int port, NodeId dst) const override;
 
     std::uint8_t datelineAfter(NodeId node, int port,

@@ -41,11 +41,10 @@ Topology::offsets(NodeId from, NodeId to) const
     return off;
 }
 
-std::vector<int>
+PortList
 Topology::profitablePorts(NodeId cur, NodeId dst) const
 {
-    std::vector<int> ports;
-    ports.reserve(static_cast<std::size_t>(radix_));
+    PortList ports;
     for (int port = 0; port < radix_; ++port) {
         if (portProfitable(cur, port, dst))
             ports.push_back(port);

@@ -39,6 +39,45 @@ namespace tpnet {
 /** Signed per-dimension offsets from a node to a destination. */
 using OffsetVec = std::array<int, maxDims>;
 
+/**
+ * Up to maxPorts output ports in a chosen order, held inline: the
+ * routing functions build one per route() call, so it must not touch
+ * the heap.
+ */
+class PortList
+{
+  public:
+    void push_back(int port) { ports_[n_++] = static_cast<std::int8_t>(port); }
+
+    std::size_t size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    int operator[](std::size_t i) const { return ports_[i]; }
+    const std::int8_t *begin() const { return ports_.data(); }
+    const std::int8_t *end() const { return ports_.data() + n_; }
+
+    /**
+     * Order by @p key(port) descending; ports of equal key keep their
+     * order (a stable insertion sort: at most maxPorts entries).
+     */
+    template <class Key>
+    void
+    stableSortDescending(Key key)
+    {
+        for (std::size_t i = 1; i < n_; ++i) {
+            const std::int8_t port = ports_[i];
+            const auto k = key(port);
+            std::size_t j = i;
+            for (; j > 0 && key(ports_[j - 1]) < k; --j)
+                ports_[j] = ports_[j - 1];
+            ports_[j] = port;
+        }
+    }
+
+  private:
+    std::array<std::int8_t, maxPorts> ports_{};
+    std::size_t n_ = 0;
+};
+
 class TorusTopology;
 
 /** Abstract network topology (see file comment for the contract). */
@@ -132,7 +171,7 @@ class Topology
      * decreasing remaining offset magnitude; the default orders by
      * ascending port number.
      */
-    virtual std::vector<int> profitablePorts(NodeId cur, NodeId dst) const;
+    virtual PortList profitablePorts(NodeId cur, NodeId dst) const;
 
     /** True when the hop out of (cur, port) makes minimal progress. */
     virtual bool portProfitable(NodeId cur, int port, NodeId dst) const;

@@ -110,11 +110,10 @@ TorusTopology::distance(NodeId from, NodeId to) const
     return dist;
 }
 
-std::vector<int>
+PortList
 TorusTopology::profitablePorts(const OffsetVec &off) const
 {
-    std::vector<int> ports;
-    ports.reserve(static_cast<std::size_t>(2 * n_));
+    PortList ports;
     for (int d = 0; d < n_; ++d) {
         for (Dir dir : {Dir::Plus, Dir::Minus}) {
             if (portProfitable(off, portOf(d, dir)))
@@ -138,14 +137,13 @@ TorusTopology::portProfitable(const OffsetVec &off, int port) const
            (off[d] < 0 && dirOf(port) == Dir::Minus);
 }
 
-std::vector<int>
+PortList
 TorusTopology::profitablePorts(NodeId cur, NodeId dst) const
 {
     const OffsetVec off = offsets(cur, dst);
-    std::vector<int> ports = profitablePorts(off);
-    std::stable_sort(ports.begin(), ports.end(), [&off](int a, int b) {
-        return std::abs(off[dimOf(a)]) > std::abs(off[dimOf(b)]);
-    });
+    PortList ports = profitablePorts(off);
+    ports.stableSortDescending(
+        [&off](int port) { return std::abs(off[dimOf(port)]); });
     return ports;
 }
 

@@ -81,7 +81,7 @@ class TorusTopology : public Topology
      * Ports that make minimal progress from a node whose offset vector to
      * the destination is @p off (profitable links, paper Section 2.1).
      */
-    std::vector<int> profitablePorts(const OffsetVec &off) const;
+    PortList profitablePorts(const OffsetVec &off) const;
 
     /** True when moving through @p port reduces |offset| in its dimension. */
     bool portProfitable(const OffsetVec &off, int port) const;
@@ -91,7 +91,7 @@ class TorusTopology : public Topology
      * (the adaptive selection heuristic; ties keep +/- enumeration
      * order, matching the historical selection function exactly).
      */
-    std::vector<int> profitablePorts(NodeId cur, NodeId dst) const override;
+    PortList profitablePorts(NodeId cur, NodeId dst) const override;
 
     bool portProfitable(NodeId cur, int port, NodeId dst) const override;
 

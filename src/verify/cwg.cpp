@@ -74,8 +74,7 @@ CwgTracker::onBlocked(const Message &msg)
             static_cast<LinkId>(key / static_cast<VcKey>(net_.vcCount()));
         const int vc =
             static_cast<int>(key % static_cast<VcKey>(net_.vcCount()));
-        const MsgId owner =
-            net_.link(link).vcs[static_cast<std::size_t>(vc)].owner;
+        const MsgId owner = net_.vc(link, vc).owner;
         if (owner == msg.id)
             continue;
         ++committed;
@@ -441,8 +440,7 @@ CwgTracker::diagnose(const std::vector<MsgId> &members,
                     r.key / static_cast<VcKey>(vcsPerLink));
                 const int vc = static_cast<int>(
                     r.key % static_cast<VcKey>(vcsPerLink));
-                const VcState &trio =
-                    net_.link(link).vcs[static_cast<std::size_t>(vc)];
+                const VcState &trio = net_.vc(link, vc);
                 os << " waits on link " << link << " vc " << vc;
                 if (vc < escapeVcs)
                     os << " (escape class " << vc << ")";

@@ -15,8 +15,7 @@ hopsHeld(Network &net, const Message &msg)
 {
     int held = 0;
     for (const PathHop &hop : msg.path) {
-        const VcState &trio =
-            net.link(hop.link).vcs[static_cast<std::size_t>(hop.vc)];
+        const VcState &trio = net.vc(hop.link, hop.vc);
         if (trio.owner == msg.id)
             ++held;
     }

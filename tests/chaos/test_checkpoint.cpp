@@ -310,6 +310,48 @@ TEST(CheckpointState, StateRoundTripsIntoFreshHarness)
     EXPECT_EQ(campaignStateDigest(stB), digestA);
 }
 
+/** Serialize @p a's state and restore it into a fresh harness. */
+bool
+roundTrip(Harness &a, std::string &error)
+{
+    CampaignState st = a.state();
+    obs::CkWriter w;
+    serializeCampaign(w, st);
+    std::ostringstream os(std::ios::binary);
+    w.writeTo(os, 1);
+    Harness b(harnessConfig());
+    CampaignState stB = b.state();
+    std::istringstream is(os.str(), std::ios::binary);
+    obs::CkReader r(is);
+    const bool ok = r.ok() && deserializeCampaign(r, stB);
+    error = r.error();
+    return ok;
+}
+
+TEST(CheckpointState, RejectsDataPlaneStateItCannotIndex)
+{
+    // The data phase indexes the plane by a routed VC's mapping and by
+    // crossbar entries, so a restore refuses ones that name nothing.
+    std::string error;
+    {
+        Harness a(harnessConfig());
+        a.run(100);
+        VcState &vc = a.net.vc(0, 0);
+        vc.routed = true;
+        vc.outPort = -1;
+        EXPECT_FALSE(roundTrip(a, error));
+        EXPECT_NE(error.find("routed"), std::string::npos) << error;
+    }
+    {
+        Harness a(harnessConfig());
+        a.run(100);
+        a.net.router(0).mapInput(1, static_cast<VcIndex>(
+                                        a.net.dataPlane().size() + 3));
+        EXPECT_FALSE(roundTrip(a, error));
+        EXPECT_NE(error.find("names no VC"), std::string::npos) << error;
+    }
+}
+
 TEST(CheckpointState, FileRejectsWrongConfigAndCorruption)
 {
     const fs::path path = scratchFile("harness.ck");

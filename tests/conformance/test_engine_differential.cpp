@@ -164,8 +164,7 @@ runHandBuiltKnot(bool event_engine)
 
     const int avc = net.escapeVcCount();
     for (MsgId i = 0; i < 4; ++i)
-        net.linkAt(static_cast<NodeId>(i), 0)
-            .vcs[static_cast<std::size_t>(avc)]
+        net.vc(net.linkAt(static_cast<NodeId>(i), 0).id, avc)
             .reserve((i + 1) % 4, 0, false);
     for (MsgId i = 0; i < 4; ++i) {
         Message &msg = net.message(i);
@@ -266,6 +265,43 @@ TEST(EngineDifferential, CheckpointDigestsAreEngineInvariant)
 
     fs::remove(on_path);
     fs::remove(off_path);
+}
+
+/**
+ * Saturated Two-Phase traffic at buffer depths other than the default
+ * four flits: 3 is not a power of two, 6 is deeper than the default.
+ * The DIBU ring arithmetic wraps at every depth, so each trace must
+ * equal the digest pinned from the hash-table/per-VC-FIFO data plane
+ * the compact one replaced, under both engines.
+ */
+TEST(EngineDifferential, NonDefaultBufferDepthsMatchPinnedDigests)
+{
+    struct Case
+    {
+        int bufDepth;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {3, 0x206795bc99fe79edull},
+        {6, 0x9cf5539da1833983ull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.bufDepth);
+        obs::RecordSpec spec;
+        spec.cfg.protocol = Protocol::TwoPhase;
+        spec.cfg.k = 8;
+        spec.cfg.n = 2;
+        spec.cfg.msgLength = 16;
+        spec.cfg.load = 0.45;
+        spec.cfg.bufDepth = c.bufDepth;
+        spec.cfg.seed = 17;
+        spec.cycles = 3000;
+        for (const bool engine : {true, false}) {
+            spec.cfg.eventEngine = engine;
+            const obs::TraceRecorder rec = obs::recordRun(spec);
+            EXPECT_EQ(rec.digest(), c.digest) << "event engine " << engine;
+        }
+    }
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include "core/validator.hpp"
 #include "helpers.hpp"
+#include "traffic/injector.hpp"
 
 namespace tpnet {
 namespace {
@@ -101,12 +102,13 @@ TEST(Validator, DetectsForeignFlit)
     // Corrupt: drop a foreign flit into a reserved trio's DIBU.
     bool corrupted = false;
     for (LinkId id = 0; id < net.topo().links() && !corrupted; ++id) {
-        Link &lk = net.link(id);
-        for (auto &vc : lk.vcs) {
-            if (!vc.free() && !vc.data.full()) {
+        for (int v = 0; v < net.vcCount(); ++v) {
+            DataPlane &plane = net.dataPlane();
+            const VcIndex i = plane.index(id, v);
+            if (!plane[i].free() && !plane.full(i)) {
                 Flit alien;
                 alien.msg = 4242;
-                vc.data.push(alien);
+                plane.push(i, alien);
                 corrupted = true;
                 break;
             }
@@ -122,8 +124,7 @@ TEST(Validator, DetectsForeignFlit)
 TEST(Validator, DetectsOrphanOwnership)
 {
     Network net(smallConfig());
-    Link &lk = net.link(0);
-    lk.vcs[0].reserve(999, 0, false);  // message 999 does not exist
+    net.vc(0, 0).reserve(999, 0, false);  // message 999 does not exist
     const auto violations = validateNetwork(net);
     ASSERT_FALSE(violations.empty());
     EXPECT_NE(violations.front().what.find("retired msg"),
@@ -139,7 +140,8 @@ TEST(Validator, DetectsNegativeCounter)
     // Find the reserved trio and corrupt its CMU counter.
     bool corrupted = false;
     for (LinkId id = 0; id < net.topo().links() && !corrupted; ++id) {
-        for (auto &vc : net.link(id).vcs) {
+        for (int v = 0; v < net.vcCount(); ++v) {
+            VcState &vc = net.vc(id, v);
             if (!vc.free()) {
                 vc.counter = -2;
                 corrupted = true;
@@ -152,10 +154,102 @@ TEST(Validator, DetectsNegativeCounter)
     ASSERT_FALSE(violations.empty());
 }
 
+/**
+ * Run loaded traffic until some node has flits buffered in its mapped
+ * input VCs; @return one such input VC (with a flit at its front).
+ */
+VcIndex
+bufferedMappedInput(Network &net, NodeId &node, int &port)
+{
+    Injector inj(net);
+    for (int c = 0; c < 400; ++c) {
+        inj.step();
+        net.step();
+    }
+    for (node = 0; node < net.topo().nodes(); ++node) {
+        const Router &rt = net.router(node);
+        for (port = ejectPort; port < net.topo().radix(); ++port) {
+            if (port == -1)
+                continue;
+            for (VcIndex in : rt.mappedInputs(port)) {
+                if (!net.dataPlane()[in].empty())
+                    return in;
+            }
+        }
+    }
+    ADD_FAILURE() << "no buffered mapped input after 400 loaded cycles";
+    return 0;
+}
+
+SimConfig
+loadedConfig()
+{
+    SimConfig cfg = smallConfig(Protocol::TwoPhase);
+    cfg.load = 0.3;
+    return cfg;
+}
+
+bool
+reports(const std::vector<Violation> &violations, const std::string &what)
+{
+    for (const Violation &v : violations) {
+        if (v.what.find(what) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+TEST(Validator, LoadedNetworkCachesMatchRecount)
+{
+    Network net(loadedConfig());
+    NodeId node = 0;
+    int port = 0;
+    bufferedMappedInput(net, node, port);
+    EXPECT_TRUE(validateNetwork(net).empty());
+}
+
+TEST(Validator, DetectsMappedFlitCountDrift)
+{
+    // Popping through the raw data plane skips the router's cached
+    // mapped-flit count, which then disagrees with its crossbar lists.
+    Network net(loadedConfig());
+    NodeId node = 0;
+    int port = 0;
+    const VcIndex in = bufferedMappedInput(net, node, port);
+    const std::uint32_t cached = net.mappedFlits(node, port);
+    net.dataPlane().pop(in);
+    EXPECT_EQ(net.mappedFlits(node, port), cached);
+    const auto violations = validateNetwork(net);
+    EXPECT_TRUE(reports(violations, "flits in mapped inputs"));
+}
+
+TEST(Validator, DetectsDibuOccupancyDrift)
+{
+    // Clearing the ring position leaves the slots holding flits.
+    Network net(loadedConfig());
+    NodeId node = 0;
+    int port = 0;
+    const VcIndex in = bufferedMappedInput(net, node, port);
+    net.dataPlane()[in].dibu.clear();
+    const auto violations = validateNetwork(net);
+    EXPECT_TRUE(reports(violations, "buffered flits, its DIBU slots hold"));
+}
+
+TEST(Validator, DetectsStaleFrontReadyCycle)
+{
+    Network net(loadedConfig());
+    NodeId node = 0;
+    int port = 0;
+    const VcIndex in = bufferedMappedInput(net, node, port);
+    net.dataPlane()[in].frontReady += 5;
+    const auto violations = validateNetwork(net);
+    EXPECT_TRUE(reports(violations, "caches front-ready cycle"));
+}
+
 TEST(ValidatorDeath, AssertConsistentPanics)
 {
     Network net(smallConfig());
-    net.link(0).vcs[0].reserve(999, 0, false);
+    net.vc(0, 0).reserve(999, 0, false);
     EXPECT_DEATH(assertConsistent(net), "inconsistent");
 }
 

@@ -21,7 +21,7 @@ VcState &
 hopVc(Network &net, const Message &msg, int idx)
 {
     const PathHop &hop = msg.path[static_cast<std::size_t>(idx)];
-    return net.link(hop.link).vcs[static_cast<std::size_t>(hop.vc)];
+    return net.vc(hop.link, hop.vc);
 }
 
 TEST(FlowSemantics, SourceGateOpensAfterKAcks)

@@ -142,7 +142,7 @@ TEST_P(TopologyWall, ProfitablePortsMakeMinimalProgress)
         for (NodeId v = 0; v < n; ++v) {
             if (u == v)
                 continue;
-            const std::vector<int> ports = topo->profitablePorts(u, v);
+            const PortList ports = topo->profitablePorts(u, v);
             ASSERT_FALSE(ports.empty()) << u << " -> " << v;
             std::set<int> seen;
             for (int p : ports) {

@@ -1,9 +1,14 @@
 /** @file Unit and property tests for the k-ary n-cube torus topology. */
 
+#include <algorithm>
+#include <cstdlib>
+#include <functional>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "topology/express.hpp"
 #include "topology/torus.hpp"
 
 namespace tpnet {
@@ -224,6 +229,84 @@ INSTANTIATE_TEST_SUITE_P(Geometries, TorusGeometry,
                                            std::make_tuple(16, 2),
                                            std::make_tuple(4, 3),
                                            std::make_tuple(3, 4)));
+
+/**
+ * The order profitablePorts produced when it returned a std::vector:
+ * the generation order, then std::stable_sort by remaining distance in
+ * the port's dimension, largest first.
+ */
+std::vector<int>
+legacyOrder(const std::vector<int> &generated,
+            const std::function<int(int)> &remaining)
+{
+    std::vector<int> ports = generated;
+    std::stable_sort(ports.begin(), ports.end(), [&](int a, int b) {
+        return remaining(a) > remaining(b);
+    });
+    return ports;
+}
+
+std::vector<int>
+asVector(const PortList &ports)
+{
+    return std::vector<int>(ports.begin(), ports.end());
+}
+
+TEST(Torus, ProfitablePortListKeepsLegacyVectorOrder)
+{
+    const TorusTopology t(16, 2);
+    for (NodeId cur = 0; cur < t.nodes(); ++cur) {
+        for (NodeId dst = 0; dst < t.nodes(); ++dst) {
+            const OffsetVec off = t.offsets(cur, dst);
+            std::vector<int> generated;
+            for (int d = 0; d < t.n(); ++d) {
+                for (Dir dir : {Dir::Plus, Dir::Minus}) {
+                    if (t.portProfitable(off, portOf(d, dir)))
+                        generated.push_back(portOf(d, dir));
+                }
+            }
+            const std::vector<int> expect =
+                legacyOrder(generated, [&](int port) {
+                    return std::abs(off[dimOf(port)]);
+                });
+            ASSERT_EQ(asVector(t.profitablePorts(cur, dst)), expect)
+                << cur << " -> " << dst;
+        }
+    }
+}
+
+TEST(Torus, ExpressProfitablePortListKeepsLegacyVectorOrder)
+{
+    const int k = 12;
+    const int n = 2;
+    const ExpressCubeTopology t(k, n, 3);
+    for (NodeId cur = 0; cur < t.nodes(); ++cur) {
+        for (NodeId dst = 0; dst < t.nodes(); ++dst) {
+            // Remaining distance in one dimension: the express-cube hop
+            // distance to the node that already agrees with dst there.
+            const auto remaining = [&](int port) {
+                const int dim =
+                    port >= 2 * n ? (port - 2 * n) / 2 : dimOf(port);
+                OffsetVec c{};
+                for (int d = 0; d < n; ++d)
+                    c[d] = t.coord(cur, d);
+                c[dim] = t.coord(dst, dim);
+                return t.distance(cur, t.nodeAt(c));
+            };
+            std::vector<int> generated;
+            for (int d = 0; d < n; ++d) {
+                for (int port : {2 * n + 2 * d, 2 * n + 2 * d + 1,
+                                 portOf(d, Dir::Plus), portOf(d, Dir::Minus)}) {
+                    if (t.portProfitable(cur, port, dst))
+                        generated.push_back(port);
+                }
+            }
+            ASSERT_EQ(asVector(t.profitablePorts(cur, dst)),
+                      legacyOrder(generated, remaining))
+                << cur << " -> " << dst;
+        }
+    }
+}
 
 } // namespace
 } // namespace tpnet

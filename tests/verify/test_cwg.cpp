@@ -49,9 +49,7 @@ class CwgTest : public ::testing::Test
     void
     own(NodeId node, int vc, MsgId owner)
     {
-        net_.linkAt(node, 0)
-            .vcs[static_cast<std::size_t>(vc)]
-            .reserve(owner, 0, false);
+        net_.vc(net_.linkAt(node, 0).id, vc).reserve(owner, 0, false);
     }
 
     /** One full blocked RCU evaluation of @p blocked noting one trio. */

@@ -46,9 +46,7 @@ class KnotTest : public ::testing::Test
     void
     own(NodeId node, int vc, MsgId owner)
     {
-        net_.linkAt(node, 0)
-            .vcs[static_cast<std::size_t>(vc)]
-            .reserve(owner, 0, false);
+        net_.vc(net_.linkAt(node, 0).id, vc).reserve(owner, 0, false);
     }
 
     void
@@ -260,8 +258,7 @@ TEST_F(KnotTest, FreedCommittedCandidateCountsAsAnExit)
     net_.message(1).hdr.sr = false;
 
     // Candidate B is released: waits drop 2 -> 1 under committed 2.
-    net_.linkAt(1, 0).vcs[static_cast<std::size_t>(avc)].owner =
-        invalidMsg;
+    net_.vc(net_.linkAt(1, 0).id, avc).owner = invalidMsg;
     cwg.onVcReleased(net_.linkAt(1, 0).id, avc);
     EXPECT_EQ(cwg.waitCount(0), 1u);
     cwg.onCycleEnd(4);

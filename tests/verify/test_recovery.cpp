@@ -65,9 +65,7 @@ class RecoveryTest : public ::testing::Test
     void
     own(NodeId node, int vc, MsgId owner)
     {
-        net_.linkAt(node, 0)
-            .vcs[static_cast<std::size_t>(vc)]
-            .reserve(owner, 0, false);
+        net_.vc(net_.linkAt(node, 0).id, vc).reserve(owner, 0, false);
     }
 
     /** Undo own(): free the trio and tell the tracker. */
@@ -75,7 +73,7 @@ class RecoveryTest : public ::testing::Test
     disown(NodeId node, int vc)
     {
         Link &link = net_.linkAt(node, 0);
-        link.vcs[static_cast<std::size_t>(vc)].owner = invalidMsg;
+        net_.vc(link.id, vc).owner = invalidMsg;
         net_.cwg()->onVcReleased(link.id, vc);
     }
 
