@@ -218,9 +218,9 @@ runCampaign(const CampaignSpec &spec)
                << msg->retries << ", heals " << msg->healAttempts
                << ", lastHealAt " << msg->lastHealAt << ", path "
                << msg->path.size()
-               << " hops, inRcu " << msg->inRcu << ", beingKilled "
-               << msg->beingKilled << ", retryAt " << msg->retryAt
-               << ", flits " << msg->injectedFlits << "/"
+               << " hops, inRcu " << msg->inRcu << ", teardown "
+               << static_cast<int>(msg->teardown) << ", retryAt "
+               << msg->retryAt << ", flits " << msg->injectedFlits << "/"
                << msg->arrivedFlits << ", srcCtr " << msg->srcCounter
                << "/" << msg->srcK << (msg->srcHold ? " HELD" : "")
                << ", leadHop " << msg->leadHop;

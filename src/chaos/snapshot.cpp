@@ -89,6 +89,25 @@ struct SnapshotAccess
             v = static_cast<E>(x);
     }
 
+    /** An enum valued 0..@p last; the reader refuses any other byte. */
+    template <class Ar, class E>
+    static void
+    ioEnum(Ar &ar, E &v, E last, const char *what)
+    {
+        std::uint8_t x = static_cast<std::uint8_t>(v);
+        ar.u8(x);
+        if constexpr (Ar::isReader) {
+            if (x > static_cast<std::uint8_t>(last)) {
+                std::ostringstream os;
+                os << "checkpoint " << what << " " << int{x}
+                   << " out of range";
+                ar.fail(os.str());
+                return;
+            }
+            v = static_cast<E>(x);
+        }
+    }
+
     // --- Container adapters -------------------------------------------
     /**
      * Serialized count of a fixed-geometry container: written for the
@@ -381,8 +400,7 @@ struct SnapshotAccess
         ioInt(ar, m.releasedHops);
         ar.b(m.headerAtDest);
         ar.b(m.inRcu);
-        ar.b(m.beingKilled);
-        ar.b(m.killIsAbort);
+        ioEnum(ar, m.teardown, Teardown::Heal, "message teardown cause");
         ioInt(ar, m.killWalks);
         ioInt(ar, m.epoch);
         ioInt(ar, m.retries);
@@ -390,7 +408,6 @@ struct SnapshotAccess
         ar.b(m.lostToFault);
         ioInt(ar, m.healAttempts);
         ar.u64(m.lastHealAt);
-        ar.b(m.healPending);
         ar.u64(m.healKnotHash);
         ar.u64(m.healStartedAt);
         ioInt(ar, m.cls);
@@ -538,7 +555,6 @@ struct SnapshotAccess
         ar.u64(t.cyclesDetected_);
         ar.u64(t.benignDetected_);
         ar.u64(t.lastSweep_);
-        // traceOffset_ is a live callback, not state.
     }
 
     /**
@@ -668,7 +684,6 @@ struct SnapshotAccess
         ar.u64(net.now_);
         ar.u64(net.lastActivity_);
         ar.i64(net.nextMsgId_);
-        ioSz(ar, net.liveMessages_);
         ar.b(net.measuring_);
 
         ioCheckCount(ar, net.links_.size(), "link");
@@ -744,7 +759,6 @@ struct SnapshotAccess
             a.u64(pr.at);
         });
         ar.b(net.skipKillSweep_);
-        ar.b(net.drainNoAccept_);
         ioSz(ar, net.rrNode_);
 
         // The CWG analyzer is created by the constructor iff the config
@@ -833,11 +847,11 @@ struct SnapshotAccess
     static void
     io(Ar &ar, Injector &inj)
     {
-        // source_/classes_/classOrder_ are pure functions of (config,
-        // topology); msgProb_ is config-derived. The dynamic workload
-        // state travels: the gate, the offered count, the per-(node,
-        // class) burst machines and closed-loop budgets, and any
-        // replies awaiting injection-queue space.
+        // classes_/classOrder_ are pure functions of (config,
+        // topology). The dynamic workload state travels: the gate, the
+        // offered count, the per-(node, class) burst machines and
+        // closed-loop budgets, and any replies awaiting injection-queue
+        // space.
         ar.b(inj.stopped_);
         ar.u64(inj.offered_);
         ioCheckCount(ar, inj.burstOn_.size(), "burst state");

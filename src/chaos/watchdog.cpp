@@ -152,7 +152,7 @@ Watchdog::signature(const Message &msg)
     mix(static_cast<std::uint64_t>(msg.srcCounter));
     mix(static_cast<std::uint64_t>(msg.releasedHops));
     mix(static_cast<std::uint64_t>(msg.killWalks));
-    mix(msg.beingKilled ? 1 : 0);
+    mix(msg.tearingDown() ? 1 : 0);
     mix(static_cast<std::uint64_t>(
         msg.leadHop < 0 ? 0u : static_cast<unsigned>(msg.leadHop)));
     return h;
@@ -178,7 +178,7 @@ Watchdog::progressSignature(const Message &msg)
     mix(static_cast<std::uint64_t>(msg.retries));
     mix(static_cast<std::uint64_t>(msg.releasedHops));
     mix(static_cast<std::uint64_t>(msg.killWalks));
-    mix(msg.beingKilled ? 1 : 0);
+    mix(msg.tearingDown() ? 1 : 0);
     mix(static_cast<std::uint64_t>(
         msg.leadHop < 0 ? 0u : static_cast<unsigned>(msg.leadHop)));
     return h;
@@ -194,7 +194,7 @@ Watchdog::diagnoseFrozen(MsgId id, const Message &msg) const
     if (!waits.empty())
         return "; waiting on " + waits;
     if (msg.state == MsgState::Active && !msg.path.empty() &&
-        !msg.inRcu && !msg.beingKilled) {
+        !msg.inRcu && !msg.tearingDown()) {
         // Holds a circuit, waits on nothing, and no RCU will ever
         // serve it again: the probe was lost (e.g. destroyed on a
         // failing wire without salvage).
@@ -285,7 +285,7 @@ Watchdog::checkConservation()
     // retry states (their counters were reset with the purge).
     for (MsgId id : net_.liveMessageIds()) {
         const Message *msg = net_.findMessage(id);
-        if (!msg || msg->terminal() || msg->beingKilled)
+        if (!msg || msg->terminal() || msg->tearingDown())
             continue;
         if (msg->state != MsgState::Active &&
             msg->state != MsgState::Delivered) {

@@ -31,6 +31,18 @@ enum class MsgState : std::uint8_t {
     Dropped,   ///< terminal failure: undeliverable or lost to a fault
 };
 
+/**
+ * Why a message's circuit is being torn down early (DESIGN.md Section
+ * 6c). One kill-walk mechanism serves every cause; the cause only
+ * decides what follows once the walks have drained.
+ */
+enum class Teardown : std::uint8_t {
+    None,   ///< no teardown in progress
+    Fault,  ///< a dynamic fault interrupted the circuit
+    Abort,  ///< the probe gave up its setup attempt
+    Heal,   ///< sacrificed to dissolve a deadlock knot
+};
+
 /** Sentinel for "the leading data flit has already been ejected". */
 constexpr int leadEjected = std::numeric_limits<int>::max();
 
@@ -71,8 +83,8 @@ struct alignas(64) Message
     /** True once path[0] has been reserved (header left the source RCU). */
     bool srcRouted = false;
 
-    /** A kill walk is tearing this circuit down. */
-    bool beingKilled = false;
+    /** Why kill walks are tearing this circuit down, if they are. */
+    Teardown teardown = Teardown::None;
 
     bool srcHold = false;
 
@@ -111,9 +123,6 @@ struct alignas(64) Message
     /** Probe is currently enqueued at some router's RCU. */
     bool inRcu = false;
 
-    /** The active teardown is voluntary (setup abort), not a fault kill. */
-    bool killIsAbort = false;
-
     /** Outstanding kill walks (up + down). */
     int killWalks = 0;
 
@@ -137,10 +146,6 @@ struct alignas(64) Message
     /** Cycle of the most recent victimization (0 = never). */
     Cycle lastHealAt = 0;
 
-    /** A heal abort walk is in flight; its completion schedules the
-     *  heal retransmission (not the ordinary retry path). */
-    bool healPending = false;
-
     /** Knot hash the in-flight heal is resolving. */
     std::uint64_t healKnotHash = 0;
 
@@ -148,7 +153,7 @@ struct alignas(64) Message
     Cycle healStartedAt = 0;
 
     // --- Workload library (src/traffic/) ---------------------------------
-    /** Traffic class index (0 = legacy single-pattern source). */
+    /** Traffic class index (0 when the run has no workload classes). */
     int cls = 0;
 
     /** Closed-loop reply (dst -> src of a delivered request). */
@@ -169,6 +174,8 @@ struct alignas(64) Message
     int detoursBuilt = 0;
     int backtracksTaken = 0;
     int misroutesTaken = 0;
+
+    bool tearingDown() const { return teardown != Teardown::None; }
 
     bool
     terminal() const

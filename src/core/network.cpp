@@ -129,7 +129,7 @@ Network::nextInternalEvent() const
     for (const PendingRestore &pr : pendingRestores_)
         next = std::min(next, pr.at);
     // The watchdog panic is observable behavior: never skip past it.
-    if (cfg_.watchdog != 0 && liveMessages_ > 0)
+    if (cfg_.watchdog != 0 && !quiescent())
         next = std::min(next, lastActivity_ + cfg_.watchdog + 1);
     return next;
 }
@@ -213,7 +213,6 @@ Network::offerMessage(NodeId src, NodeId dst, const OfferSpec &spec)
         msg.srcK = cfg_.scoutK;  // the injection channel's K register
     Message &stored = messages_.insert(std::move(msg));
     queue.push_back(id);
-    ++liveMessages_;
     ++counters_.generated;
     if (measuring_)
         ++counters_.measuredGenerated;
@@ -320,7 +319,7 @@ Network::rcuVisit(Router &rt)
         const RcuEntry entry = rt.rcuQueue.front();
         rt.rcuQueue.pop_front();
         Message *msg = findMessage(entry.msg);
-        if (!msg || entry.epoch != msg->epoch || msg->beingKilled ||
+        if (!msg || entry.epoch != msg->epoch || msg->tearingDown() ||
             msg->terminal() || msg->state == MsgState::WaitRetry) {
             if (msg && entry.epoch == msg->epoch)
                 msg->inRcu = false;
@@ -395,7 +394,7 @@ Network::dataVisit(NodeId node)
             rt.setRr(ejectPort, pick);
             noteActivity();
             Message *msg = findMessage(flit.msg);
-            if (msg && !msg->beingKilled)
+            if (msg && !msg->tearingDown())
                 deliverFlit(*msg, flit);
             break;
         }
@@ -451,7 +450,7 @@ Network::injectionPort(NodeId node)
         return -1;
     const Message *msg = findMessage(queue.front());
     if (!msg || msg->state != MsgState::Active || !msg->srcRouted ||
-        msg->beingKilled) {
+        msg->tearingDown()) {
         return -1;
     }
     if (msg->path.empty())
@@ -473,7 +472,7 @@ Network::dataNodeIdle(NodeId node) const
     if (!queue.empty()) {
         const Message *msg = messages_.find(queue.front());
         if (msg && msg->state == MsgState::Active && msg->srcRouted &&
-            !msg->beingKilled) {
+            !msg->tearingDown()) {
             return false;
         }
     }
@@ -580,7 +579,7 @@ Network::tryInjectOn(NodeId node, int port)
         return false;
     Message *msg = findMessage(queue.front());
     if (!msg || msg->state != MsgState::Active || !msg->srcRouted ||
-        msg->beingKilled) {
+        msg->tearingDown()) {
         return false;
     }
     if (msg->path.empty())
@@ -765,7 +764,6 @@ Network::retireMessages()
         if (retire_)
             retire_->messageRetired(now_, msg);
         messages_.erase(id);
-        --liveMessages_;
     }
     retired_.clear();
 }
@@ -798,11 +796,11 @@ Network::unmapVc(NodeId node, VcIndex i)
 void
 Network::checkWatchdog()
 {
-    if (cfg_.watchdog == 0 || liveMessages_ == 0)
+    if (cfg_.watchdog == 0 || quiescent())
         return;
     if (now_ - lastActivity_ > cfg_.watchdog) {
         tpnet_panic("deadlock watchdog: no activity for ",
-                    now_ - lastActivity_, " cycles with ", liveMessages_,
+                    now_ - lastActivity_, " cycles with ", activeMessages(),
                     " live messages at cycle ", now_);
     }
 }

@@ -190,10 +190,10 @@ class Network
     bool offerMessage(NodeId src, NodeId dst, const OfferSpec &spec);
 
     /** Messages that are not yet terminal. */
-    std::size_t activeMessages() const { return liveMessages_; }
+    std::size_t activeMessages() const { return messages_.size(); }
 
     /** True when no message is active anywhere. */
-    bool quiescent() const { return liveMessages_ == 0; }
+    bool quiescent() const { return messages_.size() == 0; }
 
     // --- Component access ---------------------------------------------
     const SimConfig &config() const { return cfg_; }
@@ -440,17 +440,12 @@ class Network
 
     // --- Recovery (fault/recovery.cpp) ---------------------------------
     /**
-     * Abandon the current setup attempt: tear the circuit down with kill
-     * walks and schedule a source re-try (or drop after maxRetries).
+     * Abandon the current setup attempt: tear the circuit down and
+     * schedule a source re-try (or drop after maxRetries).
      */
     void abortSetup(Message &msg);
 
-    /**
-     * Kill an interrupted message: release every hop on or adjacent to
-     * failed components synchronously (the spanning routers detect the
-     * failure) and launch kill walks toward source and destination
-     * (Fig. 16).
-     */
+    /** Tear down a circuit a dynamic fault interrupted (Fig. 16). */
     void killMessage(Message &msg);
 
     /** Injection queue length at @p node (tests). */
@@ -631,19 +626,36 @@ class Network
      */
     void salvageControlFlit(const Flit &flit);
 
-    void scheduleRetry(Message &msg);
+    /**
+     * Tear @p msg's circuit down for @p cause: release the hops on or
+     * adjacent to failed components synchronously (the spanning routers
+     * detect the failure), then launch kill walks toward the source and
+     * the destination. With no broken hop the one walk starts at the
+     * frontier. finishTeardown runs when the last walk drains.
+     */
+    void tearDown(Message &msg, Teardown cause);
+
+    /** Send a KillDown walker across the wire of hop kill.hopIdx. */
+    void sendKillDown(Message &msg, Flit kill);
+
+    /** A hop-releasing walker (KillUp, KillDown, MsgAck) cannot cross
+     *  its wire: release the rest of its span and complete it. */
+    void cutWalkShort(Message &msg, const Flit &flit);
+
+    /** One kill walk drained; the last one finishes the teardown. */
+    void finishWalk(Message &msg);
+
+    /** Every walk drained: retry, retransmit, complete or drop, by the
+     *  teardown's cause. */
+    void finishTeardown(Message &msg);
+
+    /** Reset @p msg for a new attempt from its source, queued again at
+     *  once when @p at is now, else waiting for cycle @p at. */
+    void requeue(Message &msg, Cycle at);
+
     void wakeRetries();
-    void resetForRetry(Message &msg);
     void dropMessage(Message &msg, bool lost);
-    void finalizeKillWalk(Message &msg);
     void synchronousRelease(Message &msg, int from_hop, int to_hop);
-
-    /** Tear the circuit down with kill walks (abort semantics); on an
-     *  empty path the retry/heal retransmission fires immediately. */
-    void launchAbortWalk(Message &msg);
-
-    /** Abort walk drained: route to the retry or the heal path. */
-    void finalizeAbortRetry(Message &msg);
 
     // --- Heal engine (flow/heal.cpp) -----------------------------------
     /** Drain pending knots from the tracker and heal each one. */
@@ -651,13 +663,6 @@ class Network
 
     /** Sacrifice @p msg to dissolve knot @p hash. */
     void healVictim(Message &msg, std::uint64_t hash);
-
-    /** Victim's circuit is fully torn down: close the heal episode. */
-    void finishHeal(Message &msg);
-
-    /** Schedule the victim's retransmission (heal backoff; does not
-     *  consume an ordinary retry). */
-    void scheduleHealRetry(Message &msg);
 
     void noteActivity() { lastActivity_ = now_; }
     void checkWatchdog();
@@ -707,7 +712,6 @@ class Network
     Cycle now_ = 0;
     Cycle lastActivity_ = 0;
     MsgId nextMsgId_ = 0;
-    std::size_t liveMessages_ = 0;
     bool measuring_ = false;
     double dynFaultProb_ = 0.0;
     int dynFaultBudget_ = 0;
@@ -728,7 +732,6 @@ class Network
 
     /** Test hook: break recovery to exercise the chaos oracle. */
     bool skipKillSweep_ = false;
-    bool drainNoAccept_ = false;
     std::size_t rrNode_ = 0;  ///< rotating router service offset
 };
 

@@ -95,20 +95,10 @@ Network::salvageControlFlit(const Flit &flit)
     switch (flit.type) {
       case FlitType::MsgAck:
       case FlitType::KillUp:
-        // Upstream walker mid-crossing: release the remaining span
-        // synchronously and apply the arrival at the source gate
-        // (mirrors relayUpstream's recovery of last resort).
-        if (flit.hopIdx >= 0)
-            synchronousRelease(*msg, flit.hopIdx, 0);
-        upstreamReachedSource(*msg, flit);
-        break;
-
       case FlitType::KillDown:
-        // Downstream walker: sweep the rest of the path and finish the
-        // walk (mirrors handleKillDown's faulty-continuation branch).
-        synchronousRelease(*msg, flit.hopIdx,
-                           static_cast<int>(msg->path.size()) - 1);
-        finalizeKillWalk(*msg);
+        // A hop-releasing walker mid-crossing: the same completion as
+        // a walker that finds its next wire dead.
+        cutWalkShort(*msg, flit);
         break;
 
       case FlitType::Header:
@@ -118,10 +108,10 @@ Network::salvageControlFlit(const Flit &flit)
         // ownership sweep above cannot see its message: silently
         // discarding the flit would leave the circuit Active but with
         // no probe in flight and no RCU entry — stranded forever.
-        // killMessage's no-faulty-hop branch tears the remaining
+        // killMessage finds no broken hop and tears the remaining
         // circuit down from the frontier (forward-travelling headers
         // ride the trio they just reserved, so the sweep already
-        // killed them and the beingKilled guard makes this a no-op).
+        // killed them and the teardown guard makes this a no-op).
         ++counters_.headersSalvaged;
         killMessage(*msg);
         break;
@@ -162,7 +152,7 @@ Network::failNode(NodeId id)
     std::vector<MsgId> queued(queue.begin(), queue.end());
     for (MsgId mid : queued) {
         if (Message *msg = findMessage(mid)) {
-            if (msg->beingKilled) {
+            if (msg->tearingDown()) {
                 // killMessage above already owns the teardown; the drop
                 // happens when its walks complete.
                 continue;

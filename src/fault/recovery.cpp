@@ -1,257 +1,221 @@
 /**
  * @file
- * Distributed recovery (paper Sections 2.4, 4.0, 6.2; Fig. 16).
+ * Circuit teardown (paper Sections 2.4, 4.0, 6.2; Fig. 16; DESIGN.md
+ * Section 6c).
  *
- * Two teardown flavors share the kill-walk machinery:
- *  - voluntary setup aborts: a probe that exhausted its search budget or
- *    stalled past the limit tears its circuit down and re-tries from the
- *    source, up to maxRetries, after which the message is declared
- *    undeliverable (the higher-level-protocol action of Section 4.0);
- *  - dynamic-fault kills: the routers spanning a failure release kill
- *    flits along every interrupted circuit toward both the source and
- *    the destination. With tail acknowledgments enabled the source
- *    retransmits; without them the message is lost (a design trade-off
- *    the paper calls out explicitly).
+ * A circuit ends early for one of three causes (Message::teardown), and
+ * all of them share one mechanism: kill flits release the circuit hop
+ * by hop toward both ends, and once every walk has drained the source
+ * retries, retransmits or gives up.
+ *  - Fault: a dynamic failure interrupted the circuit. The routers
+ *    spanning the failure release the broken hops at once and launch
+ *    walks toward the source and the destination. With tail
+ *    acknowledgments the source retransmits; without them the message
+ *    is lost (a design trade-off the paper calls out explicitly).
+ *  - Abort: a probe exhausted its search budget or stalled past the
+ *    limit. The source re-tries after a backoff, up to maxRetries, after
+ *    which the message is declared undeliverable (the
+ *    higher-level-protocol action of Section 4.0).
+ *  - Heal: the message was sacrificed to a deadlock knot
+ *    (flow/heal.cpp). The source retransmits on the heal backoff,
+ *    outside the retry budget.
+ * An abort or a heal has no broken hop: its one walk starts at the
+ * probe's frontier.
  */
 
 #include <algorithm>
 
 #include "core/network.hpp"
-#include "sim/log.hpp"
 
 namespace tpnet {
 
 void
 Network::abortSetup(Message &msg)
 {
-    if (msg.beingKilled || msg.terminal())
+    if (msg.tearingDown() || msg.terminal())
         return;
     ++counters_.setupAborts;
     if (trace_)
         trace_->probeEvent(now_, msg, ProbeEvent::Aborted);
-    if (cwg_)
-        cwg_->onMessageGone(msg.id);
-    launchAbortWalk(msg);
-}
-
-void
-Network::launchAbortWalk(Message &msg)
-{
-    if (msg.path.empty()) {
-        // Probe never left the source (or fully unwound): no circuit to
-        // tear down.
-        finalizeAbortRetry(msg);
-        return;
-    }
-
-    msg.beingKilled = true;
-    msg.killIsAbort = true;
-    msg.killWalks = 1;
-
-    // Release the frontier hop locally; a kill walk sweeps the rest of
-    // the circuit back to the source.
-    const int last = static_cast<int>(msg.path.size()) - 1;
-    releaseHop(msg, last, true);
-    ++counters_.killFlits;
-    Flit kill;
-    kill.type = FlitType::KillUp;
-    kill.msg = msg.id;
-    kill.hopIdx = last - 1;
-    kill.epoch = msg.epoch;
-    kill.readyAt = now_ + 1;
-    relayUpstream(msg, kill);
-}
-
-void
-Network::finalizeAbortRetry(Message &msg)
-{
-    if (msg.healPending) {
-        // A heal abort: close the heal episode, then retransmit on the
-        // heal backoff schedule (heals do not consume ordinary retries).
-        finishHeal(msg);
-        scheduleHealRetry(msg);
-        return;
-    }
-    scheduleRetry(msg);
+    tearDown(msg, Teardown::Abort);
 }
 
 void
 Network::killMessage(Message &msg)
 {
-    if (msg.beingKilled || msg.terminal())
+    if (msg.tearingDown() || msg.terminal())
         return;
-    msg.beingKilled = true;
-    msg.killIsAbort = false;
     ++counters_.messagesKilled;
-    // A killed circuit's probe stops competing for channels: its wait
+    tearDown(msg, Teardown::Fault);
+}
+
+void
+Network::tearDown(Message &msg, Teardown cause)
+{
+    // A torn-down circuit's probe stops competing for channels: its wait
     // edges must go with it or they would read as phantom deadlock
     // members for as long as the teardown walks take.
     if (cwg_)
         cwg_->onMessageGone(msg.id);
+    msg.teardown = cause;
 
     // Hops on or adjacent to failed components are released by the
-    // spanning routers the moment the failure is detected.
+    // spanning routers the moment the failure is detected. Without such
+    // a hop the circuit is released from its frontier.
     const int last = static_cast<int>(msg.path.size()) - 1;
-    int lo = last + 1;  // first affected hop
-    int hi = -1;        // last affected hop
-    for (int i = 0; i <= last; ++i) {
-        const Link &lk = link(msg.path[static_cast<std::size_t>(i)].link);
-        if (lk.faulty || nodeFaulty(lk.src) || nodeFaulty(lk.dst)) {
-            lo = std::min(lo, i);
-            hi = std::max(hi, i);
+    int lo = last + 1;  // first broken hop
+    int hi = -1;        // last broken hop
+    if (cause == Teardown::Fault) {
+        for (int i = 0; i <= last; ++i) {
+            const Link &lk =
+                link(msg.path[static_cast<std::size_t>(i)].link);
+            if (lk.faulty || nodeFaulty(lk.src) || nodeFaulty(lk.dst)) {
+                lo = std::min(lo, i);
+                hi = std::max(hi, i);
+            }
         }
     }
-    if (hi < 0) {
-        // No hop touches a failure (e.g. the whole source node died and
-        // the path was empty, or the caller over-approximated): tear
-        // down everything from the frontier.
-        msg.killWalks = 0;
-        if (last >= 0) {
-            msg.killWalks = 1;
-            releaseHop(msg, last, true);
-            Flit kill;
-            kill.type = FlitType::KillUp;
-            kill.msg = msg.id;
-            kill.hopIdx = last - 1;
-            kill.epoch = msg.epoch;
-            kill.readyAt = now_ + 1;
-            relayUpstream(msg, kill);
-        } else {
-            finalizeKillWalk(msg);
-        }
-        return;
-    }
+    if (hi < 0)
+        hi = last;
+    else
+        synchronousRelease(msg, lo, hi);
 
-    synchronousRelease(msg, lo, hi);
-    msg.killWalks = 0;
+    // Count both walks before launching either, so one that completes
+    // during its launch cannot finish the teardown early.
+    const bool up = lo > 0;
+    const bool down = hi < last;
+    msg.killWalks = static_cast<int>(up) + static_cast<int>(down);
 
-    // Upstream kill walk from the router just above the break.
-    if (lo > 0) {
-        ++msg.killWalks;
+    Flit kill;
+    kill.msg = msg.id;
+    kill.epoch = msg.epoch;
+    if (up) {
+        // The router just above the break releases its hop and sends
+        // the walk on toward the source.
         releaseHop(msg, lo - 1, true);
         ++counters_.killFlits;
-        if (lo - 1 == 0) {
-            // Apply at the source next.
-            Flit kill;
-            kill.type = FlitType::KillUp;
-            kill.msg = msg.id;
-            kill.hopIdx = -1;
-            kill.epoch = msg.epoch;
-            kill.readyAt = now_ + 1;
-            relayUpstream(msg, kill);
-        } else {
-            Flit kill;
-            kill.type = FlitType::KillUp;
-            kill.msg = msg.id;
-            kill.hopIdx = lo - 2;
-            kill.epoch = msg.epoch;
-            kill.readyAt = now_ + 1;
-            relayUpstream(msg, kill);
-        }
+        kill.type = FlitType::KillUp;
+        kill.hopIdx = lo - 2;
+        relayUpstream(msg, kill);
     }
-
-    // Downstream kill walk from the router just below the break.
-    if (hi < last) {
-        ++msg.killWalks;
-        Link &next = link(msg.path[static_cast<std::size_t>(hi + 1)].link);
-        if (next.faulty || nodeFaulty(next.dst)) {
-            synchronousRelease(msg, hi + 1, last);
-            --msg.killWalks;
-        } else {
-            ++counters_.killFlits;
-            Flit kill;
-            kill.type = FlitType::KillDown;
-            kill.msg = msg.id;
-            kill.hopIdx = hi + 1;
-            kill.epoch = msg.epoch;
-            kill.readyAt = now_ + 1;
-            next.ctrlQ.push_back(kill);
-            ctrlWake(next);
-        }
+    if (down) {
+        kill.type = FlitType::KillDown;
+        kill.hopIdx = hi + 1;
+        sendKillDown(msg, kill);
     }
-
-    if (msg.killWalks == 0)
-        finalizeKillWalk(msg);
+    if (!up && !down)
+        finishTeardown(msg);
 }
 
 void
-Network::finalizeKillWalk(Message &msg)
+Network::sendKillDown(Message &msg, Flit kill)
+{
+    Link &next = link(msg.path[static_cast<std::size_t>(kill.hopIdx)].link);
+    if (next.faulty || nodeFaulty(next.dst)) {
+        cutWalkShort(msg, kill);
+        return;
+    }
+    kill.readyAt = now_ + 1;
+    next.ctrlQ.push_back(kill);
+    ctrlWake(next);
+}
+
+void
+Network::cutWalkShort(Message &msg, const Flit &flit)
+{
+    // Recovery of last resort (Section 2.4): the rest of the walker's
+    // span is released synchronously and its arrival applied at once.
+    if (flit.type == FlitType::KillDown) {
+        synchronousRelease(msg, flit.hopIdx,
+                           static_cast<int>(msg.path.size()) - 1);
+        finishWalk(msg);
+        return;
+    }
+    if (flit.hopIdx >= 0)
+        synchronousRelease(msg, flit.hopIdx, 0);
+    upstreamReachedSource(msg, flit);
+}
+
+void
+Network::finishWalk(Message &msg)
 {
     if (msg.killWalks > 0)
         --msg.killWalks;
-    if (msg.killWalks > 0)
-        return;
-    msg.beingKilled = false;
+    if (msg.killWalks == 0)
+        finishTeardown(msg);
+}
 
-    if (msg.killIsAbort) {
-        msg.killIsAbort = false;
-        finalizeAbortRetry(msg);
-        return;
+void
+Network::finishTeardown(Message &msg)
+{
+    const Teardown cause = msg.teardown;
+    msg.teardown = Teardown::None;
+    if (cause == Teardown::Heal) {
+        // Only now are the knot's trios free: close the heal episode
+        // and let the tracker re-detect the hash should it re-form.
+        const double latency =
+            static_cast<double>(now_ - msg.healStartedAt);
+        counters_.healLatency.add(latency);
+        counters_.healLatencyHist.add(latency);
+        if (cwg_)
+            cwg_->knotHealed(msg.healKnotHash);
+        msg.healKnotHash = 0;
     }
 
-    // Dynamic-fault kill completion.
-    if (msg.state == MsgState::Complete)
-        return;  // its MsgAck landed while the walk was out: retired
+    // Only a fault kill can catch a delivered message: its held path
+    // (awaiting the message acknowledgment) was torn down, and the
+    // MsgAck may even have landed while the walks were out.
+    if (msg.terminal())
+        return;
     if (msg.state == MsgState::Delivered) {
-        // The tail already reached the destination; only the held path
-        // (awaiting the message acknowledgment) was torn down.
         msg.state = MsgState::Complete;
         retired_.push_back(msg.id);
         return;
     }
-    if (cfg_.tailAck) {
-        if (!nodeFaulty(msg.src) && !nodeFaulty(msg.dst) &&
-            msg.retries < cfg_.maxRetries) {
-            // Reliable delivery: the source retransmits the message.
-            ++counters_.retransmits;
-            ++msg.retries;
-            resetForRetry(msg);
-            msg.state = MsgState::Queued;
-            if (!msg.inQueue) {
-                injQ_[static_cast<std::size_t>(msg.src)].push_back(
-                    msg.id);
-                msg.inQueue = true;
-            }
-            activateFront(msg.src);
+
+    const bool endpointDead = nodeFaulty(msg.src) || nodeFaulty(msg.dst);
+    switch (cause) {
+      case Teardown::Heal:
+        if (endpointDead)
+            break;
+        // Heals do not consume the ordinary retry budget: the livelock
+        // guard is the per-knot heal budget, not maxRetries.
+        ++counters_.healRetransmits;
+        requeue(msg, now_ + (static_cast<Cycle>(cfg_.healBackoffBase)
+                             << std::min(msg.healAttempts - 1, 6)));
+        return;
+
+      case Teardown::Abort:
+        ++msg.retries;
+        if (msg.retries > cfg_.maxRetries || endpointDead)
+            break;
+        ++counters_.retriesScheduled;
+        requeue(msg, now_ + static_cast<Cycle>(cfg_.retryBackoff));
+        return;
+
+      default:  // Teardown::Fault
+        if (!cfg_.tailAck) {
+            // No retransmission support: the interrupted message is
+            // lost.
+            dropMessage(msg, true);
             return;
         }
-        // Endpoint dead or retries exhausted: undeliverable, not lost —
-        // retransmission "does not guarantee message delivery because
-        // the destination node may have become faulty or unreachable"
-        // (Section 2.4).
-        dropMessage(msg, false);
+        if (endpointDead || msg.retries >= cfg_.maxRetries)
+            break;
+        // Reliable delivery: the source retransmits the message.
+        ++counters_.retransmits;
+        ++msg.retries;
+        requeue(msg, now_);
         return;
     }
-    // No retransmission support: the interrupted message is lost.
-    dropMessage(msg, true);
+    // Undeliverable, not lost — retransmission "does not guarantee
+    // message delivery because the destination node may have become
+    // faulty or unreachable" (Section 2.4).
+    dropMessage(msg, false);
 }
 
 void
-Network::scheduleRetry(Message &msg)
-{
-    if (msg.terminal())
-        return;
-    ++msg.retries;
-    if (msg.retries > cfg_.maxRetries || nodeFaulty(msg.src) ||
-        nodeFaulty(msg.dst)) {
-        dropMessage(msg, false);
-        return;
-    }
-    ++counters_.retriesScheduled;
-    resetForRetry(msg);
-    // A message that had fully injected already left its injection
-    // queue; retransmission needs the injection channel again.
-    if (!msg.inQueue) {
-        injQ_[static_cast<std::size_t>(msg.src)].push_back(msg.id);
-        msg.inQueue = true;
-    }
-    msg.state = MsgState::WaitRetry;
-    msg.retryAt = now_ + static_cast<Cycle>(cfg_.retryBackoff);
-    retryList_.push_back(msg.id);
-}
-
-void
-Network::resetForRetry(Message &msg)
+Network::requeue(Message &msg, Cycle at)
 {
     if (cwg_)
         cwg_->onMessageGone(msg.id);
@@ -273,7 +237,21 @@ Network::resetForRetry(Message &msg)
     msg.releasedHops = 0;
     msg.headerAtDest = false;
     msg.inRcu = false;
-    msg.beingKilled = false;
+
+    // A message that had fully injected already left its injection
+    // queue; the new attempt needs the injection channel again.
+    if (!msg.inQueue) {
+        injQ_[static_cast<std::size_t>(msg.src)].push_back(msg.id);
+        msg.inQueue = true;
+    }
+    if (at == now_) {
+        msg.state = MsgState::Queued;
+        activateFront(msg.src);
+        return;
+    }
+    msg.state = MsgState::WaitRetry;
+    msg.retryAt = at;
+    retryList_.push_back(msg.id);
 }
 
 void

@@ -109,7 +109,7 @@ Network::processCtrlArrival(Link &wire, Flit flit)
     Message &msg = *mp;
 
     if (flit.type == FlitType::Header) {
-        if (msg.beingKilled || msg.terminal() ||
+        if (msg.tearingDown() || msg.terminal() ||
             msg.state == MsgState::WaitRetry) {
             return;  // the probe dies with its circuit
         }
@@ -273,17 +273,11 @@ Network::relayUpstream(Message &msg, Flit flit)
     Link &wire = link(topo_->reverseLink(fwd));
 
     if (wire.faulty || nodeFaulty(wire.dst)) {
-        // The walker cannot continue: recovery of last resort releases
-        // the remaining span synchronously (Section 2.4).
-        switch (flit.type) {
-          case FlitType::KillUp:
-          case FlitType::MsgAck:
-            synchronousRelease(msg, next, 0);
-            upstreamReachedSource(msg, flit);
-            break;
-          default:
-            break;  // the fault machinery will kill this circuit
-        }
+        // The walker cannot continue. Hop-releasing walkers complete
+        // synchronously; for the others the fault machinery kills the
+        // circuit.
+        if (flit.type == FlitType::KillUp || flit.type == FlitType::MsgAck)
+            cutWalkShort(msg, flit);
         return;
     }
     flit.readyAt = std::max(flit.readyAt, now_ + 1);
@@ -341,7 +335,7 @@ Network::upstreamReachedSource(Message &msg, const Flit &flit)
         break;
 
       case FlitType::KillUp:
-        finalizeKillWalk(msg);
+        finishWalk(msg);
         break;
 
       default:
@@ -352,25 +346,14 @@ Network::upstreamReachedSource(Message &msg, const Flit &flit)
 void
 Network::handleKillDown(Message &msg, Flit flit)
 {
-    const int j = flit.hopIdx;
-    releaseHop(msg, j, true);
+    releaseHop(msg, flit.hopIdx, true);
     ++counters_.killFlits;
-
-    const int last = static_cast<int>(msg.path.size()) - 1;
-    if (j >= last) {
-        finalizeKillWalk(msg);
+    if (flit.hopIdx >= static_cast<int>(msg.path.size()) - 1) {
+        finishWalk(msg);
         return;
     }
-    Link &next = link(msg.path[static_cast<std::size_t>(j + 1)].link);
-    if (next.faulty || nodeFaulty(next.dst)) {
-        synchronousRelease(msg, j + 1, last);
-        finalizeKillWalk(msg);
-        return;
-    }
-    flit.hopIdx = j + 1;
-    flit.readyAt = now_ + 1;
-    next.ctrlQ.push_back(flit);
-    ctrlWake(next);
+    ++flit.hopIdx;
+    sendKillDown(msg, flit);
 }
 
 } // namespace tpnet

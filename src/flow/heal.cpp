@@ -6,23 +6,20 @@
  * Runs once per cycle, right after the CWG tracker's end-of-cycle
  * sweep: every knot the tracker confirmed this cycle either gets a
  * victim (selected by the configured policy over the knot's reachable
- * closure) whose circuit is aborted through the ordinary kill-walk
- * machinery and retransmitted from the source on an exponential
- * backoff, or — when the same knot has re-formed past the heal budget
- * — escalates back into a real violation for the watchdog machinery
- * (the livelock guard).
+ * closure) whose circuit is torn down with cause Teardown::Heal and
+ * retransmitted from the source on an exponential backoff, or — when
+ * the same knot has re-formed past the heal budget — escalates back
+ * into a real violation for the watchdog machinery (the livelock
+ * guard).
  *
- * The heal episode closes when the victim's abort walk has fully
- * drained (finalizeAbortRetry routes here via Message::healPending):
- * only then are the knot's trios actually free, so that is the point
- * the heal latency is measured and the tracker is told the hash may
- * be re-detected.
+ * The heal episode closes in Network::finishTeardown
+ * (fault/recovery.cpp), once the victim's walk has fully drained: only
+ * then are the knot's trios actually free, so that is the point the
+ * heal latency is measured and the tracker is told the hash may be
+ * re-detected.
  */
 
-#include <algorithm>
-
 #include "core/network.hpp"
-#include "sim/log.hpp"
 #include "verify/victim.hpp"
 
 namespace tpnet {
@@ -59,53 +56,11 @@ Network::healVictim(Message &msg, std::uint64_t hash)
     ++msg.healAttempts;
     msg.lastHealAt = now_;
     msg.healStartedAt = now_;
-    msg.healPending = true;
     msg.healKnotHash = hash;
     healLog_.push_back({now_, hash, msg.id, msg.healAttempts});
     if (trace_)
         trace_->probeEvent(now_, msg, ProbeEvent::Aborted);
-    if (cwg_)
-        cwg_->onMessageGone(msg.id);
-    launchAbortWalk(msg);
-}
-
-void
-Network::finishHeal(Message &msg)
-{
-    const double latency =
-        static_cast<double>(now_ - msg.healStartedAt);
-    counters_.healLatency.add(latency);
-    counters_.healLatencyHist.add(latency);
-    if (cwg_)
-        cwg_->knotHealed(msg.healKnotHash);
-    msg.healPending = false;
-    msg.healKnotHash = 0;
-}
-
-void
-Network::scheduleHealRetry(Message &msg)
-{
-    if (msg.terminal())
-        return;
-    if (nodeFaulty(msg.src) || nodeFaulty(msg.dst)) {
-        // The victim cannot be retransmitted; undeliverable, same
-        // verdict the ordinary retry path reaches for dead endpoints.
-        dropMessage(msg, false);
-        return;
-    }
-    // Heals do not consume the ordinary retry budget: the livelock
-    // guard is the per-knot heal budget, not maxRetries.
-    ++counters_.healRetransmits;
-    resetForRetry(msg);
-    if (!msg.inQueue) {
-        injQ_[static_cast<std::size_t>(msg.src)].push_back(msg.id);
-        msg.inQueue = true;
-    }
-    msg.state = MsgState::WaitRetry;
-    const int shift = std::min(msg.healAttempts - 1, 6);
-    msg.retryAt =
-        now_ + (static_cast<Cycle>(cfg_.healBackoffBase) << shift);
-    retryList_.push_back(msg.id);
+    tearDown(msg, Teardown::Heal);
 }
 
 } // namespace tpnet

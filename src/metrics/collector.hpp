@@ -64,6 +64,9 @@ struct Counters
     std::uint64_t ctrlCrossings = 0;  ///< control-lane link traversals
     std::uint64_t posAcks = 0;
     std::uint64_t negAcks = 0;
+    /// One per hop a kill walk releases. Hops released synchronously
+    /// at a break, or by a walk cut short at a dead wire, are not
+    /// counted.
     std::uint64_t killFlits = 0;
     std::uint64_t msgAcks = 0;
     std::uint64_t dataFlitsDelivered = 0;

@@ -4,7 +4,7 @@
 #include <cstdlib>
 
 #include "core/network.hpp"
-#include "routing/registry.hpp"
+#include "routing/protocols.hpp"
 #include "sim/log.hpp"
 
 namespace tpnet {
@@ -153,7 +153,22 @@ misrouteUntried(Network &net, Message &msg, bool adaptive_only,
 std::unique_ptr<RoutingAlgorithm>
 makeProtocol(const SimConfig &cfg)
 {
-    return makeRouting(cfg.protocol, cfg);
+    switch (cfg.protocol) {
+      case Protocol::DimOrder:
+        return std::make_unique<DimOrderRouting>();
+      case Protocol::Duato:
+        return std::make_unique<DuatoRouting>();
+      case Protocol::Scouting:
+        return std::make_unique<ScoutingRouting>(cfg.scoutK);
+      case Protocol::Pcs:
+        return std::make_unique<PcsRouting>();
+      case Protocol::MBm:
+        return std::make_unique<MbmRouting>(cfg.misrouteLimit);
+      case Protocol::TwoPhase:
+        return std::make_unique<TwoPhaseRouting>(cfg.scoutK,
+                                                 cfg.misrouteLimit);
+    }
+    tpnet_panic("unknown protocol ", static_cast<int>(cfg.protocol));
 }
 
 } // namespace tpnet

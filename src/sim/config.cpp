@@ -183,6 +183,8 @@ SimConfig::validate() const
         tpnet_fatal("offered load ", load, " out of range");
     if (injQueueLimit < 1)
         tpnet_fatal("injQueueLimit must be >= 1");
+    if (retryBackoff < 1)
+        tpnet_fatal("retryBackoff must be >= 1");
     if (staticNodeFaults < 0 || staticNodeFaults >= nodes())
         tpnet_fatal("staticNodeFaults out of range");
     if (staticLinkFaults < 0)

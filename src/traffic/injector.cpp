@@ -7,20 +7,24 @@
 namespace tpnet {
 
 Injector::Injector(Network &net)
-    : net_(net),
-      source_(net.config().pattern, net.topo()),
-      msgProb_(net.config().msgRate())
+    : net_(net)
 {
     const SimConfig &cfg = net_.config();
-    armed_ = cfg.trafficClasses.empty()
-        ? msgProb_ > 0.0
-        : cfg.trafficArmed();
-    if (cfg.trafficClasses.empty())
-        return;
+    armed_ = cfg.trafficArmed();
+
+    // Without workload classes the run is one smooth open-loop class
+    // built from pattern/load/msgLength, with no per-class counters.
+    std::vector<TrafficClassConfig> specs = cfg.trafficClasses;
+    if (specs.empty()) {
+        TrafficClassConfig tc;
+        tc.pattern = cfg.pattern;
+        tc.load = cfg.load;
+        specs.push_back(tc);
+    }
 
     const int nodes = net_.topo().nodes();
     bool closedLoop = false;
-    for (const TrafficClassConfig &tc : cfg.trafficClasses) {
+    for (const TrafficClassConfig &tc : specs) {
         ClassRt rt{TrafficSource(tc, net_.topo())};
         rt.length = tc.msgLength > 0 ? tc.msgLength : cfg.msgLength;
         rt.prob = tc.load / static_cast<double>(rt.length);
@@ -46,16 +50,15 @@ Injector::Injector(Network &net)
     for (std::size_t i = 0; i < classOrder_.size(); ++i)
         classOrder_[i] = static_cast<int>(i);
     std::stable_sort(classOrder_.begin(), classOrder_.end(),
-                     [&cfg](int a, int b) {
-                         return cfg.trafficClasses[static_cast<std::size_t>(
-                                    a)].priority >
-                             cfg.trafficClasses[static_cast<std::size_t>(b)]
-                                 .priority;
+                     [&specs](int a, int b) {
+                         return specs[static_cast<std::size_t>(a)].priority >
+                             specs[static_cast<std::size_t>(b)].priority;
                      });
 
     burstOn_.assign(classes_.size() * static_cast<std::size_t>(nodes), 0);
     outBudget_.assign(classes_.size() * static_cast<std::size_t>(nodes), 0);
-    net_.counters().classes.resize(classes_.size());
+    if (!cfg.trafficClasses.empty())
+        net_.counters().classes.resize(classes_.size());
 
     if (closedLoop) {
         net_.attachRetireListener(this);
@@ -157,27 +160,12 @@ Injector::flushReplies()
 }
 
 void
-Injector::stepLegacy(Rng &rng)
+Injector::step()
 {
-    if (msgProb_ <= 0.0)
+    flushReplies();
+    if (stopped_ || !armed_)
         return;
-    const int nodes = net_.topo().nodes();
-    for (NodeId src = 0; src < nodes; ++src) {
-        if (net_.nodeFaulty(src))
-            continue;
-        if (!rng.chance(msgProb_))
-            continue;
-        const NodeId dst = source_.pick(net_, src, rng);
-        if (dst == invalidNode)
-            continue;
-        ++offered_;
-        net_.offerMessage(src, dst);
-    }
-}
-
-void
-Injector::stepClasses(Rng &rng)
-{
+    Rng &rng = net_.rng();
     const int nodes = net_.topo().nodes();
     for (int ci : classOrder_) {
         ClassRt &rt = classes_[static_cast<std::size_t>(ci)];
@@ -224,19 +212,6 @@ Injector::stepClasses(Rng &rng)
             }
         }
     }
-}
-
-void
-Injector::step()
-{
-    flushReplies();
-    if (stopped_ || !armed_)
-        return;
-    Rng &rng = net_.rng();
-    if (classes_.empty())
-        stepLegacy(rng);
-    else
-        stepClasses(rng);
 }
 
 } // namespace tpnet

@@ -2,21 +2,21 @@
  * @file
  * Message generator with injection-side congestion control.
  *
- * The legacy single-class source generates at every healthy node with
- * probability load / L per cycle (a Bernoulli process whose mean
- * offered load is the configured flits/node/cycle); its RNG draw
- * sequence is kept byte-identical to the original injector. Generation
- * that finds the 8-message injection queue full is rejected by
+ * Each traffic class generates at every healthy node with probability
+ * load / L per cycle (a Bernoulli process whose mean offered load is the
+ * class's flits/node/cycle). Without SimConfig::trafficClasses the run
+ * is one such class built from pattern/load/msgLength. Generation that
+ * finds the 8-message injection queue full is rejected by
  * Network::offerMessage and counted there (Counters::notAccepted) —
  * the paper's congestion control: "If the input buffers are filled,
  * messages cannot be injected into the network until a message in the
  * buffer has been routed" (Section 6.0).
  *
- * With SimConfig::trafficClasses set, the workload library takes over:
- * several classes with independent patterns, rates, lengths, and
- * priorities; optional on-off (bursty) modulation per (node, class);
- * and optional closed-loop request-reply operation with a finite
- * outstanding-transaction budget per node (DESIGN.md Section 6j).
+ * The workload library (DESIGN.md Section 6j) adds several classes with
+ * independent patterns, rates, lengths, and priorities; optional on-off
+ * (bursty) modulation per (node, class); and optional closed-loop
+ * request-reply operation with a finite outstanding-transaction budget
+ * per node.
  */
 
 #ifndef TPNET_TRAFFIC_INJECTOR_HPP
@@ -101,18 +101,14 @@ class Injector : public RetireListener
     };
 
     void flushReplies();
-    void stepLegacy(Rng &rng);
-    void stepClasses(Rng &rng);
     void releaseBudget(int cls, NodeId requester);
 
     Network &net_;
-    TrafficSource source_;  ///< legacy single-class source
-    double msgProb_;        ///< legacy per-node generation probability
     bool stopped_ = false;
     bool armed_ = false;    ///< any source can ever generate
     std::uint64_t offered_ = 0;
 
-    // Workload library state (empty in legacy mode).
+    // Per-class state.
     std::vector<ClassRt> classes_;
     std::vector<int> classOrder_;       ///< priority desc, index asc
     std::vector<std::uint8_t> burstOn_; ///< [cls * nodes + node]

@@ -20,11 +20,6 @@ indexBitsFor(int nodes)
 
 } // namespace
 
-TrafficSource::TrafficSource(TrafficPattern pattern, const Topology &topo)
-    : pattern_(pattern), topo_(topo), cube_(topo.cube()),
-      indexBits_(indexBitsFor(topo.nodes()))
-{}
-
 TrafficSource::TrafficSource(const TrafficClassConfig &cls,
                              const Topology &topo)
     : pattern_(cls.pattern), topo_(topo), cube_(topo.cube()),

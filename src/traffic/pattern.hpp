@@ -24,9 +24,7 @@ class Network;
 class TrafficSource
 {
   public:
-    TrafficSource(TrafficPattern pattern, const Topology &topo);
-
-    /** Pattern plus the class's hotspot skew. */
+    /** The class's pattern plus its hotspot skew. */
     TrafficSource(const TrafficClassConfig &cls, const Topology &topo);
 
     /**

@@ -458,8 +458,6 @@ CwgTracker::diagnose(const std::vector<MsgId> &members,
     if (cls == CycleClass::Knot)
         os << "; knot closure: " << closureOf(members).size()
            << " message(s), no exit";
-    if (traceOffset_)
-        os << "; trace offset " << traceOffset_();
     return os.str();
 }
 

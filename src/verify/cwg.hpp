@@ -52,7 +52,6 @@
 #define TPNET_VERIFY_CWG_HPP
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -95,7 +94,7 @@ struct CwgCycle
     Cycle at = 0;                 ///< simulation cycle of detection
     std::uint64_t hash = 0;       ///< order-independent member hash
     std::vector<MsgId> members;   ///< in cycle order
-    /** Full human diagnosis: VCs, owners, K values, phases, trace offset. */
+    /** Full human diagnosis: VCs, owners, K values, phases. */
     std::string diagnosis;
 };
 
@@ -222,16 +221,6 @@ class CwgTracker
 
     /** Total wait edges in the graph (tests). */
     std::size_t edgeCount() const;
-
-    /**
-     * Cross-reference diagnoses to a trace stream: @p fn returns the
-     * current event offset (e.g. TraceRecorder::size). Optional.
-     */
-    void
-    setTraceOffsetProvider(std::function<std::size_t()> fn)
-    {
-        traceOffset_ = std::move(fn);
-    }
 
     // --- Recovery mode (cfg.recoveryMode) ------------------------------
     /**
@@ -374,8 +363,6 @@ class CwgTracker
     std::uint64_t cyclesDetected_ = 0;
     std::uint64_t benignDetected_ = 0;
     Cycle lastSweep_ = 0;
-
-    std::function<std::size_t()> traceOffset_;
 };
 
 } // namespace verify

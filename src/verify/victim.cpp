@@ -37,7 +37,7 @@ selectVictim(Network &net, const std::vector<MsgId> &closure,
         // A Delivered message (tail ejected, awaiting its ack) is
         // excluded too: aborting and retransmitting it would deliver
         // twice.
-        if (msg && !msg->terminal() && !msg->beingKilled &&
+        if (msg && !msg->terminal() && !msg->tearingDown() &&
             msg->state != MsgState::Delivered)
             candidates.push_back(id);
     }

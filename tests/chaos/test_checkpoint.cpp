@@ -158,6 +158,17 @@ TEST(CheckpointContainer, RejectsEveryCorruptionMode)
                   std::string::npos)
             << r.error();
     }
+    {  // version 2 (separate kill/abort/heal flags per message)
+        std::string bad = good;
+        bad[4] = 2;
+        std::istringstream is(bad, std::ios::binary);
+        obs::CkReader r(is);
+        EXPECT_FALSE(r.ok());
+        EXPECT_NE(r.error().find(
+                      "unsupported checkpoint version 2 (reader supports 3)"),
+                  std::string::npos)
+            << r.error();
+    }
     {  // truncated header
         std::istringstream is(good.substr(0, 20), std::ios::binary);
         obs::CkReader r(is);
@@ -350,6 +361,19 @@ TEST(CheckpointState, RejectsDataPlaneStateItCannotIndex)
         EXPECT_FALSE(roundTrip(a, error));
         EXPECT_NE(error.find("names no VC"), std::string::npos) << error;
     }
+}
+
+TEST(CheckpointState, RejectsOutOfRangeTeardownCause)
+{
+    Harness a(harnessConfig());
+    a.run(100);
+    const std::vector<MsgId> live = a.net.liveMessageIds();
+    ASSERT_FALSE(live.empty());
+    a.net.message(live.front()).teardown = static_cast<Teardown>(4);
+    std::string error;
+    EXPECT_FALSE(roundTrip(a, error));
+    EXPECT_NE(error.find("teardown cause 4 out of range"), std::string::npos)
+        << error;
 }
 
 TEST(CheckpointState, FileRejectsWrongConfigAndCorruption)

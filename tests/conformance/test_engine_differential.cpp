@@ -21,6 +21,7 @@
 #include "core/network.hpp"
 #include "helpers.hpp"
 #include "obs/recorder.hpp"
+#include "obs/trace_format.hpp"
 #include "verify/cwg.hpp"
 
 namespace tpnet {
@@ -301,6 +302,59 @@ TEST(EngineDifferential, NonDefaultBufferDepthsMatchPinnedDigests)
             const obs::TraceRecorder rec = obs::recordRun(spec);
             EXPECT_EQ(rec.digest(), c.digest) << "event engine " << engine;
         }
+    }
+}
+
+/**
+ * The teardown paths the golden scenarios never take — a knot heal, and
+ * a tail-acknowledged kill with its MsgAck walkers and retransmission —
+ * pinned to values recorded before fault kills, setup aborts and knot
+ * heals shared one teardown. The engine comparisons above cannot see a
+ * change both engines share; these can.
+ */
+TEST(EngineDifferential, HandBuiltKnotHealMatchesPinnedDigest)
+{
+    const KnotRun run = runHandBuiltKnot(true);
+    EXPECT_EQ(run.digest, 0xacf9dba10ce85d5eull);
+    EXPECT_EQ(run.events, 703u);
+}
+
+TEST(EngineDifferential, RecoveryCampaignMatchesPinnedJson)
+{
+    struct Case
+    {
+        bool tailAck;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {false, 0xeaaaf5105271f0e1ull},
+        {true, 0xa7dc0500ef85bd98ull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.tailAck);
+        chaos::CampaignSpec spec = knotRecoverySpec();
+        spec.cfg.tailAck = c.tailAck;
+        const std::string json =
+            chaos::campaignJson(chaos::runCampaign(spec));
+        EXPECT_EQ(obs::fnv1a64(json.data(), json.size()), c.digest);
+    }
+}
+
+TEST(EngineDifferential, TailAckDynamicKillMatchesPinnedDigest)
+{
+    // The tp-dynkill golden scenario with tail acknowledgments and a
+    // later kill that cuts three circuits: one source retransmits, one
+    // message loses its endpoint, and MsgAck walkers run throughout.
+    obs::RecordSpec spec = obs::goldenSpecs(goldenSeed)[3];
+    spec.cfg.tailAck = true;
+    spec.killNode = 6;
+    spec.killAt = 200;
+    for (const bool engine : {true, false}) {
+        spec.cfg.eventEngine = engine;
+        const obs::TraceRecorder rec = obs::recordRun(spec);
+        EXPECT_EQ(rec.digest(), 0x1ceae722953ab8baull)
+            << "event engine " << engine;
+        EXPECT_EQ(rec.size(), 4098u) << "event engine " << engine;
     }
 }
 

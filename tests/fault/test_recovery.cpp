@@ -79,6 +79,42 @@ TEST(Recovery, TailAckHoldsPathUntilAcknowledged)
     EXPECT_EQ(c.msgAcks, 2u);
 }
 
+TEST(Recovery, KillFlitsCountOnePerHopAWalkReleases)
+{
+    // Counters::killFlits counts the hops kill walks release; hops
+    // released synchronously at the break are not counted.
+    SimConfig cfg = smallConfig(Protocol::TwoPhase, 8, 2);
+    cfg.msgLength = 64;
+    // A 4-hop circuit whose probe has reached the destination; no data
+    // has released a hop yet.
+    const auto circuit = [](Network &net) -> Message & {
+        net.offerMessage(0, 2 + 8 * 2);
+        Message &msg = net.message(0);
+        for (int c = 0; c < 100 && !msg.headerAtDest; ++c)
+            net.step();
+        EXPECT_TRUE(msg.headerAtDest);
+        EXPECT_EQ(msg.path.size(), 4u);
+        return msg;
+    };
+    {
+        // A link failed mid-circuit: hop 1 goes at the break, the up
+        // walk releases hop 0 and the down walk hops 2 and 3.
+        Network net(cfg);
+        const Link &lk = net.link(circuit(net).path[1].link);
+        net.failLink(lk.src, lk.srcPort);
+        EXPECT_TRUE(runToQuiescent(net, 100000));
+        EXPECT_EQ(net.counters().killFlits, 3u);
+    }
+    {
+        // A kill with no broken hop (as for a salvaged header): the
+        // walk starts at the frontier and releases all four hops.
+        Network net(cfg);
+        net.killMessage(circuit(net));
+        EXPECT_TRUE(runToQuiescent(net, 100000));
+        EXPECT_EQ(net.counters().killFlits, 4u);
+    }
+}
+
 TEST(Recovery, DynamicFaultProcessInjectsFaults)
 {
     SimConfig cfg = smallConfig(Protocol::TwoPhase, 8, 2);

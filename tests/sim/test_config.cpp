@@ -99,6 +99,15 @@ TEST(ConfigDeath, RejectsSingleEscapeVcOnTorus)
     EXPECT_DEATH(cfg.validate(), "dateline");
 }
 
+TEST(ConfigDeath, RejectsRetryBackoffBelowOne)
+{
+    // A re-try waits at least one cycle: a teardown re-queues at once
+    // only for a tail-acknowledged retransmission.
+    SimConfig cfg;
+    cfg.retryBackoff = 0;
+    EXPECT_DEATH(cfg.validate(), "retryBackoff");
+}
+
 TEST(ConfigDeath, RequiresAdaptiveVcForDp)
 {
     SimConfig cfg;

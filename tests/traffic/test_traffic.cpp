@@ -13,7 +13,8 @@ TEST(Pattern, BitComplementMapping)
 {
     SimConfig cfg = smallConfig();
     Network net(cfg);
-    TrafficSource src(TrafficPattern::BitComplement, net.topo());
+    TrafficSource src(TrafficClassConfig{TrafficPattern::BitComplement},
+                      net.topo());
     // (1, 2) -> (6, 5) on an 8-ary 2-cube.
     EXPECT_EQ(src.mapped(1 + 8 * 2), 6 + 8 * 5);
     // Self-mapping never happens for k even.
@@ -25,7 +26,8 @@ TEST(Pattern, TransposeMapping)
 {
     SimConfig cfg = smallConfig();
     Network net(cfg);
-    TrafficSource src(TrafficPattern::Transpose, net.topo());
+    TrafficSource src(TrafficClassConfig{TrafficPattern::Transpose},
+                      net.topo());
     EXPECT_EQ(src.mapped(3 + 8 * 5), 5 + 8 * 3);
     // Diagonal nodes map to themselves -> pick() rejects them.
     EXPECT_EQ(src.mapped(2 + 8 * 2), 2 + 8 * 2);
@@ -37,7 +39,8 @@ TEST(Pattern, NeighborPlusMapping)
 {
     SimConfig cfg = smallConfig();
     Network net(cfg);
-    TrafficSource src(TrafficPattern::NeighborPlus, net.topo());
+    TrafficSource src(TrafficClassConfig{TrafficPattern::NeighborPlus},
+                      net.topo());
     EXPECT_EQ(src.mapped(0), 1);
     EXPECT_EQ(src.mapped(7), 0);  // wraps
 }
@@ -46,7 +49,8 @@ TEST(Pattern, TornadoMapping)
 {
     SimConfig cfg = smallConfig();
     Network net(cfg);
-    TrafficSource src(TrafficPattern::Tornado, net.topo());
+    TrafficSource src(TrafficClassConfig{TrafficPattern::Tornado},
+                      net.topo());
     // k = 8 (even): offset k/2 - 1 = 3 in each dimension.
     EXPECT_EQ(src.mapped(0), 3 + 8 * 3);
 }
@@ -58,7 +62,8 @@ TEST(Pattern, TornadoBinaryRingPermutes)
     // load while reporting success. The offset is clamped to >= 1.
     SimConfig cfg = smallConfig(Protocol::TwoPhase, 2, 3);
     Network net(cfg);
-    TrafficSource src(TrafficPattern::Tornado, net.topo());
+    TrafficSource src(TrafficClassConfig{TrafficPattern::Tornado},
+                      net.topo());
     for (NodeId s = 0; s < net.topo().nodes(); ++s)
         EXPECT_NE(src.mapped(s), s) << s;
 }
@@ -75,7 +80,8 @@ TEST(Pattern, UniformFallbackDrawsFromHealthySet)
     for (NodeId id = 0; id < net.topo().nodes(); ++id)
         if (id != 3 && id != 250)
             net.failNode(id);
-    TrafficSource src(TrafficPattern::Uniform, net.topo());
+    TrafficSource src(TrafficClassConfig{TrafficPattern::Uniform},
+                      net.topo());
     Rng rng(5);
     for (int i = 0; i < 200; ++i)
         ASSERT_EQ(src.pick(net, 3, rng), 250);
@@ -91,7 +97,8 @@ TEST(Pattern, UniformAvoidsSelfAndFaulty)
     SimConfig cfg = smallConfig();
     Network net(cfg);
     net.failNode(5);
-    TrafficSource src(TrafficPattern::Uniform, net.topo());
+    TrafficSource src(TrafficClassConfig{TrafficPattern::Uniform},
+                      net.topo());
     Rng rng(7);
     for (int i = 0; i < 2000; ++i) {
         const NodeId dst = src.pick(net, 3, rng);
@@ -106,7 +113,8 @@ TEST(Pattern, UniformCoversAllHealthyNodes)
 {
     SimConfig cfg = smallConfig(Protocol::TwoPhase, 4, 2);
     Network net(cfg);
-    TrafficSource src(TrafficPattern::Uniform, net.topo());
+    TrafficSource src(TrafficClassConfig{TrafficPattern::Uniform},
+                      net.topo());
     Rng rng(9);
     std::vector<int> hits(static_cast<std::size_t>(net.topo().nodes()));
     for (int i = 0; i < 4000; ++i)

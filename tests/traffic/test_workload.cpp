@@ -54,7 +54,7 @@ TEST(Workload, PermutationPatternsAreBijective)
                 SCOPED_TRACE(std::string(patternName(p)) + " on " +
                              std::to_string(k) + "-ary " +
                              std::to_string(n) + "-cube");
-                const TrafficSource src(p, topo);
+                const TrafficSource src(TrafficClassConfig{p}, topo);
                 std::vector<int> hits(
                     static_cast<std::size_t>(topo.nodes()), 0);
                 for (NodeId s = 0; s < topo.nodes(); ++s) {
