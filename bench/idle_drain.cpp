@@ -196,9 +196,9 @@ main(int argc, char **argv)
         spec.injectCycles = 4000;
         spec.drainCycles = 200000;
         for (int port = 0; port < 4; ++port) {
-            chaos::FaultEvent ev;
+            FaultEvent ev;
             ev.at = 150;
-            ev.kind = chaos::FaultKind::LinkIntermittent;
+            ev.kind = FaultKind::LinkIntermittent;
             ev.node = 9;
             ev.port = port;
             ev.downFor = fast ? 20000 : 60000;

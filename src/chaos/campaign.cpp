@@ -69,11 +69,8 @@ runCampaign(const CampaignSpec &spec)
     // scripted (pinned-victim) timeline consumes no fault RNG at all,
     // so replaying a subset of fired events perturbs nothing else.
     Rng faultRng = Rng(spec.seed ^ 0xC4A0C4A0C4A0C4A0ull).split();
-    FaultSchedule schedule;
-    if (!spec.scriptedFaults.empty()) {
-        for (const FaultEvent &ev : spec.scriptedFaults)
-            schedule.add(ev);
-    } else {
+    FaultSchedule schedule(spec.scriptedFaults);
+    if (spec.scriptedFaults.empty()) {
         ScheduleSpec faults = spec.faults;
         if (faults.horizon > spec.injectCycles)
             faults.horizon = spec.injectCycles;

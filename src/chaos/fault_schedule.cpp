@@ -1,6 +1,7 @@
 #include "chaos/fault_schedule.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "core/engine.hpp"
 #include "core/network.hpp"
@@ -38,19 +39,13 @@ FaultSchedule::randomized(const ScheduleSpec &spec, Rng &rng)
 void
 FaultSchedule::apply(Network &net, Rng &rng)
 {
-    if (!sorted_) {
-        std::stable_sort(events_.begin() + static_cast<std::ptrdiff_t>(next_),
-                         events_.end(),
-                         [](const FaultEvent &a, const FaultEvent &b) {
-                             return a.at < b.at;
-                         });
-        sorted_ = true;
-    }
-    while (next_ < events_.size() && events_[next_].at <= net.now()) {
-        if (fire(events_[next_], net, rng))
+    while (nextEventAt() <= net.now()) {
+        if (const auto hit = net.strike(events_[next_], rng)) {
+            firedEvents_.push_back(*hit);
             ++fired_;
-        else
+        } else {
             ++skipped_;
+        }
         ++next_;
     }
 }
@@ -69,71 +64,26 @@ FaultSchedule::nextEventAt()
     return next_ < events_.size() ? events_[next_].at : cycleNever;
 }
 
-bool
-FaultSchedule::fire(const FaultEvent &ev, Network &net, Rng &rng)
+namespace {
+
+/** Replay-spec letter of each FaultKind, in enum order. */
+constexpr std::string_view kindLetters = "nli";
+
+/** Split @p s at every @p sep (an empty string is one empty field). */
+std::vector<std::string>
+split(const std::string &s, char sep)
 {
-    const Topology &topo = net.topo();
-
-    if (ev.kind == FaultKind::NodeKill) {
-        NodeId victim = ev.node;
-        if (victim == invalidNode) {
-            // Keep at least two healthy nodes so traffic stays definable
-            // (mirrors the built-in dynamic fault process).
-            const auto healthy = net.healthyNodes();
-            if (healthy.size() <= 2)
-                return false;
-            victim = healthy[rng.below(
-                static_cast<std::uint64_t>(healthy.size()))];
-        }
-        if (net.nodeFaulty(victim))
-            return false;
-        net.counters().dynamicFaults++;
-        net.failNode(victim);
-        firedEvents_.push_back({ev.at, FaultKind::NodeKill, victim, -1, 0});
-        return true;
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    for (std::size_t end; (end = s.find(sep, pos)) != std::string::npos;
+         pos = end + 1) {
+        out.push_back(s.substr(pos, end - pos));
     }
-
-    // Link events: resolve an open victim to a random healthy
-    // full-duplex link between healthy endpoints.
-    NodeId node = ev.node;
-    int port = ev.port;
-    if (node == invalidNode) {
-        bool found = false;
-        for (int attempt = 0; attempt < 256 && !found; ++attempt) {
-            const LinkId id = static_cast<LinkId>(
-                rng.below(static_cast<std::uint64_t>(topo.links())));
-            const Link &lk = net.link(id);
-            if (lk.faulty || lk.absent || net.nodeFaulty(lk.src) ||
-                net.nodeFaulty(lk.dst)) {
-                continue;
-            }
-            node = lk.src;
-            port = lk.srcPort;
-            found = true;
-        }
-        if (!found)
-            return false;
-    } else {
-        const Link &lk = net.linkAt(node, port);
-        if (lk.faulty || lk.absent || net.nodeFaulty(lk.src) ||
-            net.nodeFaulty(lk.dst)) {
-            return false;
-        }
-    }
-
-    net.counters().dynamicFaults++;
-    if (ev.kind == FaultKind::LinkKill) {
-        net.failLink(node, port);
-        firedEvents_.push_back({ev.at, FaultKind::LinkKill, node, port, 0});
-    } else {
-        net.counters().intermittentFaults++;
-        const Cycle down = ev.downFor > 0 ? ev.downFor : 1;
-        net.failLinkIntermittent(node, port, down);
-        firedEvents_.push_back(
-            {ev.at, FaultKind::LinkIntermittent, node, port, down});
-    }
-    return true;
+    out.push_back(s.substr(pos));
+    return out;
 }
+
+} // namespace
 
 std::string
 formatFaultEvents(const std::vector<FaultEvent> &events)
@@ -142,12 +92,9 @@ formatFaultEvents(const std::vector<FaultEvent> &events)
     for (const FaultEvent &ev : events) {
         if (!out.empty())
             out += ',';
-        const char kind = ev.kind == FaultKind::NodeKill       ? 'n'
-                          : ev.kind == FaultKind::LinkKill     ? 'l'
-                                                               : 'i';
         out += std::to_string(ev.at);
         out += ':';
-        out += kind;
+        out += kindLetters[static_cast<std::size_t>(ev.kind)];
         out += ':';
         out += std::to_string(ev.node == invalidNode
                                   ? -1
@@ -166,35 +113,18 @@ parseFaultEvents(const std::string &spec, std::vector<FaultEvent> *out)
     out->clear();
     if (spec.empty())
         return true;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t end = spec.find(',', pos);
-        if (end == std::string::npos)
-            end = spec.size();
-        const std::string tok = spec.substr(pos, end - pos);
+    for (const std::string &tok : split(spec, ',')) {
         // Five colon-separated fields: at:kind:node:port:down.
-        std::vector<std::string> fields;
-        std::size_t f = 0;
-        while (f <= tok.size()) {
-            std::size_t fe = tok.find(':', f);
-            if (fe == std::string::npos)
-                fe = tok.size();
-            fields.push_back(tok.substr(f, fe - f));
-            f = fe + 1;
-            if (fe == tok.size())
-                break;
-        }
+        const std::vector<std::string> fields = split(tok, ':');
         if (fields.size() != 5 || fields[1].size() != 1)
             return false;
+        const std::size_t kind = kindLetters.find(fields[1][0]);
+        if (kind == std::string_view::npos)
+            return false;
         FaultEvent ev;
+        ev.kind = static_cast<FaultKind>(kind);
         try {
             ev.at = static_cast<Cycle>(std::stoull(fields[0]));
-            switch (fields[1][0]) {
-              case 'n': ev.kind = FaultKind::NodeKill; break;
-              case 'l': ev.kind = FaultKind::LinkKill; break;
-              case 'i': ev.kind = FaultKind::LinkIntermittent; break;
-              default: return false;
-            }
             const long long node = std::stoll(fields[2]);
             ev.node = node < 0 ? invalidNode
                                : static_cast<NodeId>(node);
@@ -204,9 +134,6 @@ parseFaultEvents(const std::string &spec, std::vector<FaultEvent> *out)
             return false;
         }
         out->push_back(ev);
-        if (end == spec.size())
-            break;
-        pos = end + 1;
     }
     return true;
 }

@@ -2,17 +2,13 @@
  * @file
  * Fault schedules: scripted and randomized fault timelines.
  *
- * The built-in dynamic fault machinery of Network is a memoryless
- * Bernoulli process. A FaultSchedule generalizes it to an explicit
- * timeline of fault events — node kills, permanent link kills, and
- * intermittent link faults (down for N cycles, then restored) — that
- * can be scripted hop-by-hop by a test or sampled up front from a seed.
- * Because the timeline is materialized before the run, a failing chaos
- * campaign is replayable from its seed alone.
- *
- * Victims may be pinned (explicit node/port) or left open
- * (invalidNode), in which case a random healthy victim is drawn at
- * fire time — adversarial timing with feasible placement.
+ * An explicit timeline of FaultEvents — node kills, permanent link
+ * kills, and intermittent link faults (down for N cycles, then
+ * restored) — scripted by a test or sampled up front from a seed, so a
+ * failing chaos campaign is replayable from its seed alone. RunLoop
+ * fires the due events at the start of each cycle through
+ * Network::strike, the call the Bernoulli fault processes make: a
+ * pinned victim fails if still up, an open one is drawn at fire time.
  */
 
 #ifndef TPNET_CHAOS_FAULT_SCHEDULE_HPP
@@ -20,36 +16,14 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/network.hpp"
 #include "sim/rng.hpp"
-#include "sim/types.hpp"
 
 namespace tpnet {
-
-class Network;
-struct SnapshotAccess;
-
 namespace chaos {
-
-/** What a scheduled fault event does when it fires. */
-enum class FaultKind : std::uint8_t {
-    NodeKill,         ///< fail a PE + router permanently
-    LinkKill,         ///< fail a full-duplex link permanently
-    LinkIntermittent, ///< fail a link, restore it after downFor cycles
-};
-
-/** One entry of a fault timeline. */
-struct FaultEvent
-{
-    Cycle at = 0;            ///< cycle the fault strikes
-    FaultKind kind = FaultKind::NodeKill;
-    /// Pinned victim node (NodeKill) or link source (Link*);
-    /// invalidNode = draw a random healthy victim when the event fires.
-    NodeId node = invalidNode;
-    int port = -1;           ///< pinned output port for link events
-    Cycle downFor = 0;       ///< LinkIntermittent: outage duration
-};
 
 /** Parameters for randomized schedule generation. */
 struct ScheduleSpec
@@ -71,6 +45,11 @@ class FaultSchedule
   public:
     FaultSchedule() = default;
 
+    /** A scripted timeline (any order, as for add()). */
+    explicit FaultSchedule(std::vector<FaultEvent> events)
+        : events_(std::move(events))
+    {}
+
     /** Script one event (any order; the schedule sorts on first use). */
     void add(const FaultEvent &ev);
 
@@ -82,10 +61,9 @@ class FaultSchedule
     static FaultSchedule randomized(const ScheduleSpec &spec, Rng &rng);
 
     /**
-     * Fire every event due at net.now(). Open victims are resolved
-     * against the network's current health with @p rng; events that
-     * find no feasible victim (nearly everything already failed) are
-     * skipped and counted.
+     * Strike every event due at net.now(), drawing open victims with
+     * @p rng; events that find no feasible victim are skipped and
+     * counted.
      */
     void apply(Network &net, Rng &rng);
 
@@ -117,8 +95,6 @@ class FaultSchedule
     }
 
   private:
-    bool fire(const FaultEvent &ev, Network &net, Rng &rng);
-
     std::vector<FaultEvent> events_;
     std::vector<FaultEvent> firedEvents_;
     std::size_t next_ = 0;

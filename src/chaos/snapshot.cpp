@@ -746,13 +746,11 @@ struct SnapshotAccess
             ioInt(a, h.attempt);
         });
 
-        ar.f64(net.dynFaultProb_);
-        ioInt(ar, net.dynFaultBudget_);
-        ar.f64(net.dynLinkFaultProb_);
-        ioInt(ar, net.dynLinkFaultBudget_);
-        ar.f64(net.intermFaultProb_);
-        ioInt(ar, net.intermFaultBudget_);
-        ar.u64(net.intermDownCycles_);
+        for (auto &proc : net.faultProcs_) {
+            ar.f64(proc.prob);
+            ioInt(ar, proc.budget);
+        }
+        ar.u64(net.faultProcs_.back().down);  // the intermittent entry
         ioVec(ar, net.pendingRestores_, [](Ar &a, auto &pr) {
             a.i32(pr.node);
             ioInt(a, pr.port);
@@ -788,9 +786,9 @@ struct SnapshotAccess
     static void
     io(Ar &ar, chaos::FaultSchedule &s)
     {
-        const auto eventIo = [](Ar &a, chaos::FaultEvent &e) {
+        const auto eventIo = [](Ar &a, FaultEvent &e) {
             a.u64(e.at);
-            ioEnum(a, e.kind);
+            ioEnum(a, e.kind, FaultKind::LinkIntermittent, "fault kind");
             a.i32(e.node);
             ioInt(a, e.port);
             a.u64(e.downFor);

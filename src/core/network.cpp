@@ -100,12 +100,10 @@ Network::idle() const
         return false;
     // Armed Bernoulli fault processes draw RNG every cycle; skipping
     // would desynchronize the stream.
-    if (dynFaultBudget_ > 0 && dynFaultProb_ > 0.0)
-        return false;
-    if (dynLinkFaultBudget_ > 0 && dynLinkFaultProb_ > 0.0)
-        return false;
-    if (intermFaultBudget_ > 0 && intermFaultProb_ > 0.0)
-        return false;
+    for (const FaultProcess &proc : faultProcs_) {
+        if (proc.budget > 0 && proc.prob > 0.0)
+            return false;
+    }
     // A due-but-blocked restore re-tries its (state-dependent)
     // re-validation every cycle; don't reason about when it unblocks.
     for (const PendingRestore &pr : pendingRestores_) {

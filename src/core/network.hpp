@@ -22,8 +22,10 @@
 #ifndef TPNET_CORE_NETWORK_HPP
 #define TPNET_CORE_NETWORK_HPP
 
+#include <array>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -49,9 +51,28 @@ std::unique_ptr<RoutingAlgorithm> makeProtocol(const SimConfig &cfg);
 
 struct SnapshotAccess;
 
+/** What a dynamic fault fails when it strikes (Section 2.4, Fig. 16). */
+enum class FaultKind : std::uint8_t {
+    NodeKill,         ///< fail a PE + router permanently
+    LinkKill,         ///< fail a full-duplex link permanently
+    LinkIntermittent, ///< fail a link, restore it after downFor cycles
+};
+
+/** One dynamic fault, as Network::strike fires it. */
+struct FaultEvent
+{
+    Cycle at = 0;            ///< cycle the fault strikes
+    FaultKind kind = FaultKind::NodeKill;
+    /// Pinned victim node (NodeKill) or link source (Link*);
+    /// invalidNode = draw a random healthy victim when the event fires.
+    NodeId node = invalidNode;
+    int port = -1;           ///< pinned output port for link events
+    Cycle downFor = 0;       ///< LinkIntermittent: outage duration
+};
+
 /**
- * Extra attributes of an offered message (workload library). Default
- * values reproduce the legacy offerMessage(src, dst) behavior exactly.
+ * Extra attributes of an offered message (workload library). The
+ * defaults are those of offerMessage(src, dst).
  */
 struct OfferSpec
 {
@@ -120,11 +141,12 @@ class Network
     /**
      * True when stepping the network would provably mutate nothing:
      * every activity set is drained, no Bernoulli fault process is
-     * armed (those draw RNG every cycle), no link restore is due, and
-     * the CWG analyzer holds no state a sweep could touch. While idle,
-     * the only future state changes are the discrete events reported
-     * by nextInternalEvent(), so a driver may skipTo() any cycle at or
-     * before that event. Always false with the event engine off.
+     * armed (an armed entry of the table draws RNG every cycle), no
+     * link restore is due, and the CWG analyzer holds no state a sweep
+     * could touch. While idle, the only future state changes are the
+     * discrete events reported by nextInternalEvent(), so a driver may
+     * skipTo() any cycle at or before that event. Always false with the
+     * event engine off.
      */
     bool idle() const;
 
@@ -396,6 +418,18 @@ class Network
     void completeDetour(Message &msg);
 
     // --- Fault control (fault/fault_model.cpp) ------------------------
+    /**
+     * Fire one dynamic fault now — the one way a running network loses
+     * a component. An open victim is drawn with @p rng: a node in up
+     * to 64 draws over healthyNodes() (only while more than two are
+     * healthy; never node 0 under cfg.protectPerimeter), a link in up
+     * to 256 draws over healthy links between healthy endpoints. A
+     * pinned victim already down is rejected. A hit is counted, notes
+     * activity, and fails the victim.
+     * @return @p ev with its victim resolved, or nothing.
+     */
+    std::optional<FaultEvent> strike(const FaultEvent &ev, Rng &rng);
+
     /** Fail a PE+router: all incident links become faulty. */
     void failNode(NodeId id);
 
@@ -611,6 +645,7 @@ class Network
     void handleKillDown(Message &msg, Flit flit);
 
     // --- Fault machinery (fault_model.cpp / recovery.cpp) ------------------
+    /** Draw every armed fault process once; strike on a hit. */
     void stepDynamicFaults();
 
     /** Process due link restorations (intermittent faults). */
@@ -713,13 +748,20 @@ class Network
     Cycle lastActivity_ = 0;
     MsgId nextMsgId_ = 0;
     bool measuring_ = false;
-    double dynFaultProb_ = 0.0;
-    int dynFaultBudget_ = 0;
-    double dynLinkFaultProb_ = 0.0;
-    int dynLinkFaultBudget_ = 0;
-    double intermFaultProb_ = 0.0;
-    int intermFaultBudget_ = 0;
-    Cycle intermDownCycles_ = 0;
+
+    /** A Bernoulli fault process: strike with @ref prob each cycle
+     *  until @ref budget hits have landed. */
+    struct FaultProcess
+    {
+        FaultKind kind;
+        double prob = 0.0;
+        int budget = 0;
+        Cycle down = 0;  ///< LinkIntermittent: outage duration
+    };
+    /// Indexed by FaultKind, which is also the per-cycle draw order.
+    std::array<FaultProcess, 3> faultProcs_{{{FaultKind::NodeKill},
+                                             {FaultKind::LinkKill},
+                                             {FaultKind::LinkIntermittent}}};
 
     /** A failed full-duplex link due to return to service. */
     struct PendingRestore

@@ -2,6 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace tpnet {
 
@@ -19,80 +23,6 @@ resolveJobs(int requested)
     return hw > 0 ? hw : 1;
 }
 
-ThreadPool::ThreadPool(std::size_t threads)
-{
-    if (threads == 0)
-        threads = resolveJobs(0);
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    hasWork_.notify_all();
-    for (std::thread &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-    }
-    hasWork_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock,
-                  [this] { return queue_.empty() && active_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(err);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        hasWork_.wait(lock,
-                      [this] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) {
-            if (stopping_)
-                return;
-            continue;
-        }
-        std::function<void()> task = std::move(queue_.front());
-        queue_.pop_front();
-        ++active_;
-        lock.unlock();
-        try {
-            task();
-        } catch (...) {
-            lock.lock();
-            if (!firstError_)
-                firstError_ = std::current_exception();
-            lock.unlock();
-        }
-        lock.lock();
-        --active_;
-        if (queue_.empty() && active_ == 0)
-            allDone_.notify_all();
-    }
-}
-
 void
 parallelFor(std::size_t n, std::size_t jobs,
             const std::function<void(std::size_t)> &fn)
@@ -108,9 +38,10 @@ parallelFor(std::size_t n, std::size_t jobs,
         jobs = n;
 
     std::atomic<std::size_t> cursor{0};
-    ThreadPool pool(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) {
-        pool.submit([&cursor, n, &fn] {
+    std::mutex errorMutex;
+    std::exception_ptr firstError;  // guarded by errorMutex
+    auto worker = [&] {
+        try {
             for (;;) {
                 const std::size_t i =
                     cursor.fetch_add(1, std::memory_order_relaxed);
@@ -118,9 +49,29 @@ parallelFor(std::size_t n, std::size_t jobs,
                     return;
                 fn(i);
             }
-        });
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(errorMutex);
+            if (!firstError)
+                firstError = std::current_exception();
+        }
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(jobs);
+    try {
+        for (std::size_t w = 0; w < jobs; ++w)
+            workers.emplace_back(worker);
+    } catch (...) {
+        // A thread failed to start: stop handing out indices, join the
+        // threads that did start, and report the failure.
+        cursor = n;
+        for (std::thread &w : workers)
+            w.join();
+        throw;
     }
-    pool.wait();
+    for (std::thread &w : workers)
+        w.join();
+    if (firstError)
+        std::rethrow_exception(firstError);
 }
 
 } // namespace tpnet

@@ -1,28 +1,22 @@
 /**
  * @file
- * Minimal task-queue thread pool for the experiment engine.
+ * Parallel fan-out for the experiment engine.
  *
  * Every figure of the paper's evaluation is a grid of independent
  * simulation points (Section 6.0), so the sweep helpers fan each
- * (point, replication) out to its own shared-nothing Simulator on this
- * pool. Determinism is preserved by construction: a task's RNG seed is
- * a pure function of the configuration seed and its replication index
- * (see Simulator::run), never of thread identity or completion order,
- * and each task writes only its own result slot — so `--jobs N`
- * produces bit-identical results to `--jobs 1`.
+ * (point, replication) out to its own shared-nothing Simulator through
+ * parallelFor. Determinism is preserved by construction: a task's RNG
+ * seed is a pure function of the configuration seed and its
+ * replication index (see Simulator::run), never of thread identity or
+ * completion order, and each task writes only its own result slot — so
+ * `--jobs N` produces bit-identical results to `--jobs 1`.
  */
 
 #ifndef TPNET_CORE_POOL_HPP
 #define TPNET_CORE_POOL_HPP
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace tpnet {
 
@@ -37,55 +31,15 @@ namespace tpnet {
  */
 std::size_t resolveJobs(int requested);
 
-/** Fixed-size pool draining a FIFO task queue. */
-class ThreadPool
-{
-  public:
-    /** Spawn @p threads workers (0 resolves via resolveJobs(0)). */
-    explicit ThreadPool(std::size_t threads = 0);
-
-    /** Joins all workers; pending tasks are still executed. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    std::size_t size() const { return workers_.size(); }
-
-    /**
-     * Enqueue one task. Tasks are dequeued in submission order (though
-     * they complete in any order). A task that throws poisons the
-     * pool: the first exception is stored and rethrown by wait().
-     */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until every submitted task has finished, then rethrow the
-     * first stored task exception, if any. The pool is reusable after
-     * wait() returns normally.
-     */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable hasWork_;   ///< signalled on submit/stop
-    std::condition_variable allDone_;   ///< signalled when drained
-    std::size_t active_ = 0;            ///< tasks currently executing
-    std::exception_ptr firstError_;
-    bool stopping_ = false;
-};
-
 /**
- * Run fn(0) .. fn(n-1) across @p jobs workers and return when all have
+ * Run fn(0) .. fn(n-1) on @p jobs threads and return when all have
  * finished. Indices are claimed dynamically (an atomic cursor), so
  * long and short tasks balance; each fn(i) must touch only state owned
  * by index i. With @p jobs <= 1 (or n <= 1) the calls run inline on
  * the calling thread, in index order, with no threads spawned — the
- * sequential reference path. Rethrows the first task exception.
+ * sequential reference path. A thread whose task throws claims no
+ * further indices; the first exception is rethrown once every thread
+ * has finished.
  */
 void parallelFor(std::size_t n, std::size_t jobs,
                  const std::function<void(std::size_t)> &fn);

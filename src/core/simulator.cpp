@@ -16,19 +16,10 @@ Simulator::Simulator(const SimConfig &cfg)
     cfg_.validate();
 }
 
-RunResult
-Simulator::run(std::uint64_t replication, TraceSink *sink) const
+void
+armFaultProcesses(Network &net)
 {
-    SimConfig cfg = cfg_;
-    // Decorrelate replications while keeping each one reproducible.
-    cfg.seed = cfg_.seed + 0x9e3779b97f4a7c15ull * (replication + 1);
-
-    Network net(cfg);
-    Injector inj(net);
-    if (sink)
-        net.attachTrace(sink);
-    obs::MetricsRegistry registry(net, cfg.metricsPeriod);
-
+    const SimConfig &cfg = net.config();
     const double horizon = static_cast<double>(cfg.warmup + cfg.measure);
     if (cfg.dynamicNodeFaults > 0.0) {
         net.setDynamicFaultProcess(cfg.dynamicNodeFaults / horizon,
@@ -46,6 +37,22 @@ Simulator::run(std::uint64_t replication, TraceSink *sink) const
             static_cast<int>(std::lround(cfg.intermittentFaults)),
             static_cast<Cycle>(cfg.intermittentDownCycles));
     }
+}
+
+RunResult
+Simulator::run(std::uint64_t replication, TraceSink *sink) const
+{
+    SimConfig cfg = cfg_;
+    // Decorrelate replications while keeping each one reproducible.
+    cfg.seed = cfg_.seed + 0x9e3779b97f4a7c15ull * (replication + 1);
+
+    Network net(cfg);
+    Injector inj(net);
+    if (sink)
+        net.attachTrace(sink);
+    obs::MetricsRegistry registry(net, cfg.metricsPeriod);
+
+    armFaultProcesses(net);
 
     RunLoop loop(net, inj);
     loop.registry = &registry;

@@ -17,7 +17,16 @@
 
 namespace tpnet {
 
+class Network;
 class TraceSink;
+
+/**
+ * Arm @p net's Bernoulli fault processes from its configuration: the
+ * cfg.dynamicNodeFaults, dynamicLinkFaults and intermittentFaults
+ * expected failures, each spread evenly over the warmup + measure
+ * window. Every run of a configuration arms them through this call.
+ */
+void armFaultProcesses(Network &net);
 
 /** Aggregate of several independent replications of one configuration. */
 struct ReplicatedResult

@@ -8,9 +8,9 @@
  * incident on nodes adjacent to failed components are marked *unsafe* —
  * routing across them may lead to an encounter with a failed component,
  * which is what triggers the Two-Phase protocol's switch to conservative
- * SR flow control. Failures are permanent. Static failures are placed
- * before the run; dynamic failures arrive as a Bernoulli process and
- * interrupt live circuits (recovery in fault/recovery.cpp).
+ * SR flow control. Static failures are placed before the run; dynamic
+ * failures all fire through Network::strike and interrupt live circuits
+ * (recovery in fault/recovery.cpp).
  */
 
 #include <unordered_set>
@@ -23,15 +23,13 @@ namespace tpnet {
 void
 Network::setDynamicFaultProcess(double per_cycle_prob, int max_faults)
 {
-    dynFaultProb_ = per_cycle_prob;
-    dynFaultBudget_ = max_faults;
+    faultProcs_[0] = {FaultKind::NodeKill, per_cycle_prob, max_faults};
 }
 
 void
 Network::setDynamicLinkFaultProcess(double per_cycle_prob, int max_faults)
 {
-    dynLinkFaultProb_ = per_cycle_prob;
-    dynLinkFaultBudget_ = max_faults;
+    faultProcs_[1] = {FaultKind::LinkKill, per_cycle_prob, max_faults};
 }
 
 void
@@ -39,9 +37,60 @@ Network::setIntermittentLinkFaultProcess(double per_cycle_prob,
                                          int max_faults,
                                          Cycle down_cycles)
 {
-    intermFaultProb_ = per_cycle_prob;
-    intermFaultBudget_ = max_faults;
-    intermDownCycles_ = down_cycles;
+    faultProcs_[2] = {FaultKind::LinkIntermittent, per_cycle_prob,
+                      max_faults, down_cycles};
+}
+
+std::optional<FaultEvent>
+Network::strike(const FaultEvent &ev, Rng &rng)
+{
+    FaultEvent hit = ev;
+    if (ev.kind == FaultKind::NodeKill) {
+        hit.port = -1;
+        hit.downFor = 0;
+        // Keep at least two healthy nodes so traffic stays definable.
+        const auto healthy = healthyNodes();
+        const int draws = healthy.size() > 2 ? 64 : 0;
+        for (int attempt = 0; hit.node == invalidNode && attempt < draws;
+             ++attempt) {
+            const NodeId cand = healthy[rng.below(
+                static_cast<std::uint64_t>(healthy.size()))];
+            if (!cfg_.protectPerimeter || cand != 0)
+                hit.node = cand;
+        }
+        if (hit.node == invalidNode || nodeFaulty(hit.node))
+            return std::nullopt;
+        ++counters_.dynamicFaults;
+        failNode(hit.node);
+    } else {
+        // A healthy full-duplex link between healthy endpoints
+        // (structurally absent channels are permanently faulty).
+        auto strikeable = [this](const Link &lk) {
+            return !lk.faulty && !nodeFaulty(lk.src) && !nodeFaulty(lk.dst);
+        };
+        for (int attempt = 0; hit.node == invalidNode && attempt < 256;
+             ++attempt) {
+            const Link &lk = link(static_cast<LinkId>(
+                rng.below(static_cast<std::uint64_t>(topo_->links()))));
+            if (strikeable(lk)) {
+                hit.node = lk.src;
+                hit.port = lk.srcPort;
+            }
+        }
+        if (hit.node == invalidNode || !strikeable(linkAt(hit.node, hit.port)))
+            return std::nullopt;
+        ++counters_.dynamicFaults;
+        if (ev.kind == FaultKind::LinkKill) {
+            hit.downFor = 0;
+            failLink(hit.node, hit.port);
+        } else {
+            ++counters_.intermittentFaults;
+            hit.downFor = ev.downFor > 0 ? ev.downFor : 1;
+            failLinkIntermittent(hit.node, hit.port, hit.downFor);
+        }
+    }
+    noteActivity();
+    return hit;
 }
 
 void
@@ -351,61 +400,10 @@ Network::applyStaticFaults()
 void
 Network::stepDynamicFaults()
 {
-    if (dynFaultBudget_ > 0 && dynFaultProb_ > 0.0 &&
-        rng_.chance(dynFaultProb_)) {
-        // Pick a random healthy node; keep at least two nodes alive so
-        // traffic remains definable.
-        const auto healthy = healthyNodes();
-        if (healthy.size() > 2) {
-            NodeId victim = invalidNode;
-            for (int attempt = 0; attempt < 64; ++attempt) {
-                const NodeId cand = healthy[rng_.below(
-                    static_cast<std::uint64_t>(healthy.size()))];
-                if (cfg_.protectPerimeter && cand == 0)
-                    continue;
-                victim = cand;
-                break;
-            }
-            if (victim != invalidNode) {
-                --dynFaultBudget_;
-                ++counters_.dynamicFaults;
-                failNode(victim);
-                noteActivity();
-            }
-        }
-    }
-
-    if (dynLinkFaultBudget_ > 0 && dynLinkFaultProb_ > 0.0 &&
-        rng_.chance(dynLinkFaultProb_)) {
-        // Pick a random healthy physical link between healthy nodes.
-        for (int attempt = 0; attempt < 256; ++attempt) {
-            const LinkId id = static_cast<LinkId>(rng_.below(
-                static_cast<std::uint64_t>(topo_->links())));
-            const Link &lk = link(id);
-            if (lk.faulty || nodeFaulty(lk.src) || nodeFaulty(lk.dst))
-                continue;
-            --dynLinkFaultBudget_;
-            ++counters_.dynamicFaults;
-            failLink(lk.src, lk.srcPort);
-            noteActivity();
-            break;
-        }
-    }
-
-    if (intermFaultBudget_ > 0 && intermFaultProb_ > 0.0 &&
-        rng_.chance(intermFaultProb_)) {
-        for (int attempt = 0; attempt < 256; ++attempt) {
-            const LinkId id = static_cast<LinkId>(rng_.below(
-                static_cast<std::uint64_t>(topo_->links())));
-            const Link &lk = link(id);
-            if (lk.faulty || nodeFaulty(lk.src) || nodeFaulty(lk.dst))
-                continue;
-            --intermFaultBudget_;
-            ++counters_.dynamicFaults;
-            ++counters_.intermittentFaults;
-            failLinkIntermittent(lk.src, lk.srcPort, intermDownCycles_);
-            noteActivity();
-            break;
+    for (FaultProcess &proc : faultProcs_) {
+        if (proc.budget > 0 && proc.prob > 0.0 && rng_.chance(proc.prob) &&
+            strike({now_, proc.kind, invalidNode, -1, proc.down}, rng_)) {
+            --proc.budget;
         }
     }
 }

@@ -22,9 +22,9 @@
 namespace tpnet {
 
 /**
- * Per-traffic-class slice of the lifecycle and window counters. Class 0
- * is the legacy single-pattern source when SimConfig::trafficClasses is
- * empty; replies are accounted to their request's class.
+ * Per-traffic-class slice of the lifecycle and window counters, kept
+ * only when SimConfig::trafficClasses is non-empty; replies are
+ * accounted to their request's class.
  */
 struct ClassStat
 {

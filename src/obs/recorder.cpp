@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "chaos/fault_schedule.hpp"
 #include "core/network.hpp"
 #include "core/pool.hpp"
 #include "core/run_loop.hpp"
@@ -68,8 +69,7 @@ goldenSpecs(std::uint64_t seed)
     // Two-Phase with a node killed mid-run (kill walks + retries).
     specs[3].cfg = base;
     specs[3].cfg.protocol = Protocol::TwoPhase;
-    specs[3].killNode = 5;
-    specs[3].killAt = 120;
+    specs[3].faults = {{120, FaultKind::NodeKill, 5}};
 
     // Decorrelate the scenarios' traffic without extra knobs.
     for (std::size_t i = 0; i < specs.size(); ++i)
@@ -98,13 +98,10 @@ recordOne(const RecordSpec &spec)
     Injector inj(net);
     TraceRecorder rec;
     net.attachTrace(&rec);
+    chaos::FaultSchedule schedule(spec.faults);
     RunLoop loop(net, inj);
-    // A dynamic kill strikes at the start of its cycle, before that
-    // cycle's injection.
-    if (spec.killNode != invalidNode && spec.killAt < spec.cycles) {
-        loop.run(spec.killAt);
-        net.failNode(spec.killNode);
-    }
+    loop.schedule = &schedule;
+    loop.faultRng = &net.rng();
     loop.run(spec.cycles);
     inj.stop();
     // Keep stepping the (stopped) injector through the drain so

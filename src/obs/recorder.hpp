@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/network.hpp"
 #include "obs/trace_format.hpp"
 #include "sim/config.hpp"
 
@@ -60,9 +61,9 @@ struct RecordSpec
     Cycle cycles = 300;
     /** Extra cycles allowed for the drain before giving up. */
     Cycle drain = 20000;
-    /** Fail this node at cycle killAt (dynamic-kill scenarios). */
-    NodeId killNode = invalidNode;
-    Cycle killAt = 0;
+    /** Dynamic faults, struck at the start of their cycle, before
+     *  that cycle's injection (open victims draw the network's RNG). */
+    std::vector<FaultEvent> faults;
 };
 
 /**

@@ -5,9 +5,9 @@
  * HeaderState is the live state of a message's routing probe: where it
  * is, its mode bits (backtrack / detour / SR), the outstanding misroute
  * bookkeeping of Theorem 2, and the per-dimension signed offsets to the
- * destination. PathHop frames double as the RCU history store: each frame
- * records which output ports have been searched at the node the hop leads
- * to (depth-first backtracking search, Section 4.0).
+ * destination. PathHop is one reserved hop of the circuit; the history
+ * store of the depth-first backtracking search (Section 4.0) — the
+ * output ports already searched at each node — is Message::visited.
  *
  * HeaderCodec packs/unpacks the architectural header flit layout
  * (header bit, backtrack bit, 3-bit misroute field, detour bit, SR bit,

@@ -69,9 +69,9 @@ enum class TrafficPattern : std::uint8_t {
  * (optionally skewed toward a hotspot set), its own offered load and
  * message length, an injection priority, an optional on-off (bursty)
  * modulation of the generation process, and an optional closed-loop
- * request-reply budget. SimConfig::trafficClasses empty means the
- * legacy single open-loop class described by pattern/load/msgLength —
- * that path is RNG-stream-identical to the pre-workload injector.
+ * request-reply budget. SimConfig::trafficClasses empty means one
+ * smooth open-loop class built from pattern/load/msgLength, with no
+ * per-class counters.
  */
 struct TrafficClassConfig
 {
@@ -162,8 +162,8 @@ struct SimConfig
     double load = 0.1;     ///< offered load, data flits / node / cycle
     int injQueueLimit = 8; ///< messages buffered per injection channel
     /// Workload library: when non-empty these classes replace the single
-    /// pattern/load source above (which remains the legacy fast path and
-    /// keeps the historical RNG stream byte-identical).
+    /// pattern/load source above (which the injector otherwise runs as
+    /// its one class).
     std::vector<TrafficClassConfig> trafficClasses;
 
     // --- Faults ------------------------------------------------------------

@@ -78,50 +78,6 @@ ReplicationStat::acceptable(std::size_t min_reps) const
     return halfWidth95() <= relBound_ * std::abs(mean);
 }
 
-BatchMeans::BatchMeans(std::size_t batch_size)
-    : batchSize_(batch_size ? batch_size : 1)
-{}
-
-void
-BatchMeans::add(double x)
-{
-    batchSum_ += x;
-    if (++inBatch_ == batchSize_) {
-        stat_.add(batchSum_ / static_cast<double>(batchSize_));
-        inBatch_ = 0;
-        batchSum_ = 0.0;
-    }
-}
-
-double
-BatchMeans::halfWidth95() const
-{
-    if (stat_.count() < 2)
-        return std::numeric_limits<double>::infinity();
-    const double se = stat_.stddev() /
-        std::sqrt(static_cast<double>(stat_.count()));
-    return tCritical95(stat_.count() - 1) * se;
-}
-
-bool
-BatchMeans::acceptable(double rel_bound, std::size_t min_batches) const
-{
-    if (stat_.count() < min_batches || stat_.count() < 2)
-        return false;
-    const double m = stat_.mean();
-    if (m == 0.0)
-        return halfWidth95() == 0.0;
-    return halfWidth95() <= rel_bound * std::abs(m);
-}
-
-void
-BatchMeans::clear()
-{
-    inBatch_ = 0;
-    batchSum_ = 0.0;
-    stat_.clear();
-}
-
 void
 Histogram::add(double x)
 {

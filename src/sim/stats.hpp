@@ -114,45 +114,6 @@ class ReplicationStat
     double relBound_;
 };
 
-/**
- * Batch-means estimator: the single-run alternative to independent
- * replications for steady-state means. Consecutive observations are
- * grouped into fixed-size batches; the batch means are treated as
- * (approximately independent) samples for a Student-t confidence
- * interval. Classic methodology per Ferrari [14], which the paper cites
- * for its simulator validation.
- */
-class BatchMeans
-{
-  public:
-    explicit BatchMeans(std::size_t batch_size = 1000);
-
-    void add(double x);
-
-    std::size_t batchSize() const { return batchSize_; }
-    std::size_t batches() const { return stat_.count(); }
-
-    /** Grand mean over completed batches. */
-    double mean() const { return stat_.mean(); }
-
-    /** 95% CI half-width over batch means (inf with < 2 batches). */
-    double halfWidth95() const;
-
-    /**
-     * @return true once >= @p min_batches batches are complete and the
-     * 95% half-width is within @p rel_bound of the mean.
-     */
-    bool acceptable(double rel_bound, std::size_t min_batches = 10) const;
-
-    void clear();
-
-  private:
-    std::size_t batchSize_;
-    std::size_t inBatch_ = 0;
-    double batchSum_ = 0.0;
-    RunningStat stat_;  ///< over completed batch means
-};
-
 /** Fixed-bin latency histogram (bins of equal width, overflow bin). */
 class Histogram
 {

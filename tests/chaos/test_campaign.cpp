@@ -61,6 +61,28 @@ TEST(FaultSchedule, ScriptedEventsFireAtTheirCycle)
     EXPECT_EQ(net.counters().intermittentFaults, 1u);
 }
 
+TEST(FaultSchedule, OpenNodeKillSparesNodeZeroUnderProtectPerimeter)
+{
+    // An open victim is drawn by the same rule as the Bernoulli node
+    // process: under protectPerimeter the draw skips node 0.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        SimConfig cfg = test::smallConfig(Protocol::TwoPhase, 4, 2);
+        cfg.watchdog = 0;
+        cfg.protectPerimeter = true;
+        Network net(cfg);
+        Rng rng(seed);
+        FaultSchedule sched;
+        for (int i = 0; i < 8; ++i)
+            sched.add({0, FaultKind::NodeKill, invalidNode, -1, 0});
+        sched.apply(net, rng);
+        EXPECT_EQ(sched.fired(), 8u);
+        EXPECT_FALSE(net.nodeFaulty(0));
+        for (const FaultEvent &ev : sched.firedEvents())
+            EXPECT_NE(ev.node, 0);
+    }
+}
+
 TEST(FaultSchedule, RandomizedTimelineRespectsSpec)
 {
     ScheduleSpec spec;

@@ -376,6 +376,19 @@ TEST(CheckpointState, RejectsOutOfRangeTeardownCause)
         << error;
 }
 
+TEST(CheckpointState, RejectsOutOfRangeFaultKind)
+{
+    // Replay lines spell a fault's kind by indexing it, so a restore
+    // refuses a kind that names nothing.
+    Harness a(harnessConfig());
+    a.schedule.add({500, static_cast<FaultKind>(3), 5, -1, 0});
+    a.run(100);
+    std::string error;
+    EXPECT_FALSE(roundTrip(a, error));
+    EXPECT_NE(error.find("fault kind 3 out of range"), std::string::npos)
+        << error;
+}
+
 TEST(CheckpointState, FileRejectsWrongConfigAndCorruption)
 {
     const fs::path path = scratchFile("harness.ck");

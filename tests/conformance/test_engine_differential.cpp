@@ -19,6 +19,7 @@
 #include "chaos/campaign.hpp"
 #include "chaos/report.hpp"
 #include "core/network.hpp"
+#include "core/simulator.hpp"
 #include "helpers.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace_format.hpp"
@@ -347,14 +348,49 @@ TEST(EngineDifferential, TailAckDynamicKillMatchesPinnedDigest)
     // message loses its endpoint, and MsgAck walkers run throughout.
     obs::RecordSpec spec = obs::goldenSpecs(goldenSeed)[3];
     spec.cfg.tailAck = true;
-    spec.killNode = 6;
-    spec.killAt = 200;
+    spec.faults = {{200, FaultKind::NodeKill, 6}};
     for (const bool engine : {true, false}) {
         spec.cfg.eventEngine = engine;
         const obs::TraceRecorder rec = obs::recordRun(spec);
         EXPECT_EQ(rec.digest(), 0x1ceae722953ab8baull)
             << "event engine " << engine;
         EXPECT_EQ(rec.size(), 4098u) << "event engine " << engine;
+    }
+}
+
+/**
+ * The three Bernoulli fault processes — node, link and intermittent
+ * link — armed together in one Simulator::run, the only fault path
+ * that draws its victims from the network's own RNG mid-run. The
+ * digest and the fault counters are pinned to values recorded before
+ * the processes and the fault schedule shared one strike.
+ */
+TEST(EngineDifferential, BernoulliFaultProcessesMatchPinnedDigest)
+{
+    SimConfig cfg;
+    cfg.protocol = Protocol::TwoPhase;
+    cfg.k = 8;
+    cfg.n = 2;
+    cfg.msgLength = 16;
+    cfg.load = 0.10;
+    cfg.warmup = 500;
+    cfg.measure = 3000;
+    cfg.drain = 20000;
+    cfg.dynamicNodeFaults = 3;
+    cfg.dynamicLinkFaults = 3;
+    cfg.intermittentFaults = 3;
+    cfg.intermittentDownCycles = 400;
+    cfg.seed = 11;
+    for (const bool engine : {true, false}) {
+        SCOPED_TRACE(engine);
+        cfg.eventEngine = engine;
+        obs::TraceRecorder rec;
+        const RunResult r = Simulator(cfg).run(0, &rec);
+        EXPECT_EQ(rec.digest(), 0xc809eef025276177ull);
+        EXPECT_EQ(rec.size(), 166495u);
+        EXPECT_EQ(r.counters.dynamicFaults, 8u);
+        EXPECT_EQ(r.counters.intermittentFaults, 2u);
+        EXPECT_EQ(r.counters.linksRestored, 2u);
     }
 }
 

@@ -145,9 +145,9 @@ TEST(Conformance50, KillRecoveryOnThreeCubeLosesNothingUnderTailAck)
     // has node 5's mirror routes left; recovery must re-route around
     // both).
     spec.scriptedFaults.push_back(
-        {700, chaos::FaultKind::NodeKill, 5, -1, 0});
+        {700, FaultKind::NodeKill, 5, -1, 0});
     spec.scriptedFaults.push_back(
-        {1500, chaos::FaultKind::LinkKill, 1, 1, 0});
+        {1500, FaultKind::LinkKill, 1, 1, 0});
     const chaos::CampaignResult r = chaos::runCampaign(spec);
     EXPECT_TRUE(r.passed) << r.summary();
     EXPECT_TRUE(r.quiescent);
@@ -175,9 +175,9 @@ TEST(Conformance50, KillRecoveryOnThreeCubeAccountsLossesWithoutTailAck)
     spec.drainCycles = 200000;
     spec.verifyCwg = true;
     spec.scriptedFaults.push_back(
-        {700, chaos::FaultKind::NodeKill, 5, -1, 0});
+        {700, FaultKind::NodeKill, 5, -1, 0});
     spec.scriptedFaults.push_back(
-        {1500, chaos::FaultKind::LinkKill, 1, 1, 0});
+        {1500, FaultKind::LinkKill, 1, 1, 0});
     const chaos::CampaignResult r = chaos::runCampaign(spec);
     EXPECT_TRUE(r.passed) << r.summary();
     EXPECT_TRUE(r.quiescent);

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/fault_schedule.hpp"
 #include "core/network.hpp"
 #include "core/run_loop.hpp"
 #include "obs/checkpoint.hpp"
@@ -125,11 +126,10 @@ TEST(GoldenTrace, DigestTeeAgreesWithTheRecorderBehindIt)
         TraceRecorder rec;
         DigestTee tee(&rec);
         net.attachTrace(&tee);
+        chaos::FaultSchedule schedule(spec.faults);
         RunLoop loop(net, inj);
-        if (spec.killNode != invalidNode && spec.killAt < spec.cycles) {
-            loop.run(spec.killAt);
-            net.failNode(spec.killNode);
-        }
+        loop.schedule = &schedule;
+        loop.faultRng = &net.rng();
         loop.run(spec.cycles);
         inj.stop();
         loop.run(spec.cycles + spec.drain, false,

@@ -118,11 +118,12 @@ TEST(TraceProperties, VcBalanceHoldsThroughDynamicKill)
     for (int iter = 0; iter < 3; ++iter) {
         RecordSpec spec = randomSpec(rng);
         spec.cfg.protocol = Protocol::TwoPhase;
-        spec.killNode = static_cast<NodeId>(rng() % spec.cfg.nodes());
-        spec.killAt = 50 + static_cast<Cycle>(rng() % 100);
+        const NodeId victim = static_cast<NodeId>(rng() % spec.cfg.nodes());
+        const Cycle at = 50 + static_cast<Cycle>(rng() % 100);
+        spec.faults = {{at, FaultKind::NodeKill, victim}};
         SCOPED_TRACE(testing::Message()
-                     << "iter " << iter << " kill node " << spec.killNode
-                     << " at " << spec.killAt
+                     << "iter " << iter << " kill node " << victim
+                     << " at " << at
                      << " seed=" << spec.cfg.seed);
 
         const TraceRecorder rec = recordRun(spec);

@@ -1,9 +1,8 @@
-/** @file Thread pool and parallelFor: slot discipline, ordering,
- *  exception propagation, edge cases, and --jobs resolution. */
+/** @file parallelFor: slot discipline, ordering, exception
+ *  propagation, edge cases, and --jobs resolution. */
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -30,62 +29,6 @@ TEST(ResolveJobs, EnvironmentFallback)
     EXPECT_GE(resolveJobs(0), 1u);  // unparsable -> hardware threads
     ::unsetenv("TPNET_JOBS");
     EXPECT_GE(resolveJobs(0), 1u);
-}
-
-TEST(ThreadPool, ZeroTasksWaitReturnsImmediately)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    pool.wait();  // nothing submitted: must not block
-    pool.wait();  // and must stay reusable
-}
-
-TEST(ThreadPool, EveryTaskRunsExactlyOnceIntoItsSlot)
-{
-    constexpr std::size_t kTasks = 200;
-    ThreadPool pool(8);
-    std::vector<std::atomic<int>> hits(kTasks);
-    for (auto &h : hits)
-        h = 0;
-    for (std::size_t i = 0; i < kTasks; ++i)
-        pool.submit([&hits, i] { hits[i].fetch_add(1); });
-    pool.wait();
-    for (std::size_t i = 0; i < kTasks; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-}
-
-TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder)
-{
-    // With one worker the FIFO queue is a total order: tasks must
-    // execute exactly in submission order.
-    ThreadPool pool(1);
-    std::vector<int> order;
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&order, i] { order.push_back(i); });
-    pool.wait();
-    std::vector<int> expect(50);
-    std::iota(expect.begin(), expect.end(), 0);
-    EXPECT_EQ(order, expect);
-}
-
-TEST(ThreadPool, FirstExceptionPropagatesAndPoolStaysUsable)
-{
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&ran, i] {
-            if (i == 7)
-                throw std::runtime_error("task 7 failed");
-            ran.fetch_add(1);
-        });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 19);
-
-    // The error was consumed by wait(); the pool keeps working.
-    pool.submit([&ran] { ran.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 20);
 }
 
 TEST(ParallelFor, ZeroIterationsIsANoOp)

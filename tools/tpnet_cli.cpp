@@ -149,6 +149,7 @@ main(int argc, char **argv)
     if (stats) {
         // Re-run a short window on a live network for the snapshot.
         Network net(cfg);
+        armFaultProcesses(net);
         Injector inj(net);
         RunLoop(net, inj).run(cfg.warmup + cfg.measure);
         std::printf("\n%s",
