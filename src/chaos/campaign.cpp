@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "chaos/manifest.hpp"
+#include "chaos/shard.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/snapshot.hpp"
 #include "core/network.hpp"

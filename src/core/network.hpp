@@ -545,6 +545,10 @@ class Network
         dataActive_.add(static_cast<std::uint32_t>(node));
     }
 
+    /** Header search budget in hops before a setup attempt is
+     *  abandoned, as a multiple of the network diameter. */
+    static constexpr int searchBudgetDiameters = 8;
+
     /** Serve one RCU decision for @p msg. @return true if probe moved. */
     bool serveHeader(Message &msg);
 

@@ -13,6 +13,14 @@
 
 namespace tpnet {
 
+namespace {
+
+/// Consecutive blocked RCU service slots after which a backtracking
+/// protocol abandons the attempt (recovery of last resort).
+constexpr int stallLimit = 128;
+
+} // namespace
+
 bool
 Network::serveHeader(Message &msg)
 {
@@ -53,7 +61,7 @@ Network::serveHeader(Message &msg)
 
       case Decision::Kind::Block:
         ++hdr.stalled;
-        if (hdr.stalled > cfg_.stallLimit && proto_->abortsOnStall(msg)) {
+        if (hdr.stalled > stallLimit && proto_->abortsOnStall(msg)) {
             msg.inRcu = false;
             abortSetup(msg);
         } else if (cwg_) {
@@ -180,7 +188,7 @@ Network::probeArrived(Message &msg, int hop_idx)
     if (msg.terminal() || msg.state == MsgState::WaitRetry)
         return;
 
-    if (hdr.hops > cfg_.searchBudgetDiameters * topo_->diameter()) {
+    if (hdr.hops > searchBudgetDiameters * topo_->diameter()) {
         abortSetup(msg);
         return;
     }

@@ -29,6 +29,14 @@
 
 namespace tpnet {
 
+namespace {
+
+/// Base of the per-victim exponential retransmission backoff, in cycles
+/// (doubles per heal of the same message, capped).
+constexpr Cycle healBackoffBase = 16;
+
+} // namespace
+
 void
 Network::abortSetup(Message &msg)
 {
@@ -181,8 +189,8 @@ Network::finishTeardown(Message &msg)
         // Heals do not consume the ordinary retry budget: the livelock
         // guard is the per-knot heal budget, not maxRetries.
         ++counters_.healRetransmits;
-        requeue(msg, now_ + (static_cast<Cycle>(cfg_.healBackoffBase)
-                             << std::min(msg.healAttempts - 1, 6)));
+        requeue(msg,
+                now_ + (healBackoffBase << std::min(msg.healAttempts - 1, 6)));
         return;
 
       case Teardown::Abort:

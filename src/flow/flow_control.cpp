@@ -156,7 +156,7 @@ Network::processCtrlArrival(Link &wire, Flit flit)
             }
         }
 
-        if (hdr.hops > cfg_.searchBudgetDiameters * topo_->diameter()) {
+        if (hdr.hops > searchBudgetDiameters * topo_->diameter()) {
             abortSetup(msg);
             return;
         }

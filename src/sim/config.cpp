@@ -200,8 +200,6 @@ SimConfig::validate() const
                     "(DOR has no knot-forming freedom to reclaim)");
     if (maxHealAttempts < 1)
         tpnet_fatal("maxHealAttempts must be >= 1");
-    if (healBackoffBase < 1)
-        tpnet_fatal("healBackoffBase must be >= 1");
     const bool pow2Nodes = (nodes() & (nodes() - 1)) == 0;
     if (!isCube && pattern != TrafficPattern::Uniform)
         tpnet_fatal(patternName(pattern), " traffic is defined on k-ary "
@@ -242,158 +240,125 @@ SimConfig::validate() const
     }
 }
 
+namespace {
+
+/**
+ * One row of an enum's name table. The first row of a value is its
+ * printed name; the parser accepts every row that @c parses, so extra
+ * spellings follow the printed one.
+ */
+template <typename E>
+struct NameRow
+{
+    const char *name;
+    E value;
+    bool parses = true;
+};
+
+constexpr NameRow<Protocol> protocolNames[] = {
+    {"DOR", Protocol::DimOrder}, {"DP", Protocol::Duato},
+    {"SR", Protocol::Scouting},  {"PCS", Protocol::Pcs},
+    {"MB-m", Protocol::MBm},     {"MBM", Protocol::MBm},
+    {"TP", Protocol::TwoPhase},
+};
+
+constexpr NameRow<TopologyKind> topologyNames[] = {
+    {"torus", TopologyKind::Torus},
+    {"mesh", TopologyKind::Mesh},
+    {"express", TopologyKind::Express},
+    {"dragonfly", TopologyKind::Dragonfly},
+};
+
+constexpr NameRow<TrafficPattern> patternNames[] = {
+    {"uniform", TrafficPattern::Uniform},
+    {"bit-complement", TrafficPattern::BitComplement},
+    {"transpose", TrafficPattern::Transpose},
+    {"neighbor+1", TrafficPattern::NeighborPlus, false},
+    {"neighbor", TrafficPattern::NeighborPlus},
+    {"tornado", TrafficPattern::Tornado},
+    {"bit-reversal", TrafficPattern::BitReversal},
+    {"shuffle", TrafficPattern::Shuffle},
+};
+
+constexpr NameRow<VictimPolicy> victimPolicyNames[] = {
+    {"youngest", VictimPolicy::YoungestMessage},
+    {"fewest-hops", VictimPolicy::FewestHopsHeld},
+    {"random", VictimPolicy::RandomSeeded},
+};
+
+/** Printed name of @p value, or with @p parseable its first spelling
+ *  the parser accepts. */
+template <typename E, std::size_t N>
+const char *
+nameOf(const NameRow<E> (&table)[N], E value, bool parseable = false)
+{
+    for (const NameRow<E> &row : table)
+        if (row.value == value && (row.parses || !parseable))
+            return row.name;
+    return "?";
+}
+
+template <typename E, std::size_t N>
+bool
+parseName(const NameRow<E> (&table)[N], const std::string &name, E *out)
+{
+    for (const NameRow<E> &row : table) {
+        if (row.parses && name == row.name) {
+            *out = row.value;
+            return true;
+        }
+    }
+    return false;
+}
+
+} // namespace
+
 const char *
 protocolName(Protocol p)
 {
-    switch (p) {
-      case Protocol::DimOrder: return "DOR";
-      case Protocol::Duato:    return "DP";
-      case Protocol::Scouting: return "SR";
-      case Protocol::Pcs:      return "PCS";
-      case Protocol::MBm:      return "MB-m";
-      case Protocol::TwoPhase: return "TP";
-    }
-    return "?";
+    return nameOf(protocolNames, p);
+}
+
+bool
+parseProtocolName(const std::string &name, Protocol *out)
+{
+    return parseName(protocolNames, name, out);
 }
 
 const char *
 topologyName(TopologyKind t)
 {
-    switch (t) {
-      case TopologyKind::Torus:     return "torus";
-      case TopologyKind::Mesh:      return "mesh";
-      case TopologyKind::Express:   return "express";
-      case TopologyKind::Dragonfly: return "dragonfly";
-    }
-    return "?";
+    return nameOf(topologyNames, t);
 }
 
 bool
 parseTopologyName(const std::string &name, TopologyKind *out)
 {
-    const struct
-    {
-        const char *name;
-        TopologyKind kind;
-    } table[] = {
-        {"torus", TopologyKind::Torus},
-        {"mesh", TopologyKind::Mesh},
-        {"express", TopologyKind::Express},
-        {"dragonfly", TopologyKind::Dragonfly},
-    };
-    for (const auto &row : table) {
-        if (name == row.name) {
-            *out = row.kind;
-            return true;
-        }
-    }
-    return false;
+    return parseName(topologyNames, name, out);
 }
 
 const char *
 patternName(TrafficPattern p)
 {
-    switch (p) {
-      case TrafficPattern::Uniform:       return "uniform";
-      case TrafficPattern::BitComplement: return "bit-complement";
-      case TrafficPattern::Transpose:     return "transpose";
-      case TrafficPattern::NeighborPlus:  return "neighbor+1";
-      case TrafficPattern::Tornado:       return "tornado";
-      case TrafficPattern::BitReversal:   return "bit-reversal";
-      case TrafficPattern::Shuffle:       return "shuffle";
-    }
-    return "?";
-}
-
-namespace {
-
-/// Parse name for patternName() output; "neighbor+1" prints but
-/// "neighbor" parses, so round-tripping goes through this table.
-const char *
-patternParseName(TrafficPattern p)
-{
-    return p == TrafficPattern::NeighborPlus ? "neighbor" : patternName(p);
-}
-
-} // namespace
-
-bool
-parseProtocolName(const std::string &name, Protocol *out)
-{
-    const struct
-    {
-        const char *name;
-        Protocol proto;
-    } table[] = {
-        {"DOR", Protocol::DimOrder}, {"DP", Protocol::Duato},
-        {"SR", Protocol::Scouting},  {"PCS", Protocol::Pcs},
-        {"MB-m", Protocol::MBm},     {"MBM", Protocol::MBm},
-        {"TP", Protocol::TwoPhase},
-    };
-    for (const auto &row : table) {
-        if (name == row.name) {
-            *out = row.proto;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-victimPolicyName(VictimPolicy p)
-{
-    switch (p) {
-      case VictimPolicy::YoungestMessage: return "youngest";
-      case VictimPolicy::FewestHopsHeld:  return "fewest-hops";
-      case VictimPolicy::RandomSeeded:    return "random";
-    }
-    return "?";
-}
-
-bool
-parseVictimPolicyName(const std::string &name, VictimPolicy *out)
-{
-    const struct
-    {
-        const char *name;
-        VictimPolicy policy;
-    } table[] = {
-        {"youngest", VictimPolicy::YoungestMessage},
-        {"fewest-hops", VictimPolicy::FewestHopsHeld},
-        {"random", VictimPolicy::RandomSeeded},
-    };
-    for (const auto &row : table) {
-        if (name == row.name) {
-            *out = row.policy;
-            return true;
-        }
-    }
-    return false;
+    return nameOf(patternNames, p);
 }
 
 bool
 parsePatternName(const std::string &name, TrafficPattern *out)
 {
-    const struct
-    {
-        const char *name;
-        TrafficPattern pattern;
-    } table[] = {
-        {"uniform", TrafficPattern::Uniform},
-        {"bit-complement", TrafficPattern::BitComplement},
-        {"transpose", TrafficPattern::Transpose},
-        {"neighbor", TrafficPattern::NeighborPlus},
-        {"tornado", TrafficPattern::Tornado},
-        {"bit-reversal", TrafficPattern::BitReversal},
-        {"shuffle", TrafficPattern::Shuffle},
-    };
-    for (const auto &row : table) {
-        if (name == row.name) {
-            *out = row.pattern;
-            return true;
-        }
-    }
-    return false;
+    return parseName(patternNames, name, out);
+}
+
+const char *
+victimPolicyName(VictimPolicy p)
+{
+    return nameOf(victimPolicyNames, p);
+}
+
+bool
+parseVictimPolicyName(const std::string &name, VictimPolicy *out)
+{
+    return parseName(victimPolicyNames, name, out);
 }
 
 namespace {
@@ -476,7 +441,7 @@ formatTrafficClasses(const std::vector<TrafficClassConfig> &classes)
         const TrafficClassConfig &tc = classes[i];
         if (i)
             os << ';';
-        os << "pattern=" << patternParseName(tc.pattern)
+        os << "pattern=" << nameOf(patternNames, tc.pattern, true)
            << ",load=" << tc.load;
         if (tc.msgLength)
             os << ",len=" << tc.msgLength;

@@ -148,12 +148,6 @@ struct SimConfig
     int scoutK = 0;        ///< SR-mode scouting distance (TP: 0 = aggressive)
     int misrouteLimit = 6; ///< m, maximum outstanding misroutes
     int maxRetries = 3;    ///< source re-tries before declaring undeliverable
-    /// Header search budget in hops before a setup attempt is abandoned,
-    /// expressed as a multiple of the network diameter.
-    int searchBudgetDiameters = 8;
-    /// Consecutive blocked RCU service slots after which a backtracking
-    /// protocol abandons the attempt (recovery of last resort).
-    int stallLimit = 128;
     /// Cycles a torn-down message waits before re-trying from the source.
     int retryBackoff = 32;
 
@@ -219,7 +213,7 @@ struct SimConfig
     /// time-stepped engine by construction; kept switchable (env
     /// TPNET_EVENT_ENGINE=off, or --no-event-skip on the tools) for
     /// differential testing. Deliberately NOT part of the config
-    /// digest: checkpoints and campaign manifests are engine-agnostic.
+    /// digest: checkpoints and shard files are engine-agnostic.
     bool eventEngine = defaultEventEngine();
 
     // --- Verification --------------------------------------------------
@@ -243,9 +237,6 @@ struct SimConfig
     /// Livelock guard: if the same knot re-forms more than this many
     /// times, healing escalates to a watchdog-style verdict.
     int maxHealAttempts = 8;
-    /// Base of the per-victim exponential retransmission backoff, in
-    /// cycles (doubles per heal of the same message, capped).
-    int healBackoffBase = 16;
 
     // --- Derived helpers ---------------------------------------------------
     /// Topology family after normalization (Torus + !wrap => Mesh).

@@ -10,7 +10,7 @@
 #include <sstream>
 
 #include "chaos/campaign.hpp"
-#include "chaos/manifest.hpp"
+#include "chaos/shard.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/report.hpp"
 #include "chaos/snapshot.hpp"

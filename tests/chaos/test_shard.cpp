@@ -1,6 +1,7 @@
 /** @file Campaign sharding: partition exactness, stable keys, shard
- *  result files, the merger's bit-identity with a monolithic run, and
- *  the digest-addressed result cache. */
+ *  result files, and the merger's bit-identity with a monolithic run
+ *  and refusal of missing, duplicate, stale, foreign and hostile
+ *  shards. */
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <sstream>
 
 #include "chaos/campaign.hpp"
-#include "chaos/manifest.hpp"
+#include "chaos/shard.hpp"
 #include "chaos/report.hpp"
 #include "helpers.hpp"
 
@@ -96,6 +97,33 @@ syntheticResults(std::size_t total)
     return results;
 }
 
+/** The results of the cells @p shard owns, in order. */
+std::vector<CampaignResult>
+ownedResults(const std::vector<CampaignResult> &all, const ShardSpec &shard)
+{
+    std::vector<CampaignResult> mine;
+    for (std::size_t idx : shardIndices(all.size(), shard))
+        mine.push_back(all[idx]);
+    return mine;
+}
+
+/** Write shard-<i>.json for every shard i/count of @p all into @p dir. */
+std::vector<fs::path>
+writeAllShards(const fs::path &dir, const std::vector<CampaignSpec> &specs,
+               const std::vector<CampaignResult> &all, int count)
+{
+    std::vector<fs::path> paths;
+    for (int i = 0; i < count; ++i) {
+        const ShardSpec shard{i, count};
+        paths.push_back(dir / ("shard-" + std::to_string(i) + ".json"));
+        EXPECT_TRUE(writeShardJson(paths.back().string(), "tpnet_test",
+                                   shard, all.size(),
+                                   shardKey(specs, shard),
+                                   ownedResults(all, shard)));
+    }
+    return paths;
+}
+
 TEST(Shard, PartitionIsExactForRaggedCounts)
 {
     for (std::size_t total : {1u, 5u, 80u, 81u, 97u}) {
@@ -134,8 +162,16 @@ TEST(Shard, ParseShardSpecAcceptsAndRejects)
     EXPECT_EQ(s.index, 3);
     EXPECT_EQ(s.count, 4);
 
+    ASSERT_TRUE(parseShardSpec("0/2147483647", &s));
+    EXPECT_EQ(s.count, 2147483647);
+
+    // Counts above INT_MAX are refused, not truncated: 2^32 + 2 would
+    // wrap to shard 3/2 and 10^20 to shard 0/-1.
     for (const char *bad : {"", "4/4", "5/4", "-1/4", "a/b", "1/0",
-                            "1/", "/4", "1/4x", "1.5/4", "1 / 4"})
+                            "1/", "/4", "1/4x", "1.5/4", "1 / 4",
+                            "3/4294967298", "0/2147483648",
+                            "0/99999999999999999999",
+                            "99999999999999999999/99999999999999999999"})
         EXPECT_FALSE(parseShardSpec(bad, &s)) << "'" << bad << "'";
 }
 
@@ -174,15 +210,11 @@ TEST(Shard, ShardFileRoundTripsAndRejectsTamper)
     const std::vector<CampaignResult> all = syntheticResults(7);
     const ShardSpec shard{2, 3};
     const std::uint64_t key = shardKey(specs, shard);
-    const std::vector<std::size_t> owned = shardIndices(7, shard);
-
-    std::vector<CampaignResult> mine;
-    for (std::size_t idx : owned)
-        mine.push_back(all[idx]);
+    const std::vector<CampaignResult> mine = ownedResults(all, shard);
 
     const fs::path path = dir / "shard-2.json";
-    ASSERT_TRUE(writeShardJson(path.string(), "tpnet_test", shard, 7,
-                               key, owned, mine));
+    ASSERT_TRUE(
+        writeShardJson(path.string(), "tpnet_test", shard, 7, key, mine));
 
     ShardFile sf;
     std::string error;
@@ -192,20 +224,37 @@ TEST(Shard, ShardFileRoundTripsAndRejectsTamper)
     EXPECT_EQ(sf.shard.count, 3);
     EXPECT_EQ(sf.total, 7u);
     EXPECT_EQ(sf.key, key);
-    EXPECT_EQ(sf.indices, owned);
+    EXPECT_EQ(sf.campaigns.size(), shardIndices(7, shard).size());
     ASSERT_EQ(sf.campaigns.size(), mine.size());
     for (std::size_t i = 0; i < mine.size(); ++i)
         EXPECT_EQ(sf.campaigns[i], campaignJson(mine[i]));
 
+    const std::string good = slurp(path);
+    const auto tamper = [&](const std::string &from, const std::string &to) {
+        std::string bytes = good;
+        const std::size_t pos = bytes.find(from);
+        ASSERT_NE(pos, std::string::npos) << from;
+        bytes.replace(pos, from.size(), to);
+        spit(path, bytes);
+    };
+
     // Flip one byte inside a campaign line: the result digest check
     // must refuse the file.
-    std::string bytes = slurp(path);
-    const std::size_t pos = bytes.find("\"cycles\": 1");
-    ASSERT_NE(pos, std::string::npos);
-    bytes[pos + 11] = '9';
-    spit(path, bytes);
+    tamper("\"cycles\": 1", "\"cycles\": 9");
     EXPECT_FALSE(readShardFile(path.string(), &sf, &error));
     EXPECT_NE(error.find("digest"), std::string::npos) << error;
+
+    // The digest covers only the campaign lines, so an edited shard line
+    // still verifies; the reader bounds it itself. A count of 2^32 + 3
+    // would truncate to 3.
+    tamper("\"count\": 3", "\"count\": 4294967299");
+    EXPECT_FALSE(readShardFile(path.string(), &sf, &error));
+    EXPECT_NE(error.find("malformed shard line"), std::string::npos)
+        << error;
+    // A total of 10^15 claims ~3 * 10^14 owned cells for two campaigns.
+    tamper("\"total\": 7", "\"total\": 1000000000000000");
+    EXPECT_FALSE(readShardFile(path.string(), &sf, &error));
+    EXPECT_NE(error.find("1000000000000000"), std::string::npos) << error;
 }
 
 TEST(Shard, MergedDocumentIsBitIdenticalToMonolithic)
@@ -220,28 +269,11 @@ TEST(Shard, MergedDocumentIsBitIdenticalToMonolithic)
 
     const fs::path mono = base / "mono.json";
     ASSERT_TRUE(writeCampaignJson(mono.string(), "tpnet_test", all));
-
-    std::vector<std::uint64_t> keys;
-    for (int i = 0; i < count; ++i) {
-        const ShardSpec shard{i, count};
-        const std::uint64_t key = shardKey(specs, shard);
-        keys.push_back(key);
-        const std::vector<std::size_t> owned =
-            shardIndices(total, shard);
-        std::vector<CampaignResult> mine;
-        for (std::size_t idx : owned)
-            mine.push_back(all[idx]);
-        const fs::path path =
-            dir / ("shard-" + std::to_string(i) + ".json");
-        ASSERT_TRUE(writeShardJson(path.string(), "tpnet_test", shard,
-                                   total, key, owned, mine));
-    }
-
-    EXPECT_EQ(probeShardCount(dir.string(), "merged.json"), count);
+    writeAllShards(dir, specs, all, count);
 
     const fs::path merged = dir / "merged.json";
     std::ostringstream log;
-    const int rc = mergeShards(dir.string(), "tpnet_test", keys,
+    const int rc = mergeShards(dir.string(), "tpnet_test", specs,
                                merged.string(), log);
     EXPECT_EQ(rc, 1) << log.str();  // synthetic set has failures
     EXPECT_EQ(slurp(merged), slurp(mono));
@@ -250,35 +282,16 @@ TEST(Shard, MergedDocumentIsBitIdenticalToMonolithic)
 TEST(Shard, MergeRejectsMissingDuplicateStaleAndForeign)
 {
     const fs::path dir = scratchDir("shard_merge_bad");
-    const std::size_t total = 5;
-    const int count = 2;
-    const std::vector<CampaignSpec> specs = cheapGrid(total);
-    const std::vector<CampaignResult> all = syntheticResults(total);
-
-    std::vector<std::uint64_t> keys;
-    std::vector<fs::path> paths;
-    for (int i = 0; i < count; ++i) {
-        const ShardSpec shard{i, count};
-        const std::uint64_t key = shardKey(specs, shard);
-        keys.push_back(key);
-        const std::vector<std::size_t> owned =
-            shardIndices(total, shard);
-        std::vector<CampaignResult> mine;
-        for (std::size_t idx : owned)
-            mine.push_back(all[idx]);
-        const fs::path path =
-            dir / ("shard-" + std::to_string(i) + ".json");
-        paths.push_back(path);
-        ASSERT_TRUE(writeShardJson(path.string(), "tpnet_test", shard,
-                                   total, key, owned, mine));
-    }
+    const std::vector<CampaignSpec> specs = cheapGrid(5);
+    const std::vector<fs::path> paths =
+        writeAllShards(dir, specs, syntheticResults(5), 2);
     const fs::path merged = dir / "merged.json";
 
     // Missing shard.
     const std::string shard1 = slurp(paths[1]);
     fs::remove(paths[1]);
     std::ostringstream log1;
-    EXPECT_EQ(mergeShards(dir.string(), "tpnet_test", keys,
+    EXPECT_EQ(mergeShards(dir.string(), "tpnet_test", specs,
                           merged.string(), log1),
               2);
     EXPECT_NE(log1.str().find("missing"), std::string::npos)
@@ -288,85 +301,44 @@ TEST(Shard, MergeRejectsMissingDuplicateStaleAndForeign)
     // Duplicate shard (same index under another file name).
     spit(dir / "shard-1-copy.json", shard1);
     std::ostringstream log2;
-    EXPECT_EQ(mergeShards(dir.string(), "tpnet_test", keys,
+    EXPECT_EQ(mergeShards(dir.string(), "tpnet_test", specs,
                           merged.string(), log2),
               2);
     EXPECT_NE(log2.str().find("more than once"), std::string::npos)
         << log2.str();
     fs::remove(dir / "shard-1-copy.json");
 
-    // Stale shard: expected keys computed from a different grid.
-    std::vector<std::uint64_t> wrong = keys;
-    wrong[0] ^= 0xdeadbeefull;
+    // Stale shard: the merger's grid changed a cell shard 0 owns.
+    std::vector<CampaignSpec> changed = specs;
+    changed[0].cfg.load += 0.01;
     std::ostringstream log3;
-    EXPECT_EQ(mergeShards(dir.string(), "tpnet_test", wrong,
+    EXPECT_EQ(mergeShards(dir.string(), "tpnet_test", changed,
                           merged.string(), log3),
               2);
     EXPECT_NE(log3.str().find("key mismatch"), std::string::npos)
         << log3.str();
 
+    // Stale total: shard 0/2 owns cells 0, 2, 4 of 5 and of 6 cells, so
+    // a file claiming 6 reads cleanly; the merger refuses it before
+    // sizing anything by the claimed total.
+    const std::string shard0 = slurp(paths[0]);
+    ASSERT_TRUE(writeShardJson(paths[0].string(), "tpnet_test", {0, 2},
+                               6, shardKey(specs, {0, 2}),
+                               ownedResults(syntheticResults(5), {0, 2})));
+    std::ostringstream log5;
+    EXPECT_EQ(mergeShards(dir.string(), "tpnet_test", specs,
+                          merged.string(), log5),
+              2);
+    EXPECT_NE(log5.str().find("total 6"), std::string::npos)
+        << log5.str();
+    spit(paths[0], shard0);
+
     // Foreign tool.
     std::ostringstream log4;
-    EXPECT_EQ(mergeShards(dir.string(), "tpnet_other", keys,
+    EXPECT_EQ(mergeShards(dir.string(), "tpnet_other", specs,
                           merged.string(), log4),
               2);
-}
-
-TEST(Shard, CacheStoreThenLookupHitAndMiss)
-{
-    const fs::path dir = scratchDir("shard_cache");
-    const fs::path cache = dir / "cache";
-    const std::vector<CampaignSpec> specs = cheapGrid(4);
-    const std::vector<CampaignResult> all = syntheticResults(4);
-    const ShardSpec shard{0, 2};
-    const std::uint64_t key = shardKey(specs, shard);
-    const std::vector<std::size_t> owned = shardIndices(4, shard);
-    std::vector<CampaignResult> mine;
-    for (std::size_t idx : owned)
-        mine.push_back(all[idx]);
-
-    const fs::path path = dir / "shard-0.json";
-    ASSERT_TRUE(writeShardJson(path.string(), "tpnet_test", shard, 4,
-                               key, owned, mine));
-
-    ShardFile hit;
-    EXPECT_FALSE(cacheLookup(cache.string(), "tpnet_test", shard, key,
-                             &hit));  // nothing stored yet
-    ASSERT_TRUE(cacheStore(cache.string(), "tpnet_test", shard, key,
-                           path.string()));
-    ASSERT_TRUE(cacheLookup(cache.string(), "tpnet_test", shard, key,
-                            &hit));
-    EXPECT_EQ(hit.key, key);
-    EXPECT_EQ(hit.campaigns.size(), mine.size());
-
-    // A different key (grid changed) misses.
-    EXPECT_FALSE(cacheLookup(cache.string(), "tpnet_test", shard,
-                             key ^ 1, &hit));
-    // A corrupted cache entry misses instead of being trusted.
-    const fs::path entry =
-        cache / cacheFileName("tpnet_test", shard, key);
-    std::string bytes = slurp(entry);
-    bytes[bytes.size() / 2] ^= 0x20;
-    spit(entry, bytes);
-    EXPECT_FALSE(cacheLookup(cache.string(), "tpnet_test", shard, key,
-                             &hit));
-}
-
-TEST(Shard, ManifestListsEveryShardKey)
-{
-    const fs::path dir = scratchDir("shard_manifest");
-    const std::vector<CampaignSpec> specs = cheapGrid(7);
-    const int count = 3;
-    const fs::path path = dir / "manifest.json";
-    ASSERT_TRUE(writeManifest(path.string(), "tpnet_test", count,
-                              specs));
-    const std::string text = slurp(path);
-    EXPECT_NE(text.find("\"tpnet_test\""), std::string::npos);
-    for (int i = 0; i < count; ++i) {
-        const std::uint64_t key = shardKey(specs, ShardSpec{i, count});
-        EXPECT_NE(text.find(hex64(key)), std::string::npos)
-            << "manifest missing key of shard " << i;
-    }
+    EXPECT_FALSE(fs::exists(merged));
 }
 
 TEST(Shard, RealCampaignMergeMatchesMonolithicRun)
@@ -383,27 +355,21 @@ TEST(Shard, RealCampaignMergeMatchesMonolithicRun)
     ASSERT_TRUE(
         writeCampaignJson(mono_path.string(), "tpnet_test", mono));
 
-    std::vector<std::uint64_t> keys;
     for (int i = 0; i < count; ++i) {
         const ShardSpec shard{i, count};
-        const std::uint64_t key = shardKey(specs, shard);
-        keys.push_back(key);
-        const std::vector<std::size_t> owned =
-            shardIndices(total, shard);
         std::vector<CampaignSpec> mine;
-        for (std::size_t idx : owned)
+        for (std::size_t idx : shardIndices(total, shard))
             mine.push_back(specs[idx]);
-        const std::vector<CampaignResult> results =
-            runCampaigns(mine, 1);
         const fs::path path =
             dir / ("shard-" + std::to_string(i) + ".json");
         ASSERT_TRUE(writeShardJson(path.string(), "tpnet_test", shard,
-                                   total, key, owned, results));
+                                   total, shardKey(specs, shard),
+                                   runCampaigns(mine, 1)));
     }
 
     const fs::path merged = dir / "merged.json";
     std::ostringstream log;
-    const int rc = mergeShards(dir.string(), "tpnet_test", keys,
+    const int rc = mergeShards(dir.string(), "tpnet_test", specs,
                                merged.string(), log);
     EXPECT_LE(rc, 1) << log.str();
     EXPECT_EQ(slurp(merged), slurp(mono_path))

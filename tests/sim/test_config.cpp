@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/config.hpp"
 
 namespace tpnet {
@@ -76,6 +79,91 @@ TEST(Config, PatternNames)
 {
     EXPECT_STREQ(patternName(TrafficPattern::Uniform), "uniform");
     EXPECT_STREQ(patternName(TrafficPattern::Tornado), "tornado");
+}
+
+TEST(Config, EveryEnumNamePrintsAndParses)
+{
+    // Every printed name, and every spelling each parser accepts: the
+    // printed name parses back, except "neighbor+1", which is written
+    // "neighbor" on the command line.
+    const std::pair<Protocol, const char *> protocols[] = {
+        {Protocol::DimOrder, "DOR"}, {Protocol::Duato, "DP"},
+        {Protocol::Scouting, "SR"},  {Protocol::Pcs, "PCS"},
+        {Protocol::MBm, "MB-m"},     {Protocol::TwoPhase, "TP"},
+    };
+    for (const auto &[value, name] : protocols) {
+        EXPECT_STREQ(protocolName(value), name);
+        Protocol parsed = Protocol::DimOrder;
+        EXPECT_TRUE(parseProtocolName(name, &parsed)) << name;
+        EXPECT_EQ(parsed, value) << name;
+    }
+    Protocol proto = Protocol::DimOrder;
+    EXPECT_TRUE(parseProtocolName("MBM", &proto));
+    EXPECT_EQ(proto, Protocol::MBm);
+    for (const char *bad : {"", "tp", "mb-m", "Mbm", "WR", "TP ", "DOR2"})
+        EXPECT_FALSE(parseProtocolName(bad, &proto)) << "'" << bad << "'";
+
+    const std::pair<TopologyKind, const char *> topologies[] = {
+        {TopologyKind::Torus, "torus"},
+        {TopologyKind::Mesh, "mesh"},
+        {TopologyKind::Express, "express"},
+        {TopologyKind::Dragonfly, "dragonfly"},
+    };
+    for (const auto &[value, name] : topologies) {
+        EXPECT_STREQ(topologyName(value), name);
+        TopologyKind parsed = TopologyKind::Torus;
+        EXPECT_TRUE(parseTopologyName(name, &parsed)) << name;
+        EXPECT_EQ(parsed, value) << name;
+    }
+    TopologyKind topo = TopologyKind::Torus;
+    for (const char *bad : {"", "Torus", "cube", "hypercube", "mesh "})
+        EXPECT_FALSE(parseTopologyName(bad, &topo)) << "'" << bad << "'";
+
+    const std::pair<TrafficPattern, const char *> patterns[] = {
+        {TrafficPattern::Uniform, "uniform"},
+        {TrafficPattern::BitComplement, "bit-complement"},
+        {TrafficPattern::Transpose, "transpose"},
+        {TrafficPattern::NeighborPlus, "neighbor+1"},
+        {TrafficPattern::Tornado, "tornado"},
+        {TrafficPattern::BitReversal, "bit-reversal"},
+        {TrafficPattern::Shuffle, "shuffle"},
+    };
+    for (const auto &[value, name] : patterns) {
+        EXPECT_STREQ(patternName(value), name);
+        if (value == TrafficPattern::NeighborPlus)
+            continue;
+        TrafficPattern parsed = TrafficPattern::NeighborPlus;
+        EXPECT_TRUE(parsePatternName(name, &parsed)) << name;
+        EXPECT_EQ(parsed, value) << name;
+    }
+    TrafficPattern pattern = TrafficPattern::Uniform;
+    EXPECT_TRUE(parsePatternName("neighbor", &pattern));
+    EXPECT_EQ(pattern, TrafficPattern::NeighborPlus);
+    for (const char *bad : {"", "neighbor+1", "Uniform", "bitcomplement",
+                            "random", "shuffle "})
+        EXPECT_FALSE(parsePatternName(bad, &pattern)) << "'" << bad << "'";
+
+    // A workload spec round-trips "neighbor" through its parse name.
+    std::vector<TrafficClassConfig> classes;
+    ASSERT_TRUE(parseTrafficClasses("pattern=neighbor,load=0.1", &classes,
+                                    nullptr));
+    EXPECT_EQ(formatTrafficClasses(classes), "pattern=neighbor,load=0.1");
+
+    const std::pair<VictimPolicy, const char *> policies[] = {
+        {VictimPolicy::YoungestMessage, "youngest"},
+        {VictimPolicy::FewestHopsHeld, "fewest-hops"},
+        {VictimPolicy::RandomSeeded, "random"},
+    };
+    for (const auto &[value, name] : policies) {
+        EXPECT_STREQ(victimPolicyName(value), name);
+        VictimPolicy parsed = VictimPolicy::YoungestMessage;
+        EXPECT_TRUE(parseVictimPolicyName(name, &parsed)) << name;
+        EXPECT_EQ(parsed, value) << name;
+    }
+    VictimPolicy policy = VictimPolicy::YoungestMessage;
+    for (const char *bad : {"", "Youngest", "oldest", "fewest_hops"})
+        EXPECT_FALSE(parseVictimPolicyName(bad, &policy))
+            << "'" << bad << "'";
 }
 
 TEST(ConfigDeath, RejectsBadGeometry)

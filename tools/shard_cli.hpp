@@ -2,22 +2,18 @@
  * @file
  * Campaign sharding and checkpoint/restore options for tpnet_verify.
  *
- * Sharding (--shard i/N, --manifest, --merge-shards, --cache) and
- * replay checkpointing (--checkpoint, --checkpoint-every, --restore)
- * act on the campaign list, not on a simulator config; this header
- * holds their registration, validation, and the merge/cache/manifest
- * steps.
- * tpnet_cli shares the --shard spelling through addShardOption().
+ * Sharding (--shard i/N, --merge-shards) and replay checkpointing
+ * (--checkpoint, --checkpoint-every, --restore) act on the campaign
+ * list, not on a simulator config; this header holds their
+ * registration, validation, and the merge step.
  *
  * The flow a sharded run follows:
  *   1. build the FULL campaign spec list exactly as a monolithic run
- *      would (the shard key and the manifest cover every cell);
- *   2. --merge-shards: probe the directory for N, compute the expected
- *      per-shard keys from the full list, merge, exit;
- *   3. --manifest: write the manifest for the full list;
- *   4. compute this shard's key, try the result cache, filter the spec
- *      list down to the owned cells, run them;
- *   5. write the shard result file (and store it into the cache).
+ *      would (the shard keys cover every cell);
+ *   2. --merge-shards: merge the directory against that list (which
+ *      gives every shard's expected key and the total), exit;
+ *   3. --shard: compute this shard's key, run the owned cells, and
+ *      write them as a shard result file.
  */
 
 #ifndef TPNET_TOOLS_SHARD_CLI_HPP
@@ -30,66 +26,37 @@
 #include <vector>
 
 #include "chaos/campaign.hpp"
-#include "chaos/manifest.hpp"
+#include "chaos/shard.hpp"
 #include "sim/options.hpp"
 
 namespace tpnet {
 namespace tools {
 
-/**
- * Register `--shard i/N` (checked while parsing) into @p spec; @p given
- * records that argv gave it.
- */
-inline void
-addShardOption(OptionParser &parser, const std::string &help,
-               chaos::ShardSpec *spec, bool *given)
-{
-    parser.addValue("shard", "<i/N>", help,
-                    [spec, given](const std::string &v, std::string *why) {
-                        *why = "expected i/N with 0 <= i < N";
-                        return *given = chaos::parseShardSpec(v, spec);
-                    });
-}
-
 /** Sharding options of the campaign tool. */
 struct ShardCli
 {
-    bool shardGiven = false;   ///< --shard given
-    chaos::ShardSpec shard;    ///< --shard "i/N" (default: 0/1)
-    std::string manifestPath;  ///< --manifest FILE
-    std::string mergeDir;      ///< --merge-shards DIR (exclusive mode)
-    std::string cacheDir;      ///< --cache DIR
+    bool shardGiven = false;  ///< --shard given
+    chaos::ShardSpec shard;   ///< --shard "i/N" (default: 0/1)
+    std::string mergeDir;     ///< --merge-shards DIR (exclusive mode)
 };
 
 inline void
 addShardOptions(OptionParser &parser, ShardCli *s)
 {
-    addShardOption(parser,
-                   "run only shard i/N of the campaign list "
-                   "(round-robin by campaign index, i in 0..N-1); "
-                   "--json then writes a shard result file",
-                   &s->shard, &s->shardGiven);
-    parser.addString("manifest",
-                     "write the shard manifest (every shard's key and "
-                     "cell count) for this campaign list, then run",
-                     &s->manifestPath);
+    parser.addValue("shard", "<i/N>",
+                    "run only shard i/N of the campaign list "
+                    "(round-robin by campaign index, i in 0..N-1); "
+                    "--json then writes a shard result file",
+                    [s](const std::string &v, std::string *why) {
+                        *why = "expected i/N with 0 <= i < N <= 2147483647";
+                        return s->shardGiven =
+                                   chaos::parseShardSpec(v, &s->shard);
+                    });
     parser.addString("merge-shards",
                      "merge the shard result files in this directory "
                      "into --json (validating keys against this "
                      "invocation's campaign list) and exit",
                      &s->mergeDir);
-    parser.addString("cache",
-                     "digest-addressed result cache directory: a shard "
-                     "whose key is already cached is not re-run "
-                     "(requires --json)",
-                     &s->cacheDir);
-}
-
-/** Any option that switches the run into shard-result-file mode. */
-inline bool
-sharded(const ShardCli &s)
-{
-    return s.shardGiven || !s.cacheDir.empty();
 }
 
 /**
@@ -97,17 +64,11 @@ sharded(const ShardCli &s)
  * replayed campaign is meaningless, so it is rejected.
  */
 inline bool
-validateShardCli(const ShardCli &s, bool have_json, bool replay,
-                 std::string *error)
+validateShardCli(const ShardCli &s, bool replay, std::string *error)
 {
-    if (replay && sharded(s)) {
-        *error = "--shard/--cache cannot be combined with "
-                 "--replay-seed (a replay is a single campaign)";
-        return false;
-    }
-    if (!s.cacheDir.empty() && !have_json) {
-        *error = "--cache needs --json (the cache stores the shard "
-                 "result file)";
+    if (replay && s.shardGiven) {
+        *error = "--shard cannot be combined with --replay-seed (a "
+                 "replay is a single campaign)";
         return false;
     }
     return true;
@@ -115,9 +76,9 @@ validateShardCli(const ShardCli &s, bool have_json, bool replay,
 
 /**
  * --merge-shards driver. @p all_specs is the full campaign list this
- * invocation's flags describe; when the directory's shard count can be
- * probed, the per-shard keys are recomputed from it and validated, so
- * stale shards (older grid, different seed range) refuse to merge.
+ * invocation's flags describe; the merger checks every shard's total
+ * and key against it, so stale shards (older grid, different seed
+ * range) refuse to merge.
  * @return process exit code (0 merged+clean, 1 merged+failures,
  * 2 merge error).
  */
@@ -131,86 +92,7 @@ runMergeShards(const ShardCli &s, const std::string &tool,
         json_path.empty()
             ? (fs::path(s.mergeDir) / "merged.json").string()
             : json_path;
-    std::vector<std::uint64_t> keys;
-    const int n = chaos::probeShardCount(s.mergeDir, out);
-    for (int i = 0; i < n; ++i)
-        keys.push_back(chaos::shardKey(all_specs, {i, n}));
-    return chaos::mergeShards(s.mergeDir, tool, keys, out, std::cout);
-}
-
-/** Write the manifest when requested. @return false on I/O error. */
-inline bool
-writeShardManifest(const ShardCli &s, const std::string &tool,
-                   const std::vector<chaos::CampaignSpec> &all_specs)
-{
-    if (s.manifestPath.empty())
-        return true;
-    if (!chaos::writeManifest(s.manifestPath, tool, s.shard.count,
-                              all_specs))
-        return false;
-    std::printf("# manifest: %zu campaign(s) across %d shard(s) -> %s\n",
-                all_specs.size(), s.shard.count,
-                s.manifestPath.c_str());
-    return true;
-}
-
-/**
- * Result-cache lookup. On a usable hit the cached shard file is copied
- * to @p json_path (so the artifact exists exactly as a real run would
- * leave it) and the cached verdict is returned as a process exit code.
- * @return -1 on a miss (run the campaigns normally).
- */
-inline int
-tryShardCache(const ShardCli &s, const std::string &tool,
-              std::uint64_t key, std::size_t total,
-              const std::string &json_path)
-{
-    if (s.cacheDir.empty())
-        return -1;
-    chaos::ShardFile hit;
-    if (!chaos::cacheLookup(s.cacheDir, tool, s.shard, key, &hit) ||
-        hit.total != total)
-        return -1;
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::copy_file(fs::path(s.cacheDir) /
-                      chaos::cacheFileName(tool, s.shard, key),
-                  json_path, fs::copy_options::overwrite_existing, ec);
-    if (ec)
-        return -1;  // unreadable cache entry: fall back to a real run
-    std::size_t failed = 0;
-    for (const std::string &c : hit.campaigns)
-        if (c.find("\"passed\": false") != std::string::npos)
-            ++failed;
-    std::printf("# shard %d/%d: cache hit (key %s), %zu campaign(s), "
-                "%zu failed\n",
-                s.shard.index, s.shard.count,
-                chaos::hex64(key).c_str(), hit.campaigns.size(),
-                failed);
-    return failed ? 1 : 0;
-}
-
-/**
- * Write the shard result file and store it into the cache.
- * @return false on I/O error writing @p json_path.
- */
-inline bool
-writeShardOutputs(const ShardCli &s, const std::string &tool,
-                  std::uint64_t key, std::size_t total,
-                  const std::vector<std::size_t> &owned,
-                  const std::vector<chaos::CampaignResult> &results,
-                  const std::string &json_path)
-{
-    if (json_path.empty())
-        return true;
-    if (!chaos::writeShardJson(json_path, tool, s.shard, total, key,
-                               owned, results))
-        return false;
-    if (!s.cacheDir.empty() &&
-        !chaos::cacheStore(s.cacheDir, tool, s.shard, key, json_path))
-        std::fprintf(stderr, "warning: cannot store shard result in "
-                             "cache '%s'\n", s.cacheDir.c_str());
-    return true;
+    return chaos::mergeShards(s.mergeDir, tool, all_specs, out, std::cout);
 }
 
 /** Checkpoint/restore options (replay mode only). */

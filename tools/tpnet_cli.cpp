@@ -23,7 +23,6 @@
 #include "core/tpnet.hpp"
 #include "obs/metrics_registry.hpp"
 #include "sim/options.hpp"
-#include "shard_cli.hpp"
 
 int
 main(int argc, char **argv)
@@ -33,8 +32,6 @@ main(int argc, char **argv)
     SimConfig cfg;
     SimConfigOptions simopts;
     std::vector<double> loads;
-    bool shard_given = false;
-    chaos::ShardSpec shard;
     int reps = 1;
     int jobs = 0;
     bool stats = false;
@@ -70,20 +67,11 @@ main(int argc, char **argv)
                         *why = "expected numbers joined by ','";
                         return parseNumbers(v, &loads);
                     });
-    tools::addShardOption(parser,
-                          "sweep only: run the load points whose index "
-                          "mod N equals i (round-robin like "
-                          "tpnet_verify)",
-                          &shard, &shard_given);
     parser.addJobs(&jobs);
     parser.addFlag("stats", "print structural network statistics",
                    &stats);
     parser.parseOrExit(argc, argv);
 
-    if (shard_given && loads.empty()) {
-        std::fprintf(stderr, "error: --shard needs --sweep\n");
-        return 2;
-    }
     simopts.apply(&cfg);
     cfg.markUnsafe = !no_unsafe;
     cfg.validate();
@@ -95,16 +83,6 @@ main(int argc, char **argv)
     opt.maxReps = static_cast<std::size_t>(reps);
     opt.jobs = jobs;
     if (!loads.empty()) {
-        if (shard_given) {
-            std::vector<double> mine;
-            for (std::size_t i = 0; i < loads.size(); ++i)
-                if (chaos::shardOwns(shard, i))
-                    mine.push_back(loads[i]);
-            std::printf("# shard %d/%d: %zu of %zu load point(s)\n",
-                        shard.index, shard.count, mine.size(),
-                        loads.size());
-            loads.swap(mine);
-        }
         const Series s =
             loadSweep(cfg, protocolName(cfg.protocol), loads, opt);
         printSeries(std::cout, s, "offered");

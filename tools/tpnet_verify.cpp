@@ -670,8 +670,7 @@ main(int argc, char **argv)
 
     std::string error;
     const bool replay = replay_seed != 0;
-    if (!tools::validateShardCli(shardcli, !json_path.empty(), replay,
-                                 &error) ||
+    if (!tools::validateShardCli(shardcli, replay, &error) ||
         !tools::validateCheckpointCli(ckcli, replay, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
@@ -683,8 +682,7 @@ main(int argc, char **argv)
     }
 
     if (compare) {
-        if (tools::sharded(shardcli) || !shardcli.mergeDir.empty() ||
-            !shardcli.manifestPath.empty() ||
+        if (shardcli.shardGiven || !shardcli.mergeDir.empty() ||
             tools::checkpointArmed(ckcli)) {
             std::fprintf(stderr, "error: sharding/checkpoint options "
                                  "cannot be combined with --compare\n");
@@ -706,31 +704,18 @@ main(int argc, char **argv)
     }
 
     // Sharded execution: the full spec list above is exactly what a
-    // monolithic run would execute, so the shard keys, the manifest,
-    // and the merge validation all derive from it.
+    // monolithic run would execute, so the shard keys and the merge
+    // validation both derive from it.
     if (!shardcli.mergeDir.empty())
         return tools::runMergeShards(shardcli, "tpnet_verify", specs,
                                      json_path);
-    if (!tools::writeShardManifest(shardcli, "tpnet_verify", specs)) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     shardcli.manifestPath.c_str());
-        return 2;
-    }
 
-    const bool shard_mode = tools::sharded(shardcli);
     const std::size_t shard_total = specs.size();
     std::uint64_t shard_key = 0;
-    std::vector<std::size_t> owned;
-    if (shard_mode) {
+    if (shardcli.shardGiven) {
         shard_key = shardKey(specs, shardcli.shard);
-        owned = shardIndices(shard_total, shardcli.shard);
-        const int cached = tools::tryShardCache(
-            shardcli, "tpnet_verify", shard_key, shard_total,
-            json_path);
-        if (cached >= 0)
-            return cached;
         std::vector<CampaignSpec> mine;
-        for (std::size_t idx : owned)
+        for (std::size_t idx : shardIndices(shard_total, shardcli.shard))
             mine.push_back(specs[idx]);
         specs.swap(mine);
         std::printf("# shard %d/%d: owns %zu of %zu campaign(s), "
@@ -808,13 +793,11 @@ main(int argc, char **argv)
     }
     if (replay && tools::checkpointArmed(ckcli))
         tools::printCheckpointReport(ckcli, results[0]);
-    if (shard_mode
-            ? !tools::writeShardOutputs(shardcli, "tpnet_verify",
-                                        shard_key, shard_total, owned,
-                                        results, json_path)
-            : (!json_path.empty() &&
-               !writeCampaignJson(json_path, "tpnet_verify",
-                                  results))) {
+    if (!json_path.empty() &&
+        !(shardcli.shardGiven
+              ? writeShardJson(json_path, "tpnet_verify", shardcli.shard,
+                               shard_total, shard_key, results)
+              : writeCampaignJson(json_path, "tpnet_verify", results))) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
                      json_path.c_str());
         return 2;
