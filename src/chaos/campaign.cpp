@@ -203,40 +203,36 @@ runCampaign(const CampaignSpec &spec)
             std::to_string(net.now()) + " cycles with traffic armed");
     }
     if (!result.quiescent) {
-        for (MsgId id : net.liveMessageIds()) {
-            const Message *msg = net.findMessage(id);
-            if (!msg)
-                continue;
+        net.messageStore().forEach([&](const Message &msg) {
             std::ostringstream os;
-            os << "msg " << id << ": state "
-               << static_cast<int>(msg->state) << ", " << msg->src
-               << "->" << msg->dst << " at " << msg->hdr.cur
-               << ", epoch " << msg->epoch << ", retries "
-               << msg->retries << ", heals " << msg->healAttempts
-               << ", lastHealAt " << msg->lastHealAt << ", path "
-               << msg->path.size()
-               << " hops, inRcu " << msg->inRcu << ", teardown "
-               << static_cast<int>(msg->teardown) << ", retryAt "
-               << msg->retryAt << ", flits " << msg->injectedFlits << "/"
-               << msg->arrivedFlits << ", srcCtr " << msg->srcCounter
-               << "/" << msg->srcK << (msg->srcHold ? " HELD" : "")
-               << ", leadHop " << msg->leadHop;
-            for (const PathHop &hop : msg->path) {
+            os << "msg " << msg.id << ": state "
+               << static_cast<int>(msg.state) << ", " << msg.src << "->"
+               << msg.dst << " at " << msg.hdr.cur << ", epoch "
+               << msg.epoch << ", retries " << msg.retries << ", heals "
+               << msg.healAttempts << ", lastHealAt " << msg.lastHealAt
+               << ", path " << msg.path.size() << " hops, inRcu "
+               << msg.inRcu << ", teardown "
+               << static_cast<int>(msg.teardown) << ", retryAt "
+               << msg.retryAt << ", flits " << msg.injectedFlits << "/"
+               << msg.arrivedFlits << ", srcCtr " << msg.srcCounter
+               << "/" << msg.srcK << (msg.srcHold ? " HELD" : "")
+               << ", leadHop " << msg.leadHop;
+            for (const PathHop &hop : msg.path) {
                 const VcState &vc = net.vc(hop.link, hop.vc);
                 os << " [" << hop.link << ":" << hop.vc
-                   << (vc.owner == msg->id ? "" : " NOTOWN") << " ctr "
+                   << (vc.owner == msg.id ? "" : " NOTOWN") << " ctr "
                    << vc.counter << "/" << vc.kReg
                    << (vc.hold ? " HOLD" : "")
                    << (vc.routed ? "" : " UNROUTED") << " q"
                    << vc.size() << "]";
             }
             if (const verify::CwgTracker *cwg = net.cwg()) {
-                const std::string waits = cwg->describeWaits(id);
+                const std::string waits = cwg->describeWaits(msg.id);
                 if (!waits.empty())
                     os << ", waits on " << waits;
             }
             result.liveDump.push_back(os.str());
-        }
+        });
     }
 
     for (const Network::HealRecord &h : net.healLog())

@@ -1,9 +1,9 @@
 #include "chaos/oracle.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "core/network.hpp"
+#include "sim/log.hpp"
 
 namespace tpnet {
 namespace chaos {
@@ -20,19 +20,34 @@ DeliveryOracle::report(Cycle now, const std::string &what)
     violations_.push_back(os.str());
 }
 
+DeliveryOracle::Record *
+DeliveryOracle::find(MsgId id)
+{
+    if (id < 0 || static_cast<std::size_t>(id) >= records_.size())
+        return nullptr;
+    Record &rec = records_[static_cast<std::size_t>(id)];
+    return rec.known ? &rec : nullptr;
+}
+
 void
 DeliveryOracle::messageCreated(Cycle now, const Message &msg)
 {
-    auto [it, inserted] = records_.try_emplace(msg.id);
-    if (!inserted) {
+    if (msg.id < 0)
+        tpnet_panic("oracle: message created under id ", msg.id);
+    const auto at = static_cast<std::size_t>(msg.id);
+    if (at >= records_.size())
+        records_.resize(at + 1);
+    Record &rec = records_[at];
+    if (rec.known) {
         std::ostringstream os;
         os << "msg " << msg.id << " created twice";
         report(now, os.str());
         return;
     }
-    it->second.src = msg.src;
-    it->second.dst = msg.dst;
-    it->second.createdAt = now;
+    rec.known = true;
+    rec.src = msg.src;
+    rec.dst = msg.dst;
+    rec.createdAt = now;
     ++createdCount_;
 }
 
@@ -42,14 +57,14 @@ DeliveryOracle::flitDelivered(Cycle now, NodeId node, const Flit &flit)
     (void)node;
     if (flit.type != FlitType::Tail)
         return;
-    auto it = records_.find(flit.msg);
-    if (it == records_.end()) {
+    Record *found = find(flit.msg);
+    if (!found) {
         std::ostringstream os;
         os << "tail of unknown msg " << flit.msg << " delivered";
         report(now, os.str());
         return;
     }
-    Record &rec = it->second;
+    Record &rec = *found;
     ++rec.tails;
     if (rec.tails > 1) {
         std::ostringstream os;
@@ -70,14 +85,14 @@ void
 DeliveryOracle::messageTerminal(Cycle now, const Message &msg,
                                 MsgOutcome outcome)
 {
-    auto it = records_.find(msg.id);
-    if (it == records_.end()) {
+    Record *found = find(msg.id);
+    if (!found) {
         std::ostringstream os;
         os << "unknown msg " << msg.id << " terminated";
         report(now, os.str());
         return;
     }
-    Record &rec = it->second;
+    Record &rec = *found;
     if (rec.terminated) {
         std::ostringstream os;
         os << "msg " << msg.id << " terminated twice ("
@@ -150,18 +165,10 @@ void
 DeliveryOracle::finalCheck()
 {
     const Cycle now = net_.now();
-    // Report in id order, not map order: a checkpoint-restored run
-    // rebuilds the table in a different bucket layout, and the report
-    // text must not depend on that.
-    std::vector<MsgId> ids;
-    ids.reserve(records_.size());
-    for (const auto &[id, rec] : records_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
     std::size_t unterminated = 0;
-    for (const MsgId id : ids) {
-        const Record &rec = records_.at(id);
-        if (rec.terminated)
+    for (std::size_t id = 0; id < records_.size(); ++id) {
+        const Record &rec = records_[id];
+        if (!rec.known || rec.terminated)
             continue;
         ++unterminated;
         if (unterminated <= 16) {

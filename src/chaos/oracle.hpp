@@ -24,7 +24,6 @@
 #define TPNET_CHAOS_ORACLE_HPP
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/trace.hpp"
@@ -75,12 +74,18 @@ class DeliveryOracle : public TraceSink
         NodeId dst = invalidNode;
         Cycle createdAt = 0;
         int tails = 0;          ///< tail flits ejected at the destination
+        bool known = false;     ///< created while the oracle watched
         bool terminated = false;
         MsgOutcome outcome = MsgOutcome::Delivered;
     };
 
+    /** @return the record of @p id, or nullptr if it was never created. */
+    Record *find(MsgId id);
+
     Network &net_;
-    std::unordered_map<MsgId, Record> records_;
+    /// Indexed by id: the network issues ids densely from 0, so only an
+    /// oracle attached late holds unknown entries (below its first id).
+    std::vector<Record> records_;
     std::vector<std::string> violations_;
     std::uint64_t createdCount_ = 0;
     std::uint64_t deliveredCount_ = 0;

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "chaos/fault_schedule.hpp"
@@ -32,7 +33,8 @@ namespace tpnet {
 struct SnapshotAccess
 {
     /** Widest id span a restored message table may cover (4 bytes of
-     *  window per id: 1 GiB). */
+     *  window per id: 1 GiB), and the most ids a restored oracle
+     *  indexes. */
     static constexpr std::uint64_t maxRestoredSpan = std::uint64_t{1} << 28;
 
     /** True when the archive is a reader that has already failed. */
@@ -189,6 +191,27 @@ struct SnapshotAccess
                 fval(ar, m.find(k)->second);
             }
         }
+    }
+
+    /**
+     * The id of one record in a table written in id order. The reader
+     * requires ids strictly increasing (past @p last, which it then
+     * advances) and below @p nextId, the next id the network issues.
+     */
+    template <class Ar>
+    static void
+    ioRecordId(Ar &ar, MsgId &id, MsgId &last, MsgId nextId,
+               const char *what)
+    {
+        ar.i64(id);
+        if constexpr (Ar::isReader) {
+            if (id <= last || id >= nextId) {
+                ar.fail(std::string("checkpoint ") + what +
+                        " ids out of order or beyond the next id");
+                return;
+            }
+        }
+        last = id;
     }
 
     /** unordered_set of u64, written sorted. */
@@ -639,12 +662,9 @@ struct SnapshotAccess
                 if (!ar.ok())
                     return;
                 MsgId id = invalidMsg;
-                ar.i64(id);
-                if (id <= last || id >= nextId) {
-                    ar.fail("checkpoint message ids out of order or "
-                            "beyond the next id");
+                ioRecordId(ar, id, last, nextId, "message");
+                if (!ar.ok())
                     return;
-                }
                 if (first == invalidMsg)
                     first = id;
                 if (static_cast<std::uint64_t>(id - first) >=
@@ -660,7 +680,6 @@ struct SnapshotAccess
                     return;
                 }
                 store.insert(std::move(m));
-                last = id;
             }
         } else {
             store.forEach([&ar](Message &m) {
@@ -801,20 +820,54 @@ struct SnapshotAccess
         ar.b(s.sorted_);
     }
 
+    /**
+     * The oracle's books. Only the ids it saw created travel, as
+     * (id, fields...) records in id order after their count; a restore
+     * spreads them back over the table, whose size the last id sets.
+     */
     template <class Ar>
     static void
-    io(Ar &ar, chaos::DeliveryOracle &o)
+    io(Ar &ar, chaos::DeliveryOracle &o, MsgId nextId)
     {
-        ioMap(ar, o.records_, std::less<MsgId>{},
-              [](Ar &a, MsgId &k) { a.i64(k); },
-              [](Ar &a, auto &r) {
-                  a.i32(r.src);
-                  a.i32(r.dst);
-                  a.u64(r.createdAt);
-                  ioInt(a, r.tails);
-                  a.b(r.terminated);
-                  ioEnum(a, r.outcome);
-              });
+        auto &recs = o.records_;
+        std::uint64_t n = static_cast<std::uint64_t>(
+            std::count_if(recs.begin(), recs.end(),
+                          [](const auto &r) { return r.known; }));
+        ar.u64(n);
+        if constexpr (Ar::isReader) {
+            if (n > ar.remaining()) {
+                ar.fail("implausible checkpoint container size");
+                return;
+            }
+            recs.clear();
+        }
+        MsgId last = invalidMsg;
+        for (std::uint64_t k = 0; k < n && !bad(ar); ++k) {
+            MsgId id = last + 1;
+            if constexpr (!Ar::isReader) {
+                while (!recs[static_cast<std::size_t>(id)].known)
+                    ++id;
+            }
+            ioRecordId(ar, id, last, nextId, "oracle");
+            if constexpr (Ar::isReader) {
+                if (!ar.ok())
+                    return;
+                if (static_cast<std::uint64_t>(id) >= maxRestoredSpan) {
+                    ar.fail("checkpoint oracle ids beyond the table a "
+                            "restore may allocate");
+                    return;
+                }
+                recs.resize(static_cast<std::size_t>(id) + 1);
+                recs.back().known = true;
+            }
+            auto &r = recs[static_cast<std::size_t>(id)];
+            ar.i32(r.src);
+            ar.i32(r.dst);
+            ar.u64(r.createdAt);
+            ioInt(ar, r.tails);
+            ar.b(r.terminated);
+            ioEnum(ar, r.outcome);
+        }
         ioVec(ar, o.violations_, [](Ar &a, std::string &v) { a.str(v); });
         ar.u64(o.createdCount_);
         ar.u64(o.deliveredCount_);
@@ -822,23 +875,24 @@ struct SnapshotAccess
         ar.u64(o.lostCount_);
     }
 
+    /** The watchdog's state; its tracks travel in id order. */
     template <class Ar>
     static void
-    io(Ar &ar, chaos::Watchdog &w)
+    io(Ar &ar, chaos::Watchdog &w, MsgId nextId)
     {
         ioVec(ar, w.violations_, [](Ar &a, std::string &v) { a.str(v); });
         ar.u64(w.lastComposite_);
         ar.u64(w.lastActivity_);
         ar.b(w.deadlocked_);
-        ioMap(ar, w.tracks_, std::less<MsgId>{},
-              [](Ar &a, MsgId &k) { a.i64(k); },
-              [](Ar &a, auto &t) {
-                  a.u64(t.sig);
-                  a.u64(t.sig2);
-                  a.u64(t.lastChange);
-                  a.u64(t.lastChange2);
-                  a.b(t.flagged);
-              });
+        MsgId last = invalidMsg;
+        ioVec(ar, w.tracks_, [&last, nextId](Ar &a, auto &t) {
+            ioRecordId(a, t.id, last, nextId, "watchdog");
+            a.u64(t.sig);
+            a.u64(t.sig2);
+            a.u64(t.lastChange);
+            a.u64(t.lastChange2);
+            a.b(t.flagged);
+        });
     }
 
     template <class Ar>
@@ -878,8 +932,9 @@ struct SnapshotAccess
         io(ar, *st.net);
         io(ar, *st.faultRng);
         io(ar, *st.schedule);
-        io(ar, *st.oracle);
-        io(ar, *st.watchdog);
+        // The network comes first: its next id bounds the tables below.
+        io(ar, *st.oracle, st.net->nextMsgId_);
+        io(ar, *st.watchdog, st.net->nextMsgId_);
         io(ar, *st.injector);
     }
 };

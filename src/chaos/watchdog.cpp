@@ -59,13 +59,11 @@ Watchdog::nextDeadline() const
         at = std::min(at, lastActivity_ + cfg_.globalStallBound);
     }
     if (cfg_.msgStallBound > 0) {
-        for (const auto &kv : tracks_) {
-            if (kv.second.flagged)
+        for (const MsgTrack &track : tracks_) {
+            if (track.flagged)
                 continue;
-            at = std::min(at,
-                          kv.second.lastChange + cfg_.msgStallBound);
-            at = std::min(at,
-                          kv.second.lastChange2 + cfg_.msgStallBound);
+            at = std::min(at, track.lastChange + cfg_.msgStallBound);
+            at = std::min(at, track.lastChange2 + cfg_.msgStallBound);
         }
     }
     // Cadenced sweeps re-report persistent violations, so every
@@ -131,66 +129,47 @@ Watchdog::checkGlobalProgress()
     }
 }
 
-std::uint64_t
-Watchdog::signature(const Message &msg)
+Watchdog::Signatures
+Watchdog::signatures(const Message &msg)
 {
     // Any field that changes when the message makes progress of any
     // kind — probe movement, data movement, teardown, retry — feeds
-    // the fingerprint.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ull;
+    // `all`. `real` skips hdr.hops, path.size() and srcCounter: a probe
+    // can churn those forever (search, backtrack, re-search) without
+    // the message getting any closer to delivery. Every retry bumps the
+    // epoch, so a legal abort-and-retry cycle still counts as progress.
+    Signatures h{0xcbf29ce484222325ull, 0xcbf29ce484222325ull};
+    auto mix = [](std::uint64_t &into, std::uint64_t v) {
+        into ^= v;
+        into *= 0x100000001b3ull;
     };
-    mix(static_cast<std::uint64_t>(msg.state));
-    mix(static_cast<std::uint64_t>(msg.epoch));
-    mix(static_cast<std::uint64_t>(msg.hdr.hops));
-    mix(msg.path.size());
-    mix(static_cast<std::uint64_t>(msg.injectedFlits));
-    mix(static_cast<std::uint64_t>(msg.arrivedFlits));
-    mix(static_cast<std::uint64_t>(msg.retries));
-    mix(static_cast<std::uint64_t>(msg.srcCounter));
-    mix(static_cast<std::uint64_t>(msg.releasedHops));
-    mix(static_cast<std::uint64_t>(msg.killWalks));
-    mix(msg.tearingDown() ? 1 : 0);
-    mix(static_cast<std::uint64_t>(
-        msg.leadHop < 0 ? 0u : static_cast<unsigned>(msg.leadHop)));
-    return h;
-}
-
-std::uint64_t
-Watchdog::progressSignature(const Message &msg)
-{
-    // Deliberately excludes hdr.hops, path.size(), and srcCounter: a
-    // probe can churn those forever (search, backtrack, re-search)
-    // without the message getting any closer to delivery. Every retry
-    // bumps the epoch, so a legal abort-and-retry cycle still counts
-    // as progress here.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ull;
+    auto both = [&h, &mix](std::uint64_t v) {
+        mix(h.all, v);
+        mix(h.real, v);
     };
-    mix(static_cast<std::uint64_t>(msg.state));
-    mix(static_cast<std::uint64_t>(msg.epoch));
-    mix(static_cast<std::uint64_t>(msg.injectedFlits));
-    mix(static_cast<std::uint64_t>(msg.arrivedFlits));
-    mix(static_cast<std::uint64_t>(msg.retries));
-    mix(static_cast<std::uint64_t>(msg.releasedHops));
-    mix(static_cast<std::uint64_t>(msg.killWalks));
-    mix(msg.tearingDown() ? 1 : 0);
-    mix(static_cast<std::uint64_t>(
+    both(static_cast<std::uint64_t>(msg.state));
+    both(static_cast<std::uint64_t>(msg.epoch));
+    mix(h.all, static_cast<std::uint64_t>(msg.hdr.hops));
+    mix(h.all, msg.path.size());
+    both(static_cast<std::uint64_t>(msg.injectedFlits));
+    both(static_cast<std::uint64_t>(msg.arrivedFlits));
+    both(static_cast<std::uint64_t>(msg.retries));
+    mix(h.all, static_cast<std::uint64_t>(msg.srcCounter));
+    both(static_cast<std::uint64_t>(msg.releasedHops));
+    both(static_cast<std::uint64_t>(msg.killWalks));
+    both(msg.tearingDown() ? 1 : 0);
+    both(static_cast<std::uint64_t>(
         msg.leadHop < 0 ? 0u : static_cast<unsigned>(msg.leadHop)));
     return h;
 }
 
 std::string
-Watchdog::diagnoseFrozen(MsgId id, const Message &msg) const
+Watchdog::diagnoseFrozen(const Message &msg) const
 {
     const verify::CwgTracker *cwg = net_.cwg();
     if (!cwg)
         return "";
-    const std::string waits = cwg->describeWaits(id);
+    const std::string waits = cwg->describeWaits(msg.id);
     if (!waits.empty())
         return "; waiting on " + waits;
     if (msg.state == MsgState::Active && !msg.path.empty() &&
@@ -208,72 +187,63 @@ Watchdog::diagnoseFrozen(MsgId id, const Message &msg) const
 void
 Watchdog::checkPerMessageProgress()
 {
-    // Tracks grow with live messages and are pruned as they retire.
-    // Queued/WaitRetry messages are skipped: their progress is owned by
-    // whatever is ahead of them (which is tracked), and a healthy
-    // congested queue can legally hold a message for a long time.
-    std::unordered_map<MsgId, MsgTrack> fresh;
-    fresh.reserve(tracks_.size());
-    for (MsgId id : net_.liveMessageIds()) {
-        const Message *msg = net_.findMessage(id);
-        if (!msg || msg->terminal())
-            continue;
-        if (msg->state == MsgState::Queued ||
-            msg->state == MsgState::WaitRetry) {
-            continue;
+    // One walk of the live messages in id order, merged against the
+    // id-sorted tracks: a track lives while its message is watched and
+    // goes once the message retires or waits again. Queued/WaitRetry
+    // messages are skipped: their progress is owned by whatever is
+    // ahead of them (which is tracked), and a healthy congested queue
+    // can legally hold a message for a long time.
+    const Cycle now = net_.now();
+    auto old = tracks_.cbegin();
+    nextTracks_.clear();
+    net_.messageStore().forEach([&](const Message &msg) {
+        if (msg.terminal() || msg.state == MsgState::Queued ||
+            msg.state == MsgState::WaitRetry) {
+            return;
         }
-        const std::uint64_t sig = signature(*msg);
-        const std::uint64_t sig2 = progressSignature(*msg);
-        MsgTrack track;
-        auto it = tracks_.find(id);
-        if (it != tracks_.end()) {
-            track = it->second;
-            if (track.sig != sig) {
-                track.sig = sig;
-                track.lastChange = net_.now();
+        while (old != tracks_.cend() && old->id < msg.id)
+            ++old;
+        const Signatures sig = signatures(msg);
+        MsgTrack track{msg.id, sig.all, sig.real, now, now, false};
+        if (old != tracks_.cend() && old->id == msg.id) {
+            track = *old;
+            if (track.sig != sig.all) {
+                track.sig = sig.all;
+                track.lastChange = now;
             }
-            if (track.sig2 != sig2) {
-                track.sig2 = sig2;
-                track.lastChange2 = net_.now();
+            if (track.sig2 != sig.real) {
+                track.sig2 = sig.real;
+                track.lastChange2 = now;
             }
-        } else {
-            track.sig = sig;
-            track.sig2 = sig2;
-            track.lastChange = net_.now();
-            track.lastChange2 = net_.now();
         }
         if (!track.flagged && cfg_.msgStallBound > 0 &&
-            net_.now() - track.lastChange >= cfg_.msgStallBound) {
+            now - track.lastChange >= cfg_.msgStallBound) {
             std::ostringstream os;
-            os << "livelock: msg " << id << " (" << msg->src << "->"
-               << msg->dst << ", state "
-               << static_cast<int>(msg->state) << ", epoch "
-               << msg->epoch << ") made no progress for "
-               << net_.now() - track.lastChange
+            os << "livelock: msg " << msg.id << " (" << msg.src << "->"
+               << msg.dst << ", state " << static_cast<int>(msg.state)
+               << ", epoch " << msg.epoch << ") made no progress for "
+               << now - track.lastChange
                << " cycles while the network kept moving"
-               << diagnoseFrozen(id, *msg);
+               << diagnoseFrozen(msg);
             report(os.str());
             track.flagged = true;
         } else if (!track.flagged && cfg_.msgStallBound > 0 &&
-                   net_.now() - track.lastChange2 >=
-                       cfg_.msgStallBound) {
+                   now - track.lastChange2 >= cfg_.msgStallBound) {
             // The full signature kept changing (probe churn) but no
             // real progress was made: the header is oscillating.
             std::ostringstream os;
-            os << "livelock: header oscillating: msg " << id << " ("
-               << msg->src << "->" << msg->dst << ", epoch "
-               << msg->epoch << ") searched for "
-               << net_.now() - track.lastChange2
-               << " cycles (hops=" << msg->hdr.hops
-               << ", backtracks=" << msg->backtracksTaken
-               << ") without moving any data"
-               << diagnoseFrozen(id, *msg);
+            os << "livelock: header oscillating: msg " << msg.id << " ("
+               << msg.src << "->" << msg.dst << ", epoch " << msg.epoch
+               << ") searched for " << now - track.lastChange2
+               << " cycles (hops=" << msg.hdr.hops
+               << ", backtracks=" << msg.backtracksTaken
+               << ") without moving any data" << diagnoseFrozen(msg);
             report(os.str());
             track.flagged = true;
         }
-        fresh.emplace(id, track);
-    }
-    tracks_ = std::move(fresh);
+        nextTracks_.push_back(track);
+    });
+    tracks_.swap(nextTracks_);
 }
 
 void
@@ -283,36 +253,35 @@ Watchdog::checkConservation()
     // resident in the FIFOs of its reserved path. Messages mid-teardown
     // are exempt (kill walks purge flits by design); so are fresh
     // retry states (their counters were reset with the purge).
-    for (MsgId id : net_.liveMessageIds()) {
-        const Message *msg = net_.findMessage(id);
-        if (!msg || msg->terminal() || msg->tearingDown())
-            continue;
-        if (msg->state != MsgState::Active &&
-            msg->state != MsgState::Delivered) {
-            continue;
+    net_.messageStore().forEach([this](const Message &msg) {
+        if (msg.terminal() || msg.tearingDown())
+            return;
+        if (msg.state != MsgState::Active &&
+            msg.state != MsgState::Delivered) {
+            return;
         }
         int resident = 0;
-        for (const PathHop &hop : msg->path) {
+        for (const PathHop &hop : msg.path) {
             const VcState &vc = net_.vc(hop.link, hop.vc);
-            if (vc.owner != msg->id)
+            if (vc.owner != msg.id)
                 continue;
             for (std::size_t i = 0; i < vc.size(); ++i) {
                 const Flit &flit = net_.dibuFlit(hop.link, hop.vc, i);
-                if (flit.msg == msg->id && isDataLane(flit.type))
+                if (flit.msg == msg.id && isDataLane(flit.type))
                     ++resident;
             }
         }
-        const int inFlight = msg->injectedFlits - msg->arrivedFlits;
+        const int inFlight = msg.injectedFlits - msg.arrivedFlits;
         if (resident != inFlight) {
             std::ostringstream os;
-            os << "flit conservation: msg " << id << " injected "
-               << msg->injectedFlits << ", delivered "
-               << msg->arrivedFlits << ", but " << resident
+            os << "flit conservation: msg " << msg.id << " injected "
+               << msg.injectedFlits << ", delivered " << msg.arrivedFlits
+               << ", but " << resident
                << " flits resident in its path (expected " << inFlight
                << ")";
             report(os.str());
         }
-    }
+    });
 }
 
 void

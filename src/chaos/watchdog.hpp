@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -101,19 +100,22 @@ class Watchdog
     void checkConservation();
     void runValidator();
 
-    /** Compact fingerprint of a message's externally visible progress. */
-    static std::uint64_t signature(const Message &msg);
-
-    /**
-     * Fingerprint of *real* progress only: excludes the probe-churn
-     * fields (hops, path length, ack counters) so a header endlessly
-     * searching without ever moving data shows up as frozen here while
-     * signature() keeps changing — the livelock discriminator.
-     */
-    static std::uint64_t progressSignature(const Message &msg);
+    /** Fingerprints of a message's externally visible progress. */
+    struct Signatures
+    {
+        /// Every field that changes when the message makes progress of
+        /// any kind.
+        std::uint64_t all;
+        /// Real progress only: leaves out the probe-churn fields (hops,
+        /// path length, source counter), so a header endlessly searching
+        /// without ever moving data shows up as frozen here while `all`
+        /// keeps changing — the livelock discriminator.
+        std::uint64_t real;
+    };
+    static Signatures signatures(const Message &msg);
 
     /** CWG-informed annotation of a frozen message ("" when none). */
-    std::string diagnoseFrozen(MsgId id, const Message &msg) const;
+    std::string diagnoseFrozen(const Message &msg) const;
 
     /** Sum of every activity counter: changes iff some token moved. */
     std::uint64_t activityComposite() const;
@@ -126,15 +128,20 @@ class Watchdog
     Cycle lastActivity_ = 0;
     bool deadlocked_ = false;
 
+    /** Progress record of one watched message. */
     struct MsgTrack
     {
-        std::uint64_t sig = 0;
-        std::uint64_t sig2 = 0;       ///< progressSignature()
+        MsgId id = invalidMsg;
+        std::uint64_t sig = 0;        ///< Signatures::all
+        std::uint64_t sig2 = 0;       ///< Signatures::real
         Cycle lastChange = 0;
         Cycle lastChange2 = 0;
         bool flagged = false;
     };
-    std::unordered_map<MsgId, MsgTrack> tracks_;
+    /// The watched messages' tracks, sorted by id.
+    std::vector<MsgTrack> tracks_;
+    /// checkPerMessageProgress() builds the next tracks here, then swaps.
+    std::vector<MsgTrack> nextTracks_;
 };
 
 } // namespace chaos

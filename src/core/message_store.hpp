@@ -131,17 +131,16 @@ class MessageStore
         }
     }
 
-    /** Live ids, ascending. */
-    std::vector<MsgId>
-    ids() const
+    /** Call @p f(const Message &) for every live message, in id order. */
+    template <class F>
+    void
+    forEach(F f) const
     {
-        std::vector<MsgId> out;
-        out.reserve(live_);
         for (std::uint64_t off = 0; off < span_; ++off) {
-            if (window(off) != kNone)
-                out.push_back(base_ + static_cast<MsgId>(off));
+            const std::uint32_t s = window(off);
+            if (s != kNone)
+                f(at(s));
         }
-        return out;
     }
 
     /**

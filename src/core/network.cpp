@@ -146,13 +146,6 @@ Network::skipTo(Cycle target)
     now_ = target;
 }
 
-std::vector<MsgId>
-Network::liveMessageIds() const
-{
-    // The message window is in id order by construction.
-    return messages_.ids();
-}
-
 Message &
 Network::message(MsgId id)
 {

@@ -289,7 +289,7 @@ class Network
         return listFlits_[listSlot(node, port)];
     }
 
-    /** The message table (validator access). */
+    /** The message table: checkers walk the live messages in id order. */
     const MessageStore &messageStore() const { return messages_; }
 
     /** Data-phase work counts since construction. */
@@ -304,9 +304,6 @@ class Network
     }
 
     Message &message(MsgId id);
-
-    /** Ids of all non-retired messages, sorted ascending. */
-    std::vector<MsgId> liveMessageIds() const;
 
     RoutingAlgorithm &protocol() { return *proto_; }
 

@@ -1,39 +1,11 @@
 #include "core/validator.hpp"
 
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/network.hpp"
 #include "sim/log.hpp"
 
 namespace tpnet {
-
-namespace {
-
-/** Identity of one trio for cross-referencing. */
-struct VcKey
-{
-    LinkId link;
-    int vc;
-
-    bool operator==(const VcKey &o) const
-    {
-        return link == o.link && vc == o.vc;
-    }
-};
-
-struct VcKeyHash
-{
-    std::size_t
-    operator()(const VcKey &k) const
-    {
-        return std::hash<std::int64_t>()(
-            (static_cast<std::int64_t>(k.link) << 8) ^ k.vc);
-    }
-};
-
-} // namespace
 
 std::vector<Violation>
 validateNetwork(Network &net)
@@ -44,68 +16,64 @@ validateNetwork(Network &net)
     };
     std::ostringstream os;
     const Topology &topo = net.topo();
+    const DataPlane &plane = net.dataPlane();
+    const MessageStore &messages = net.messageStore();
 
     // Pass 1: collect ownership claimed by the messages' paths.
-    std::unordered_map<VcKey, MsgId, VcKeyHash> claimed;
-    std::unordered_set<MsgId> live;
-    for (MsgId id : net.liveMessageIds()) {
-        Message *msg = net.findMessage(id);
-        live.insert(id);
-
-        if (msg->terminal())
-            continue;
-        for (std::size_t i = 0; i < msg->path.size(); ++i) {
-            const PathHop &hop = msg->path[i];
+    std::vector<char> claimed(plane.size(), 0);
+    messages.forEach([&](const Message &msg) {
+        if (msg.terminal())
+            return;
+        for (std::size_t i = 0; i < msg.path.size(); ++i) {
+            const PathHop &hop = msg.path[i];
             if (hop.vc < 0 || hop.vc >= net.vcCount()) {
                 os.str("");
-                os << "msg " << id << " hop " << i << " bad vc "
+                os << "msg " << msg.id << " hop " << i << " bad vc "
                    << hop.vc;
                 fail(os.str());
                 continue;
             }
-            const VcState &vc = net.vc(hop.link, hop.vc);
-            if (vc.owner == msg->id) {
-                const VcKey key{hop.link, hop.vc};
-                if (claimed.count(key)) {
+            const VcIndex vi = plane.index(hop.link, hop.vc);
+            if (plane[vi].owner == msg.id) {
+                if (claimed[vi]) {
                     os.str("");
                     os << "trio (" << hop.link << "," << hop.vc
                        << ") on two paths";
                     fail(os.str());
                 }
-                claimed[key] = msg->id;
+                claimed[vi] = 1;
             }
         }
 
         // Message-level invariants.
-        if (msg->injectedFlits > msg->length) {
+        if (msg.injectedFlits > msg.length) {
             os.str("");
-            os << "msg " << id << " injected " << msg->injectedFlits
-               << " > length " << msg->length;
+            os << "msg " << msg.id << " injected " << msg.injectedFlits
+               << " > length " << msg.length;
             fail(os.str());
         }
-        if (msg->arrivedFlits > msg->injectedFlits) {
+        if (msg.arrivedFlits > msg.injectedFlits) {
             os.str("");
-            os << "msg " << id << " arrived " << msg->arrivedFlits
-               << " > injected " << msg->injectedFlits;
+            os << "msg " << msg.id << " arrived " << msg.arrivedFlits
+               << " > injected " << msg.injectedFlits;
             fail(os.str());
         }
-        if (msg->hdr.misroutes < 0) {
+        if (msg.hdr.misroutes < 0) {
             os.str("");
-            os << "msg " << id << " negative outstanding misroutes";
+            os << "msg " << msg.id << " negative outstanding misroutes";
             fail(os.str());
         }
-        if (!msg->tearingDown() && msg->state == MsgState::Active &&
-            msg->srcRouted && msg->path.empty()) {
+        if (!msg.tearingDown() && msg.state == MsgState::Active &&
+            msg.srcRouted && msg.path.empty()) {
             os.str("");
-            os << "msg " << id << " srcRouted with empty path";
+            os << "msg " << msg.id << " srcRouted with empty path";
             fail(os.str());
         }
-    }
+    });
 
     // Pass 2: every owned trio belongs to a live message and its
     // buffered flits belong to its owner; mappings are consistent; the
     // cached occupancy and front-ready cycle match the DIBU's slots.
-    const DataPlane &plane = net.dataPlane();
     for (LinkId link_id = 0; link_id < topo.links(); ++link_id) {
         const Link &lk = net.link(link_id);
         for (int v = 0; v < net.vcCount(); ++v) {
@@ -139,7 +107,7 @@ validateNetwork(Network &net)
                 }
                 continue;
             }
-            if (!live.count(vc.owner)) {
+            if (!messages.contains(vc.owner)) {
                 os.str("");
                 os << "trio (" << link_id << "," << v
                    << ") owned by retired msg " << vc.owner;
@@ -238,7 +206,7 @@ validateNetwork(Network &net)
     }
 
     // Pass 4: the message table's id window, slots and free list agree.
-    const std::string store = net.messageStore().audit();
+    const std::string store = messages.audit();
     if (!store.empty())
         fail(store);
 

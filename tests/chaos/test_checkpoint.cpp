@@ -367,13 +367,144 @@ TEST(CheckpointState, RejectsOutOfRangeTeardownCause)
 {
     Harness a(harnessConfig());
     a.run(100);
-    const std::vector<MsgId> live = a.net.liveMessageIds();
-    ASSERT_FALSE(live.empty());
-    a.net.message(live.front()).teardown = static_cast<Teardown>(4);
+    MsgId first = invalidMsg;
+    a.net.messageStore().forEach([&first](const Message &m) {
+        if (first == invalidMsg)
+            first = m.id;
+    });
+    ASSERT_NE(first, invalidMsg);
+    a.net.message(first).teardown = static_cast<Teardown>(4);
     std::string error;
     EXPECT_FALSE(roundTrip(a, error));
     EXPECT_NE(error.find("teardown cause 4 out of range"), std::string::npos)
         << error;
+}
+
+/** The bytes @p write puts into a fresh payload. */
+template <class F>
+std::string
+bytesOf(F write)
+{
+    obs::CkWriter w;
+    write(w);
+    std::ostringstream os(std::ios::binary);
+    w.writeTo(os, 1);
+    const std::string all = os.str();
+    return all.substr(all.size() - w.bytes());
+}
+
+/** Restore raw payload bytes into a fresh harness. */
+bool
+restorePayload(const std::string &payload, std::string &error)
+{
+    obs::CkWriter w;
+    for (const char ch : payload) {
+        std::uint8_t b = static_cast<std::uint8_t>(ch);
+        w.u8(b);
+    }
+    std::ostringstream os(std::ios::binary);
+    w.writeTo(os, 1);
+    Harness b(harnessConfig());
+    CampaignState st = b.state();
+    std::istringstream is(os.str(), std::ios::binary);
+    obs::CkReader r(is);
+    bool ok = r.ok() && deserializeCampaign(r, st);
+    if (ok) {
+        r.finish();
+        ok = r.ok();
+    }
+    error = r.error();
+    return ok;
+}
+
+TEST(CheckpointState, RejectsDisorderedRecordIds)
+{
+    // The oracle's and the watchdog's tables travel as (id, fields...)
+    // records in id order; a restore indexes by those ids, so it refuses
+    // them out of order, repeated, or at or past the next id to issue.
+    // Three messages (ids 0..2, next id 3) are offered and stepped
+    // until their probes are out, then one table's ids are rewritten
+    // in the payload.
+    const NodeId ends[3][2] = {{13, 2}, {14, 7}, {15, 9}};
+    auto build = [&ends](Harness &h) {
+        for (const auto &e : ends)
+            h.net.offerMessage(e[0], e[1]);
+        for (int c = 0; c < 2; ++c) {
+            h.net.step();
+            h.watchdog.observe();
+        }
+        for (MsgId id = 0; id < 3; ++id)
+            ASSERT_EQ(h.net.message(id).state, MsgState::Active);
+    };
+    Harness a(harnessConfig());
+    build(a);
+    CampaignState st = a.state();
+    const std::string payload = bytesOf(
+        [&st](obs::CkWriter &w) { serializeCampaign(w, st); });
+
+    // Locate the oracle's records (count, then three untouched records)
+    // and the watchdog's tracks 163 bytes on (the oracle's empty
+    // violations and four counters, the watchdog's empty violations,
+    // two cycles and a flag).
+    const std::string oracleRecords = bytesOf([&ends](obs::CkWriter &w) {
+        std::uint64_t n = 3;
+        w.u64(n);
+        for (MsgId id = 0; id < 3; ++id) {
+            std::int64_t i = id;
+            std::int32_t src = ends[id][0], dst = ends[id][1], tails = 0;
+            std::uint64_t created = 0;
+            bool terminated = false;
+            std::uint8_t outcome = 0;
+            w.i64(i);
+            w.i32(src);
+            w.i32(dst);
+            w.u64(created);
+            w.i32(tails);
+            w.b(terminated);
+            w.u8(outcome);
+        }
+    });
+    const std::size_t oracleAt = payload.find(oracleRecords);
+    ASSERT_NE(oracleAt, std::string::npos);
+    ASSERT_EQ(payload.rfind(oracleRecords), oracleAt);
+    const std::size_t tracksAt = oracleAt + 163;
+    ASSERT_EQ(payload.substr(tracksAt, 8), bytesOf([](obs::CkWriter &w) {
+                  std::uint64_t n = 3;
+                  w.u64(n);
+              }));
+
+    struct Row
+    {
+        const char *table;
+        std::size_t firstId;  ///< payload offset of the first record's id
+        std::size_t stride;   ///< bytes per record
+        MsgId ids[3];
+    };
+    const Row rows[] = {
+        {"oracle", oracleAt + 8, 30, {0, 2, 1}},
+        {"oracle", oracleAt + 8, 30, {0, 0, 2}},
+        {"oracle", oracleAt + 8, 30, {0, 1, 3}},
+        {"watchdog", tracksAt + 8, 41, {0, 2, 1}},
+        {"watchdog", tracksAt + 8, 41, {0, 0, 2}},
+        {"watchdog", tracksAt + 8, 41, {0, 1, 3}},
+    };
+    std::string error;
+    ASSERT_TRUE(restorePayload(payload, error)) << error;
+    for (const Row &row : rows) {
+        std::string bad = payload;
+        for (int k = 0; k < 3; ++k) {
+            const std::string id = bytesOf([&row, k](obs::CkWriter &w) {
+                std::int64_t v = row.ids[k];
+                w.i64(v);
+            });
+            bad.replace(row.firstId + row.stride * k, 8, id);
+        }
+        EXPECT_FALSE(restorePayload(bad, error)) << row.table;
+        EXPECT_NE(error.find(std::string("checkpoint ") + row.table +
+                             " ids out of order or beyond the next id"),
+                  std::string::npos)
+            << row.table << ": " << error;
+    }
 }
 
 TEST(CheckpointState, RejectsOutOfRangeFaultKind)
@@ -513,6 +644,57 @@ TEST(CheckpointCampaign, RestoreIsBitIdenticalInRecoveryMode)
     CampaignSpec spec = ckCampaignSpec(13);
     spec.cfg.recoveryMode = true;
     expectRestoreBitIdentical(spec, "recovery");
+}
+
+TEST(CheckpointCampaign, StateDigestsArePinned)
+{
+    // The restore tests compare a run with itself, so a serialization
+    // drift that hits both sides alike would pass them. These golden
+    // payload digests pin the bytes: the last checkpoint a run writes
+    // (mid-drain, live messages and watchdog tracks included), its
+    // final state, and a harness stopped with messages in flight.
+    struct Row
+    {
+        const char *tag;
+        CampaignSpec spec;
+        std::uint64_t checkpoint;
+        std::uint64_t final;
+    };
+    CampaignSpec cwg = ckCampaignSpec(12);
+    cwg.verifyCwg = true;
+    CampaignSpec recovery = ckCampaignSpec(13);
+    recovery.cfg.recoveryMode = true;
+    const Row rows[] = {
+        {"base", ckCampaignSpec(11), 0xb15951ccb013b739ull,
+         0xfd11aaf31ab3021aull},
+        {"cwg", cwg, 0xbcc80ea6bbb4cc27ull, 0x346cca26403c46aaull},
+        {"recovery", recovery, 0x1222412283efcfd3ull,
+         0xa3f09dbc69c09531ull},
+    };
+    for (const Row &row : rows) {
+        const fs::path ck = scratchFile(std::string("pinned-") + row.tag +
+                                        ".ck");
+        CampaignSpec armed = row.spec;
+        armed.checkpointPath = ck.string();
+        armed.checkpointEvery = 128;
+        const CampaignResult r = runCampaign(armed);
+        ASSERT_GE(r.checkpointsWritten, 1u) << row.tag;
+        std::ifstream is(ck, std::ios::binary);
+        obs::CheckpointFileInfo info;
+        std::string error;
+        ASSERT_TRUE(obs::readCheckpointInfo(is, &info, &error)) << error;
+        EXPECT_EQ(info.payloadDigest, row.checkpoint)
+            << row.tag << std::hex << " 0x" << info.payloadDigest;
+        EXPECT_EQ(r.stateDigest, row.final)
+            << row.tag << std::hex << " 0x" << r.stateDigest;
+    }
+
+    Harness h(harnessConfig());
+    h.run(200);
+    ASSERT_GT(h.net.activeMessages(), 0u);
+    CampaignState st = h.state();
+    EXPECT_EQ(campaignStateDigest(st), 0xb45d8612ef4f38c2ull)
+        << std::hex << " 0x" << campaignStateDigest(st);
 }
 
 TEST(CheckpointCampaign, ArmedRunMatchesUnarmedRun)

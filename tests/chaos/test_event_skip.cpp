@@ -222,6 +222,20 @@ TEST(EventSkip, WatchdogViolationCyclesAreEngineInvariant)
 
     EXPECT_FALSE(on.passed);  // the hook must be detected
     EXPECT_EQ(on.violations, off.violations);
+    // The list itself is pinned: its count, first line and FNV-1a 64
+    // digest of the lines joined by newlines.
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const std::string &line : on.violations) {
+        for (const char ch : line + "\n") {
+            digest ^= static_cast<unsigned char>(ch);
+            digest *= 0x100000001b3ull;
+        }
+    }
+    ASSERT_EQ(on.violations.size(), 77u);
+    EXPECT_EQ(on.violations.front(),
+              "cycle 1024: validator: trio (19,2) on faulty link still "
+              "owned by msg 33 with no teardown in progress");
+    EXPECT_EQ(digest, 0x3bd1ab21fb689814ull) << std::hex << " 0x" << digest;
     EXPECT_EQ(on.cycles, off.cycles);
     EXPECT_EQ(campaignJson(on), campaignJson(off));
 }
