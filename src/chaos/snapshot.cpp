@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -212,34 +214,6 @@ struct SnapshotAccess
             }
         }
         last = id;
-    }
-
-    /** unordered_set of u64, written sorted. */
-    template <class Ar, class Set>
-    static void
-    ioSetU64(Ar &ar, Set &s)
-    {
-        std::uint64_t n = static_cast<std::uint64_t>(s.size());
-        ar.u64(n);
-        if constexpr (Ar::isReader) {
-            if (n > ar.remaining()) {
-                ar.fail("implausible checkpoint container size");
-                return;
-            }
-            s.clear();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                if (!ar.ok())
-                    return;
-                std::uint64_t v = 0;
-                ar.u64(v);
-                s.insert(v);
-            }
-        } else {
-            std::vector<std::uint64_t> vals(s.begin(), s.end());
-            std::sort(vals.begin(), vals.end());
-            for (std::uint64_t v : vals)
-                ar.u64(v);
-        }
     }
 
     /**
@@ -525,49 +499,102 @@ struct SnapshotAccess
         ioVec(ar, k.closure, [](Ar &a, MsgId &m) { a.i64(m); });
     }
 
+    /**
+     * The CWG tracker. Its records travel in id order: committed count,
+     * waits, and out-edges with their in-DAG flags (which insertion
+     * history decided). A restore puts each record on its message's
+     * slot and rebuilds the per-VC waiter lists from the waits.
+     */
     template <class Ar>
     static void
-    io(Ar &ar, verify::CwgTracker &t)
+    io(Ar &ar, verify::CwgTracker &t, MsgId nextId)
     {
-        const auto edgeLess = [](const auto &a, const auto &b) {
-            return a.u < b.u || (a.u == b.u && a.v < b.v);
+        const MessageStore &store = t.net_.messageStore();
+        const std::size_t vcs = t.waiters_.size();
+        const auto keyIo = [vcs](Ar &a, VcIndex &k) {
+            a.u32(k);
+            if constexpr (Ar::isReader) {
+                if (k >= vcs)
+                    a.fail("checkpoint CWG wait names no VC");
+            }
         };
-        const auto edgeIo = [](Ar &a, auto &e) {
-            a.i64(e.u);
-            a.i64(e.v);
-        };
-        const auto msgKey = [](Ar &a, MsgId &k) { a.i64(k); };
-        const auto msgList = [](Ar &a, std::vector<MsgId> &v) {
-            ioVec(a, v, [](Ar &a2, MsgId &m) { a2.i64(m); });
-        };
-
         ar.i64(t.evalMsg_);
-        ioVec(ar, t.scratch_,
-              [](Ar &a, verify::VcKey &k) { a.u64(k); });
-        ioMap(ar, t.waits_, std::less<MsgId>{}, msgKey,
-              [](Ar &a, auto &recs) {
-                  ioVec(a, recs, [](Ar &a2, auto &w) {
-                      a2.u64(w.key);
-                      a2.i64(w.owner);
-                  });
+        ioVec(ar, t.scratch_, keyIo);
+
+        if constexpr (Ar::isReader) {
+            t.records_.assign(store.slotCount(), {});
+            t.waiters_.assign(vcs, {});
+            t.waitTotal_ = 0;
+        }
+        std::vector<MsgId> ids;
+        store.forEach([&t, &ids](const Message &m) {
+            const auto *w = t.find(m.id);
+            if (w && !w->empty())
+                ids.push_back(m.id);
+        });
+        MsgId last = invalidMsg;
+        ioVec(ar, ids, [&](Ar &a, MsgId &id) {
+            ioRecordId(a, id, last, nextId, "CWG");
+            const std::optional<std::uint32_t> slot = store.slot(id);
+            if constexpr (Ar::isReader) {
+                if (a.ok() && !slot)
+                    a.fail("checkpoint CWG record of a message that is "
+                           "not live");
+            }
+            if (bad(a))
+                return;
+            auto &w = t.records_[*slot];
+            w.id = id;
+            ioSz(a, w.committed);
+            ioVec(a, w.waits, [&keyIo, nextId](Ar &a2, auto &r) {
+                keyIo(a2, r.key);
+                a2.i64(r.owner);
+                if constexpr (Ar::isReader) {
+                    if (r.owner < 0 || r.owner >= nextId)
+                        a2.fail("checkpoint CWG wait owner out of range");
+                }
+            });
+            ioVec(a, w.out, [](Ar &a2, auto &o) {
+                a2.i64(o.to);
+                a2.b(o.inDag);
+            });
+            if constexpr (Ar::isReader) {
+                std::set<MsgId> owners, tos;
+                for (const auto &r : w.waits)
+                    owners.insert(r.owner);
+                for (const auto &o : w.out)
+                    tos.insert(o.to);
+                if (bad(a) || owners != tos || tos.size() != w.out.size()) {
+                    if (!bad(a))
+                        a.fail("checkpoint CWG out-edges are not the "
+                               "owners of the waits");
+                    return;
+                }
+                for (const auto &r : w.waits)
+                    t.waiters_[r.key].push_back(id);
+                t.waitTotal_ += w.waits.size();
+            }
+        });
+
+        ioMap(ar, t.seen_, std::less<std::uint64_t>{},
+              [](Ar &a, std::uint64_t &k) { a.u64(k); },
+              [](Ar &a, auto &e) {
+                  a.b(e.violation);
+                  bool benign = e.benignSince.has_value();
+                  Cycle since = e.benignSince.value_or(0);
+                  a.b(benign);
+                  a.u64(since);
+                  if (benign)
+                      e.benignSince = since;
+                  a.b(e.warned);
               });
-        ioMap(ar, t.waiters_, std::less<verify::VcKey>{},
-              [](Ar &a, verify::VcKey &k) { a.u64(k); }, msgList);
-        ioMap(ar, t.blocked_, std::less<MsgId>{}, msgKey,
-              [](Ar &a, std::size_t &v) { ioSz(a, v); });
-        ioMap(ar, t.edgeCount_, edgeLess, edgeIo,
-              [](Ar &a, int &v) { ioInt(a, v); });
-        ioMap(ar, t.trueOut_, std::less<MsgId>{}, msgKey, msgList);
-        ioMap(ar, t.dagOut_, std::less<MsgId>{}, msgKey, msgList);
-        ioMap(ar, t.benignSeen_, std::less<std::uint64_t>{},
-              [](Ar &a, std::uint64_t &k) { a.u64(k); },
-              [](Ar &a, Cycle &v) { a.u64(v); });
-        ioMap(ar, t.reported_, std::less<std::uint64_t>{},
-              [](Ar &a, std::uint64_t &k) { a.u64(k); },
-              [](Ar &a, bool &v) { a.b(v); });
-        ioSetU64(ar, t.warned_);
         // recovery_ is armed by the constructor (config-derived).
-        ioSetU64(ar, t.healing_);
+        std::vector<std::uint64_t> healing(t.healing_.begin(),
+                                           t.healing_.end());
+        std::sort(healing.begin(), healing.end());
+        ioVec(ar, healing, [](Ar &a, std::uint64_t &h) { a.u64(h); });
+        if constexpr (Ar::isReader)
+            t.healing_ = {healing.begin(), healing.end()};
         ioVec(ar, t.pendingKnots_,
               [](Ar &a, verify::PendingKnot &k) { io(a, k); });
         ioVec(ar, t.violations_,
@@ -791,7 +818,7 @@ struct SnapshotAccess
             }
         }
         if (net.cwg_)
-            io(ar, *net.cwg_);
+            io(ar, *net.cwg_, net.nextMsgId_);
 
         // The ready sets and the mapped-flit counts are derived state:
         // they are not serialized, just reconstructed from what was read.

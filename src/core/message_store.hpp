@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +39,17 @@ class MessageStore
     std::uint64_t span() const { return span_; }
 
     bool contains(MsgId id) const { return slotOf(id) != kNone; }
+
+    /** Slot of live message @p id (reused once it retires), or none. */
+    std::optional<std::uint32_t>
+    slot(MsgId id) const
+    {
+        const std::uint32_t s = slotOf(id);
+        return s == kNone ? std::nullopt : std::optional(s);
+    }
+
+    /** Slots allocated so far, live or free: every slot() lies below. */
+    std::uint32_t slotCount() const { return slots_; }
 
     /** @return the message, or nullptr when @p id is not live. */
     Message *

@@ -40,7 +40,7 @@
 namespace tpnet::obs {
 
 /** Current checkpoint container version. */
-constexpr std::uint16_t checkpointFormatVersion = 3;
+constexpr std::uint16_t checkpointFormatVersion = 4;
 
 /** Parsed checkpoint-file header. */
 struct CheckpointFileInfo

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "core/network.hpp"
 #include "sim/log.hpp"
@@ -22,16 +23,43 @@ cycleClassName(CycleClass c)
 }
 
 CwgTracker::CwgTracker(Network &net, CwgConfig cfg)
-    : net_(net), cfg_(cfg)
+    : net_(net), cfg_(cfg), waiters_(net.dataPlane().size())
 {
 }
 
-VcKey
-CwgTracker::keyOf(LinkId link, int vc) const
+const CwgTracker::Waiter *
+CwgTracker::find(MsgId id) const
 {
-    return static_cast<VcKey>(link) *
-               static_cast<VcKey>(net_.vcCount()) +
-           static_cast<VcKey>(vc);
+    const std::optional<std::uint32_t> s = net_.messageStore().slot(id);
+    if (!s || *s >= records_.size())
+        return nullptr;
+    const Waiter &w = records_[*s];
+    return w.id == id ? &w : nullptr;
+}
+
+CwgTracker::Waiter *
+CwgTracker::find(MsgId id)
+{
+    return const_cast<Waiter *>(std::as_const(*this).find(id));
+}
+
+CwgTracker::Waiter &
+CwgTracker::recordOf(MsgId id)
+{
+    const MessageStore &store = net_.messageStore();
+    const std::optional<std::uint32_t> s = store.slot(id);
+    if (!s)
+        tpnet_panic("CWG record for message ", id, ", which is not live");
+    if (*s >= records_.size())
+        records_.resize(store.slotCount());
+    Waiter &w = records_[*s];
+    if (w.id != id) {
+        if (!w.empty())
+            tpnet_panic("CWG record of retired message ", w.id,
+                        " still holds waits under message ", id);
+        w.id = id;
+    }
+    return w;
 }
 
 // --- Hook protocol ---------------------------------------------------------
@@ -48,7 +76,8 @@ CwgTracker::noteCandidate(NodeId node, int port, int vc)
 {
     if (evalMsg_ == invalidMsg)
         return;  // route() called outside an RCU evaluation (tests)
-    scratch_.push_back(keyOf(net_.linkAt(node, port).id, vc));
+    scratch_.push_back(
+        net_.dataPlane().index(net_.linkAt(node, port).id, vc));
 }
 
 void
@@ -69,12 +98,8 @@ CwgTracker::onBlocked(const Message &msg)
     std::vector<WaitRec> next;
     next.reserve(scratch_.size());
     std::size_t committed = 0;
-    for (VcKey key : scratch_) {
-        const LinkId link =
-            static_cast<LinkId>(key / static_cast<VcKey>(net_.vcCount()));
-        const int vc =
-            static_cast<int>(key % static_cast<VcKey>(net_.vcCount()));
-        const MsgId owner = net_.vc(link, vc).owner;
+    for (VcIndex key : scratch_) {
+        const MsgId owner = net_.dataPlane()[key].owner;
         if (owner == msg.id)
             continue;
         ++committed;
@@ -82,54 +107,36 @@ CwgTracker::onBlocked(const Message &msg)
             continue;
         next.push_back({key, owner});
     }
-    blocked_[msg.id] = committed;
-    commitWaits(msg.id, std::move(next));
-}
-
-void
-CwgTracker::onGranted(const Message &msg)
-{
-    if (msg.id == evalMsg_)
-        evalMsg_ = invalidMsg;
-    blocked_.erase(msg.id);
-    clearWaits(msg.id);
-}
-
-void
-CwgTracker::onRetreat(const Message &msg)
-{
-    if (msg.id == evalMsg_)
-        evalMsg_ = invalidMsg;
-    blocked_.erase(msg.id);
-    clearWaits(msg.id);
+    Waiter &w = recordOf(msg.id);
+    w.committed = committed;
+    commitWaits(w, std::move(next));
 }
 
 void
 CwgTracker::onVcReleased(LinkId link, int vc)
 {
-    const VcKey key = keyOf(link, vc);
-    auto it = waiters_.find(key);
-    if (it == waiters_.end())
-        return;
-    const std::vector<MsgId> waiting = std::move(it->second);
-    waiters_.erase(it);
+    // Each waiter's edit touches only its own record, never a waiter
+    // list, so the list is walked in place and emptied after.
+    const VcIndex key = net_.dataPlane().index(link, vc);
+    std::vector<MsgId> &waiting = waiters_[key];
     for (MsgId id : waiting) {
-        auto wit = waits_.find(id);
-        if (wit == waits_.end())
+        Waiter *w = find(id);
+        if (!w)
             continue;
-        auto &recs = wit->second;
+        auto &recs = w->waits;
         for (std::size_t i = 0; i < recs.size();) {
             if (recs[i].key == key) {
-                removeEdge(id, recs[i].owner);
+                const MsgId owner = recs[i].owner;
                 recs[i] = recs.back();
                 recs.pop_back();
+                --waitTotal_;
+                removeEdge(*w, owner);
             } else {
                 ++i;
             }
         }
-        if (recs.empty())
-            waits_.erase(wit);
     }
+    waiting.clear();
 }
 
 void
@@ -137,14 +144,16 @@ CwgTracker::onMessageGone(MsgId id)
 {
     if (id == evalMsg_)
         evalMsg_ = invalidMsg;
-    blocked_.erase(id);
-    clearWaits(id);
+    if (Waiter *w = find(id)) {
+        w->committed = 0;
+        clearWaits(*w);
+    }
 }
 
 // --- Wait-set maintenance --------------------------------------------------
 
 void
-CwgTracker::commitWaits(MsgId id, std::vector<WaitRec> next)
+CwgTracker::commitWaits(Waiter &w, std::vector<WaitRec> next)
 {
     // Diff against the previous wait set so unchanged waits insert no
     // edges (the common case for a message blocked over many cycles).
@@ -154,118 +163,97 @@ CwgTracker::commitWaits(MsgId id, std::vector<WaitRec> next)
             ++c[r.owner];
         return c;
     };
+    auto hasKey = [](const std::vector<WaitRec> &recs, VcIndex key) {
+        return std::any_of(recs.begin(), recs.end(),
+                           [key](const WaitRec &r) { return r.key == key; });
+    };
 
-    auto &prev = waits_[id];
-    const auto before = countOwners(prev);
+    const auto before = countOwners(w.waits);
     const auto after = countOwners(next);
 
-    // Reverse index: drop stale entries, add fresh ones.
-    std::unordered_set<VcKey> prevKeys, nextKeys;
-    for (const WaitRec &r : prev)
-        prevKeys.insert(r.key);
-    for (const WaitRec &r : next)
-        nextKeys.insert(r.key);
-    for (VcKey key : prevKeys) {
-        if (nextKeys.count(key))
-            continue;
-        auto it = waiters_.find(key);
-        if (it == waiters_.end())
-            continue;
-        auto &v = it->second;
-        v.erase(std::remove(v.begin(), v.end(), id), v.end());
-        if (v.empty())
-            waiters_.erase(it);
+    // Waiter lists: drop stale entries, add fresh ones.
+    for (const WaitRec &r : w.waits) {
+        if (!hasKey(next, r.key))
+            unlist(r.key, w.id);
     }
-    for (VcKey key : nextKeys) {
-        if (prevKeys.count(key))
-            continue;
-        waiters_[key].push_back(id);
+    for (const WaitRec &r : next) {
+        if (!hasKey(w.waits, r.key))
+            waiters_[r.key].push_back(w.id);
     }
+    waitTotal_ = waitTotal_ - w.waits.size() + next.size();
+    w.waits = std::move(next);
 
-    prev = std::move(next);
-    if (prev.empty())
-        waits_.erase(id);
-
+    // An edge goes when its owner's last wait goes and comes with the
+    // owner's first; new edges enter in the order of `after`.
     for (const auto &[owner, n] : before) {
-        auto it = after.find(owner);
-        const int have = it == after.end() ? 0 : it->second;
-        for (int i = have; i < n; ++i)
-            removeEdge(id, owner);
+        if (!after.count(owner))
+            removeEdge(w, owner);
     }
     for (const auto &[owner, n] : after) {
-        auto it = before.find(owner);
-        const int had = it == before.end() ? 0 : it->second;
-        for (int i = had; i < n; ++i)
-            addEdge(id, owner);
+        if (!before.count(owner))
+            addEdge(w, owner);
     }
 }
 
 void
-CwgTracker::clearWaits(MsgId id)
+CwgTracker::clearWaits(Waiter &w)
 {
-    auto it = waits_.find(id);
-    if (it == waits_.end())
-        return;
-    for (const WaitRec &r : it->second) {
-        removeEdge(id, r.owner);
-        auto wit = waiters_.find(r.key);
-        if (wit == waiters_.end())
-            continue;
-        auto &v = wit->second;
-        v.erase(std::remove(v.begin(), v.end(), id), v.end());
-        if (v.empty())
-            waiters_.erase(wit);
+    for (const WaitRec &r : w.waits)
+        unlist(r.key, w.id);
+    waitTotal_ -= w.waits.size();
+    w.waits.clear();
+    w.out.clear();
+}
+
+void
+CwgTracker::unlist(VcIndex key, MsgId id)
+{
+    std::vector<MsgId> &list = waiters_[key];
+    auto it = std::find(list.begin(), list.end(), id);
+    if (it != list.end()) {
+        *it = list.back();
+        list.pop_back();
     }
-    waits_.erase(it);
 }
 
 // --- Incremental cycle detection ------------------------------------------
 
 void
-CwgTracker::addEdge(MsgId u, MsgId v)
+CwgTracker::addEdge(Waiter &u, MsgId v)
 {
-    const int n = ++edgeCount_[EdgeKey{u, v}];
-    if (n > 1)
-        return;  // multiplicity only; the graph edge already exists
-    trueOut_[u].push_back(v);
+    u.out.push_back({v, false});
     std::vector<MsgId> cycle;
-    if (closesCycle(u, v, &cycle)) {
+    if (closesCycle(u.id, v, &cycle)) {
         // Keep the DAG acyclic by leaving the edge out (the true graph
         // still holds it; the periodic sweep tracks its persistence)
         // and report the cycle now.
-        reportCycle(cycle, false);
+        reportCycle(cycle);
     } else {
-        dagOut_[u].push_back(v);
+        u.out.back().inDag = true;
     }
 }
 
 void
-CwgTracker::removeEdge(MsgId u, MsgId v)
+CwgTracker::removeEdge(Waiter &u, MsgId v)
 {
-    auto it = edgeCount_.find(EdgeKey{u, v});
-    if (it == edgeCount_.end())
-        return;
-    if (--it->second > 0)
-        return;
-    edgeCount_.erase(it);
-    // Drop u->v from both adjacencies; a rejected edge is only in the
-    // true graph, and erasing an absent entry is a no-op.
-    for (auto *adj : {&trueOut_, &dagOut_}) {
-        auto out = adj->find(u);
-        if (out == adj->end())
-            continue;
-        auto &outs = out->second;
-        outs.erase(std::remove(outs.begin(), outs.end(), v), outs.end());
-        if (outs.empty())
-            adj->erase(out);
+    // The edge stays while another wait of u names the same owner.
+    for (const WaitRec &r : u.waits) {
+        if (r.owner == v)
+            return;
     }
+    auto it = std::find_if(u.out.begin(), u.out.end(),
+                           [v](const Out &o) { return o.to == v; });
+    if (it != u.out.end())
+        u.out.erase(it);
 }
 
 bool
 CwgTracker::closesCycle(MsgId u, MsgId v,
                         std::vector<MsgId> *cycle_out) const
 {
-    if (!dagOut_.count(v))
+    const Waiter *head = find(v);
+    if (!head || std::none_of(head->out.begin(), head->out.end(),
+                              [](const Out &o) { return o.inDag; }))
         return false;  // no DAG edge leaves v: the common case
 
     // LIFO depth-first search from v over the DAG; reaching u closes
@@ -276,10 +264,13 @@ CwgTracker::closesCycle(MsgId u, MsgId v,
     while (!stack.empty()) {
         const MsgId w = stack.back();
         stack.pop_back();
-        auto it = dagOut_.find(w);
-        if (it == dagOut_.end())
+        const Waiter *rec = find(w);
+        if (!rec)
             continue;
-        for (MsgId x : it->second) {
+        for (const Out &o : rec->out) {
+            if (!o.inDag)
+                continue;
+            const MsgId x = o.to;
             if (x == u) {
                 cycle_out->clear();
                 for (MsgId y = w;; y = parent.at(y)) {
@@ -319,12 +310,12 @@ CwgTracker::closureOf(const std::vector<MsgId> &members) const
         const MsgId v = stack.back();
         stack.pop_back();
         closure.push_back(v);
-        auto it = trueOut_.find(v);
-        if (it == trueOut_.end())
+        const Waiter *w = find(v);
+        if (!w)
             continue;
-        for (MsgId w : it->second) {
-            if (seen.insert(w).second)
-                stack.push_back(w);
+        for (const Out &o : w->out) {
+            if (seen.insert(o.to).second)
+                stack.push_back(o.to);
         }
     }
     return closure;
@@ -336,58 +327,42 @@ CwgTracker::hasExit(MsgId id) const
     const Message *msg = net_.findMessage(id);
     if (!msg)
         return true;  // retired while its edges drain: progressing
-    auto bit = blocked_.find(id);
-    if (bit == blocked_.end())
-        return true;  // owns trios but is not blocked: progressing
-    if (bit->second == 0)
-        return true;  // blocked with an unknown candidate set:
+    const Waiter *w = find(id);
+    if (!w || w->committed == 0)
+        return true;  // not blocked (it owns trios and progresses), or
+                      // blocked with an unknown candidate set:
                       // conservatively assume a way out (every such
                       // block site is stall-limit-guarded)
-    if (waitCount(id) < bit->second)
+    if (w->waits.size() < w->committed)
         return true;  // a committed candidate has been freed
-    if (net_.canBacktrack(*msg))
-        return true;
-    if (net_.protocol().abortsOnStall(*msg))
-        return true;
-    return false;
+    return net_.canBacktrack(*msg) || net_.protocol().abortsOnStall(*msg);
 }
 
 CycleClass
 CwgTracker::classify(const std::vector<MsgId> &members) const
 {
     const int escapeVcs = net_.escapeVcCount();
-    const int vcsPerLink = net_.vcCount();
+    const DataPlane &plane = net_.dataPlane();
 
     // Recovery mode frees the escape partition for fully adaptive use:
     // there is no acyclic escape order left to violate, so the
     // EscapeCycle verdict is meaningless and only the knot check
     // decides deadlock.
     if (!recovery_) {
-        bool allEscapeCommitted = true;
-        for (MsgId id : members) {
-            // Theorem 3 demands that the *escape* channel dependency
-            // graph stay acyclic. A member is committed to the escape
-            // subnetwork only when every wait it holds is on an
-            // escape-class trio; a cycle of such members breaks
-            // Duato's acyclic escape order outright, no reachability
-            // argument needed.
-            auto wit = waits_.find(id);
-            bool escapeCommitted = wit != waits_.end() &&
-                                   !wit->second.empty();
-            if (wit != waits_.end()) {
-                for (const WaitRec &r : wit->second) {
-                    const int vc = static_cast<int>(
-                        r.key % static_cast<VcKey>(vcsPerLink));
-                    if (vc >= escapeVcs)
-                        escapeCommitted = false;
-                }
-            }
-            if (!escapeCommitted) {
-                allEscapeCommitted = false;
-                break;
-            }
-        }
-        if (allEscapeCommitted)
+        // Theorem 3 demands that the *escape* channel dependency graph
+        // stay acyclic. A member is committed to the escape subnetwork
+        // only when every wait it holds is on an escape-class trio; a
+        // cycle of such members breaks Duato's acyclic escape order
+        // outright, no reachability argument needed.
+        const auto escapeCommitted = [&](MsgId id) {
+            const Waiter *w = find(id);
+            return w && !w->waits.empty() &&
+                   std::all_of(w->waits.begin(), w->waits.end(),
+                               [&](const WaitRec &r) {
+                                   return plane.vcOf(r.key) < escapeVcs;
+                               });
+        };
+        if (std::all_of(members.begin(), members.end(), escapeCommitted))
             return CycleClass::EscapeCycle;
     }
 
@@ -409,7 +384,7 @@ CwgTracker::diagnose(const std::vector<MsgId> &members,
                      CycleClass cls) const
 {
     const int escapeVcs = net_.escapeVcCount();
-    const int vcsPerLink = net_.vcCount();
+    const DataPlane &plane = net_.dataPlane();
     std::ostringstream os;
     os << "wait cycle (" << cycleClassName(cls) << ", "
        << members.size() << " members): ";
@@ -431,22 +406,18 @@ CwgTracker::diagnose(const std::vector<MsgId> &members,
                << ", K=" << msg->srcK << "]";
         }
         bool found = false;
-        auto wit = waits_.find(id);
-        if (wit != waits_.end()) {
-            for (const WaitRec &r : wit->second) {
+        if (const Waiter *w = find(id)) {
+            for (const WaitRec &r : w->waits) {
                 if (r.owner != next)
                     continue;
-                const LinkId link = static_cast<LinkId>(
-                    r.key / static_cast<VcKey>(vcsPerLink));
-                const int vc = static_cast<int>(
-                    r.key % static_cast<VcKey>(vcsPerLink));
-                const VcState &trio = net_.vc(link, vc);
-                os << " waits on link " << link << " vc " << vc;
+                const int vc = plane.vcOf(r.key);
+                os << " waits on link " << plane.linkOf(r.key) << " vc "
+                   << vc;
                 if (vc < escapeVcs)
                     os << " (escape class " << vc << ")";
                 else
                     os << " (adaptive)";
-                os << " [kReg=" << trio.kReg << "] owned by msg "
+                os << " [kReg=" << plane[r.key].kReg << "] owned by msg "
                    << next;
                 found = true;
                 break;
@@ -464,24 +435,19 @@ CwgTracker::diagnose(const std::vector<MsgId> &members,
 std::string
 CwgTracker::describeWaits(MsgId id) const
 {
-    auto it = waits_.find(id);
-    if (it == waits_.end() || it->second.empty())
+    const Waiter *w = find(id);
+    if (!w || w->waits.empty())
         return "";
     const int escapeVcs = net_.escapeVcCount();
-    const int vcsPerLink = net_.vcCount();
+    const DataPlane &plane = net_.dataPlane();
     std::ostringstream os;
-    bool first = true;
-    for (const WaitRec &r : it->second) {
-        if (!first)
-            os << ", ";
-        first = false;
-        const LinkId link =
-            static_cast<LinkId>(r.key / static_cast<VcKey>(vcsPerLink));
-        const int vc =
-            static_cast<int>(r.key % static_cast<VcKey>(vcsPerLink));
-        os << "link " << link << " vc " << vc
+    const char *sep = "";
+    for (const WaitRec &r : w->waits) {
+        const int vc = plane.vcOf(r.key);
+        os << sep << "link " << plane.linkOf(r.key) << " vc " << vc
            << (vc < escapeVcs ? " (escape)" : " (adaptive)")
            << " owned by msg " << r.owner;
+        sep = ", ";
     }
     return os.str();
 }
@@ -489,17 +455,14 @@ CwgTracker::describeWaits(MsgId id) const
 std::size_t
 CwgTracker::waitCount(MsgId id) const
 {
-    auto it = waits_.find(id);
-    return it == waits_.end() ? 0 : it->second.size();
+    const Waiter *w = find(id);
+    return w ? w->waits.size() : 0;
 }
 
 std::size_t
 CwgTracker::edgeCount() const
 {
-    std::size_t n = 0;
-    for (const auto &[e, c] : edgeCount_)
-        n += static_cast<std::size_t>(c);
-    return n;
+    return waitTotal_;
 }
 
 std::uint64_t
@@ -516,7 +479,7 @@ CwgTracker::memberHash(const std::vector<MsgId> &members)
 }
 
 void
-CwgTracker::reportCycle(const std::vector<MsgId> &members, bool from_sweep)
+CwgTracker::reportCycle(const std::vector<MsgId> &members)
 {
     const std::uint64_t hash = memberHash(members);
     const CycleClass cls = classify(members);
@@ -530,43 +493,31 @@ CwgTracker::reportCycle(const std::vector<MsgId> &members, bool from_sweep)
     if (recovery_ && cls == CycleClass::Knot) {
         if (healing_.insert(hash).second) {
             ++cyclesDetected_;
-            PendingKnot pk;
-            pk.cycle.cls = cls;
-            pk.cycle.at = net_.now();
-            pk.cycle.hash = hash;
-            pk.cycle.members = members;
-            pk.cycle.diagnosis = diag;
-            pk.closure = closureOf(members);
-            pendingKnots_.push_back(std::move(pk));
+            pendingKnots_.push_back({{cls, net_.now(), hash, members, diag},
+                                     closureOf(members)});
         }
         return;
     }
 
-    if (!reported_.count(hash)) {
+    auto [it, fresh] = seen_.try_emplace(hash);
+    CycleSeen &seen = it->second;
+    if (fresh) {
         ++cyclesDetected_;
         if (!isViolation(cls))
             ++benignDetected_;
     }
 
     if (isViolation(cls)) {
-        if (!reported_[hash] && violations_.size() < cfg_.maxViolations) {
-            CwgCycle c;
-            c.cls = cls;
-            c.at = net_.now();
-            c.hash = hash;
-            c.members = members;
-            c.diagnosis = diag;
-            violations_.push_back(std::move(c));
-        }
-        reported_[hash] = true;
+        if (!seen.violation && violations_.size() < cfg_.maxViolations)
+            violations_.push_back({cls, net_.now(), hash, members, diag});
+        seen.violation = true;
         return;
     }
 
     // Benign: remember when we first saw it so the sweep can flag a
     // "transient" that refuses to resolve.
-    reported_.emplace(hash, false);
-    benignSeen_.emplace(hash, net_.now());
-    (void)from_sweep;
+    if (!seen.benignSince)
+        seen.benignSince = net_.now();
 }
 
 // --- Recovery mode ---------------------------------------------------------
@@ -592,14 +543,15 @@ CwgTracker::escalate(const PendingKnot &knot)
     // The hash stays in healing_: once escalated, further re-detections
     // of the same knot are noise — the verdict is already terminal.
     healing_.insert(hash);
-    if (!reported_[hash] && violations_.size() < cfg_.maxViolations) {
+    CycleSeen &seen = seen_[hash];
+    if (!seen.violation && violations_.size() < cfg_.maxViolations) {
         CwgCycle c = knot.cycle;
         c.at = net_.now();
         c.diagnosis += "; heal budget exhausted (livelock escalation)";
         lastDiagnosis_ = c.diagnosis;
         violations_.push_back(std::move(c));
     }
-    reported_[hash] = true;
+    seen.violation = true;
 }
 
 void
@@ -616,9 +568,11 @@ CwgTracker::onCycleEnd(Cycle now)
 bool
 CwgTracker::idleForSkip() const
 {
-    return waits_.empty() && edgeCount_.empty() && pendingKnots_.empty() &&
-        healing_.empty() &&
-        (cfg_.sweepEvery == 0 || benignSeen_.empty());
+    return waitTotal_ == 0 && pendingKnots_.empty() && healing_.empty() &&
+        (cfg_.sweepEvery == 0 ||
+         std::none_of(seen_.begin(), seen_.end(), [](const auto &e) {
+             return e.second.benignSince.has_value();
+         }));
 }
 
 void
@@ -641,10 +595,10 @@ CwgTracker::sweep(Cycle now)
     // without any edge churn (reportCycle below re-classifies every
     // SCC it finds, so a cycle first seen benign is promoted the
     // moment the knot condition starts to hold).
-    static const std::vector<MsgId> kNoOuts;
-    auto outsOf = [this](MsgId v) -> const std::vector<MsgId> & {
-        auto it = trueOut_.find(v);
-        return it == trueOut_.end() ? kNoOuts : it->second;
+    static const std::vector<Out> kNoOuts;
+    auto outsOf = [this](MsgId v) -> const std::vector<Out> & {
+        const Waiter *w = find(v);
+        return w ? w->out : kNoOuts;
     };
 
     std::unordered_map<MsgId, int> index, low;
@@ -659,18 +613,13 @@ CwgTracker::sweep(Cycle now)
         MsgId v;
         std::size_t child;
     };
-    // Roots in sorted order: the map's iteration order depends on its
-    // bucket history (and differs after a checkpoint restore), and the
-    // root order decides which member an SCC is first entered from —
-    // i.e. the reported cycle order. Sorting pins it.
-    std::vector<MsgId> roots;
-    roots.reserve(trueOut_.size());
-    for (const auto &[root, outs] : trueOut_)
-        roots.push_back(root);
-    std::sort(roots.begin(), roots.end());
-    for (const MsgId root : roots) {
-        if (index.count(root))
-            continue;
+    // Roots in id order (the store's walk): the root order decides
+    // which member an SCC is first entered from — i.e. the reported
+    // cycle order.
+    net_.messageStore().forEach([&](const Message &m) {
+        const MsgId root = m.id;
+        if (outsOf(root).empty() || index.count(root))
+            return;
         std::vector<Frame> frames{{root, 0}};
         while (!frames.empty()) {
             Frame &f = frames.back();
@@ -683,7 +632,7 @@ CwgTracker::sweep(Cycle now)
             const auto &outs2 = outsOf(v);
             bool descended = false;
             while (f.child < outs2.size()) {
-                const MsgId w = outs2[f.child++];
+                const MsgId w = outs2[f.child++].to;
                 if (!index.count(w)) {
                     frames.push_back({w, 0});
                     descended = true;
@@ -713,7 +662,7 @@ CwgTracker::sweep(Cycle now)
                 low[pf.v] = std::min(low[pf.v], low[v]);
             }
         }
-    }
+    });
 
     std::unordered_set<std::uint64_t> present;
     for (const std::vector<MsgId> &scc : sccs) {
@@ -726,9 +675,9 @@ CwgTracker::sweep(Cycle now)
         for (;;) {
             const MsgId cur = walk.back();
             MsgId nxt = invalidMsg;
-            for (MsgId w : outsOf(cur)) {
-                if (inScc.count(w)) {
-                    nxt = w;
+            for (const Out &o : outsOf(cur)) {
+                if (inScc.count(o.to)) {
+                    nxt = o.to;
                     break;
                 }
             }
@@ -749,43 +698,32 @@ CwgTracker::sweep(Cycle now)
 
         const std::uint64_t hash = memberHash(cycle);
         present.insert(hash);
-        reportCycle(cycle, true);
+        reportCycle(cycle);
 
         // A benign cycle that outlived the persistence bound is worth
         // a warning — suspicious longevity, but not a deadlock unless
         // the knot check above says so.
-        auto seen = benignSeen_.find(hash);
-        if (seen != benignSeen_.end() &&
-            now - seen->second >= cfg_.persistBound &&
-            !reported_[hash] && !warned_.count(hash) &&
+        auto seen = seen_.find(hash);
+        if (seen != seen_.end() && seen->second.benignSince &&
+            now - *seen->second.benignSince >= cfg_.persistBound &&
+            !seen->second.violation && !seen->second.warned &&
             !healing_.count(hash)) {
             const std::string diag =
                 diagnose(cycle, CycleClass::Persistent);
             lastDiagnosis_ = diag;
             if (warnings_.size() < cfg_.maxViolations) {
-                CwgCycle c;
-                c.cls = CycleClass::Persistent;
-                c.at = now;
-                c.hash = hash;
-                c.members = cycle;
-                c.diagnosis = diag;
-                warnings_.push_back(std::move(c));
+                warnings_.push_back(
+                    {CycleClass::Persistent, now, hash, cycle, diag});
             }
-            warned_.insert(hash);
+            seen->second.warned = true;
         }
     }
 
     // Benign cycles that dissolved stop being tracked (and may be
     // re-reported if they ever re-form).
-    for (auto it = benignSeen_.begin(); it != benignSeen_.end();) {
-        if (!present.count(it->first)) {
-            reported_.erase(it->first);
-            warned_.erase(it->first);
-            it = benignSeen_.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    std::erase_if(seen_, [&present](const auto &e) {
+        return e.second.benignSince && !present.count(e.first);
+    });
 }
 
 } // namespace verify

@@ -52,23 +52,22 @@
 #define TPNET_VERIFY_CWG_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "core/message.hpp"
+#include "router/data_plane.hpp"
 #include "sim/types.hpp"
 
 namespace tpnet {
 
 class Network;
-struct Message;
 struct SnapshotAccess;
 
 namespace verify {
-
-/** Identifies one VC trio network-wide: link * vcsPerLink + vc. */
-using VcKey = std::uint64_t;
 
 /** Classification of a wait cycle. */
 enum class CycleClass : std::uint8_t {
@@ -154,10 +153,10 @@ class CwgTracker
     void onBlocked(const Message &msg);
 
     /** The probe advanced (Forward/Eject): its wait edges retract. */
-    void onGranted(const Message &msg);
+    void onGranted(const Message &msg) { onMessageGone(msg.id); }
 
     /** The probe retreats (Backtrack): its wait edges retract. */
-    void onRetreat(const Message &msg);
+    void onRetreat(const Message &msg) { onMessageGone(msg.id); }
 
     /** A trio was released: edges waiting on it retract. */
     void onVcReleased(LinkId link, int vc);
@@ -231,7 +230,6 @@ class CwgTracker
      * to violate). Knots only become violations again via escalate().
      */
     void armRecovery() { recovery_ = true; }
-    bool recoveryArmed() const { return recovery_; }
 
     /** Drain the knots detected since the last call (heal engine). */
     std::vector<PendingKnot> takePendingKnots();
@@ -251,43 +249,64 @@ class CwgTracker
     void escalate(const PendingKnot &knot);
 
   private:
+    /** One wait: a busy candidate trio and the message owning it. */
     struct WaitRec
     {
-        VcKey key;
+        VcIndex key;
         MsgId owner;
     };
 
-    /** Directed edge u->v: u waits on a trio owned by v. */
-    struct EdgeKey
+    /** Edge u->to, listed once however many waits of u name `to`. */
+    struct Out
     {
-        MsgId u;
-        MsgId v;
-        bool operator==(const EdgeKey &o) const
-        {
-            return u == o.u && v == o.v;
-        }
-    };
-    struct EdgeKeyHash
-    {
-        std::size_t
-        operator()(const EdgeKey &e) const
-        {
-            return std::hash<std::uint64_t>()(
-                (static_cast<std::uint64_t>(e.u) << 32) ^
-                static_cast<std::uint64_t>(e.v));
-        }
+        MsgId to;
+        bool inDag;  ///< false once it closed a cycle at insertion
     };
 
-    VcKey keyOf(LinkId link, int vc) const;
+    /**
+     * One blocked message. Edge u->v exists exactly when some wait
+     * names owner v; `out` keeps insertion order, which decides the
+     * cycles the DFS and the sweep extract. `committed` is the count of
+     * distinct non-self trios noted at the Block (fewer waits than that
+     * means a candidate was freed); 0 means "not blocked, or candidate
+     * set unknown" — an exit either way.
+     */
+    struct Waiter
+    {
+        MsgId id = invalidMsg;
+        std::size_t committed = 0;
+        std::vector<WaitRec> waits;
+        std::vector<Out> out;
 
-    /** Replace @p id's wait set with @p next (diff-based edge update). */
-    void commitWaits(MsgId id, std::vector<WaitRec> next);
+        bool empty() const { return committed == 0 && waits.empty(); }
+    };
 
-    /** Remove every wait record (and edge) of @p id. */
-    void clearWaits(MsgId id);
+    /** One cycle hash; an entry means the cycle has been counted. */
+    struct CycleSeen
+    {
+        bool violation = false;
+        std::optional<Cycle> benignSince;  ///< until the sweep sees it go
+        bool warned = false;               ///< Persistent warning given
+    };
 
-    void addEdge(MsgId u, MsgId v);
-    void removeEdge(MsgId u, MsgId v);
+    /** @p id's record, or nullptr when it has none. */
+    const Waiter *find(MsgId id) const;
+    Waiter *find(MsgId id);
+
+    /** @p id's record, created empty when missing; @p id must be live. */
+    Waiter &recordOf(MsgId id);
+
+    /** Replace @p w's wait set with @p next (diff-based edge update). */
+    void commitWaits(Waiter &w, std::vector<WaitRec> next);
+
+    /** Remove every wait record (and edge) of @p w. */
+    void clearWaits(Waiter &w);
+
+    /** Drop @p id from the waiter list of trio @p key. */
+    void unlist(VcIndex key, MsgId id);
+
+    void addEdge(Waiter &u, MsgId v);
+    void removeEdge(Waiter &u, MsgId v);
 
     /**
      * True when the DAG already holds a path v -> ... -> u, so the
@@ -298,7 +317,7 @@ class CwgTracker
                      std::vector<MsgId> *cycle_out) const;
 
     /** Classify, diagnose, and record one detected cycle. */
-    void reportCycle(const std::vector<MsgId> &members, bool from_sweep);
+    void reportCycle(const std::vector<MsgId> &members);
 
     CycleClass classify(const std::vector<MsgId> &members) const;
 
@@ -324,31 +343,17 @@ class CwgTracker
 
     // Scratch of the evaluation currently in flight.
     MsgId evalMsg_ = invalidMsg;
-    std::vector<VcKey> scratch_;
+    std::vector<VcIndex> scratch_;
 
-    // Wait records per blocked message.
-    std::unordered_map<MsgId, std::vector<WaitRec>> waits_;
-    // Reverse index: trio -> messages with a wait record on it.
-    std::unordered_map<VcKey, std::vector<MsgId>> waiters_;
-    // Blocked message -> committed candidate count (distinct non-self
-    // trios noted at the Block that created its wait set). A live wait
-    // count below this means a candidate has been freed — an exit.
-    std::unordered_map<MsgId, std::size_t> blocked_;
+    // One record per blocked message, on its message-store slot; one
+    // whose id is not the slot's live message reads as empty. Read by
+    // id only, never in slot order.
+    std::vector<Waiter> records_;
+    // Per VcIndex: the messages waiting on that trio, unordered.
+    std::vector<std::vector<MsgId>> waiters_;
+    std::size_t waitTotal_ = 0;  ///< all wait records (edgeCount())
 
-    // True wait-for graph: edge multiplicity per (u, v), plus a
-    // deduplicated adjacency (one entry per distinct u->v) kept
-    // incrementally so the knot closure walk and the SCC sweep never
-    // rebuild it.
-    std::unordered_map<EdgeKey, int, EdgeKeyHash> edgeCount_;
-    std::unordered_map<MsgId, std::vector<MsgId>> trueOut_;
-    // Acyclic subgraph: the true graph minus every edge that closed a
-    // cycle when it was inserted.
-    std::unordered_map<MsgId, std::vector<MsgId>> dagOut_;
-
-    // Persistence tracking of benign cycles (hash -> first seen).
-    std::unordered_map<std::uint64_t, Cycle> benignSeen_;
-    std::unordered_map<std::uint64_t, bool> reported_;
-    std::unordered_set<std::uint64_t> warned_;
+    std::unordered_map<std::uint64_t, CycleSeen> seen_;
 
     // Recovery mode: knots currently being healed (suppresses
     // re-detection churn while the abort walk drains) and the queue

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "chaos/campaign.hpp"
 #include "chaos/shard.hpp"
@@ -165,7 +167,18 @@ TEST(CheckpointContainer, RejectsEveryCorruptionMode)
         obs::CkReader r(is);
         EXPECT_FALSE(r.ok());
         EXPECT_NE(r.error().find(
-                      "unsupported checkpoint version 2 (reader supports 3)"),
+                      "unsupported checkpoint version 2 (reader supports 4)"),
+                  std::string::npos)
+            << r.error();
+    }
+    {  // version 3 (the CWG waiter index, edge counts and DAG list)
+        std::string bad = good;
+        bad[4] = 3;
+        std::istringstream is(bad, std::ios::binary);
+        obs::CkReader r(is);
+        EXPECT_FALSE(r.ok());
+        EXPECT_NE(r.error().find(
+                      "unsupported checkpoint version 3 (reader supports 4)"),
                   std::string::npos)
             << r.error();
     }
@@ -395,7 +408,8 @@ bytesOf(F write)
 
 /** Restore raw payload bytes into a fresh harness. */
 bool
-restorePayload(const std::string &payload, std::string &error)
+restorePayload(const std::string &payload, std::string &error,
+               const SimConfig &cfg = harnessConfig())
 {
     obs::CkWriter w;
     for (const char ch : payload) {
@@ -404,7 +418,7 @@ restorePayload(const std::string &payload, std::string &error)
     }
     std::ostringstream os(std::ios::binary);
     w.writeTo(os, 1);
-    Harness b(harnessConfig());
+    Harness b(cfg);
     CampaignState st = b.state();
     std::istringstream is(os.str(), std::ios::binary);
     obs::CkReader r(is);
@@ -504,6 +518,154 @@ TEST(CheckpointState, RejectsDisorderedRecordIds)
                              " ids out of order or beyond the next id"),
                   std::string::npos)
             << row.table << ": " << error;
+    }
+}
+
+TEST(CheckpointState, CwgRecordsRoundTripUnderLoad)
+{
+    // A restore rebuilds the tracker's waiter lists from the records'
+    // waits. Restored mid-run with a live wait graph, the tracker must
+    // go on to report exactly what the original reports.
+    SimConfig cfg = test::smallConfig(Protocol::TwoPhase, 8, 2);
+    cfg.msgLength = 16;
+    cfg.load = 0.40;
+    cfg.staticNodeFaults = 6;
+    cfg.seed = 7;
+    cfg.watchdog = 0;
+    cfg.verifyCwg = true;
+    Harness a(cfg);
+    a.run(1500);
+    ASSERT_GT(a.net.cwg()->edgeCount(), 0u);
+    CampaignState stA = a.state();
+    obs::CkWriter w;
+    serializeCampaign(w, stA);
+    std::ostringstream os(std::ios::binary);
+    w.writeTo(os, 1);
+
+    Harness b(cfg);
+    CampaignState stB = b.state();
+    std::istringstream is(os.str(), std::ios::binary);
+    obs::CkReader r(is);
+    ASSERT_TRUE(r.ok() && deserializeCampaign(r, stB)) << r.error();
+    EXPECT_EQ(campaignStateDigest(stB), campaignStateDigest(stA));
+
+    for (int c = 0; c < 2500; ++c) {
+        a.run(1);
+        b.run(1);
+        const verify::CwgTracker &ca = *a.net.cwg(), &cb = *b.net.cwg();
+        ASSERT_EQ(ca.edgeCount(), cb.edgeCount()) << "cycle " << c;
+        ASSERT_EQ(ca.cyclesDetected(), cb.cyclesDetected()) << "cycle " << c;
+        ASSERT_EQ(ca.lastCycleDiagnosis(), cb.lastCycleDiagnosis());
+    }
+    a.net.messageStore().forEach([&](const Message &m) {
+        EXPECT_EQ(a.net.cwg()->describeWaits(m.id),
+                  b.net.cwg()->describeWaits(m.id));
+    });
+    EXPECT_GT(a.net.cwg()->cyclesDetected(), 0u);
+    EXPECT_EQ(campaignStateDigest(stB), campaignStateDigest(stA));
+}
+
+TEST(CheckpointState, RejectsInconsistentCwgRecords)
+{
+    // The CWG tracker's records travel in id order, and a restore puts
+    // each on its message's store slot and lists it under the VCs it
+    // waits on. So it refuses records out of order, repeated or of a
+    // message that is not live, waits on no VC or on an owner outside
+    // the id range, and out-edges that are not the waits' owners.
+    // Message 0 is delivered and retired; messages 1..3 are offered,
+    // and 1 and 2 are blocked by hand on trios owned by 2 and 3.
+    SimConfig cfg = harnessConfig();
+    cfg.verifyCwg = true;
+    Harness a(cfg);
+    ASSERT_TRUE(a.net.offerMessage(13, 2));
+    ASSERT_TRUE(test::runToQuiescent(a.net));
+    ASSERT_FALSE(a.net.messageStore().contains(0));
+    for (NodeId src : {4, 5, 6})
+        ASSERT_TRUE(a.net.offerMessage(src, 11));
+    const int avc = a.net.escapeVcCount();
+    VcIndex keys[2];
+    for (MsgId id = 1; id <= 2; ++id) {
+        const LinkId link = a.net.linkAt(static_cast<NodeId>(id), 0).id;
+        a.net.vc(link, avc).reserve(id + 1, 0, false);
+        keys[id - 1] = a.net.dataPlane().index(link, avc);
+        verify::CwgTracker &cwg = *a.net.cwg();
+        Message &msg = a.net.message(id);
+        cwg.beginEvaluation(msg);
+        cwg.noteCandidate(static_cast<NodeId>(id), 0, avc);
+        cwg.onBlocked(msg);
+    }
+    CampaignState st = a.state();
+    const std::string payload = bytesOf(
+        [&st](obs::CkWriter &w) { serializeCampaign(w, st); });
+
+    // Each record: id, committed, one wait (key, owner), one out-edge
+    // (to, in-DAG) — 53 bytes, after the record count.
+    const std::string records = bytesOf([&keys](obs::CkWriter &w) {
+        std::uint64_t n = 2;
+        w.u64(n);
+        for (MsgId id = 1; id <= 2; ++id) {
+            std::int64_t i = id, owner = id + 1, to = id + 1;
+            std::uint64_t committed = 1, waits = 1, outs = 1;
+            bool inDag = true;
+            w.i64(i);
+            w.u64(committed);
+            w.u64(waits);
+            w.u32(keys[id - 1]);
+            w.i64(owner);
+            w.u64(outs);
+            w.i64(to);
+            w.b(inDag);
+        }
+    });
+    const std::size_t at = payload.find(records);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(payload.rfind(records), at);
+    std::string error;
+    ASSERT_TRUE(restorePayload(payload, error, cfg)) << error;
+
+    const std::size_t rec = at + 8, stride = 53;
+    const auto i64 = [](std::int64_t v) {
+        return bytesOf([v](obs::CkWriter &w) {
+            std::int64_t x = v;
+            w.i64(x);
+        });
+    };
+    const auto u32 = [](std::uint32_t v) {
+        return bytesOf([v](obs::CkWriter &w) {
+            std::uint32_t x = v;
+            w.u32(x);
+        });
+    };
+    const std::uint32_t noVc =
+        static_cast<std::uint32_t>(a.net.dataPlane().size());
+    struct Row
+    {
+        const char *what;
+        std::vector<std::pair<std::size_t, std::string>> patches;
+        const char *error;
+    };
+    const char *disordered =
+        "checkpoint CWG ids out of order or beyond the next id";
+    const Row rows[] = {
+        {"ids out of order", {{rec, i64(2)}, {rec + stride, i64(1)}},
+         disordered},
+        {"repeated id", {{rec + stride, i64(1)}}, disordered},
+        {"id past the next id", {{rec + stride, i64(4)}}, disordered},
+        {"retired id", {{rec, i64(0)}}, "not live"},
+        {"wait on no VC", {{rec + 24, u32(noVc)}}, "names no VC"},
+        {"negative owner", {{rec + 28, i64(-1)}}, "owner out of range"},
+        {"owner past the next id", {{rec + 28, i64(4)}},
+         "owner out of range"},
+        {"out-edge to a non-owner", {{rec + 44, i64(3)}},
+         "out-edges are not the owners of the waits"},
+    };
+    for (const Row &row : rows) {
+        std::string bad = payload;
+        for (const auto &[offset, bytes] : row.patches)
+            bad.replace(offset, bytes.size(), bytes);
+        EXPECT_FALSE(restorePayload(bad, error, cfg)) << row.what;
+        EXPECT_NE(error.find(row.error), std::string::npos)
+            << row.what << ": " << error;
     }
 }
 
@@ -667,9 +829,9 @@ TEST(CheckpointCampaign, StateDigestsArePinned)
     const Row rows[] = {
         {"base", ckCampaignSpec(11), 0xb15951ccb013b739ull,
          0xfd11aaf31ab3021aull},
-        {"cwg", cwg, 0xbcc80ea6bbb4cc27ull, 0x346cca26403c46aaull},
-        {"recovery", recovery, 0x1222412283efcfd3ull,
-         0xa3f09dbc69c09531ull},
+        {"cwg", cwg, 0x96a07a6aac51e8e7ull, 0x8d2d26bb7477fccaull},
+        {"recovery", recovery, 0x994ffb8540859733ull,
+         0x2516b209b65a6d71ull},
     };
     for (const Row &row : rows) {
         const fs::path ck = scratchFile(std::string("pinned-") + row.tag +

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -347,6 +350,60 @@ TEST(CwgLive, DuatoEscapeRepollNeverCyclesThroughEscape)
         EXPECT_TRUE(net.cwg()->violations().empty())
             << net.cwg()->violations().front().diagnosis;
     }
+}
+
+TEST(CwgLive, ReportsArePinned)
+{
+    // Everything the tracker reports on a loaded, faulty TP run, folded
+    // into one FNV-1a digest: the counts, the edge total and the last
+    // diagnosis every cycle, and every live message's wait description
+    // (in id order) every 64 cycles. A refactor of the tracker's tables
+    // must reproduce it bit for bit.
+    SimConfig cfg = smallConfig(Protocol::TwoPhase, 8, 2);
+    cfg.msgLength = 16;
+    cfg.load = 0.40;
+    cfg.staticNodeFaults = 6;
+    cfg.seed = 7;
+    cfg.verifyCwg = true;
+    Network net(cfg);
+    Injector inj(net);
+    const verify::CwgTracker &cwg = *net.cwg();
+
+    std::uint64_t h = 14695981039346656037ull;
+    const auto foldByte = [&h](unsigned char b) {
+        h ^= b;
+        h *= 1099511628211ull;
+    };
+    const auto foldNum = [&foldByte](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            foldByte(static_cast<unsigned char>(v >> (8 * i)));
+    };
+    const auto foldStr = [&foldByte, &foldNum](const std::string &s) {
+        foldNum(s.size());
+        for (const char ch : s)
+            foldByte(static_cast<unsigned char>(ch));
+    };
+    std::size_t maxEdges = 0;
+    for (int c = 0; c < 4000; ++c) {
+        inj.step();
+        net.step();
+        foldNum(cwg.cyclesDetected());
+        foldNum(cwg.benignCycles());
+        foldNum(cwg.edgeCount());
+        foldStr(cwg.lastCycleDiagnosis());
+        maxEdges = std::max(maxEdges, cwg.edgeCount());
+        if (c % 64 == 0) {
+            net.messageStore().forEach([&](const Message &m) {
+                foldNum(static_cast<std::uint64_t>(m.id));
+                foldStr(cwg.describeWaits(m.id));
+            });
+        }
+    }
+    EXPECT_GT(cwg.cyclesDetected(), 0u);
+    EXPECT_EQ(cwg.cyclesDetected(), 11u);
+    EXPECT_EQ(cwg.benignCycles(), 11u);
+    EXPECT_EQ(maxEdges, 101u);
+    EXPECT_EQ(h, 0x6ad4da67779f922eull) << std::hex << " 0x" << h;
 }
 
 TEST(CwgLive, GoldenDigestsIdenticalWithTrackerArmed)

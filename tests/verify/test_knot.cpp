@@ -109,6 +109,14 @@ TEST_F(KnotTest, AdaptiveAlternativeOwnedInsideCycleIsAKnot)
     // the full closure, which is all four messages either way.
     EXPECT_NE(c.diagnosis.find("knot closure: 4 message(s)"),
               std::string::npos);
+    // The whole text is pinned: member order, waited VCs and owners.
+    EXPECT_EQ(c.diagnosis,
+              "wait cycle (knot, 3 members): msg 3 [node 3, phase WR, "
+              "K=0] waits on link 12 vc 2 (adaptive) [kReg=0] owned by "
+              "msg 0; msg 0 [node 0, phase WR, K=0] waits on link 16 vc 2 "
+              "(adaptive) [kReg=0] owned by msg 2; msg 2 [node 2, phase "
+              "WR, K=0] waits on link 8 vc 2 (adaptive) [kReg=0] owned by "
+              "msg 3; knot closure: 4 message(s), no exit");
     EXPECT_EQ(cwg.benignCycles(), 0u);
 }
 
@@ -296,6 +304,29 @@ TEST_F(KnotTest, UnknownCandidateSetIsConservativelyAnExit)
 
     EXPECT_TRUE(cwg.violations().empty());
     EXPECT_EQ(cwg.benignCycles(), 1u);
+}
+
+TEST_F(KnotTest, ClosureFollowsOutEdgeInsertionOrder)
+{
+    // Msg 1 waits on trios of 0, 2 and 3, and 2 and 3 wait back on 0;
+    // 0 -> 1 then closes the knot {0, 1}. The closure walk pops msg 1
+    // first and pushes its two unseen successors in the order its
+    // out-edges were inserted, so that order decides the closure order
+    // (the heal engine's victim pool) and is pinned here.
+    CwgTracker cwg(net_);
+    cwg.armRecovery();
+    const int avc = net_.escapeVcCount();
+    for (MsgId i = 0; i < 4; ++i)
+        own(static_cast<NodeId>(i), avc, i);
+    blockOn(cwg, 2, 0, avc);
+    blockOn(cwg, 3, 0, avc);
+    blockOnMany(cwg, 1, {{0, avc}, {2, avc}, {3, avc}});
+    blockOn(cwg, 0, 1, avc);
+
+    const std::vector<verify::PendingKnot> knots = cwg.takePendingKnots();
+    ASSERT_EQ(knots.size(), 1u);
+    EXPECT_EQ(knots.front().cycle.members, (std::vector<MsgId>{0, 1}));
+    EXPECT_EQ(knots.front().closure, (std::vector<MsgId>{1, 2, 3, 0}));
 }
 
 } // namespace

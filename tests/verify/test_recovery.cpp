@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "chaos/campaign.hpp"
@@ -173,6 +174,27 @@ TEST_F(RecoveryTest, VictimIsSelectedOverTheFullClosureNotTheRing)
     blockOnMany(0, {{0, avc}, {3, avc}});
     blockOn(1, 1, avc);
     blockOn(2, 2, avc);
+
+    // A second tracker fed the same evaluations queues the same knot;
+    // its closure order (the victim pool's order) is pinned.
+    verify::CwgTracker shadow(net_);
+    shadow.armRecovery();
+    const std::vector<std::pair<MsgId, std::vector<std::pair<NodeId, int>>>>
+        evals = {{3, {{4, avc}}},
+                 {0, {{0, avc}, {3, avc}}},
+                 {1, {{1, avc}}},
+                 {2, {{2, avc}}}};
+    for (const auto &[id, trios] : evals) {
+        Message &msg = net_.message(id);
+        shadow.beginEvaluation(msg);
+        for (const auto &[node, vc] : trios)
+            shadow.noteCandidate(node, 0, vc);
+        shadow.onBlocked(msg);
+    }
+    const std::vector<verify::PendingKnot> knots = shadow.takePendingKnots();
+    ASSERT_EQ(knots.size(), 1u);
+    EXPECT_EQ(knots.front().cycle.members, (std::vector<MsgId>{2, 0, 1}));
+    EXPECT_EQ(knots.front().closure, (std::vector<MsgId>{1, 0, 3, 2}));
 
     net_.step();
     EXPECT_EQ(net_.counters().knotsDetected, 1u);
