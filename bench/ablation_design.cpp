@@ -9,7 +9,8 @@
  *  - torus vs mesh.
  *
  * Each knob is swept at a moderate and a near-saturation load on the
- * paper's 16-ary 2-cube with the TP protocol.
+ * paper's 16-ary 2-cube with the TP protocol. Every row is one series
+ * of the bench's sweep plan.
  */
 
 #include "common.hpp"
@@ -18,55 +19,62 @@ namespace {
 
 using namespace tpnet;
 
+/**
+ * Queue one table row as a one-point series of the plan; @p last closes
+ * its block with a blank line.
+ */
 void
-runPoint(const char *group, const std::string &label, const SimConfig &cfg)
+addRow(bench::Harness &h, const char *group, const std::string &tag,
+       const SimConfig &cfg, bool last)
 {
-    Simulator sim(cfg);
-    const RunResult r = sim.run();
-    std::printf("%-14s %-22s load=%.2f  thr=%.4f  lat=%7.1f  del=%5.1f%%\n",
-                group, label.c_str(), cfg.load, r.throughput,
-                r.avgLatency, r.deliveredFraction * 100.0);
+    h.add({std::string(group) + " " + tag, {{cfg.load, cfg, {}}}},
+          "offered", [group, tag, last](const Series &s) {
+              const RunResult &r = s.points.front().result.mean;
+              std::printf("%-14s %-22s load=%.2f  thr=%.4f  lat=%7.1f  "
+                          "del=%5.1f%%\n",
+                          group, tag.c_str(), r.offeredLoad, r.throughput,
+                          r.avgLatency, r.deliveredFraction * 100.0);
+              if (last)
+                  std::printf("\n");
+          });
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace tpnet;
-    bench::banner("ablation_design — VCs, buffers, queues, m, mesh",
-                  "DESIGN.md section 7 (design-choice ablations)");
+    bench::Harness h(argc, argv,
+                     "ablation_design — VCs, buffers, queues, m, mesh",
+                     "DESIGN.md section 7 (design-choice ablations)");
 
     const double loads[] = {0.15, 0.30};
 
-    for (double load : loads) {
-        for (int avcs : {1, 2, 4}) {
-            SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
-            cfg.adaptiveVcs = avcs;
-            cfg.load = load;
-            runPoint("adaptive-vcs", std::to_string(avcs), cfg);
+    struct Knob
+    {
+        const char *group;
+        std::vector<int> values;
+        void (*set)(SimConfig &, int);
+    };
+    const Knob knobs[] = {
+        {"adaptive-vcs", {1, 2, 4},
+         [](SimConfig &c, int v) { c.adaptiveVcs = v; }},
+        {"buffer-depth", {2, 4, 8, 16},
+         [](SimConfig &c, int v) { c.bufDepth = v; }},
+        {"inj-queue", {2, 8, 32},
+         [](SimConfig &c, int v) { c.injQueueLimit = v; }},
+    };
+    for (const Knob &knob : knobs) {
+        for (double load : loads) {
+            for (int v : knob.values) {
+                SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
+                knob.set(cfg, v);
+                cfg.load = load;
+                addRow(h, knob.group, std::to_string(v), cfg,
+                       v == knob.values.back());
+            }
         }
-        std::printf("\n");
-    }
-
-    for (double load : loads) {
-        for (int depth : {2, 4, 8, 16}) {
-            SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
-            cfg.bufDepth = depth;
-            cfg.load = load;
-            runPoint("buffer-depth", std::to_string(depth), cfg);
-        }
-        std::printf("\n");
-    }
-
-    for (double load : loads) {
-        for (int limit : {2, 8, 32}) {
-            SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
-            cfg.injQueueLimit = limit;
-            cfg.load = load;
-            runPoint("inj-queue", std::to_string(limit), cfg);
-        }
-        std::printf("\n");
     }
 
     // Misroute budget under faults: too small fails detours, larger
@@ -76,9 +84,8 @@ main()
         cfg.misrouteLimit = m;
         cfg.staticNodeFaults = 10;
         cfg.load = 0.15;
-        runPoint("misroute-m", std::to_string(m), cfg);
+        addRow(h, "misroute-m", std::to_string(m), cfg, m == 6);
     }
-    std::printf("\n");
 
     // Torus vs mesh at equal load: the mesh's smaller bisection and
     // longer paths saturate earlier.
@@ -87,9 +94,8 @@ main()
             SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
             cfg.wrap = wrap;
             cfg.load = load;
-            runPoint("topology", wrap ? "torus" : "mesh", cfg);
+            addRow(h, "topology", wrap ? "torus" : "mesh", cfg, !wrap);
         }
-        std::printf("\n");
     }
-    return 0;
+    return h.finish();
 }

@@ -24,8 +24,6 @@ main(int argc, char **argv)
                      "Section 7.0 (conclusions / future work)");
 
     const auto loads = bench::loadGrid();
-    const auto opt = h.sweepOptions();
-    std::vector<Series> all;
 
     for (bool hw : {false, true}) {
         for (int faults : {10, 20}) {
@@ -35,12 +33,13 @@ main(int argc, char **argv)
             cfg.hardwareAcks = hw;
             std::string label = hw ? "hw acks" : "shared lane";
             label += " (" + std::to_string(faults) + "F, K=3)";
-            const Series s = loadSweep(cfg, label, loads, opt);
-            h.add(s, "offered");
-            all.push_back(s);
+            h.add(loadSeries(cfg, label, loads), "offered");
         }
     }
 
+    std::vector<Series> all;
+    for (const bench::LabelledSeries &ls : h.run())
+        all.push_back(ls.series);
     if (writeSeriesCsv("ablation_hw_acks.csv", all, "offered"))
         std::printf("# wrote ablation_hw_acks.csv\n");
     return h.finish();

@@ -14,19 +14,24 @@
  *   TPNET_BENCH_FAST  nonzero -> quarter-length windows (smoke mode)
  *   TPNET_JOBS        default sweep worker count (see --jobs)
  *
- * Command-line knobs (every figure bench, via Harness):
+ * Command-line knobs (every figure and ablation bench, via Harness):
  *   --jobs N          sweep worker threads; results are bit-identical
  *                     for every N
  *   --json out.json   also emit structured results (report.hpp schema)
+ *
+ * A bench's series run as one sweep plan (runPlan); the trailer line
+ * `# tasks N, longest T s (label @ x), sum S s` shows its critical path.
  */
 
 #ifndef TPNET_BENCH_COMMON_HPP
 #define TPNET_BENCH_COMMON_HPP
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <string>
 
@@ -67,18 +72,6 @@ paperConfig(Protocol p)
     return cfg;
 }
 
-inline SweepOptions
-sweepOptions()
-{
-    SweepOptions opt;
-    opt.minReps = 1;
-    opt.maxReps = static_cast<std::size_t>(envInt("TPNET_BENCH_REPS", 1));
-    if (opt.maxReps < 1)
-        opt.maxReps = 1;
-    opt.minReps = opt.maxReps > 1 ? 2 : 1;
-    return opt;
-}
-
 /** Offered loads in data flits/node/cycle (the figures' x-range). */
 inline std::vector<double>
 loadGrid()
@@ -100,8 +93,9 @@ banner(const char *title, const char *paper_ref)
 
 /**
  * Per-bench driver: parses the shared --jobs/--json flags, prints the
- * banner, times the whole run, and (via add/finish) both prints each
- * series and records it for the optional JSON emission.
+ * banner, times the whole run, and queues the bench's series (add) into
+ * one sweep plan. Series print, and go to the JSON report, in the order
+ * they were added.
  */
 class Harness
 {
@@ -125,27 +119,43 @@ class Harness
         start_ = std::chrono::steady_clock::now();
     }
 
-    /** Env-derived replication policy plus the --jobs knob. */
-    SweepOptions
-    sweepOptions() const
-    {
-        SweepOptions opt = bench::sweepOptions();
-        opt.jobs = jobs_;
-        return opt;
-    }
-
-    /** Print @p s and record it for the JSON report. */
+    /**
+     * Queue @p series for the plan; @p x_name names its x column and
+     * @p print, when given, replaces its TSV block.
+     */
     void
-    add(const Series &s, const char *x_name)
+    add(Series series, const char *x_name,
+        std::function<void(const Series &)> print = {})
     {
-        printSeries(std::cout, s, x_name);
-        series_.push_back({s, x_name});
+        plan_.push_back(std::move(series));
+        series_.push_back({{}, x_name});
+        prints_.push_back(std::move(print));
     }
 
-    /** Emit the wall-clock trailer (and JSON if requested). */
+    /** Run the queued series as one plan and print them in order. */
+    const std::vector<LabelledSeries> &
+    run()
+    {
+        if (!plan_.empty()) {
+            std::vector<Series> done =
+                runPlan(std::move(plan_), sweepOptions(), &timing_);
+            plan_.clear();
+            for (std::size_t i = 0; i < done.size(); ++i) {
+                if (prints_[i])
+                    prints_[i](done[i]);
+                else
+                    printSeries(std::cout, done[i], series_[i].xName.c_str());
+                series_[i].series = std::move(done[i]);
+            }
+        }
+        return series_;
+    }
+
+    /** run(), then the wall-clock trailer (and JSON if requested). */
     int
     finish()
     {
+        run();
         const double wall =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start_)
@@ -155,6 +165,9 @@ class Harness
             npoints += ls.series.points.size();
         std::printf("# wall %.3f s, %zu points, %zu jobs\n", wall,
                     npoints, resolveJobs(jobs_));
+        std::printf("# tasks %zu, longest %.3f s (%s @ %g), sum %.3f s\n",
+                    timing_.tasks, timing_.longest, timing_.label.c_str(),
+                    timing_.x, timing_.sum);
         if (!json_.empty()) {
             if (!writeBenchJson(json_, name_, series_, wall,
                                 resolveJobs(jobs_),
@@ -169,10 +182,22 @@ class Harness
     }
 
   private:
+    /** TPNET_BENCH_REPS replications per point, and the --jobs knob. */
+    SweepOptions
+    sweepOptions() const
+    {
+        const int reps = std::max(1, envInt("TPNET_BENCH_REPS", 1));
+        return {reps > 1 ? 2u : 1u, static_cast<std::size_t>(reps), 0.05,
+                jobs_};
+    }
+
     std::string name_;
     std::string json_;
     int jobs_ = 0;
-    std::vector<LabelledSeries> series_;
+    std::vector<Series> plan_;
+    std::vector<std::function<void(const Series &)>> prints_;
+    std::vector<LabelledSeries> series_;  ///< in the order added
+    PlanTiming timing_;
     std::chrono::steady_clock::time_point start_;
 };
 

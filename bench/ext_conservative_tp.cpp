@@ -14,7 +14,8 @@
  *   - unsafe-channel marking on/off (the paper's aggressive transition
  *     note: "it [is] not necessary marking channels as unsafe"),
  *   - hardware acknowledgment signalling for the K > 0 variants,
- * reporting saturation-side throughput and the low-fault cost.
+ * reporting saturation-side throughput and the low-fault cost. Every
+ * row is one series of the bench's sweep plan.
  */
 
 #include "common.hpp"
@@ -23,26 +24,41 @@ namespace {
 
 using namespace tpnet;
 
+/**
+ * Queue one table row as a one-point series of the plan; @p last closes
+ * its block with a blank line.
+ */
 void
-point(const char *tag, const SimConfig &cfg)
+addRow(bench::Harness &h, const std::string &tag, const SimConfig &cfg,
+       bool last = false)
 {
-    Simulator sim(cfg);
-    const RunResult r = sim.run();
-    std::printf("%-34s faults=%-2d load=%.2f  thr=%.4f  lat=%7.1f  "
-                "del=%5.1f%%  acks=%llu\n",
-                tag, cfg.staticNodeFaults, cfg.load, r.throughput,
-                r.avgLatency, r.deliveredFraction * 100.0,
-                static_cast<unsigned long long>(r.counters.posAcks));
+    const std::string label =
+        std::to_string(cfg.staticNodeFaults) + "F " + tag;
+    h.add({label, {{cfg.load, cfg, {}}}}, "offered",
+          [tag, last](const Series &s) {
+              const SeriesPoint &pt = s.points.front();
+              const RunResult &r = pt.result.mean;
+              std::printf("%-34s faults=%-2d load=%.2f  thr=%.4f  "
+                          "lat=%7.1f  del=%5.1f%%  acks=%llu\n",
+                          tag.c_str(), pt.cfg.staticNodeFaults,
+                          r.offeredLoad, r.throughput, r.avgLatency,
+                          r.deliveredFraction * 100.0,
+                          static_cast<unsigned long long>(
+                              r.counters.posAcks));
+              if (last)
+                  std::printf("\n");
+          });
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace tpnet;
-    bench::banner("ext_conservative_tp — conservatism sweep for TP",
-                  "Section 6.2 'subject of ongoing studies'");
+    bench::Harness h(argc, argv,
+                     "ext_conservative_tp — conservatism sweep for TP",
+                     "Section 6.2 'subject of ongoing studies'");
 
     for (int faults : {1, 20}) {
         for (double load : {0.10, 0.25}) {
@@ -52,12 +68,12 @@ main()
                 cfg.load = load;
                 cfg.scoutK = k;
                 std::string tag = "K=" + std::to_string(k);
-                point(tag.c_str(), cfg);
+                addRow(h, tag, cfg);
 
                 if (k > 0) {
                     cfg.hardwareAcks = true;
                     tag += " + hw acks";
-                    point(tag.c_str(), cfg);
+                    addRow(h, tag, cfg);
                 }
             }
             {
@@ -66,10 +82,9 @@ main()
                 cfg.load = load;
                 cfg.scoutK = 0;
                 cfg.markUnsafe = false;
-                point("K=0, unsafe marking off", cfg);
+                addRow(h, "K=0, unsafe marking off", cfg, true);
             }
-            std::printf("\n");
         }
     }
-    return 0;
+    return h.finish();
 }

@@ -21,12 +21,11 @@ main(int argc, char **argv)
                      "Fig. 12 (Section 6.1)");
 
     const auto loads = bench::loadGrid();
-    const auto opt = h.sweepOptions();
 
     for (Protocol p : {Protocol::TwoPhase, Protocol::Duato,
                        Protocol::MBm}) {
         const SimConfig cfg = bench::paperConfig(p);
-        h.add(loadSweep(cfg, protocolName(p), loads, opt), "offered");
+        h.add(loadSeries(cfg, protocolName(p), loads), "offered");
     }
 
     // The CWG deadlock analyzer armed on the TP sweep: quantifies the
@@ -36,7 +35,7 @@ main(int argc, char **argv)
     {
         SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
         cfg.verifyCwg = true;
-        h.add(loadSweep(cfg, "TP+cwg", loads, opt), "offered");
+        h.add(loadSeries(cfg, "TP+cwg", loads), "offered");
     }
 
     // TP in knot-triggered recovery mode: the escape VCs join the
@@ -48,9 +47,10 @@ main(int argc, char **argv)
     {
         SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
         cfg.recoveryMode = true;
-        h.add(loadSweep(cfg, "TP+recovery", loads, opt), "offered");
+        h.add(loadSeries(cfg, "TP+recovery", loads), "offered");
     }
 
+    h.run();
     // Zero-load sanity anchors (Section 2.2): average minimal distance
     // of uniform traffic on the 16-ary 2-cube is 8 links.
     std::printf("# zero-load anchors: t_WR(8,32)=%d  t_PCS(8,32)=%d\n",

@@ -21,7 +21,6 @@ main(int argc, char **argv)
                      "Fig. 13 (Section 6.2, static faults)");
 
     const auto loads = bench::loadGrid();
-    const auto opt = h.sweepOptions();
 
     for (Protocol p : {Protocol::TwoPhase, Protocol::MBm}) {
         for (int faults : {1, 10, 20}) {
@@ -29,7 +28,7 @@ main(int argc, char **argv)
             cfg.staticNodeFaults = faults;
             std::string label = protocolName(p);
             label += " (" + std::to_string(faults) + "F)";
-            h.add(loadSweep(cfg, label, loads, opt), "offered");
+            h.add(loadSeries(cfg, label, loads), "offered");
         }
     }
     return h.finish();

@@ -27,7 +27,6 @@ main(int argc, char **argv)
     const std::vector<int> faults =
         bench::fastMode() ? std::vector<int>{0, 5, 10, 20}
                           : std::vector<int>{0, 1, 3, 5, 8, 12, 16, 20};
-    const auto opt = h.sweepOptions();
 
     for (Protocol p : {Protocol::TwoPhase, Protocol::MBm}) {
         for (int msgs : msgs_per_5000) {
@@ -35,7 +34,7 @@ main(int argc, char **argv)
             cfg.load = static_cast<double>(msgs) * 32.0 / 5000.0;
             std::string label = protocolName(p);
             label += " (" + std::to_string(msgs) + ")";
-            h.add(faultSweep(cfg, label, faults, opt), "faults");
+            h.add(faultSeries(cfg, label, faults), "faults");
         }
     }
     return h.finish();

@@ -22,7 +22,6 @@ main(int argc, char **argv)
                      "Fig. 15 (Section 6.2)");
 
     const auto loads = bench::loadGrid();
-    const auto opt = h.sweepOptions();
 
     struct Variant
     {
@@ -37,7 +36,7 @@ main(int argc, char **argv)
             cfg.staticNodeFaults = faults;
             std::string label = v.name;
             label += " (" + std::to_string(faults) + "F)";
-            h.add(loadSweep(cfg, label, loads, opt), "offered");
+            h.add(loadSeries(cfg, label, loads), "offered");
         }
     }
     return h.finish();

@@ -25,7 +25,6 @@ main(int argc, char **argv)
         "Fig. 17 (Section 6.2, dynamic faults; kill flits of Fig. 16)");
 
     const auto loads = bench::loadGrid();
-    const auto opt = h.sweepOptions();
 
     for (bool tack : {false, true}) {
         for (int faults : {1, 10, 20}) {
@@ -35,7 +34,7 @@ main(int argc, char **argv)
             std::string label =
                 tack ? "with TAck" : "w/o TAck";
             label += " (" + std::to_string(faults) + "F dyn)";
-            h.add(loadSweep(cfg, label, loads, opt), "offered");
+            h.add(loadSeries(cfg, label, loads), "offered");
         }
     }
 
@@ -45,7 +44,7 @@ main(int argc, char **argv)
         cfg.staticNodeFaults = faults / 2;
         std::string label =
             "static anchor (" + std::to_string(faults / 2) + "F)";
-        h.add(loadSweep(cfg, label, loads, opt), "offered");
+        h.add(loadSeries(cfg, label, loads), "offered");
     }
     return h.finish();
 }

@@ -74,8 +74,7 @@ main()
     SimConfig cfg = base(Protocol::TwoPhase);
     cfg.load = 0.2;
     cfg.measure = 2500;
-    Simulator sim(cfg);
-    const ReplicatedResult r = sim.runToConfidence(2, 8, 0.05);
+    const ReplicatedResult r = runReplicated(cfg, SweepOptions{2, 8, 0.05});
     std::printf("  %zu replications, mean latency %.1f +- %.1f cycles "
                 "(95%% CI), converged=%s\n",
                 r.replications, r.mean.avgLatency, r.latencyHw95,

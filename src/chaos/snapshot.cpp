@@ -293,8 +293,7 @@ struct SnapshotAccess
     io(Ar &ar, Histogram &h)
     {
         ar.f64(h.width_);
-        ioVec(ar, h.counts_,
-              [](Ar &a, std::uint64_t &c) { a.u64(c); });
+        io(ar, h.counts_);
         ar.u64(h.total_);
     }
 
@@ -419,65 +418,31 @@ struct SnapshotAccess
 
     template <class Ar>
     static void
+    io(Ar &ar, std::uint64_t &v)
+    {
+        ar.u64(v);
+    }
+
+    template <class Ar>
+    static void
     io(Ar &ar, Counters &c)
     {
-        ar.u64(c.generated);
-        ar.u64(c.notAccepted);
-        ar.u64(c.delivered);
-        ar.u64(c.dropped);
-        ar.u64(c.lost);
-        ar.u64(c.retransmits);
-        ar.u64(c.retriesScheduled);
-        ar.u64(c.headerMoves);
-        ar.u64(c.backtracks);
-        ar.u64(c.misroutes);
-        ar.u64(c.detoursBuilt);
-        ar.u64(c.setupAborts);
-        ar.u64(c.dataCrossings);
-        ar.u64(c.ctrlCrossings);
-        ar.u64(c.posAcks);
-        ar.u64(c.negAcks);
-        ar.u64(c.killFlits);
-        ar.u64(c.msgAcks);
-        ar.u64(c.dataFlitsDelivered);
-        ar.u64(c.dynamicFaults);
-        ar.u64(c.intermittentFaults);
-        ar.u64(c.linksRestored);
-        ar.u64(c.messagesKilled);
-        ar.u64(c.headersSalvaged);
-        ar.u64(c.knotsDetected);
-        ar.u64(c.victimsAborted);
-        ar.u64(c.healRetransmits);
-        ar.u64(c.healEscalations);
-        io(ar, c.healLatency);
-        io(ar, c.healLatencyHist);
-        ar.u64(c.uniformFallbacks);
-        ar.u64(c.repliesGenerated);
-        ar.u64(c.repliesDelivered);
-        ar.u64(c.repliesAbandoned);
-        ar.u64(c.closedLoopPending);
-        ar.u64(c.e2ePending);
-        ar.u64(c.measuredGenerated);
-        ar.u64(c.measuredDelivered);
-        ar.u64(c.measuredDropped);
-        ar.u64(c.windowDataFlits);
-        io(ar, c.latency);
-        io(ar, c.latencyHist);
-        io(ar, c.e2eLatency);
-        ioVec(ar, c.classes, [](Ar &a, ClassStat &cs) { io(a, cs); });
+        Counters::forEachField([&ar](auto &f) { io(ar, f); }, c);
+    }
+
+    /** A vector of any element type with an io overload. */
+    template <class Ar, class T>
+    static void
+    io(Ar &ar, std::vector<T> &v)
+    {
+        ioVec(ar, v, [](Ar &a, T &x) { io(a, x); });
     }
 
     template <class Ar>
     static void
     io(Ar &ar, ClassStat &cs)
     {
-        ar.u64(cs.generated);
-        ar.u64(cs.delivered);
-        ar.u64(cs.dropped);
-        ar.u64(cs.measuredGenerated);
-        ar.u64(cs.measuredDelivered);
-        ar.u64(cs.windowDataFlits);
-        io(ar, cs.latency);
+        ClassStat::forEachField([&ar](auto &f) { io(ar, f); }, cs);
     }
 
     template <class Ar>
@@ -592,15 +557,12 @@ struct SnapshotAccess
         std::vector<std::uint64_t> healing(t.healing_.begin(),
                                            t.healing_.end());
         std::sort(healing.begin(), healing.end());
-        ioVec(ar, healing, [](Ar &a, std::uint64_t &h) { a.u64(h); });
+        io(ar, healing);
         if constexpr (Ar::isReader)
             t.healing_ = {healing.begin(), healing.end()};
-        ioVec(ar, t.pendingKnots_,
-              [](Ar &a, verify::PendingKnot &k) { io(a, k); });
-        ioVec(ar, t.violations_,
-              [](Ar &a, verify::CwgCycle &c) { io(a, c); });
-        ioVec(ar, t.warnings_,
-              [](Ar &a, verify::CwgCycle &c) { io(a, c); });
+        io(ar, t.pendingKnots_);
+        io(ar, t.violations_);
+        io(ar, t.warnings_);
         ar.str(t.lastDiagnosis_);
         ar.u64(t.cyclesDetected_);
         ar.u64(t.benignDetected_);

@@ -1,135 +1,144 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <ostream>
-#include <utility>
 
 #include "core/pool.hpp"
 
 namespace tpnet {
 
-namespace {
-
-/**
- * Run one configuration per sweep point, all (point, replication)
- * tasks fanned out over the pool, and fold each point with the
- * sequential acceptance rule.
- *
- * Determinism: a task's result depends only on (its SimConfig, its
- * replication index) — Simulator::run derives the RNG seed from those
- * alone — and each task writes a dedicated slot of `runs`, so the
- * outcome is independent of worker count and completion order.
- *
- * With more than one worker, all maxReps replications of every point
- * are computed speculatively even though the CI rule may stop earlier;
- * foldReplications consumes them in replication order and discards the
- * surplus, which keeps the series bit-identical to the lazy
- * single-worker path (at the price of at most maxReps - minReps wasted
- * replications per point).
- */
 Series
-runSweep(std::string label, std::vector<SimConfig> configs,
-         const std::vector<double> &xs, const SweepOptions &opt)
+loadSeries(const SimConfig &base, const std::string &label,
+           const std::vector<double> &loads)
 {
-    Series series;
-    series.label = std::move(label);
-    series.points.resize(configs.size());
-
-    const std::size_t reps = std::max<std::size_t>(opt.maxReps, 1);
-    const std::size_t jobs =
-        std::min(resolveJobs(opt.jobs), configs.size() * reps);
-
-    if (jobs <= 1) {
-        for (std::size_t p = 0; p < configs.size(); ++p) {
-            series.points[p].x = xs[p];
-            series.points[p].result =
-                Simulator(configs[p])
-                    .runToConfidence(opt.minReps, reps, opt.relBound);
-        }
-        return series;
+    Series s{label, {}};
+    for (double load : loads) {
+        s.points.push_back({load, base, {}});
+        s.points.back().cfg.load = load;
     }
-
-    std::vector<RunResult> runs(configs.size() * reps);
-    parallelFor(runs.size(), jobs, [&](std::size_t t) {
-        Simulator sim(configs[t / reps]);
-        runs[t] = sim.run(t % reps);
-    });
-    for (std::size_t p = 0; p < configs.size(); ++p) {
-        series.points[p].x = xs[p];
-        series.points[p].result = foldReplications(
-            [&runs, p, reps](std::size_t r) { return runs[p * reps + r]; },
-            opt.minReps, reps, opt.relBound);
-    }
-    return series;
+    return s;
 }
 
-} // namespace
+Series
+faultSeries(const SimConfig &base, const std::string &label,
+            const std::vector<int> &fault_counts)
+{
+    Series s{label, {}};
+    for (int faults : fault_counts) {
+        s.points.push_back({static_cast<double>(faults), base, {}});
+        s.points.back().cfg.staticNodeFaults = faults;
+    }
+    return s;
+}
+
+// Determinism: a task's result depends only on its configuration and
+// replication index (Simulator::run seeds from those alone), and the
+// folds run on this thread, each point's tasks in replication order.
+std::vector<Series>
+runPlan(std::vector<Series> plan, const SweepOptions &opt,
+        PlanTiming *timing)
+{
+    struct Point
+    {
+        SeriesPoint *pt;
+        const std::string *label;
+        ReplicationFold fold;
+        bool stopped = false;
+    };
+    struct Task
+    {
+        std::size_t point;
+        std::size_t rep;
+        RunResult result;
+        double seconds = 0.0;
+    };
+
+    const std::size_t max_reps = std::max<std::size_t>(opt.maxReps, 1);
+    const std::size_t first_round =
+        std::clamp<std::size_t>(opt.minReps, 1, max_reps);
+    std::vector<Point> points;
+    for (Series &s : plan) {
+        for (SeriesPoint &pt : s.points) {
+            points.push_back({&pt, &s.label,
+                              ReplicationFold(opt.minReps, max_reps,
+                                              opt.relBound)});
+        }
+    }
+
+    PlanTiming t;
+    const std::size_t jobs = resolveJobs(opt.jobs);
+    for (;;) {
+        // Round 0: replications [0, minReps) of every point; then the
+        // next replication of every point whose fold has not stopped.
+        std::vector<Task> tasks;
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            if (points[p].stopped)
+                continue;
+            const std::size_t done = points[p].fold.count();
+            for (std::size_t r = done; r < std::max(done + 1, first_round);
+                 ++r)
+                tasks.push_back({p, r, {}});
+        }
+        if (tasks.empty())
+            break;
+        // Longest first: the stable sort keeps plan order (and so
+        // replication order within a point) among equal loads.
+        std::stable_sort(tasks.begin(), tasks.end(),
+                         [&points](const Task &a, const Task &b) {
+                             return points[a.point].pt->cfg.load >
+                                    points[b.point].pt->cfg.load;
+                         });
+        parallelFor(tasks.size(), jobs, [&](std::size_t i) {
+            Task &task = tasks[i];
+            const auto start = std::chrono::steady_clock::now();
+            task.result = Simulator(points[task.point].pt->cfg).run(task.rep);
+            task.seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+        });
+        for (const Task &task : tasks) {
+            Point &p = points[task.point];
+            ++t.tasks;
+            t.sum += task.seconds;
+            if (task.seconds > t.longest) {
+                t.longest = task.seconds;
+                t.label = *p.label;
+                t.x = p.pt->x;
+            }
+            p.stopped = p.fold.add(task.result);
+        }
+    }
+
+    for (const Point &p : points)
+        p.pt->result = p.fold.finish();
+    if (timing)
+        *timing = t;
+    return plan;
+}
 
 Series
 loadSweep(const SimConfig &base, const std::string &label,
           const std::vector<double> &loads, const SweepOptions &opt)
 {
-    std::vector<SimConfig> configs(loads.size(), base);
-    std::vector<double> xs(loads.size());
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        configs[i].load = loads[i];
-        xs[i] = loads[i];
-    }
-    return runSweep(label, std::move(configs), xs, opt);
+    return runPlan({loadSeries(base, label, loads)}, opt).front();
 }
 
 Series
 faultSweep(const SimConfig &base, const std::string &label,
            const std::vector<int> &fault_counts, const SweepOptions &opt)
 {
-    std::vector<SimConfig> configs(fault_counts.size(), base);
-    std::vector<double> xs(fault_counts.size());
-    for (std::size_t i = 0; i < fault_counts.size(); ++i) {
-        configs[i].staticNodeFaults = fault_counts[i];
-        xs[i] = static_cast<double>(fault_counts[i]);
-    }
-    return runSweep(label, std::move(configs), xs, opt);
-}
-
-double
-findSaturation(const SimConfig &base, const std::vector<double> &probe_loads,
-               double latency_factor, const SweepOptions &opt)
-{
-    if (probe_loads.empty())
-        return 0.0;
-    // Probe the whole grid (in parallel); the scan below then applies
-    // the same first-exceedance rule the old sequential search used, so
-    // the answer is identical — probes past the saturation point are
-    // merely speculative work.
-    const Series probes =
-        loadSweep(base, "saturation-probe", probe_loads, opt);
-    const double base_latency = probes.points.front().result.mean.avgLatency;
-    for (std::size_t i = 1; i < probes.points.size(); ++i) {
-        if (base_latency > 0.0 &&
-            probes.points[i].result.mean.avgLatency >
-                latency_factor * base_latency) {
-            return probes.points[i].x;
-        }
-    }
-    return probe_loads.back();  // never saturated within the grid
+    return runPlan({faultSeries(base, label, fault_counts)}, opt).front();
 }
 
 ReplicatedResult
 runReplicated(const SimConfig &cfg, const SweepOptions &opt)
 {
-    const std::size_t reps = std::max<std::size_t>(opt.maxReps, 1);
-    const std::size_t jobs = std::min(resolveJobs(opt.jobs), reps);
-    if (jobs <= 1)
-        return Simulator(cfg).runToConfidence(opt.minReps, reps,
-                                              opt.relBound);
-
-    std::vector<RunResult> runs(reps);
-    parallelFor(reps, jobs,
-                [&](std::size_t r) { runs[r] = Simulator(cfg).run(r); });
-    return foldReplications(
-        [&runs](std::size_t r) { return runs[r]; }, opt.minReps, reps,
-        opt.relBound);
+    return runPlan({{"", {{cfg.load, cfg, {}}}}}, opt)
+        .front()
+        .points.front()
+        .result;
 }
 
 void

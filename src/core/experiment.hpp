@@ -1,9 +1,8 @@
 /**
  * @file
- * Experiment harness: offered-load sweeps, fault-count sweeps, and
- * saturation search — the building blocks of every figure in the
- * paper's evaluation (Section 6.0). Bench binaries print the series
- * these helpers produce.
+ * Experiment harness: load sweeps, fault sweeps and replicated points,
+ * the building blocks of every figure in the paper's evaluation (Section
+ * 6.0), all run as one sweep plan (runPlan).
  */
 
 #ifndef TPNET_CORE_EXPERIMENT_HPP
@@ -22,6 +21,7 @@ namespace tpnet {
 struct SeriesPoint
 {
     double x = 0.0;  ///< offered load or fault count
+    SimConfig cfg;   ///< the configuration run at x
     ReplicatedResult result;
 };
 
@@ -40,49 +40,53 @@ struct SweepOptions
     double relBound = 0.05;
 
     /**
-     * Worker threads for the sweep: > 0 uses exactly that many, <= 0
-     * resolves via TPNET_JOBS / hardware concurrency (resolveJobs).
-     * Each (point, replication) runs on its own shared-nothing
-     * Simulator with a seed derived from the configuration and the
-     * replication index alone, so every jobs value produces
-     * bit-identical series.
+     * Worker threads: > 0 uses exactly that many, <= 0 resolves via
+     * TPNET_JOBS / hardware concurrency (resolveJobs). Every value
+     * produces bit-identical series (see runPlan).
      */
     int jobs = 0;
 };
 
+/** @p base at each offered load (in data flits/node/cycle). */
+Series loadSeries(const SimConfig &base, const std::string &label,
+                  const std::vector<double> &loads);
+
+/** @p base with each static node-fault count (Fig. 14's x-axis). */
+Series faultSeries(const SimConfig &base, const std::string &label,
+                   const std::vector<int> &fault_counts);
+
+/** Where a plan's wall time went, from a steady_clock lap per task. */
+struct PlanTiming
+{
+    std::size_t tasks = 0;  ///< simulations run
+    double sum = 0.0;       ///< seconds, summed over every task
+    double longest = 0.0;   ///< seconds of the slowest task
+    std::string label;      ///< the slowest task's series
+    double x = 0.0;         ///< and its point
+};
+
 /**
- * Latency-throughput curve: run @p base at each offered load (in data
- * flits/node/cycle).
+ * Run every (series, point, replication) of @p plan through one pool
+ * and fold each point's replications, in order, into its result. Round
+ * 0 runs replications [0, minReps) of every point, each later round the
+ * next one of every point whose fold has not stopped; workers claim a
+ * round's tasks longest-first (offered load descending, then plan order).
  */
+std::vector<Series> runPlan(std::vector<Series> plan,
+                            const SweepOptions &opt,
+                            PlanTiming *timing = nullptr);
+
+/** A one-series plan: @p base at each offered load. */
 Series loadSweep(const SimConfig &base, const std::string &label,
                  const std::vector<double> &loads,
                  const SweepOptions &opt = {});
 
-/**
- * Fault sweep at fixed offered load: run @p base with each static
- * node-fault count (Fig. 14's x-axis).
- */
+/** A one-series plan: @p base with each static node-fault count. */
 Series faultSweep(const SimConfig &base, const std::string &label,
                   const std::vector<int> &fault_counts,
                   const SweepOptions &opt = {});
 
-/**
- * Smallest offered load (within the probe grid) at which the average
- * latency exceeds @p latency_factor times the zero-load latency — the
- * saturation point used throughout Section 6.
- */
-double findSaturation(const SimConfig &base,
-                      const std::vector<double> &probe_loads,
-                      double latency_factor = 3.0,
-                      const SweepOptions &opt = {});
-
-/**
- * One replicated point (the paper's 95%-CI methodology) with the
- * replications fanned out across opt.jobs workers. Replications past
- * the sequential stopping point are computed speculatively and
- * discarded by the fold, so the result is bit-identical to
- * Simulator::runToConfidence.
- */
+/** A one-point plan: @p cfg replicated under the paper's 95%-CI rule. */
 ReplicatedResult runReplicated(const SimConfig &cfg,
                                const SweepOptions &opt);
 

@@ -3,9 +3,9 @@
  * Parallel fan-out for the experiment engine.
  *
  * Every figure of the paper's evaluation is a grid of independent
- * simulation points (Section 6.0), so the sweep helpers fan each
- * (point, replication) out to its own shared-nothing Simulator through
- * parallelFor. Determinism is preserved by construction: a task's RNG
+ * simulation points (Section 6.0), so the sweep plan (runPlan) fans
+ * each (series, point, replication) out to its own shared-nothing
+ * Simulator through parallelFor. Determinism is preserved by construction: a task's RNG
  * seed is a pure function of the configuration seed and its
  * replication index (see Simulator::run), never of thread identity or
  * completion order, and each task writes only its own result slot — so

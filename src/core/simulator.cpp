@@ -83,63 +83,44 @@ Simulator::run(std::uint64_t replication, TraceSink *sink) const
     return result;
 }
 
-ReplicatedResult
-foldReplications(const std::function<RunResult(std::size_t)> &run_rep,
-                 std::size_t min_reps, std::size_t max_reps,
-                 double rel_bound)
+ReplicationFold::ReplicationFold(std::size_t min_reps, std::size_t max_reps,
+                                 double rel_bound)
+    : minReps_(min_reps), maxReps_(max_reps), lat_(rel_bound),
+      thr_(rel_bound)
+{}
+
+bool
+ReplicationFold::add(const RunResult &r)
 {
-    ReplicatedResult out;
-    ReplicationStat lat(rel_bound);
-    ReplicationStat thr(rel_bound);
-    RunningStat p95;
-    RunningStat dfrac;
-    VcMetrics vcm;
-    Counters counters;
-    std::uint64_t undeliverable = 0;
+    RunResult &sum = out_.mean;
+    ++out_.replications;
+    lat_.add(r.avgLatency);
+    thr_.add(r.throughput);
+    p95_.add(r.p95Latency);
+    dfrac_.add(r.deliveredFraction);
+    sum.vc.merge(r.vc);
+    sum.counters.merge(r.counters);
+    sum.undeliverable += r.undeliverable;
     // Degenerate is sticky: any degenerate rep poisons the point.
-    bool degenerate = false;
-    RunResult last;
-
-    std::size_t reps = 0;
-    while (reps < max_reps) {
-        last = run_rep(reps);
-        ++reps;
-        lat.add(last.avgLatency);
-        thr.add(last.throughput);
-        p95.add(last.p95Latency);
-        dfrac.add(last.deliveredFraction);
-        vcm.merge(last.vc);
-        counters.merge(last.counters);
-        undeliverable += last.undeliverable;
-        degenerate = degenerate || last.degenerate;
-        if (reps >= min_reps && lat.acceptable(min_reps) &&
-            thr.acceptable(min_reps)) {
-            out.converged = true;
-            break;
-        }
-    }
-
-    out.mean = last;
-    out.mean.avgLatency = lat.mean();
-    out.mean.throughput = thr.mean();
-    out.mean.p95Latency = p95.mean();
-    out.mean.deliveredFraction = dfrac.mean();
-    out.mean.vc = vcm;
-    out.mean.counters = counters;
-    out.mean.undeliverable = undeliverable / reps;
-    out.mean.degenerate = degenerate;
-    out.latencyHw95 = lat.halfWidth95();
-    out.throughputHw95 = thr.halfWidth95();
-    out.replications = reps;
-    return out;
+    sum.degenerate = sum.degenerate || r.degenerate;
+    sum.offeredLoad = r.offeredLoad;
+    out_.converged =
+        lat_.acceptable(minReps_) && thr_.acceptable(minReps_);
+    return out_.converged || out_.replications >= maxReps_;
 }
 
 ReplicatedResult
-Simulator::runToConfidence(std::size_t min_reps, std::size_t max_reps,
-                           double rel_bound) const
+ReplicationFold::finish() const
 {
-    return foldReplications([this](std::size_t rep) { return run(rep); },
-                            min_reps, max_reps, rel_bound);
+    ReplicatedResult out = out_;
+    out.mean.avgLatency = lat_.mean();
+    out.mean.throughput = thr_.mean();
+    out.mean.p95Latency = p95_.mean();
+    out.mean.deliveredFraction = dfrac_.mean();
+    out.mean.undeliverable /= out.replications;
+    out.latencyHw95 = lat_.halfWidth95();
+    out.throughputHw95 = thr_.halfWidth95();
+    return out;
 }
 
 } // namespace tpnet

@@ -10,7 +10,6 @@
 #define TPNET_CORE_SIMULATOR_HPP
 
 #include <cstddef>
-#include <functional>
 
 #include "metrics/collector.hpp"
 #include "sim/config.hpp"
@@ -42,20 +41,35 @@ struct ReplicatedResult
 };
 
 /**
- * Fold replication results into a ReplicatedResult with the paper's
- * acceptance rule: consume @p run_rep(0), run_rep(1), ... in order and
- * stop as soon as both 95% CIs are within @p rel_bound of their means
- * (not before @p min_reps, never past @p max_reps).
- *
- * Both the lazy sequential loop (Simulator::runToConfidence) and the
- * speculative parallel sweeps (experiment.cpp, which precompute all
- * max_reps replications and then fold) call this one function, so the
- * two paths aggregate bit-identically.
+ * Folds replication results, in replication order, with the paper's
+ * acceptance rule: stop once both 95% CIs are within the relative bound
+ * of their means (not before min_reps, never past max_reps).
  */
-ReplicatedResult
-foldReplications(const std::function<RunResult(std::size_t)> &run_rep,
-                 std::size_t min_reps, std::size_t max_reps,
-                 double rel_bound = 0.05);
+class ReplicationFold
+{
+  public:
+    ReplicationFold(std::size_t min_reps, std::size_t max_reps,
+                    double rel_bound = 0.05);
+
+    /** Fold the next replication. @return true once the rule stops. */
+    bool add(const RunResult &r);
+
+    std::size_t count() const { return out_.replications; }
+
+    /** The aggregate of every replication folded (at least one). */
+    ReplicatedResult finish() const;
+
+  private:
+    std::size_t minReps_;
+    std::size_t maxReps_;
+    ReplicationStat lat_;
+    ReplicationStat thr_;
+    RunningStat p95_;
+    RunningStat dfrac_;
+    /// Counts, exact sums (counters, vc, undeliverable) and flags so
+    /// far; finish() fills in the means.
+    ReplicatedResult out_;
+};
 
 /** Runs complete simulations of one configuration. */
 class Simulator
@@ -73,17 +87,6 @@ class Simulator
      */
     RunResult run(std::uint64_t replication = 0,
                   TraceSink *sink = nullptr) const;
-
-    /**
-     * Replicate until the 95% CIs of mean latency and throughput are
-     * within @p rel_bound of their means (the paper's acceptance rule),
-     * bounded by [@p min_reps, @p max_reps].
-     */
-    ReplicatedResult runToConfidence(std::size_t min_reps,
-                                     std::size_t max_reps,
-                                     double rel_bound = 0.05) const;
-
-    const SimConfig &config() const { return cfg_; }
 
   private:
     SimConfig cfg_;

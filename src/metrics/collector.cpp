@@ -24,68 +24,45 @@ RunResult::row() const
     return os.str();
 }
 
+namespace {
+
+void
+mergeField(std::uint64_t &a, std::uint64_t b)
+{
+    a += b;
+}
+
+template <class T>
+void
+mergeField(T &a, const T &b)
+{
+    a.merge(b);
+}
+
+template <class T>
+void
+mergeField(std::vector<T> &a, const std::vector<T> &b)
+{
+    if (a.size() < b.size())
+        a.resize(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i)
+        a[i].merge(b[i]);
+}
+
+const auto mergeFields = [](auto &a, const auto &b) { mergeField(a, b); };
+
+} // namespace
+
 void
 ClassStat::merge(const ClassStat &other)
 {
-    generated += other.generated;
-    delivered += other.delivered;
-    dropped += other.dropped;
-    measuredGenerated += other.measuredGenerated;
-    measuredDelivered += other.measuredDelivered;
-    windowDataFlits += other.windowDataFlits;
-    latency.merge(other.latency);
+    forEachField(mergeFields, *this, other);
 }
 
 void
-Counters::merge(const Counters &o)
+Counters::merge(const Counters &other)
 {
-    generated += o.generated;
-    notAccepted += o.notAccepted;
-    delivered += o.delivered;
-    dropped += o.dropped;
-    lost += o.lost;
-    retransmits += o.retransmits;
-    retriesScheduled += o.retriesScheduled;
-    headerMoves += o.headerMoves;
-    backtracks += o.backtracks;
-    misroutes += o.misroutes;
-    detoursBuilt += o.detoursBuilt;
-    setupAborts += o.setupAborts;
-    dataCrossings += o.dataCrossings;
-    ctrlCrossings += o.ctrlCrossings;
-    posAcks += o.posAcks;
-    negAcks += o.negAcks;
-    killFlits += o.killFlits;
-    msgAcks += o.msgAcks;
-    dataFlitsDelivered += o.dataFlitsDelivered;
-    dynamicFaults += o.dynamicFaults;
-    intermittentFaults += o.intermittentFaults;
-    linksRestored += o.linksRestored;
-    messagesKilled += o.messagesKilled;
-    headersSalvaged += o.headersSalvaged;
-    knotsDetected += o.knotsDetected;
-    victimsAborted += o.victimsAborted;
-    healRetransmits += o.healRetransmits;
-    healEscalations += o.healEscalations;
-    uniformFallbacks += o.uniformFallbacks;
-    repliesGenerated += o.repliesGenerated;
-    repliesDelivered += o.repliesDelivered;
-    repliesAbandoned += o.repliesAbandoned;
-    closedLoopPending += o.closedLoopPending;
-    e2ePending += o.e2ePending;
-    measuredGenerated += o.measuredGenerated;
-    measuredDelivered += o.measuredDelivered;
-    measuredDropped += o.measuredDropped;
-    windowDataFlits += o.windowDataFlits;
-    healLatency.merge(o.healLatency);
-    healLatencyHist.merge(o.healLatencyHist);
-    latency.merge(o.latency);
-    latencyHist.merge(o.latencyHist);
-    e2eLatency.merge(o.e2eLatency);
-    if (classes.size() < o.classes.size())
-        classes.resize(o.classes.size());
-    for (std::size_t i = 0; i < o.classes.size(); ++i)
-        classes[i].merge(o.classes[i]);
+    forEachField(mergeFields, *this, other);
 }
 
 void
@@ -97,10 +74,7 @@ VcMetrics::merge(const VcMetrics &other)
     ctrlUtil.merge(other.ctrlUtil);
     rcuDepth.merge(other.rcuDepth);
     occupancyHist.merge(other.occupancyHist);
-    if (perVc.size() < other.perVc.size())
-        perVc.resize(other.perVc.size());
-    for (std::size_t i = 0; i < other.perVc.size(); ++i)
-        perVc[i].merge(other.perVc[i]);
+    mergeField(perVc, other.perVc);
     samples += other.samples;
 }
 

@@ -36,6 +36,16 @@ struct ClassStat
     std::uint64_t windowDataFlits = 0;  ///< delivered during the window
     RunningStat latency;                ///< measured messages only
 
+    /** The one field list, as Counters::forEachField. */
+    template <class F, class... S>
+    static void
+    forEachField(F &&f, S &...s)
+    {
+        f(s.generated...); f(s.delivered...); f(s.dropped...);
+        f(s.measuredGenerated...); f(s.measuredDelivered...);
+        f(s.windowDataFlits...); f(s.latency...);
+    }
+
     /** Fold another run's slice into this one (exact). */
     void merge(const ClassStat &other);
 };
@@ -120,6 +130,34 @@ struct Counters
     /// Per-class slices; sized by the injector (empty when no workload
     /// classes are configured and legacy counters tell the whole story).
     std::vector<ClassStat> classes;
+
+    /**
+     * The one field list: f(s.field...) for every field, in declaration
+     * order (the checkpoint's byte order). merge and the checkpoint
+     * serializer both walk it.
+     */
+    template <class F, class... S>
+    static void
+    forEachField(F &&f, S &...s)
+    {
+        f(s.generated...); f(s.notAccepted...); f(s.delivered...);
+        f(s.dropped...); f(s.lost...); f(s.retransmits...);
+        f(s.retriesScheduled...); f(s.headerMoves...); f(s.backtracks...);
+        f(s.misroutes...); f(s.detoursBuilt...); f(s.setupAborts...);
+        f(s.dataCrossings...); f(s.ctrlCrossings...); f(s.posAcks...);
+        f(s.negAcks...); f(s.killFlits...); f(s.msgAcks...);
+        f(s.dataFlitsDelivered...); f(s.dynamicFaults...);
+        f(s.intermittentFaults...); f(s.linksRestored...);
+        f(s.messagesKilled...); f(s.headersSalvaged...); f(s.knotsDetected...);
+        f(s.victimsAborted...); f(s.healRetransmits...);
+        f(s.healEscalations...); f(s.healLatency...); f(s.healLatencyHist...);
+        f(s.uniformFallbacks...); f(s.repliesGenerated...);
+        f(s.repliesDelivered...); f(s.repliesAbandoned...);
+        f(s.closedLoopPending...); f(s.e2ePending...);
+        f(s.measuredGenerated...); f(s.measuredDelivered...);
+        f(s.measuredDropped...); f(s.windowDataFlits...); f(s.latency...);
+        f(s.latencyHist...); f(s.e2eLatency...); f(s.classes...);
+    }
 
     /**
      * Fold another run's counters into these (exact): every count is

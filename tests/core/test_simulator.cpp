@@ -68,18 +68,18 @@ TEST(Simulator, MeasuredMessagesResolveByDrain)
               r.counters.measuredGenerated);
 }
 
-TEST(Simulator, RunToConfidenceStopsAtCap)
+TEST(Experiment, RunReplicatedStopsAtCap)
 {
-    Simulator sim(fastConfig());
-    const ReplicatedResult r = sim.runToConfidence(2, 3, 1e-9);
+    const ReplicatedResult r =
+        runReplicated(fastConfig(), SweepOptions{2, 3, 1e-9});
     EXPECT_EQ(r.replications, 3u);
     EXPECT_FALSE(r.converged);
 }
 
-TEST(Simulator, RunToConfidenceConvergesWithLooseBound)
+TEST(Experiment, RunReplicatedConvergesWithLooseBound)
 {
-    Simulator sim(fastConfig());
-    const ReplicatedResult r = sim.runToConfidence(2, 10, 0.5);
+    const ReplicatedResult r =
+        runReplicated(fastConfig(), SweepOptions{2, 10, 0.5});
     EXPECT_TRUE(r.converged);
     EXPECT_LE(r.replications, 10u);
     EXPECT_GE(r.replications, 2u);

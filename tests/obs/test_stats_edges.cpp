@@ -2,7 +2,7 @@
  * @file
  * Edge cases of the statistics primitives the metrics registry leans
  * on: Histogram percentiles on empty/one-sample data, RunningStat merge
- * exactness and associativity (the property foldReplications relies on
+ * exactness and associativity (the property ReplicationFold relies on
  * when folding per-replication VcMetrics in arbitrary grouping), and
  * VcMetrics::merge and Counters::merge themselves — including through a
  * real Simulator fold.
@@ -242,8 +242,10 @@ TEST(VcMetricsEdges, FoldReplicationsAggregatesVcSamples)
     for (const RunResult &r : reps)
         EXPECT_GT(r.vc.samples, 0u) << "registry took no samples";
 
-    const ReplicatedResult folded = foldReplications(
-        [&](std::size_t r) { return reps.at(r); }, 3, 3);
+    ReplicationFold fold(3, 3);
+    for (std::size_t r = 0; r < 3; ++r)
+        EXPECT_EQ(fold.add(reps[r]), r == 2) << "stopped early at " << r;
+    const ReplicatedResult folded = fold.finish();
     ASSERT_EQ(folded.replications, 3u);
 
     std::uint64_t want_samples = 0;
@@ -277,8 +279,10 @@ TEST(CountersEdges, FoldReplicationsSumsEveryCounter)
     ASSERT_GT(a.counters.dataCrossings, 0u);
     ASSERT_NE(a.counters.dataCrossings, b.counters.dataCrossings);
 
-    const ReplicatedResult folded = foldReplications(
-        [&](std::size_t r) { return r == 0 ? a : b; }, 2, 2);
+    ReplicationFold fold(2, 2);
+    EXPECT_FALSE(fold.add(a));
+    EXPECT_TRUE(fold.add(b));
+    const ReplicatedResult folded = fold.finish();
     ASSERT_EQ(folded.replications, 2u);
     const Counters &sum = folded.mean.counters;
     EXPECT_EQ(sum.dataCrossings,

@@ -69,8 +69,9 @@ TEST_P(CodecSweep, RoundTripAllOffsets)
                 hdr.offset[1] = off1;
             const HeaderState out = codec.unpack(codec.pack(hdr));
             EXPECT_EQ(out.offset[0], off0);
-            if (n > 1)
+            if (n > 1) {
                 EXPECT_EQ(out.offset[1], off1);
+            }
         }
     }
 }

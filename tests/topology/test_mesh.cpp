@@ -97,8 +97,9 @@ TEST_P(MeshProtocolSweep, LoadedMeshConservation)
     for (Cycle c = 0; c < 2000; ++c) {
         inj.step();
         net.step();
-        if (c % 199 == 0)
+        if (c % 199 == 0) {
             ASSERT_TRUE(validateNetwork(net).empty()) << "cycle " << c;
+        }
     }
     inj.stop();
     ASSERT_TRUE(test::runToQuiescent(net, 300000));

@@ -403,7 +403,7 @@ TEST(Workload, CheckpointRestoreIsBitIdenticalForBurstyClosedLoop)
 
 TEST(Workload, ReplicatedSweepIsJobsInvariant)
 {
-    // foldReplications over a multi-class bursty closed-loop config:
+    // ReplicationFold over a multi-class bursty closed-loop config:
     // the parallel fan-out must fold to the same means and the same
     // new counters as the sequential path.
     SimConfig cfg = test::smallConfig(Protocol::TwoPhase, 4, 2);

@@ -15,10 +15,10 @@
  *   tpnet_cli --protocol SR --scout-k 3 --k 8 --n 3 --length 16 --dynamic 5
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
-#include "core/pool.hpp"
 #include "core/run_loop.hpp"
 #include "core/tpnet.hpp"
 #include "obs/metrics_registry.hpp"
@@ -78,53 +78,40 @@ main(int argc, char **argv)
 
     std::printf("# %s\n", cfg.summary().c_str());
 
-    SweepOptions opt;
-    opt.minReps = reps > 1 ? 2 : 1;
-    opt.maxReps = static_cast<std::size_t>(reps);
-    opt.jobs = jobs;
-    if (!loads.empty()) {
-        const Series s =
-            loadSweep(cfg, protocolName(cfg.protocol), loads, opt);
+    // One plan serves all three modes: a sweep, a replicated point and
+    // a single run (one point, one replication).
+    const SweepOptions opt{reps > 1 ? 2u : 1u,
+                           static_cast<std::size_t>(std::max(reps, 1)),
+                           0.05, jobs};
+    const bool sweep = !loads.empty();
+    if (!sweep)
+        loads.push_back(cfg.load);
+    const Series s = loadSweep(cfg, protocolName(cfg.protocol), loads, opt);
+    if (sweep) {
         printSeries(std::cout, s, "offered");
-        for (const SeriesPoint &pt : s.points) {
-            if (pt.result.mean.degenerate) {
-                std::fprintf(stderr,
-                             "error: degenerate workload at offered "
-                             "load %g: traffic armed but 0 messages "
-                             "offered (pattern self-maps on this "
-                             "topology?)\n",
-                             pt.x);
-                return 1;
-            }
-        }
-        return 0;
-    }
-
-    bool degenerate = false;
-    if (reps > 1) {
-        const ReplicatedResult r = runReplicated(cfg, opt);
+    } else {
+        const ReplicatedResult &r = s.points.front().result;
         std::printf("%s\n%s\n", RunResult::header().c_str(),
                     r.mean.row().c_str());
-        std::printf("# %zu replications, latency CI95 +-%.2f, "
-                    "converged=%s\n",
-                    r.replications, r.latencyHw95,
-                    r.converged ? "yes" : "no");
-        degenerate = r.mean.degenerate;
-    } else {
-        const RunResult r = Simulator(cfg).run();
-        std::printf("%s\n%s\n", RunResult::header().c_str(),
-                    r.row().c_str());
-        degenerate = r.degenerate;
+        if (reps > 1) {
+            std::printf("# %zu replications, latency CI95 +-%.2f, "
+                        "converged=%s\n",
+                        r.replications, r.latencyHw95,
+                        r.converged ? "yes" : "no");
+        }
     }
-    if (degenerate) {
-        std::fprintf(stderr,
-                     "error: degenerate workload: traffic armed but 0 "
-                     "messages offered (pattern self-maps on this "
-                     "topology?)\n");
-        return 1;
+    for (const SeriesPoint &pt : s.points) {
+        if (pt.result.mean.degenerate) {
+            std::fprintf(stderr,
+                         "error: degenerate workload at offered load %g: "
+                         "traffic armed but 0 messages offered (pattern "
+                         "self-maps on this topology?)\n",
+                         pt.x);
+            return 1;
+        }
     }
 
-    if (stats) {
+    if (stats && !sweep) {
         // Re-run a short window on a live network for the snapshot.
         Network net(cfg);
         armFaultProcesses(net);
