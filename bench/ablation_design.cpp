@@ -90,11 +90,12 @@ main(int argc, char **argv)
     // Torus vs mesh at equal load: the mesh's smaller bisection and
     // longer paths saturate earlier.
     for (double load : loads) {
-        for (bool wrap : {true, false}) {
+        for (TopologyKind topo : {TopologyKind::Torus, TopologyKind::Mesh}) {
             SimConfig cfg = bench::paperConfig(Protocol::TwoPhase);
-            cfg.wrap = wrap;
+            cfg.topology = topo;
             cfg.load = load;
-            addRow(h, "topology", wrap ? "torus" : "mesh", cfg, !wrap);
+            addRow(h, "topology", topologyName(topo), cfg,
+                   topo == TopologyKind::Mesh);
         }
     }
     return h.finish();

@@ -10,9 +10,11 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "chaos/report.hpp"
 #include "obs/trace_format.hpp"
+#include "sim/config_fields.hpp"
 
 namespace tpnet {
 namespace chaos {
@@ -41,6 +43,24 @@ foldF64(std::uint64_t h, double v)
     static_assert(sizeof(u) == sizeof(v));
     std::memcpy(&u, &v, sizeof(u));
     return foldU64(h, u);
+}
+
+/** Fold a config value: numbers and enums by value, classes field by
+ *  field after their count. */
+template <typename T>
+std::uint64_t
+foldValue(std::uint64_t h, const T &v)
+{
+    if constexpr (std::is_same_v<T, double>) {
+        return foldF64(h, v);
+    } else if constexpr (std::is_same_v<T, std::vector<TrafficClassConfig>>) {
+        h = foldU64(h, v.size());
+        for (const TrafficClassConfig &tc : v)
+            tc.forEachField([&h](const auto &x) { h = foldValue(h, x); });
+        return h;
+    } else {
+        return foldU64(h, static_cast<std::uint64_t>(v));
+    }
 }
 
 std::uint64_t
@@ -124,62 +144,19 @@ shardIndices(std::size_t total, const ShardSpec &shard)
 std::uint64_t
 configDigest(const SimConfig &cfg)
 {
-    // Versioned canonical encoding: every behavior-relevant field in
-    // declaration order. Bump the tag when fields are added/removed so
-    // old shard files and checkpoints are invalidated, not misread.
-    std::uint64_t h = foldTag("tpnet-config-v4");
-    h = foldI64(h, static_cast<int>(cfg.topology));
-    h = foldI64(h, cfg.k);
-    h = foldI64(h, cfg.n);
-    h = foldI64(h, cfg.wrap);
-    h = foldI64(h, cfg.expressGap);
-    h = foldI64(h, cfg.dfRouters);
-    h = foldI64(h, cfg.dfGlobal);
-    h = foldI64(h, cfg.adaptiveVcs);
-    h = foldI64(h, cfg.escapeVcs);
-    h = foldI64(h, cfg.bufDepth);
-    h = foldI64(h, cfg.msgLength);
-    h = foldI64(h, static_cast<int>(cfg.protocol));
-    h = foldI64(h, cfg.scoutK);
-    h = foldI64(h, cfg.misrouteLimit);
-    h = foldI64(h, cfg.maxRetries);
-    h = foldI64(h, cfg.retryBackoff);
-    h = foldI64(h, static_cast<int>(cfg.pattern));
-    h = foldF64(h, cfg.load);
-    h = foldI64(h, cfg.injQueueLimit);
-    h = foldI64(h, static_cast<std::int64_t>(cfg.trafficClasses.size()));
-    for (const TrafficClassConfig &tc : cfg.trafficClasses) {
-        h = foldI64(h, static_cast<int>(tc.pattern));
-        h = foldF64(h, tc.load);
-        h = foldI64(h, tc.msgLength);
-        h = foldI64(h, tc.priority);
-        h = foldF64(h, tc.hotspotFraction);
-        h = foldI64(h, tc.hotspotCount);
-        h = foldI64(h, tc.burstLen);
-        h = foldF64(h, tc.burstDuty);
-        h = foldI64(h, tc.outstanding);
-        h = foldI64(h, tc.replyLength);
-    }
-    h = foldI64(h, cfg.staticNodeFaults);
-    h = foldI64(h, cfg.staticLinkFaults);
-    h = foldF64(h, cfg.dynamicNodeFaults);
-    h = foldF64(h, cfg.dynamicLinkFaults);
-    h = foldF64(h, cfg.intermittentFaults);
-    h = foldI64(h, cfg.intermittentDownCycles);
-    h = foldI64(h, cfg.tailAck);
-    h = foldI64(h, cfg.hardwareAcks);
-    h = foldI64(h, cfg.markUnsafe);
-    h = foldI64(h, cfg.protectPerimeter);
-    h = foldI64(h, cfg.metricsPeriod);
-    h = foldU64(h, cfg.seed);
-    h = foldU64(h, cfg.warmup);
-    h = foldU64(h, cfg.measure);
-    h = foldU64(h, cfg.drain);
-    h = foldU64(h, cfg.watchdog);
-    h = foldI64(h, cfg.verifyCwg);
-    h = foldI64(h, cfg.recoveryMode);
-    h = foldI64(h, static_cast<int>(cfg.victimPolicy));
-    h = foldI64(h, cfg.maxHealAttempts);
+    // Versioned canonical encoding: every field of the config table but
+    // the engine switch (checkpoints and shard files are engine-
+    // agnostic). Bump the tag when the table changes so old shard files
+    // and checkpoints are refused, not misread.
+    std::uint64_t h = foldTag("tpnet-config-v5");
+    forEachConfigField([&](const auto &f) {
+        using T = typename std::remove_cvref_t<decltype(f)>::Type;
+        if constexpr (std::is_same_v<T, bool>) {
+            if (f.member == &SimConfig::eventEngine)
+                return;
+        }
+        h = foldValue(h, cfg.*f.member);
+    });
     return h;
 }
 

@@ -66,9 +66,9 @@ shrinkClasses(CampaignSpec spec, const CampaignRunner &run, int *steps)
             // Radix shrinking only means something on cube kinds; a
             // dragonfly's size is (routers, global), which the replay
             // line pins instead.
-            if (spec.cfg.effectiveTopology() != TopologyKind::Dragonfly &&
+            if (spec.cfg.topology != TopologyKind::Dragonfly &&
                 spec.cfg.k > 4 &&
-                (spec.cfg.effectiveTopology() != TopologyKind::Express ||
+                (spec.cfg.topology != TopologyKind::Express ||
                  spec.cfg.expressGap < 4)) {
                 CampaignSpec cand = spec;
                 cand.cfg.k = 4;

@@ -35,26 +35,9 @@ MbmRouting::route(Network &net, Message &msg)
             return Decision::forward(c->port, c->vc);
     }
 
-    // 3. Backtrack (always possible under PCS: no data in the network).
-    if (net.canBacktrack(msg))
-        return Decision::backtrack();
-
-    // 4. Stuck at the source. If untried healthy channels remain they
-    //    are merely busy: wait for one to free. Otherwise the search is
-    //    exhausted — tear down and re-try later.
-    if (msg.path.empty()) {
-        const std::uint32_t tried = net.triedHere(msg);
-        for (int port = 0; port < net.topo().radix(); ++port) {
-            if (!(tried & (1u << port)) &&
-                !net.channelFaulty(msg.hdr.cur, port)) {
-                return Decision::block();
-            }
-        }
-        return Decision::abort();
-    }
-
-    // Backtracking transiently impossible; wait for the stall limit.
-    return Decision::block();
+    // 3. Backtrack (always possible under PCS: no data in the network);
+    //    at the source with everything searched, re-try later.
+    return select::exhausted(net, msg);
 }
 
 } // namespace tpnet

@@ -148,6 +148,21 @@ misrouteUntried(Network &net, Message &msg, bool adaptive_only,
     return std::nullopt;
 }
 
+Decision
+exhausted(Network &net, Message &msg)
+{
+    if (net.canBacktrack(msg))
+        return Decision::backtrack();
+    if (!msg.path.empty())
+        return Decision::block();
+    const std::uint32_t tried = net.triedHere(msg);
+    for (int port = 0; port < net.topo().radix(); ++port) {
+        if (!(tried & (1u << port)) && !net.channelFaulty(msg.hdr.cur, port))
+            return Decision::block();
+    }
+    return Decision::abort();
+}
+
 } // namespace select
 
 std::unique_ptr<RoutingAlgorithm>

@@ -11,6 +11,7 @@
 #include <optional>
 
 #include "core/message.hpp"
+#include "routing/protocol.hpp"
 #include "sim/types.hpp"
 #include "topology/topology.hpp"
 
@@ -81,6 +82,15 @@ std::optional<Candidate> misrouteUntried(Network &net, Message &msg,
  */
 std::optional<Candidate> recoveryEscape(Network &net, const Message &msg,
                                         int ep);
+
+/**
+ * The backtracking searches' step once no forward move is left:
+ * backtrack if possible; otherwise, at the source, wait while an
+ * untried healthy port remains (it is merely busy) and abort the
+ * attempt when none does; anywhere else, wait (the stall limit hands
+ * the message to the recovery mechanism).
+ */
+Decision exhausted(Network &net, Message &msg);
 
 } // namespace select
 

@@ -114,24 +114,10 @@ TwoPhaseRouting::detourStep(Network &net, Message &msg)
             return Decision::forward(c->port, c->vc);
     }
 
-    if (net.canBacktrack(msg))
-        return Decision::backtrack();
-
-    // Stuck: wait for a channel to free; the stall limit hands the
-    // message to the recovery mechanism ("the recovery mechanism will
-    // tear down the path", Section 4.0). At the source with everything
-    // searched, give up this attempt immediately.
-    if (msg.path.empty()) {
-        const std::uint32_t tried = net.triedHere(msg);
-        for (int port = 0; port < net.topo().radix(); ++port) {
-            if (!(tried & (1u << port)) &&
-                !net.channelFaulty(msg.hdr.cur, port)) {
-                return Decision::block();
-            }
-        }
-        return Decision::abort();
-    }
-    return Decision::block();
+    // Backtrack, or wait for a channel to free: the stall limit hands
+    // the message to the recovery mechanism ("the recovery mechanism
+    // will tear down the path", Section 4.0).
+    return select::exhausted(net, msg);
 }
 
 void

@@ -1,6 +1,6 @@
 #include "sim/config.hpp"
 
-#include <cmath>
+#include <charconv>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "sim/log.hpp"
-#include "topology/registry.hpp"
 
 namespace tpnet {
 
@@ -22,18 +21,10 @@ defaultEventEngine()
     return true;
 }
 
-TopologyKind
-SimConfig::effectiveTopology() const
-{
-    if (topology == TopologyKind::Torus && !wrap)
-        return TopologyKind::Mesh;
-    return topology;
-}
-
 int
 SimConfig::nodes() const
 {
-    if (effectiveTopology() == TopologyKind::Dragonfly)
+    if (topology == TopologyKind::Dragonfly)
         return (dfRouters * dfGlobal + 1) * dfRouters;
     int total = 1;
     for (int d = 0; d < n; ++d)
@@ -44,55 +35,11 @@ SimConfig::nodes() const
 int
 SimConfig::radix() const
 {
-    switch (effectiveTopology()) {
+    switch (topology) {
       case TopologyKind::Express:   return 4 * n;
       case TopologyKind::Dragonfly: return dfRouters - 1 + dfGlobal;
       default:                      return 2 * n;
     }
-}
-
-int
-SimConfig::diameter() const
-{
-    switch (effectiveTopology()) {
-      case TopologyKind::Torus: return n * (k / 2);
-      case TopologyKind::Mesh:  return n * (k - 1);
-      default:                  return makeTopology(*this)->diameter();
-    }
-}
-
-double
-SimConfig::avgMinDistance() const
-{
-    switch (effectiveTopology()) {
-      case TopologyKind::Torus: {
-        // Mean minimal distance along one ring of k nodes, uniform over
-        // all destinations including the source, times n dimensions. For
-        // even k the per-ring mean is k/4; computed exactly for any k.
-        double ring = 0.0;
-        for (int d = 1; d < k; ++d) {
-            int fwd = d;
-            int bwd = k - d;
-            ring += std::min(fwd, bwd);
-        }
-        ring /= static_cast<double>(k);
-        return ring * static_cast<double>(n);
-      }
-      case TopologyKind::Mesh: {
-        // Mesh: mean |a - b| over a uniform pair per dimension is
-        // (k^2 - 1) / (3k).
-        const double kd = static_cast<double>(k);
-        return static_cast<double>(n) * (kd * kd - 1.0) / (3.0 * kd);
-      }
-      default:
-        return makeTopology(*this)->avgMinDistance();
-    }
-}
-
-double
-SimConfig::msgRate() const
-{
-    return load / static_cast<double>(msgLength);
 }
 
 bool
@@ -121,7 +68,7 @@ patternNeedsPow2(TrafficPattern p)
 void
 SimConfig::validate() const
 {
-    const TopologyKind topo = effectiveTopology();
+    const TopologyKind topo = topology;
     const bool isCube = topo != TopologyKind::Dragonfly;
     if (isCube) {
         if (k < 2)
@@ -242,19 +189,6 @@ SimConfig::validate() const
 
 namespace {
 
-/**
- * One row of an enum's name table. The first row of a value is its
- * printed name; the parser accepts every row that @c parses, so extra
- * spellings follow the printed one.
- */
-template <typename E>
-struct NameRow
-{
-    const char *name;
-    E value;
-    bool parses = true;
-};
-
 constexpr NameRow<Protocol> protocolNames[] = {
     {"DOR", Protocol::DimOrder}, {"DP", Protocol::Duato},
     {"SR", Protocol::Scouting},  {"PCS", Protocol::Pcs},
@@ -286,79 +220,72 @@ constexpr NameRow<VictimPolicy> victimPolicyNames[] = {
     {"random", VictimPolicy::RandomSeeded},
 };
 
-/** Printed name of @p value, or with @p parseable its first spelling
- *  the parser accepts. */
-template <typename E, std::size_t N>
+/** Printed name of @p value: its first row. */
+template <typename E>
 const char *
-nameOf(const NameRow<E> (&table)[N], E value, bool parseable = false)
+printedName(E value)
 {
-    for (const NameRow<E> &row : table)
-        if (row.value == value && (row.parses || !parseable))
+    for (const NameRow<E> &row : nameTable(E{}))
+        if (row.value == value)
             return row.name;
     return "?";
 }
 
-template <typename E, std::size_t N>
-bool
-parseName(const NameRow<E> (&table)[N], const std::string &name, E *out)
+} // namespace
+
+std::span<const NameRow<Protocol>>
+nameTable(Protocol)
 {
-    for (const NameRow<E> &row : table) {
-        if (row.parses && name == row.name) {
-            *out = row.value;
-            return true;
-        }
-    }
-    return false;
+    return protocolNames;
 }
 
-} // namespace
+std::span<const NameRow<TopologyKind>>
+nameTable(TopologyKind)
+{
+    return topologyNames;
+}
+
+std::span<const NameRow<TrafficPattern>>
+nameTable(TrafficPattern)
+{
+    return patternNames;
+}
+
+std::span<const NameRow<VictimPolicy>>
+nameTable(VictimPolicy)
+{
+    return victimPolicyNames;
+}
 
 const char *
 protocolName(Protocol p)
 {
-    return nameOf(protocolNames, p);
-}
-
-bool
-parseProtocolName(const std::string &name, Protocol *out)
-{
-    return parseName(protocolNames, name, out);
+    return printedName(p);
 }
 
 const char *
 topologyName(TopologyKind t)
 {
-    return nameOf(topologyNames, t);
-}
-
-bool
-parseTopologyName(const std::string &name, TopologyKind *out)
-{
-    return parseName(topologyNames, name, out);
+    return printedName(t);
 }
 
 const char *
 patternName(TrafficPattern p)
 {
-    return nameOf(patternNames, p);
-}
-
-bool
-parsePatternName(const std::string &name, TrafficPattern *out)
-{
-    return parseName(patternNames, name, out);
+    return printedName(p);
 }
 
 const char *
 victimPolicyName(VictimPolicy p)
 {
-    return nameOf(victimPolicyNames, p);
+    return printedName(p);
 }
 
-bool
-parseVictimPolicyName(const std::string &name, VictimPolicy *out)
+std::string
+formatExact(double v)
 {
-    return parseName(victimPolicyNames, name, out);
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 namespace {
@@ -395,7 +322,7 @@ parseTrafficClasses(const std::string &spec,
             const std::string val = kv.substr(eq + 1);
             try {
                 if (key == "pattern") {
-                    if (!parsePatternName(val, &tc.pattern))
+                    if (!parseEnumName(val, &tc.pattern))
                         return specFail(err,
                                         "unknown traffic pattern \"" + val +
                                             "\"");
@@ -441,17 +368,18 @@ formatTrafficClasses(const std::vector<TrafficClassConfig> &classes)
         const TrafficClassConfig &tc = classes[i];
         if (i)
             os << ';';
-        os << "pattern=" << nameOf(patternNames, tc.pattern, true)
-           << ",load=" << tc.load;
+        os << "pattern=" << enumSpelling(tc.pattern)
+           << ",load=" << formatExact(tc.load);
         if (tc.msgLength)
             os << ",len=" << tc.msgLength;
         if (tc.priority)
             os << ",prio=" << tc.priority;
         if (tc.hotspotFraction > 0.0)
-            os << ",hotspot=" << tc.hotspotFraction
+            os << ",hotspot=" << formatExact(tc.hotspotFraction)
                << ",hotspots=" << tc.hotspotCount;
         if (tc.burstLen)
-            os << ",burst=" << tc.burstLen << ",duty=" << tc.burstDuty;
+            os << ",burst=" << tc.burstLen
+               << ",duty=" << formatExact(tc.burstDuty);
         if (tc.outstanding)
             os << ",outstanding=" << tc.outstanding;
         if (tc.replyLength)
@@ -465,7 +393,7 @@ SimConfig::summary() const
 {
     std::ostringstream os;
     os << protocolName(protocol) << " ";
-    switch (effectiveTopology()) {
+    switch (topology) {
       case TopologyKind::Torus:
         os << k << "-ary " << n << "-cube, ";
         break;

@@ -11,6 +11,7 @@
 #define TPNET_SIM_CONFIG_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,18 @@ struct TrafficClassConfig
     int outstanding = 0;
     /// Reply message length (0 = the class's request length).
     int replyLength = 0;
+
+    bool operator==(const TrafficClassConfig &) const = default;
+
+    /** Call @p f on every field, in declaration order. */
+    template <typename F>
+    void
+    forEachField(F &&f) const
+    {
+        f(pattern), f(load), f(msgLength), f(priority), f(hotspotFraction),
+            f(hotspotCount), f(burstLen), f(burstDuty), f(outstanding),
+            f(replyLength);
+    }
 };
 
 /**
@@ -117,16 +130,12 @@ bool defaultEventEngine();
 struct SimConfig
 {
     // --- Network geometry -------------------------------------------------
-    /// Topology family (--topology). Torus with wrap = false is
-    /// normalized to Mesh by effectiveTopology(); Express and Dragonfly
-    /// ignore wrap.
+    /// Topology family (--topology): the torus is the paper's network;
+    /// a mesh keeps the same addressing but its wraparound channels are
+    /// absent and the deterministic channels need no dateline classes.
     TopologyKind topology = TopologyKind::Torus;
     int k = 16;  ///< cube radix (nodes per dimension); unused by dragonfly
     int n = 2;   ///< cube dimensions; unused by dragonfly
-    /// Torus (true, the paper's network) or mesh (false): a mesh keeps
-    /// the same addressing but its wraparound channels are absent and
-    /// the deterministic channels need no dateline classes.
-    bool wrap = true;
     /// Express cube only: stride e of the express channels (2 <= e < k).
     int expressGap = 4;
     /// Dragonfly only: routers per group (a).
@@ -239,15 +248,9 @@ struct SimConfig
     int maxHealAttempts = 8;
 
     // --- Derived helpers ---------------------------------------------------
-    /// Topology family after normalization (Torus + !wrap => Mesh).
-    TopologyKind effectiveTopology() const;
     int nodes() const;            ///< node count of the configured topology
     int radix() const;            ///< network ports per router
     int vcsPerLink() const { return adaptiveVcs + escapeVcs; }
-    int diameter() const;         ///< max minimal hop distance
-    double avgMinDistance() const;///< mean minimal hop count, uniform traffic
-    /// Messages per node per cycle for the configured flit load.
-    double msgRate() const;
     /// True if any source can ever generate a message: legacy load > 0,
     /// or some traffic class with load > 0. Drivers use this to tell a
     /// genuinely idle config from a degenerate zero-offered run.
@@ -266,23 +269,74 @@ const char *protocolName(Protocol p);
 /** Human-readable topology name (torus | mesh | express | dragonfly). */
 const char *topologyName(TopologyKind t);
 
-/** Parse a topology name (torus | mesh | express | dragonfly). */
-bool parseTopologyName(const std::string &name, TopologyKind *out);
-
 /** Human-readable traffic pattern name. */
 const char *patternName(TrafficPattern p);
 
 /** Human-readable victim policy name. */
 const char *victimPolicyName(VictimPolicy p);
 
-/** Parse a victim policy name (youngest | fewest-hops | random). */
-bool parseVictimPolicyName(const std::string &name, VictimPolicy *out);
+/**
+ * One row of an enum's name table. The first row of a value is its
+ * printed name; the parser accepts every row that @c parses, so extra
+ * spellings follow the printed one.
+ */
+template <typename E>
+struct NameRow
+{
+    const char *name;
+    E value;
+    bool parses = true;
+};
 
-/** Parse a protocol name (DOR | DP | SR | PCS | MB-m | TP). */
-bool parseProtocolName(const std::string &name, Protocol *out);
+/** The name table of each named enum (the argument picks the table). */
+std::span<const NameRow<Protocol>> nameTable(Protocol);
+std::span<const NameRow<TopologyKind>> nameTable(TopologyKind);
+std::span<const NameRow<TrafficPattern>> nameTable(TrafficPattern);
+std::span<const NameRow<VictimPolicy>> nameTable(VictimPolicy);
 
-/** Parse a traffic pattern name (uniform | bit-complement | ...). */
-bool parsePatternName(const std::string &name, TrafficPattern *out);
+/** Parse @p name through the name table of @p E. */
+template <typename E>
+bool
+parseEnumName(const std::string &name, E *out)
+{
+    for (const NameRow<E> &row : nameTable(E{})) {
+        if (row.parses && name == row.name) {
+            *out = row.value;
+            return true;
+        }
+    }
+    return false;
+}
+
+/** The first spelling of @p value that parseEnumName() reads back. */
+template <typename E>
+const char *
+enumSpelling(E value)
+{
+    for (const NameRow<E> &row : nameTable(E{}))
+        if (row.parses && row.value == value)
+            return row.name;
+    return "?";
+}
+
+/** Every value of @p E by enumSpelling(), joined by " | ". */
+template <typename E>
+std::string
+enumChoices()
+{
+    std::string out;
+    for (const NameRow<E> &row : nameTable(E{})) {
+        if (enumSpelling(row.value) == row.name)  // the value's own row
+            out += (out.empty() ? "" : " | ") + std::string(row.name);
+    }
+    return out;
+}
+
+/**
+ * The shortest decimal spelling of @p v that parses back to exactly
+ * @p v (so loads the shrinker halved survive a replay line).
+ */
+std::string formatExact(double v);
 
 /**
  * Parse a workload spec string into traffic classes. Classes are

@@ -5,12 +5,6 @@
 
 namespace tpnet {
 
-namespace {
-
-bool traceOn = false;
-
-} // namespace
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
@@ -23,36 +17,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::exit(1);
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-bool
-traceEnabled()
-{
-    return traceOn;
-}
-
-void
-traceEnable(bool on)
-{
-    traceOn = on;
-}
-
-void
-traceLine(const std::string &msg)
-{
-    std::fprintf(stderr, "trace: %s\n", msg.c_str());
 }
 
 } // namespace tpnet

@@ -1,11 +1,9 @@
 /**
  * @file
- * Minimal gem5-style status/error reporting: panic, fatal, warn, inform.
+ * Minimal gem5-style error reporting: panic and fatal.
  *
  * panic() flags an internal simulator bug and aborts; fatal() flags a user
- * configuration error and exits; warn()/inform() report conditions without
- * stopping the simulation. A compile-time-free, run-time-switchable trace
- * facility (TPNET_TRACE) is provided for debugging flit-level behaviour.
+ * configuration error and exits.
  */
 
 #ifndef TPNET_SIM_LOG_HPP
@@ -21,21 +19,6 @@ namespace tpnet {
 
 /** Exit the process after reporting a user/configuration error. */
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
-
-/** Print a warning to stderr. */
-void warnImpl(const std::string &msg);
-
-/** Print an informational message to stdout. */
-void informImpl(const std::string &msg);
-
-/** @return true when TPNET_TRACE tracing was enabled via traceEnable(). */
-bool traceEnabled();
-
-/** Enable/disable trace output at run time (used by tests and examples). */
-void traceEnable(bool on);
-
-/** Emit one trace line (no-op unless tracing is enabled). */
-void traceLine(const std::string &msg);
 
 namespace detail {
 
@@ -58,17 +41,5 @@ format(Args &&...args)
 
 #define tpnet_fatal(...) \
     ::tpnet::fatalImpl(__FILE__, __LINE__, ::tpnet::detail::format(__VA_ARGS__))
-
-#define tpnet_warn(...) \
-    ::tpnet::warnImpl(::tpnet::detail::format(__VA_ARGS__))
-
-#define tpnet_inform(...) \
-    ::tpnet::informImpl(::tpnet::detail::format(__VA_ARGS__))
-
-#define TPNET_TRACE(...) \
-    do { \
-        if (::tpnet::traceEnabled()) \
-            ::tpnet::traceLine(::tpnet::detail::format(__VA_ARGS__)); \
-    } while (0)
 
 #endif // TPNET_SIM_LOG_HPP

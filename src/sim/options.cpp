@@ -8,6 +8,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "sim/config_fields.hpp"
 #include "sim/log.hpp"
 
 namespace tpnet {
@@ -51,6 +52,7 @@ parseList(const std::string &csv, std::vector<T> *out)
     return true;
 }
 
+/** The usage text's name for a value of type @p T. */
 template <typename T>
 const char *
 metavarOf()
@@ -59,8 +61,12 @@ metavarOf()
         return "<int>";
     else if constexpr (std::is_same_v<T, double>)
         return "<float>";
-    else
+    else if constexpr (std::is_same_v<T, std::uint64_t>)
         return "<u64>";
+    else if constexpr (std::is_enum_v<T>)
+        return "<name>";
+    else
+        return "<spec>";
 }
 
 } // namespace
@@ -296,60 +302,37 @@ SimConfigOptions::record(const std::string &name,
 
 namespace {
 
-/** Registers SimConfig fields on @p parser, recording into @p out. */
-struct Registrar
+/** Parse one value of a SimConfig field of type @p T. */
+template <typename T>
+bool
+parseField(const std::string &v, T *out, std::string *why)
 {
-    OptionParser &parser;
-    SimConfigOptions *out;
-
-    /** A numeric field. */
-    template <typename T>
-    void
-    number(const char *name, const char *help, T SimConfig::*field) const
-    {
-        parser.addValue(name, metavarOf<T>(), help,
-                        [out = out, name, field](const std::string &v,
-                                                 std::string *) {
-                            T x{};
-                            if (!parseNumber(v, &x))
-                                return false;
-                            out->record(name, [field, x](SimConfig &c) {
-                                c.*field = x;
-                            });
-                            return true;
-                        });
+    if constexpr (std::is_enum_v<T>) {
+        if (parseEnumName(v, out))
+            return true;
+        *why = "expected " + enumChoices<T>();
+        return false;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        return parseNumber(v, out);
+    } else {
+        return parseTrafficClasses(v, out, why);
     }
+}
 
-    /** A boolean field. */
-    void
-    flag(const char *name, const char *help, bool SimConfig::*field) const
-    {
-        parser.addFlag(name, help, [out = out, name, field](bool on) {
-            out->record(name, [field, on](SimConfig &c) { c.*field = on; });
-        });
-    }
-
-    /** An enum named by one of @p choices, stored by @p set. */
-    template <typename E>
-    void
-    choice(const char *name, const char *help, const char *choices,
-           bool (*parseName)(const std::string &, E *),
-           void (*set)(SimConfig &, E)) const
-    {
-        parser.addValue(
-            name, "<name>", std::string(help) + ": " + choices,
-            [out = out, name, choices, parseName,
-             set](const std::string &v, std::string *why) {
-                E e{};
-                if (!parseName(v, &e)) {
-                    *why = std::string("expected ") + choices;
-                    return false;
-                }
-                out->record(name, [set, e](SimConfig &c) { set(c, e); });
-                return true;
-            });
-    }
-};
+/** The value @p v spelled so that parseField() reads it back exactly. */
+template <typename T>
+std::string
+formatField(const T &v)
+{
+    if constexpr (std::is_enum_v<T>)
+        return enumSpelling(v);
+    else if constexpr (std::is_same_v<T, double>)
+        return formatExact(v);
+    else if constexpr (std::is_arithmetic_v<T>)
+        return std::to_string(v);
+    else
+        return formatTrafficClasses(v);
+}
 
 } // namespace
 
@@ -357,92 +340,53 @@ void
 addSimConfigOptions(OptionParser &parser, SimConfigOptions *out,
                     const std::vector<std::string> &only)
 {
-    if (!only.empty()) {
-        OptionParser all(parser.program_, parser.description_);
-        addSimConfigOptions(all, out);
-        for (OptionParser::Option &opt : all.options_) {
-            if (std::find(only.begin(), only.end(), opt.name) != only.end())
-                parser.addValue(opt.name, opt.metavar, opt.help,
-                                std::move(opt.set));
-        }
-        return;
-    }
-
-    const Registrar r{parser, out};
-    r.choice<Protocol>(
-        "protocol", "routing protocol", "DOR | DP | SR | PCS | MB-m | TP",
-        parseProtocolName, [](SimConfig &c, Protocol p) { c.protocol = p; });
-    r.choice<TopologyKind>(
-        "topology", "topology family", "torus | mesh | express | dragonfly",
-        parseTopologyName, [](SimConfig &c, TopologyKind t) {
-            c.topology = t;
-            c.wrap = t != TopologyKind::Mesh;
-        });
-    r.number("k", "cube radix (nodes per dimension)", &SimConfig::k);
-    r.number("n", "cube dimensions", &SimConfig::n);
-    r.number("express-gap", "express-channel stride (--topology express)",
-             &SimConfig::expressGap);
-    r.number("df-routers", "routers per group (--topology dragonfly)",
-             &SimConfig::dfRouters);
-    r.number("df-global", "global channels per router (--topology "
-                          "dragonfly)",
-             &SimConfig::dfGlobal);
-    r.number("length", "data flits per message", &SimConfig::msgLength);
-    r.number("scout-k", "scouting distance K", &SimConfig::scoutK);
-    r.number("m", "misroute limit", &SimConfig::misrouteLimit);
-    r.number("adaptive-vcs", "adaptive VCs per link", &SimConfig::adaptiveVcs);
-    r.number("escape-vcs", "escape (dateline) VCs per link",
-             &SimConfig::escapeVcs);
-    r.number("buffers", "DIBU depth in flits", &SimConfig::bufDepth);
-    r.number("load", "offered load, data flits/node/cycle", &SimConfig::load);
-    r.choice<TrafficPattern>(
-        "pattern", "traffic pattern",
-        "uniform | bit-complement | transpose | neighbor | tornado | "
-        "bit-reversal | shuffle",
-        parsePatternName,
-        [](SimConfig &c, TrafficPattern p) { c.pattern = p; });
-    parser.addValue(
-        "classes", "<spec>",
-        "workload classes replacing --pattern/--load: "
-        "\"pattern=<name>,load=<f>[,len=][,prio=][,hotspot=][,hotspots=]"
-        "[,burst=][,duty=][,outstanding=][,replylen=]\" joined by ';'",
-        [out](const std::string &v, std::string *why) {
-            std::vector<TrafficClassConfig> classes;
-            if (!parseTrafficClasses(v, &classes, why))
-                return false;
-            out->record("classes", [classes](SimConfig &c) {
-                c.trafficClasses = classes;
+    forEachConfigField([&](const auto &f) {
+        using T = typename std::remove_cvref_t<decltype(f)>::Type;
+        if (!f.option || (!only.empty() && std::find(only.begin(), only.end(),
+                                                     f.option) == only.end()))
+            return;
+        const auto record = [out, f](T value) {
+            out->record(f.option,
+                        [f, value](SimConfig &c) { c.*f.member = value; });
+        };
+        if constexpr (std::is_same_v<T, bool>) {
+            parser.addFlag(f.option, f.help, [record, f](bool on) {
+                record(on != f.inverted);
             });
-            return true;
-        });
-    r.flag("tail-ack", "hold paths + message acks + retransmit",
-           &SimConfig::tailAck);
-    r.flag("hardware-acks", "dedicated acknowledgment signalling",
-           &SimConfig::hardwareAcks);
-    r.flag("verify-cwg", "run the channel-wait-for-graph deadlock "
-                         "analyzer (Theorem 3 checked online)",
-           &SimConfig::verifyCwg);
-    r.flag("recovery", "knot-triggered deadlock recovery: free the escape "
-                       "bandwidth for adaptive use and heal detected "
-                       "knots by victim abort + source retransmit",
-           &SimConfig::recoveryMode);
-    r.choice<VictimPolicy>(
-        "victim", "recovery victim policy", "youngest | fewest-hops | random",
-        parseVictimPolicyName,
-        [](SimConfig &c, VictimPolicy p) { c.victimPolicy = p; });
-    r.number("heal-budget", "max heals per knot before livelock escalation",
-             &SimConfig::maxHealAttempts);
-    r.number("seed", "RNG seed", &SimConfig::seed);
-    r.number("retries", "source retries before a message is undeliverable",
-             &SimConfig::maxRetries);
-    parser.addFlag("no-event-skip",
-                   "disable the event engine's idle-cycle fast path "
-                   "(step every cycle; results are bit-identical)",
-                   [out](bool on) {
-                       out->record("no-event-skip", [on](SimConfig &c) {
-                           c.eventEngine = c.eventEngine && !on;
-                       });
-                   });
+        } else {
+            std::string help = f.help;
+            if constexpr (std::is_enum_v<T>)
+                help += ": " + enumChoices<T>();
+            parser.addValue(f.option, metavarOf<T>(), help,
+                            [record](const std::string &v, std::string *why) {
+                                T value{};
+                                if (!parseField(v, &value, why))
+                                    return false;
+                                record(std::move(value));
+                                return true;
+                            });
+        }
+    });
+}
+
+std::vector<std::string>
+formatSimConfigOptions(const SimConfig &cfg, const SimConfig &ref)
+{
+    std::vector<std::string> words;
+    forEachConfigField([&](const auto &f) {
+        using T = typename std::remove_cvref_t<decltype(f)>::Type;
+        if (!f.option || cfg.*f.member == ref.*f.member)
+            return;
+        const std::string name = std::string("--") + f.option;
+        if constexpr (std::is_same_v<T, bool>) {
+            words.push_back(cfg.*f.member != f.inverted ? name
+                                                         : name + "=0");
+        } else {
+            words.push_back(name);
+            words.push_back(formatField(cfg.*f.member));
+        }
+    });
+    return words;
 }
 
 } // namespace tpnet

@@ -19,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/config.hpp"
+#include "sim/config_fields.hpp"
 
 namespace tpnet {
 
@@ -39,8 +39,6 @@ bool parseNumber(const std::string &text, double *out);
  */
 bool parseNumbers(const std::string &csv, std::vector<int> *out);
 bool parseNumbers(const std::string &csv, std::vector<double> *out);
-
-class SimConfigOptions;
 
 /** Declarative command-line parser. */
 class OptionParser
@@ -105,9 +103,6 @@ class OptionParser
     std::string usage() const;
 
   private:
-    friend void addSimConfigOptions(OptionParser &, SimConfigOptions *,
-                                    const std::vector<std::string> &);
-
     struct Option
     {
         std::string name;
@@ -142,6 +137,14 @@ class SimConfigOptions
     /** True if argv gave `--name`. */
     bool given(const std::string &name) const;
 
+    /** True if argv gave the option of SimConfig member @p member. */
+    template <typename T>
+    bool
+    given(T SimConfig::*member) const
+    {
+        return given(optionOf(member));
+    }
+
     /** Note that argv gave `--name`, with effect @p set. */
     void record(const std::string &name,
                 std::function<void(SimConfig &)> set);
@@ -152,17 +155,24 @@ class SimConfigOptions
 };
 
 /**
- * Register every SimConfig-backed simulator option on @p parser,
- * recording into @p out: protocol, topology and geometry, message
- * length, K / m / VCs / buffers, load / pattern / classes, tail and
- * hardware acks, CWG analyzer / recovery / victim / heal budget, seed,
- * retries and the event-engine switch. This is the only place these
- * options are spelled; every tool shares the spellings (and the
- * shrinker's replay lines use them). A non-empty @p only registers just
- * the options it names.
+ * Register every shared simulator option of the SimConfig field table
+ * (sim/config_fields.hpp) on @p parser, recording into @p out. The
+ * table is the only place these options are spelled; every tool shares
+ * the spellings. A non-empty @p only registers just the options it
+ * names.
  */
 void addSimConfigOptions(OptionParser &parser, SimConfigOptions *out,
                          const std::vector<std::string> &only = {});
+
+/**
+ * The argv words (`--name value`, or `--flag` / `--flag=0`) of every
+ * shared simulator option whose value in @p cfg differs from @p ref.
+ * Parsed and applied over @p ref they give back @p cfg's options
+ * exactly: numbers round-trip, enums and classes print in the spelling
+ * their parser reads.
+ */
+std::vector<std::string> formatSimConfigOptions(const SimConfig &cfg,
+                                                const SimConfig &ref);
 
 } // namespace tpnet
 

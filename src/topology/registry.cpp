@@ -39,7 +39,6 @@ smallCube(TopologyKind kind, int k)
 {
     SimConfig cfg;
     cfg.topology = kind;
-    cfg.wrap = kind != TopologyKind::Mesh;
     cfg.k = k;
     cfg.n = 2;
     cfg.msgLength = 4;
@@ -105,7 +104,7 @@ topologyEntry(TopologyKind kind)
 std::unique_ptr<const Topology>
 makeTopology(const SimConfig &cfg)
 {
-    return topologyEntry(cfg.effectiveTopology()).make(cfg);
+    return topologyEntry(cfg.topology).make(cfg);
 }
 
 } // namespace tpnet

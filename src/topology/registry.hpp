@@ -37,7 +37,7 @@ const std::vector<TopologyEntry> &topologyRegistry();
 /** Registry entry for @p kind (dies on an unregistered kind). */
 const TopologyEntry &topologyEntry(TopologyKind kind);
 
-/** Build the topology configured by @p cfg (cfg.effectiveTopology()). */
+/** Build the topology configured by @p cfg (cfg.topology). */
 std::unique_ptr<const Topology> makeTopology(const SimConfig &cfg);
 
 } // namespace tpnet

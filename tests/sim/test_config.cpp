@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "topology/registry.hpp"
 
 namespace tpnet {
 namespace {
@@ -25,7 +26,7 @@ TEST(Config, PaperDefaults)
     EXPECT_EQ(cfg.nodes(), 256);
     EXPECT_EQ(cfg.radix(), 4);
     EXPECT_EQ(cfg.vcsPerLink(), 4);
-    EXPECT_EQ(cfg.diameter(), 16);
+    EXPECT_EQ(makeTopology(cfg)->diameter(), 16);
     cfg.validate();  // must not die
 }
 
@@ -36,7 +37,7 @@ TEST(Config, NodesAndDiameterScale)
     cfg.n = 3;
     EXPECT_EQ(cfg.nodes(), 64);
     EXPECT_EQ(cfg.radix(), 6);
-    EXPECT_EQ(cfg.diameter(), 6);
+    EXPECT_EQ(makeTopology(cfg)->diameter(), 6);
 }
 
 TEST(Config, AvgMinDistanceEvenRadix)
@@ -46,7 +47,7 @@ TEST(Config, AvgMinDistanceEvenRadix)
     SimConfig cfg;
     cfg.k = 16;
     cfg.n = 2;
-    EXPECT_NEAR(cfg.avgMinDistance(), 8.0, 1e-9);
+    EXPECT_NEAR(makeTopology(cfg)->avgMinDistance(), 8.0, 1e-9);
 }
 
 TEST(Config, MsgRate)
@@ -54,7 +55,7 @@ TEST(Config, MsgRate)
     SimConfig cfg;
     cfg.load = 0.32;
     cfg.msgLength = 32;
-    EXPECT_NEAR(cfg.msgRate(), 0.01, 1e-12);
+    EXPECT_NEAR(cfg.load / cfg.msgLength, 0.01, 1e-12);
 }
 
 TEST(Config, SummaryMentionsProtocolAndGeometry)
@@ -94,14 +95,14 @@ TEST(Config, EveryEnumNamePrintsAndParses)
     for (const auto &[value, name] : protocols) {
         EXPECT_STREQ(protocolName(value), name);
         Protocol parsed = Protocol::DimOrder;
-        EXPECT_TRUE(parseProtocolName(name, &parsed)) << name;
+        EXPECT_TRUE(parseEnumName(name, &parsed)) << name;
         EXPECT_EQ(parsed, value) << name;
     }
     Protocol proto = Protocol::DimOrder;
-    EXPECT_TRUE(parseProtocolName("MBM", &proto));
+    EXPECT_TRUE(parseEnumName("MBM", &proto));
     EXPECT_EQ(proto, Protocol::MBm);
     for (const char *bad : {"", "tp", "mb-m", "Mbm", "WR", "TP ", "DOR2"})
-        EXPECT_FALSE(parseProtocolName(bad, &proto)) << "'" << bad << "'";
+        EXPECT_FALSE(parseEnumName(bad, &proto)) << "'" << bad << "'";
 
     const std::pair<TopologyKind, const char *> topologies[] = {
         {TopologyKind::Torus, "torus"},
@@ -112,12 +113,12 @@ TEST(Config, EveryEnumNamePrintsAndParses)
     for (const auto &[value, name] : topologies) {
         EXPECT_STREQ(topologyName(value), name);
         TopologyKind parsed = TopologyKind::Torus;
-        EXPECT_TRUE(parseTopologyName(name, &parsed)) << name;
+        EXPECT_TRUE(parseEnumName(name, &parsed)) << name;
         EXPECT_EQ(parsed, value) << name;
     }
     TopologyKind topo = TopologyKind::Torus;
     for (const char *bad : {"", "Torus", "cube", "hypercube", "mesh "})
-        EXPECT_FALSE(parseTopologyName(bad, &topo)) << "'" << bad << "'";
+        EXPECT_FALSE(parseEnumName(bad, &topo)) << "'" << bad << "'";
 
     const std::pair<TrafficPattern, const char *> patterns[] = {
         {TrafficPattern::Uniform, "uniform"},
@@ -133,21 +134,26 @@ TEST(Config, EveryEnumNamePrintsAndParses)
         if (value == TrafficPattern::NeighborPlus)
             continue;
         TrafficPattern parsed = TrafficPattern::NeighborPlus;
-        EXPECT_TRUE(parsePatternName(name, &parsed)) << name;
+        EXPECT_TRUE(parseEnumName(name, &parsed)) << name;
         EXPECT_EQ(parsed, value) << name;
     }
     TrafficPattern pattern = TrafficPattern::Uniform;
-    EXPECT_TRUE(parsePatternName("neighbor", &pattern));
+    EXPECT_TRUE(parseEnumName("neighbor", &pattern));
     EXPECT_EQ(pattern, TrafficPattern::NeighborPlus);
     for (const char *bad : {"", "neighbor+1", "Uniform", "bitcomplement",
                             "random", "shuffle "})
-        EXPECT_FALSE(parsePatternName(bad, &pattern)) << "'" << bad << "'";
+        EXPECT_FALSE(parseEnumName(bad, &pattern)) << "'" << bad << "'";
 
     // A workload spec round-trips "neighbor" through its parse name.
     std::vector<TrafficClassConfig> classes;
     ASSERT_TRUE(parseTrafficClasses("pattern=neighbor,load=0.1", &classes,
                                     nullptr));
     EXPECT_EQ(formatTrafficClasses(classes), "pattern=neighbor,load=0.1");
+    EXPECT_STREQ(enumSpelling(TrafficPattern::NeighborPlus), "neighbor");
+    EXPECT_EQ(enumChoices<Protocol>(), "DOR | DP | SR | PCS | MB-m | TP");
+    EXPECT_EQ(enumChoices<TrafficPattern>(),
+              "uniform | bit-complement | transpose | neighbor | tornado | "
+              "bit-reversal | shuffle");
 
     const std::pair<VictimPolicy, const char *> policies[] = {
         {VictimPolicy::YoungestMessage, "youngest"},
@@ -157,12 +163,12 @@ TEST(Config, EveryEnumNamePrintsAndParses)
     for (const auto &[value, name] : policies) {
         EXPECT_STREQ(victimPolicyName(value), name);
         VictimPolicy parsed = VictimPolicy::YoungestMessage;
-        EXPECT_TRUE(parseVictimPolicyName(name, &parsed)) << name;
+        EXPECT_TRUE(parseEnumName(name, &parsed)) << name;
         EXPECT_EQ(parsed, value) << name;
     }
     VictimPolicy policy = VictimPolicy::YoungestMessage;
     for (const char *bad : {"", "Youngest", "oldest", "fewest_hops"})
-        EXPECT_FALSE(parseVictimPolicyName(bad, &policy))
+        EXPECT_FALSE(parseEnumName(bad, &policy))
             << "'" << bad << "'";
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 
+#include "chaos/shard.hpp"
 #include "sim/options.hpp"
+#include "topology/registry.hpp"
 
 namespace tpnet {
 namespace {
@@ -292,13 +295,13 @@ TEST_F(SimOptionsFixture, LaterOptionWins)
     EXPECT_EQ(cfg.k, 6);
 }
 
-TEST_F(SimOptionsFixture, TopologyKeepsWrapConsistent)
+TEST_F(SimOptionsFixture, TopologyOptionSelectsTheMesh)
 {
     ASSERT_TRUE(run({"--topology", "mesh"}));
     SimConfig cfg;
     opts.apply(&cfg);
-    EXPECT_EQ(cfg.effectiveTopology(), TopologyKind::Mesh);
-    EXPECT_FALSE(cfg.wrap);
+    EXPECT_EQ(cfg.topology, TopologyKind::Mesh);
+    EXPECT_EQ(makeTopology(cfg)->diameter(), 2 * (cfg.k - 1));
 }
 
 TEST_F(SimOptionsFixture, EnumValuesRejectedWhileParsing)
@@ -348,6 +351,194 @@ TEST(SimOptionsSubset, RegistersOnlyNamedOptions)
     SimConfig cfg;
     opts.apply(&cfg);
     EXPECT_EQ(cfg.scoutK, 3);
+}
+
+/** One change to a SimConfig, named for failure messages. */
+struct Perturbation
+{
+    const char *name;
+    std::function<void(SimConfig &)> apply;
+};
+
+/** Workload classes whose loads have no short decimal spelling. */
+std::vector<TrafficClassConfig>
+oddClasses()
+{
+    std::vector<TrafficClassConfig> classes(2);
+    classes[0].pattern = TrafficPattern::NeighborPlus;
+    classes[0].load = 0.1 / 3.0;
+    classes[0].priority = 1;
+    classes[1].load = 0.01875;
+    classes[1].hotspotFraction = 0.1;
+    classes[1].hotspotCount = 4;
+    classes[1].burstLen = 8;
+    classes[1].burstDuty = 1.0 / 3.0;
+    classes[1].outstanding = 2;
+    classes[1].replyLength = 4;
+    return classes;
+}
+
+/** A change to the value of every shared simulator option. */
+std::vector<Perturbation>
+optionPerturbations()
+{
+    return {
+        {"protocol", [](SimConfig &c) { c.protocol = Protocol::MBm; }},
+        {"topology",
+         [](SimConfig &c) { c.topology = TopologyKind::Dragonfly; }},
+        {"k", [](SimConfig &c) { c.k = 7; }},
+        {"n", [](SimConfig &c) { c.n = 3; }},
+        {"express-gap", [](SimConfig &c) { c.expressGap = 3; }},
+        {"df-routers", [](SimConfig &c) { c.dfRouters = 5; }},
+        {"df-global", [](SimConfig &c) { c.dfGlobal = 2; }},
+        {"length", [](SimConfig &c) { c.msgLength = 12; }},
+        {"scout-k", [](SimConfig &c) { c.scoutK = 3; }},
+        {"m", [](SimConfig &c) { c.misrouteLimit = 4; }},
+        {"adaptive-vcs", [](SimConfig &c) { c.adaptiveVcs = 3; }},
+        {"escape-vcs", [](SimConfig &c) { c.escapeVcs = 1; }},
+        {"buffers", [](SimConfig &c) { c.bufDepth = 6; }},
+        {"load 0.01875", [](SimConfig &c) { c.load = 0.01875; }},
+        {"load 0.03125", [](SimConfig &c) { c.load = 0.03125; }},
+        {"load 0.1/3", [](SimConfig &c) { c.load = 0.1 / 3.0; }},
+        {"pattern",
+         [](SimConfig &c) { c.pattern = TrafficPattern::NeighborPlus; }},
+        {"classes", [](SimConfig &c) { c.trafficClasses = oddClasses(); }},
+        {"tail-ack", [](SimConfig &c) { c.tailAck = !c.tailAck; }},
+        {"hardware-acks",
+         [](SimConfig &c) { c.hardwareAcks = !c.hardwareAcks; }},
+        {"verify-cwg", [](SimConfig &c) { c.verifyCwg = !c.verifyCwg; }},
+        {"recovery",
+         [](SimConfig &c) { c.recoveryMode = !c.recoveryMode; }},
+        {"victim",
+         [](SimConfig &c) { c.victimPolicy = VictimPolicy::RandomSeeded; }},
+        {"heal-budget", [](SimConfig &c) { c.maxHealAttempts = 5; }},
+        {"seed", [](SimConfig &c) { c.seed = 99; }},
+        {"retries", [](SimConfig &c) { c.maxRetries = 7; }},
+        {"no-event-skip",
+         [](SimConfig &c) { c.eventEngine = !c.eventEngine; }},
+    };
+}
+
+/** @p ref with the options formatSimConfigOptions(cfg, ref) spells. */
+SimConfig
+replayed(const SimConfig &cfg, const SimConfig &ref)
+{
+    const std::vector<std::string> words = formatSimConfigOptions(cfg, ref);
+    std::vector<const char *> argv{"prog"};
+    for (const std::string &w : words)
+        argv.push_back(w.c_str());
+    OptionParser parser("prog", "test program");
+    SimConfigOptions opts;
+    addSimConfigOptions(parser, &opts);
+    std::string err;
+    EXPECT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data(),
+                             &err))
+        << err;
+    SimConfig out = ref;
+    opts.apply(&out);
+    return out;
+}
+
+TEST(SimOptionsRoundTrip, EveryOptionReadsBackExactly)
+{
+    // Two references, so every flag is flipped both on and off.
+    SimConfig plain;
+    SimConfig flipped;
+    flipped.tailAck = flipped.hardwareAcks = flipped.verifyCwg = true;
+    flipped.recoveryMode = true;
+    flipped.eventEngine = !plain.eventEngine;
+    for (const SimConfig &ref : {plain, flipped}) {
+        SimConfig all = ref;
+        for (const Perturbation &p : optionPerturbations()) {
+            SimConfig cfg = ref;
+            p.apply(cfg);
+            p.apply(all);
+            EXPECT_FALSE(formatSimConfigOptions(cfg, ref).empty()) << p.name;
+            const SimConfig back = replayed(cfg, ref);
+            EXPECT_EQ(chaos::configDigest(back), chaos::configDigest(cfg))
+                << p.name;
+            EXPECT_EQ(back.eventEngine, cfg.eventEngine) << p.name;
+        }
+        EXPECT_TRUE(formatSimConfigOptions(ref, ref).empty());
+        EXPECT_EQ(chaos::configDigest(replayed(all, ref)),
+                  chaos::configDigest(all));
+    }
+
+    // The shrinker's halved loads survive bit for bit.
+    for (double load : {0.01875, 0.03125}) {
+        SimConfig cfg;
+        cfg.load = load;
+        EXPECT_EQ(replayed(cfg, SimConfig{}).load, load);
+    }
+}
+
+TEST(ConfigDigest, EveryFieldButTheEngineCounts)
+{
+    std::vector<Perturbation> fields = optionPerturbations();
+    fields.erase(fields.end() - 1);  // no-event-skip: checked below
+    const std::vector<Perturbation> unset = {
+        {"retryBackoff", [](SimConfig &c) { c.retryBackoff = 7; }},
+        {"injQueueLimit", [](SimConfig &c) { c.injQueueLimit = 3; }},
+        {"staticNodeFaults", [](SimConfig &c) { c.staticNodeFaults = 2; }},
+        {"staticLinkFaults", [](SimConfig &c) { c.staticLinkFaults = 2; }},
+        {"dynamicNodeFaults",
+         [](SimConfig &c) { c.dynamicNodeFaults = 0.5; }},
+        {"dynamicLinkFaults",
+         [](SimConfig &c) { c.dynamicLinkFaults = 0.5; }},
+        {"intermittentFaults",
+         [](SimConfig &c) { c.intermittentFaults = 0.5; }},
+        {"intermittentDownCycles",
+         [](SimConfig &c) { c.intermittentDownCycles = 9; }},
+        {"markUnsafe", [](SimConfig &c) { c.markUnsafe = !c.markUnsafe; }},
+        {"protectPerimeter",
+         [](SimConfig &c) { c.protectPerimeter = !c.protectPerimeter; }},
+        {"metricsPeriod", [](SimConfig &c) { c.metricsPeriod = 5; }},
+        {"warmup", [](SimConfig &c) { c.warmup = 5; }},
+        {"measure", [](SimConfig &c) { c.measure = 5; }},
+        {"drain", [](SimConfig &c) { c.drain = 5; }},
+        {"watchdog", [](SimConfig &c) { c.watchdog = 5; }},
+    };
+    fields.insert(fields.end(), unset.begin(), unset.end());
+    // Every field of a traffic class, changed in the second class.
+    const auto cls = [](auto change) {
+        return [change](SimConfig &c) { change(c.trafficClasses.at(1)); };
+    };
+    const std::vector<Perturbation> classFields = {
+        {"class pattern", cls([](TrafficClassConfig &t) {
+             t.pattern = TrafficPattern::Tornado; })},
+        {"class load", cls([](TrafficClassConfig &t) { t.load = 0.2; })},
+        {"class len", cls([](TrafficClassConfig &t) { t.msgLength = 9; })},
+        {"class prio", cls([](TrafficClassConfig &t) { t.priority = 2; })},
+        {"class hotspot",
+         cls([](TrafficClassConfig &t) { t.hotspotFraction = 0.3; })},
+        {"class hotspots",
+         cls([](TrafficClassConfig &t) { t.hotspotCount = 2; })},
+        {"class burst", cls([](TrafficClassConfig &t) { t.burstLen = 3; })},
+        {"class duty", cls([](TrafficClassConfig &t) { t.burstDuty = 0.9; })},
+        {"class outstanding",
+         cls([](TrafficClassConfig &t) { t.outstanding = 5; })},
+        {"class replylen",
+         cls([](TrafficClassConfig &t) { t.replyLength = 6; })},
+    };
+
+    const auto changesDigest = [](const SimConfig &base,
+                                  const Perturbation &p) {
+        SimConfig cfg = base;
+        p.apply(cfg);
+        return chaos::configDigest(cfg) != chaos::configDigest(base);
+    };
+    const SimConfig plain;
+    SimConfig classes;
+    classes.trafficClasses = oddClasses();
+    for (const Perturbation &p : fields)
+        EXPECT_TRUE(changesDigest(plain, p)) << p.name;
+    for (const Perturbation &p : classFields)
+        EXPECT_TRUE(changesDigest(classes, p)) << p.name;
+    for (const SimConfig &base : {plain, classes}) {
+        EXPECT_FALSE(changesDigest(base, {"engine", [](SimConfig &c) {
+                                              c.eventEngine = !c.eventEngine;
+                                          }}));
+    }
 }
 
 } // namespace

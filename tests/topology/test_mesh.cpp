@@ -12,7 +12,7 @@ SimConfig
 meshConfig(Protocol p = Protocol::TwoPhase, int k = 8, int n = 2)
 {
     SimConfig cfg = test::smallConfig(p, k, n);
-    cfg.wrap = false;
+    cfg.topology = TopologyKind::Mesh;
     return cfg;
 }
 
@@ -28,9 +28,10 @@ TEST(MeshTopo, OffsetsNeverWrap)
 TEST(MeshTopo, ConfigDiameterAndMeanDistance)
 {
     SimConfig cfg = meshConfig();
-    EXPECT_EQ(cfg.diameter(), 14);  // n * (k - 1)
+    const auto topo = makeTopology(cfg);
+    EXPECT_EQ(topo->diameter(), 14);  // n * (k - 1)
     // Per-dimension mean |a-b| = (k^2 - 1) / (3k) = 63/24 = 2.625.
-    EXPECT_NEAR(cfg.avgMinDistance(), 2.0 * 63.0 / 24.0, 1e-9);
+    EXPECT_NEAR(topo->avgMinDistance(), 2.0 * 63.0 / 24.0, 1e-9);
 }
 
 TEST(MeshTopo, NoDatelines)

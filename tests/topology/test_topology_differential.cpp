@@ -2,13 +2,11 @@
  * @file
  * Differential bit-identity wall for the topology layer.
  *
- * Three invariances, each checked for every registered topology:
+ * Two invariances, each checked for every registered topology:
  *  - the event-driven engine is observationally equal to the
  *    time-stepped engine (byte-identical traces), exactly as the
  *    legacy torus wall pins in test_engine_differential.cpp;
- *  - parallel sweeps are --jobs invariant (bit-identical results);
- *  - the two spellings of a mesh (--topology mesh, and the legacy
- *    torus-with-wrap-off flag) build byte-identical networks.
+ *  - parallel sweeps are --jobs invariant (bit-identical results).
  *
  * Legacy torus/mesh behavior itself is pinned by the golden-trace wall
  * (tests/obs/goldens.txt) and the fig12 perf baseline, which this
@@ -106,25 +104,6 @@ INSTANTIATE_TEST_SUITE_P(Registry, TopologyDifferential,
                              return kinds;
                          }()),
                          diffName);
-
-TEST(TopologySpellings, MeshFlagAndMeshKindAreByteIdentical)
-{
-    // Legacy spelling: torus with wraparound off (SimConfig::wrap).
-    obs::RecordSpec legacy;
-    legacy.cfg = loadedConfig(TopologyKind::Mesh);
-    legacy.cfg.topology = TopologyKind::Torus;
-    legacy.cfg.wrap = false;
-    legacy.cycles = 400;
-
-    obs::RecordSpec kinded = legacy;
-    kinded.cfg.topology = TopologyKind::Mesh;
-
-    ASSERT_EQ(legacy.cfg.effectiveTopology(), TopologyKind::Mesh);
-    const obs::TraceRecorder a = obs::recordRun(legacy);
-    const obs::TraceRecorder b = obs::recordRun(kinded);
-    EXPECT_EQ(a.digest(), b.digest());
-    EXPECT_GT(a.size(), 0u);
-}
 
 } // namespace
 } // namespace tpnet

@@ -106,12 +106,12 @@ TEST(TopologyNames, ParseAndPrintRoundTrip)
 {
     for (const char *name : {"torus", "mesh", "express", "dragonfly"}) {
         TopologyKind kind{};
-        EXPECT_TRUE(parseTopologyName(name, &kind)) << name;
+        EXPECT_TRUE(parseEnumName(name, &kind)) << name;
         EXPECT_STREQ(topologyName(kind), name);
     }
     TopologyKind kind{};
-    EXPECT_FALSE(parseTopologyName("hypercube", &kind));
-    EXPECT_FALSE(parseTopologyName("", &kind));
+    EXPECT_FALSE(parseEnumName("hypercube", &kind));
+    EXPECT_FALSE(parseEnumName("", &kind));
 }
 
 TEST(TopologyNames, UniformTrafficIsAcceptedEverywhere)

@@ -136,7 +136,7 @@ TEST(Injector, GeneratesAtConfiguredRate)
         net.step();
     }
     const double expected =
-        cfg.msgRate() * net.topo().nodes() * cycles;
+        cfg.load / cfg.msgLength * net.topo().nodes() * cycles;
     EXPECT_NEAR(static_cast<double>(inj.offered()), expected,
                 0.15 * expected);
 }

@@ -245,7 +245,7 @@ cmdCheck(OptionParser &parser, int argc, const char *const *argv)
     parser.addString("in", "input trace file", &in);
     // --scout-k names the K the trace was recorded with; given, the
     // scout-gap invariant is checked against it.
-    addSimConfigOptions(parser, &simopts, {"scout-k"});
+    addSimConfigOptions(parser, &simopts, {optionOf(&SimConfig::scoutK)});
     parser.addFlag("partial",
                    "trace did not run to quiescence (skip the "
                    "all-released check)",
@@ -254,7 +254,8 @@ cmdCheck(OptionParser &parser, int argc, const char *const *argv)
     parser.parseOrExit(argc, argv);
     SimConfig recorded;
     simopts.apply(&recorded);
-    const int scout_k = simopts.given("scout-k") ? recorded.scoutK : -1;
+    const int scout_k =
+        simopts.given(&SimConfig::scoutK) ? recorded.scoutK : -1;
 
     LoadedTrace trace;
     if (!loadTrace(in, &trace))
@@ -367,7 +368,7 @@ legacyLive(int argc, const char *const *argv)
         const int dx = std::min(hops, cfg.k / 2 - 1);
         const int dy = hops - dx;
         OffsetVec coords{};
-        TorusTopology topo(cfg.k, cfg.n, cfg.wrap);
+        TorusTopology topo(cfg.k, cfg.n);
         for (int d = 0; d < cfg.n; ++d)
             coords[d] = topo.coord(src, d);
         coords[0] = (coords[0] + dx) % cfg.k;

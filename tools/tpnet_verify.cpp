@@ -93,7 +93,7 @@ describe(const CampaignSpec &spec, double fx, const std::string &workload)
 {
     const SimConfig &cfg = spec.cfg;
     char topo[32];
-    switch (cfg.effectiveTopology()) {
+    switch (cfg.topology) {
       case TopologyKind::Mesh:
         std::snprintf(topo, sizeof topo, "%2d-ary %d-mesh", cfg.k, cfg.n);
         break;
@@ -257,7 +257,6 @@ buildGrid(const SimConfig &base)
         for (const ProtoCell &p : protos) {
             Cell cell = cube(p, 0.15, 2.0, 8, 2);
             cell.cfg.topology = topo;
-            cell.cfg.wrap = topo != TopologyKind::Mesh;
             if (topo == TopologyKind::Express)
                 cell.cfg.expressGap = 4;
             if (topo == TopologyKind::Dragonfly) {
@@ -326,15 +325,14 @@ buildSpec(const Cell &cell, std::uint64_t seed, const Overrides &o,
     CampaignSpec spec;
     spec.cfg = cell.cfg;
     o.sim.apply(&spec.cfg);
-    if (o.sim.given("topology")) {
+    if (o.sim.given(&SimConfig::topology)) {
         // A topology override re-bases the whole grid, including
         // workload cells whose patterns are defined on cube
         // coordinates or node-index bits. Coerce those to uniform
         // (keeping load, bursts, priorities, and closed-loop settings)
         // rather than dying in validate(); an explicit --pattern or
         // --classes is kept and still rejects loudly.
-        const bool cube =
-            spec.cfg.effectiveTopology() != TopologyKind::Dragonfly;
+        const bool cube = spec.cfg.topology != TopologyKind::Dragonfly;
         const int nn = spec.cfg.nodes();
         const bool pow2 = (nn & (nn - 1)) == 0;
         const auto unsupported = [&](TrafficPattern p) {
@@ -343,9 +341,9 @@ buildSpec(const Cell &cell, std::uint64_t seed, const Overrides &o,
             return !pow2 && (p == TrafficPattern::BitReversal ||
                              p == TrafficPattern::Shuffle);
         };
-        if (!o.sim.given("pattern") && unsupported(spec.cfg.pattern))
+        if (!o.sim.given(&SimConfig::pattern) && unsupported(spec.cfg.pattern))
             spec.cfg.pattern = TrafficPattern::Uniform;
-        if (!o.sim.given("classes")) {
+        if (!o.sim.given(&SimConfig::trafficClasses)) {
             for (TrafficClassConfig &tc : spec.cfg.trafficClasses)
                 if (unsupported(tc.pattern))
                     tc.pattern = TrafficPattern::Uniform;
@@ -373,40 +371,43 @@ buildSpec(const Cell &cell, std::uint64_t seed, const Overrides &o,
 }
 
 /**
- * One-line replay of @p spec, topology-qualified (--topology, --k AND
- * --n, plus the ack flags when set) so failures on non-default tori
- * reproduce exactly. A pinned fault timeline rides along as
- * --fault-events.
+ * The grid's base config before any option: the cells --replay-seed
+ * rebuilds, against which a replay line spells its options.
+ */
+SimConfig
+gridBase()
+{
+    SimConfig base;
+    base.maxRetries = 6;
+    return base;
+}
+
+/** @p word, double-quoted if the shell would split or expand it. */
+std::string
+shellWord(const std::string &word)
+{
+    const bool plain =
+        word.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                               "abcdefghijklmnopqrstuvwxyz"
+                               "0123456789-_.,:=+/") == std::string::npos;
+    return plain ? word : "\"" + word + "\"";
+}
+
+/**
+ * One-line replay of @p spec: the campaign parts, and every simulator
+ * option on which spec.cfg differs from @p cell, the pristine grid cell
+ * that --replay-seed rebuilds, so the replay runs exactly this spec. A
+ * pinned fault timeline rides along as --fault-events.
  */
 std::string
-replayCommand(const CampaignSpec &spec)
+replayCommand(const CampaignSpec &spec, const SimConfig &cell)
 {
     std::ostringstream os;
-    os << "tpnet_verify --replay-seed " << spec.seed << " --protocol "
-       << protocolName(spec.cfg.protocol) << " --scout-k "
-       << spec.cfg.scoutK << " --k " << spec.cfg.k << " --n "
-       << spec.cfg.n << " --topology "
-       << topologyName(spec.cfg.effectiveTopology());
-    if (spec.cfg.effectiveTopology() == TopologyKind::Express)
-        os << " --express-gap " << spec.cfg.expressGap;
-    if (spec.cfg.effectiveTopology() == TopologyKind::Dragonfly)
-        os << " --df-routers " << spec.cfg.dfRouters << " --df-global "
-           << spec.cfg.dfGlobal;
-    if (spec.cfg.tailAck)
-        os << " --tail-ack";
-    if (spec.cfg.hardwareAcks)
-        os << " --hardware-acks";
-    if (spec.cfg.recoveryMode)
-        os << " --recovery --victim "
-           << victimPolicyName(spec.cfg.victimPolicy);
+    os << "tpnet_verify --replay-seed " << spec.seed;
+    for (const std::string &word : formatSimConfigOptions(spec.cfg, cell))
+        os << ' ' << shellWord(word);
     if (spec.injectSkipKillBug)
         os << " --hook-skip-kills";
-    char load[32];
-    std::snprintf(load, sizeof load, "%.4f", spec.cfg.load);
-    os << " --load " << load;
-    if (!spec.cfg.trafficClasses.empty())
-        os << " --classes \""
-           << formatTrafficClasses(spec.cfg.trafficClasses) << "\"";
     os << " --inject " << spec.injectCycles;
     if (!spec.scriptedFaults.empty()) {
         os << " --fault-events \""
@@ -663,10 +664,10 @@ main(int argc, char **argv)
 
     // The grid's base: the options apply here too, so base.seed is the
     // first campaign's seed.
-    SimConfig base;
-    base.maxRetries = 6;
+    SimConfig base = gridBase();
     o.sim.apply(&base);
     const std::vector<Cell> grid = buildGrid(base);
+    const std::vector<Cell> pristineGrid = buildGrid(gridBase());
 
     std::string error;
     const bool replay = replay_seed != 0;
@@ -738,6 +739,11 @@ main(int argc, char **argv)
     const std::vector<CampaignResult> results =
         runCampaigns(specs, jobs);
 
+    // Campaigns whose classes argv gave are labelled by the option.
+    const std::string classesLabel =
+        o.sim.given(&SimConfig::trafficClasses)
+            ? std::string("--") + optionOf(&SimConfig::trafficClasses)
+            : "";
     Totals t;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const CampaignResult &r = results[i];
@@ -746,7 +752,7 @@ main(int argc, char **argv)
         std::printf(
             "%-40s %s\n",
             describe(specs[i], o.faultScale * cell.faultScale,
-                     o.sim.given("classes") ? "--classes" : cell.workload)
+                     classesLabel.empty() ? cell.workload : classesLabel)
                 .c_str(),
             r.summary().c_str());
         if (verbose) {
@@ -759,6 +765,8 @@ main(int argc, char **argv)
         }
         printCapped("!", r.violations, verbose ? r.violations.size() : 5);
         printCapped("live", r.liveDump, verbose ? r.liveDump.size() : 10);
+        const SimConfig &pristine =
+            pristineGrid[specs[i].seed % grid.size()].cfg;
         if (!no_shrink) {
             const ShrinkOutcome shrunk =
                 shrinkCampaign(specs[i], runCampaign);
@@ -768,10 +776,10 @@ main(int argc, char **argv)
                         shrunk.classSteps, shrunk.eventSteps,
                         shrunk.eventsPinned ? ""
                                             : " (timeline not pinned)",
-                        replayCommand(shrunk.spec).c_str());
+                        replayCommand(shrunk.spec, pristine).c_str());
         } else if (!replay) {
             std::printf("    replay: %s\n",
-                        replayCommand(specs[i]).c_str());
+                        replayCommand(specs[i], pristine).c_str());
         }
         std::fflush(stdout);
     }
