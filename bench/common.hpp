@@ -13,6 +13,7 @@
  *                     95%-CI rule engages when > 1)
  *   TPNET_BENCH_FAST  nonzero -> quarter-length windows (smoke mode)
  *   TPNET_JOBS        default sweep worker count (see --jobs)
+ * A value that is not a whole number is a fatal error.
  *
  * Command-line knobs (every figure and ablation bench, via Harness):
  *   --jobs N          sweep worker threads; results are bit-identical
@@ -37,6 +38,7 @@
 
 #include "core/pool.hpp"
 #include "core/tpnet.hpp"
+#include "sim/log.hpp"
 #include "sim/options.hpp"
 
 #include "report.hpp"
@@ -47,7 +49,10 @@ inline int
 envInt(const char *name, int fallback)
 {
     const char *v = std::getenv(name);
-    return v ? std::atoi(v) : fallback;
+    int out = fallback;
+    if (v && !parseNumber(v, &out))
+        tpnet_fatal(name, " must be a whole number, got \"", v, "\"");
+    return out;
 }
 
 inline bool

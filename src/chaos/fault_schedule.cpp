@@ -5,6 +5,7 @@
 
 #include "core/engine.hpp"
 #include "core/network.hpp"
+#include "sim/options.hpp"
 
 namespace tpnet {
 namespace chaos {
@@ -90,19 +91,10 @@ formatFaultEvents(const std::vector<FaultEvent> &events)
 {
     std::string out;
     for (const FaultEvent &ev : events) {
-        if (!out.empty())
-            out += ',';
-        out += std::to_string(ev.at);
-        out += ':';
-        out += kindLetters[static_cast<std::size_t>(ev.kind)];
-        out += ':';
-        out += std::to_string(ev.node == invalidNode
-                                  ? -1
-                                  : static_cast<long long>(ev.node));
-        out += ':';
-        out += std::to_string(ev.port);
-        out += ':';
-        out += std::to_string(ev.downFor);
+        out += (out.empty() ? "" : ",") + std::to_string(ev.at) + ':' +
+               kindLetters[static_cast<std::size_t>(ev.kind)] + ':' +
+               std::to_string(ev.node) + ':' + std::to_string(ev.port) +
+               ':' + std::to_string(ev.downFor);
     }
     return out;
 }
@@ -123,16 +115,13 @@ parseFaultEvents(const std::string &spec, std::vector<FaultEvent> *out)
             return false;
         FaultEvent ev;
         ev.kind = static_cast<FaultKind>(kind);
-        try {
-            ev.at = static_cast<Cycle>(std::stoull(fields[0]));
-            const long long node = std::stoll(fields[2]);
-            ev.node = node < 0 ? invalidNode
-                               : static_cast<NodeId>(node);
-            ev.port = std::stoi(fields[3]);
-            ev.downFor = static_cast<Cycle>(std::stoull(fields[4]));
-        } catch (...) {
+        // Node -1 is an open victim, drawn when the event fires; port
+        // -1 is a node kill's (or an open victim's) port.
+        if (!parseNumber(fields[0], &ev.at) ||
+            !parseNumber(fields[2], &ev.node) || ev.node < invalidNode ||
+            !parseNumber(fields[3], &ev.port) || ev.port < -1 ||
+            !parseNumber(fields[4], &ev.downFor))
             return false;
-        }
         out->push_back(ev);
     }
     return true;

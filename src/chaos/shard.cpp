@@ -1,10 +1,8 @@
 #include "chaos/shard.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <climits>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -14,7 +12,7 @@
 
 #include "chaos/report.hpp"
 #include "obs/trace_format.hpp"
-#include "sim/config_fields.hpp"
+#include "sim/options.hpp"
 
 namespace tpnet {
 namespace chaos {
@@ -56,7 +54,8 @@ foldValue(std::uint64_t h, const T &v)
     } else if constexpr (std::is_same_v<T, std::vector<TrafficClassConfig>>) {
         h = foldU64(h, v.size());
         for (const TrafficClassConfig &tc : v)
-            tc.forEachField([&h](const auto &x) { h = foldValue(h, x); });
+            TrafficClassConfig::forEachField(
+                [&](const auto &k) { h = foldValue(h, tc.*k.member); });
         return h;
     } else {
         return foldU64(h, static_cast<std::uint64_t>(v));
@@ -69,41 +68,35 @@ foldTag(const char *tag)
     return obs::fnv1a64(tag, std::strlen(tag));
 }
 
-/** Parse a decimal integer right after @p tag inside @p line. */
+/** Parse the number right after @p tag inside @p line, up to the next
+ *  ',', ' ' or '}'. */
+template <typename T>
 bool
-intAfter(const std::string &line, const std::string &tag, long long *out)
+intAfter(const std::string &line, const std::string &tag, T *out)
 {
     const auto pos = line.find(tag);
     if (pos == std::string::npos)
         return false;
-    const char *p = line.c_str() + pos + tag.size();
-    char *end = nullptr;
-    const long long v = std::strtoll(p, &end, 10);
-    if (end == p)
-        return false;
-    *out = v;
-    return true;
+    const std::size_t start = pos + tag.size();
+    return parseNumber(
+        line.substr(start, line.find_first_of(", }", start) - start), out);
 }
 
-/** Parse a quoted 16-digit hex value right after @p tag. */
+/** Parse a quoted hex value right after @p tag. */
 bool
 hexAfter(const std::string &line, const std::string &tag,
          std::uint64_t *out)
 {
-    const auto pos = line.find(tag);
+    const auto pos = line.find(tag + '"');
     if (pos == std::string::npos)
         return false;
-    std::size_t i = pos + tag.size();
-    if (i >= line.size() || line[i] != '"')
-        return false;
-    ++i;
+    const std::size_t i = pos + tag.size() + 1;
     const auto close = line.find('"', i);
-    if (close == std::string::npos || close == i)
+    if (close == std::string::npos)
         return false;
-    const std::string digits = line.substr(i, close - i);
-    char *end = nullptr;
-    *out = std::strtoull(digits.c_str(), &end, 16);
-    return end == digits.c_str() + digits.size();
+    const char *last = line.data() + close;
+    const auto [ptr, ec] = std::from_chars(line.data() + i, last, *out, 16);
+    return ec == std::errc() && ptr == last;
 }
 
 } // namespace
@@ -112,22 +105,15 @@ bool
 parseShardSpec(const std::string &text, ShardSpec *out)
 {
     const auto slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size())
+    int index = 0;
+    int count = 0;
+    if (slash == std::string::npos ||
+        !parseNumber(text.substr(0, slash), &index) ||
+        !parseNumber(text.substr(slash + 1), &count) || index < 0 ||
+        index >= count)
         return false;
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        if (i == slash)
-            continue;
-        if (!std::isdigit(static_cast<unsigned char>(text[i])))
-            return false;
-    }
-    const long long index = std::strtoll(text.c_str(), nullptr, 10);
-    const long long count =
-        std::strtoll(text.c_str() + slash + 1, nullptr, 10);
-    if (count < 1 || count > INT_MAX || index < 0 || index >= count)
-        return false;
-    out->index = static_cast<int>(index);
-    out->count = static_cast<int>(count);
+    out->index = index;
+    out->count = count;
     return true;
 }
 
@@ -266,20 +252,18 @@ readShardFile(const std::string &path, ShardFile *out, std::string *error)
             }
             out->tool = line.substr(open + 1, close - open - 1);
         } else if (line.rfind("  \"shard\": {", 0) == 0) {
-            long long index = -1, count = -1, total = -1;
-            if (!intAfter(line, "\"index\": ", &index) ||
-                !intAfter(line, "\"count\": ", &count) ||
+            std::uint64_t total = 0;
+            if (!intAfter(line, "\"index\": ", &out->shard.index) ||
+                !intAfter(line, "\"count\": ", &out->shard.count) ||
                 !intAfter(line, "\"total\": ", &total) ||
                 !hexAfter(line, "\"key\": ", &out->key) ||
                 !hexAfter(line, "\"result_digest\": ",
                           &out->storedResultDigest) ||
-                count < 1 || count > INT_MAX || index < 0 ||
-                index >= count || total < 0) {
+                out->shard.index < 0 ||
+                out->shard.index >= out->shard.count) {
                 *error = path + ": malformed shard line";
                 return false;
             }
-            out->shard.index = static_cast<int>(index);
-            out->shard.count = static_cast<int>(count);
             out->total = static_cast<std::size_t>(total);
             sawShard = true;
         } else if (line == "  \"campaigns\": [") {

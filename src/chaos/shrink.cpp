@@ -96,7 +96,9 @@ shrinkClasses(CampaignSpec spec, const CampaignRunner &run, int *steps)
 /**
  * Event-level delta debugging over a pinned timeline: remove one event
  * at a time, keep the removal when the failure survives, and repeat
- * until a full pass removes nothing.
+ * until a full pass removes nothing. Removing the last event also
+ * zeroes the fault counts: an empty pinned timeline means no faults,
+ * not the randomized timeline an empty list asks runCampaign for.
  */
 CampaignSpec
 shrinkEvents(CampaignSpec spec, const CampaignRunner &run, int *steps)
@@ -109,6 +111,9 @@ shrinkEvents(CampaignSpec spec, const CampaignRunner &run, int *steps)
             cand.scriptedFaults.erase(
                 cand.scriptedFaults.begin() +
                 static_cast<std::ptrdiff_t>(i));
+            if (cand.scriptedFaults.empty())
+                cand.faults.nodeKills = cand.faults.linkKills =
+                    cand.faults.intermittents = 0;
             if (stillFails(cand, run)) {
                 spec = std::move(cand);
                 improved = true;

@@ -7,6 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "sim/log.hpp"
+#include "sim/options.hpp"
+
 namespace tpnet {
 
 std::size_t
@@ -15,7 +18,10 @@ resolveJobs(int requested)
     if (requested > 0)
         return static_cast<std::size_t>(requested);
     if (const char *env = std::getenv("TPNET_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
+        int v = 0;
+        if (!parseNumber(env, &v))
+            tpnet_fatal("TPNET_JOBS must be a whole number, got \"", env,
+                        "\"");
         if (v > 0)
             return static_cast<std::size_t>(v);
     }

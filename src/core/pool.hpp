@@ -25,7 +25,8 @@ namespace tpnet {
  *
  *  - @p requested > 0: use exactly that many workers;
  *  - @p requested <= 0: use the TPNET_JOBS environment variable if it
- *    is set to a positive integer, otherwise all hardware threads.
+ *    is set to a positive integer, otherwise all hardware threads (a
+ *    TPNET_JOBS that is not a whole number is a fatal error).
  *
  * Always returns at least 1.
  */

@@ -4,9 +4,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <sstream>
-#include <utility>
 
 #include "sim/log.hpp"
 
@@ -286,106 +284,6 @@ formatExact(double v)
 {
     char buf[32];
     return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
-
-namespace {
-
-bool
-specFail(std::string *err, const std::string &what)
-{
-    if (err)
-        *err = what;
-    return false;
-}
-
-} // namespace
-
-bool
-parseTrafficClasses(const std::string &spec,
-                    std::vector<TrafficClassConfig> *out,
-                    std::string *err)
-{
-    std::vector<TrafficClassConfig> classes;
-    std::istringstream specStream(spec);
-    std::string clause;
-    while (std::getline(specStream, clause, ';')) {
-        if (clause.empty())
-            continue;
-        TrafficClassConfig tc;
-        std::istringstream clauseStream(clause);
-        std::string kv;
-        while (std::getline(clauseStream, kv, ',')) {
-            const std::size_t eq = kv.find('=');
-            if (eq == std::string::npos)
-                return specFail(err, "expected key=value, got \"" + kv + "\"");
-            const std::string key = kv.substr(0, eq);
-            const std::string val = kv.substr(eq + 1);
-            try {
-                if (key == "pattern") {
-                    if (!parseEnumName(val, &tc.pattern))
-                        return specFail(err,
-                                        "unknown traffic pattern \"" + val +
-                                            "\"");
-                } else if (key == "load") {
-                    tc.load = std::stod(val);
-                } else if (key == "len") {
-                    tc.msgLength = std::stoi(val);
-                } else if (key == "prio") {
-                    tc.priority = std::stoi(val);
-                } else if (key == "hotspot") {
-                    tc.hotspotFraction = std::stod(val);
-                } else if (key == "hotspots") {
-                    tc.hotspotCount = std::stoi(val);
-                } else if (key == "burst") {
-                    tc.burstLen = std::stoi(val);
-                } else if (key == "duty") {
-                    tc.burstDuty = std::stod(val);
-                } else if (key == "outstanding") {
-                    tc.outstanding = std::stoi(val);
-                } else if (key == "replylen") {
-                    tc.replyLength = std::stoi(val);
-                } else {
-                    return specFail(err, "unknown class key \"" + key + "\"");
-                }
-            } catch (const std::exception &) {
-                return specFail(err, "bad value for " + key + ": \"" + val +
-                                         "\"");
-            }
-        }
-        classes.push_back(tc);
-    }
-    if (classes.empty())
-        return specFail(err, "workload spec describes no classes");
-    *out = std::move(classes);
-    return true;
-}
-
-std::string
-formatTrafficClasses(const std::vector<TrafficClassConfig> &classes)
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < classes.size(); ++i) {
-        const TrafficClassConfig &tc = classes[i];
-        if (i)
-            os << ';';
-        os << "pattern=" << enumSpelling(tc.pattern)
-           << ",load=" << formatExact(tc.load);
-        if (tc.msgLength)
-            os << ",len=" << tc.msgLength;
-        if (tc.priority)
-            os << ",prio=" << tc.priority;
-        if (tc.hotspotFraction > 0.0)
-            os << ",hotspot=" << formatExact(tc.hotspotFraction)
-               << ",hotspots=" << tc.hotspotCount;
-        if (tc.burstLen)
-            os << ",burst=" << tc.burstLen
-               << ",duty=" << formatExact(tc.burstDuty);
-        if (tc.outstanding)
-            os << ",outstanding=" << tc.outstanding;
-        if (tc.replyLength)
-            os << ",replylen=" << tc.replyLength;
-    }
-    return os.str();
 }
 
 std::string

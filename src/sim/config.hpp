@@ -65,6 +65,23 @@ enum class TrafficPattern : std::uint8_t {
     Shuffle,       ///< dst = node index rotated left one bit (2^b nodes)
 };
 
+struct TrafficClassConfig;
+
+/**
+ * One key of the class spec syntax (parseTrafficClasses): its spelling
+ * and the TrafficClassConfig member it sets. An @c always key is
+ * printed even at its default value.
+ */
+template <typename T>
+struct ClassKey
+{
+    using Type = T;
+
+    const char *name;
+    T TrafficClassConfig::*member;
+    bool always = false;
+};
+
 /**
  * One traffic class of the workload library: a destination pattern
  * (optionally skewed toward a hotspot set), its own offered load and
@@ -108,14 +125,26 @@ struct TrafficClassConfig
 
     bool operator==(const TrafficClassConfig &) const = default;
 
-    /** Call @p f on every field, in declaration order. */
-    template <typename F>
-    void
-    forEachField(F &&f) const
+    /**
+     * The key table: call @p visit with the ClassKey of every field, in
+     * declaration order. The class parser and formatter, the --classes
+     * help text and the config digest all walk it.
+     */
+    template <typename Visit>
+    static void
+    forEachField(Visit &&visit)
     {
-        f(pattern), f(load), f(msgLength), f(priority), f(hotspotFraction),
-            f(hotspotCount), f(burstLen), f(burstDuty), f(outstanding),
-            f(replyLength);
+        using C = TrafficClassConfig;
+        visit(ClassKey{"pattern", &C::pattern, true});
+        visit(ClassKey{"load", &C::load, true});
+        visit(ClassKey{"len", &C::msgLength});
+        visit(ClassKey{"prio", &C::priority});
+        visit(ClassKey{"hotspot", &C::hotspotFraction});
+        visit(ClassKey{"hotspots", &C::hotspotCount});
+        visit(ClassKey{"burst", &C::burstLen});
+        visit(ClassKey{"duty", &C::burstDuty});
+        visit(ClassKey{"outstanding", &C::outstanding});
+        visit(ClassKey{"replylen", &C::replyLength});
     }
 };
 
@@ -340,15 +369,11 @@ std::string formatExact(double v);
 
 /**
  * Parse a workload spec string into traffic classes. Classes are
- * separated by ';'; each class is a comma-separated key=value list:
- *
- *   pattern=<name>,load=<f>[,len=<n>][,prio=<n>][,hotspot=<f>]
- *   [,hotspots=<n>][,burst=<n>][,duty=<f>][,outstanding=<n>]
- *   [,replylen=<n>]
- *
- * e.g. "pattern=transpose,load=0.2,prio=1;pattern=uniform,load=0.1,
- * burst=200,duty=0.25". Returns false (with *err set) on malformed
- * input; range validation is left to SimConfig::validate().
+ * separated by ';'; each class is a comma-separated key=value list
+ * over the keys of TrafficClassConfig::forEachField, each value read
+ * as the SimConfig options read theirs (whole numbers, finite floats,
+ * pattern names). Returns false (with *err set) on malformed input;
+ * range validation is left to SimConfig::validate().
  */
 bool parseTrafficClasses(const std::string &spec,
                          std::vector<TrafficClassConfig> *out,
@@ -356,9 +381,14 @@ bool parseTrafficClasses(const std::string &spec,
 
 /**
  * Format traffic classes back into the spec-string syntax accepted by
- * parseTrafficClasses (round-trips exactly); "" for an empty list.
+ * parseTrafficClasses (round-trips exactly): the always keys, then
+ * every key whose value differs from TrafficClassConfig{}; "" for an
+ * empty list.
  */
 std::string formatTrafficClasses(const std::vector<TrafficClassConfig> &classes);
+
+/** The --classes help text, its spec syntax spelled from the key table. */
+const char *trafficClassesHelp();
 
 } // namespace tpnet
 

@@ -62,11 +62,7 @@ forEachConfigField(Visit &&visit)
     visit(ConfigField{&C::load, "load",
                       "offered load, data flits/node/cycle"});
     visit(ConfigField{&C::pattern, "pattern", "traffic pattern"});
-    visit(ConfigField{
-        &C::trafficClasses, "classes",
-        "workload classes replacing --pattern/--load: "
-        "\"pattern=<name>,load=<f>[,len=][,prio=][,hotspot=][,hotspots=]"
-        "[,burst=][,duty=][,outstanding=][,replylen=]\" joined by ';'"});
+    visit(ConfigField{&C::trafficClasses, "classes", trafficClassesHelp()});
     visit(ConfigField{&C::tailAck, "tail-ack",
                       "hold paths + message acks + retransmit"});
     visit(ConfigField{&C::hardwareAcks, "hardware-acks",

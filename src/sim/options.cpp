@@ -13,11 +13,9 @@
 
 namespace tpnet {
 
-namespace {
-
 template <typename T>
 bool
-parseWhole(const std::string &text, T *out)
+parseNumber(const std::string &text, T *out)
 {
     // from_chars takes no '+' and, for an unsigned type, no '-': a
     // negative count never wraps to ~2^64.
@@ -36,13 +34,13 @@ parseWhole(const std::string &text, T *out)
 
 template <typename T>
 bool
-parseList(const std::string &csv, std::vector<T> *out)
+parseNumbers(const std::string &csv, std::vector<T> *out)
 {
     std::vector<T> items;
     for (std::size_t start = 0;;) {
         const std::size_t comma = csv.find(',', start);
-        if (!parseWhole(csv.substr(start, comma - start),
-                        &items.emplace_back()))
+        if (!parseNumber(csv.substr(start, comma - start),
+                         &items.emplace_back()))
             return false;
         if (comma == std::string::npos)
             break;
@@ -51,6 +49,14 @@ parseList(const std::string &csv, std::vector<T> *out)
     *out = std::move(items);
     return true;
 }
+
+template bool parseNumber(const std::string &, int *);
+template bool parseNumber(const std::string &, std::uint64_t *);
+template bool parseNumber(const std::string &, double *);
+template bool parseNumbers(const std::string &, std::vector<int> *);
+template bool parseNumbers(const std::string &, std::vector<double> *);
+
+namespace {
 
 /** The usage text's name for a value of type @p T. */
 template <typename T>
@@ -70,36 +76,6 @@ metavarOf()
 }
 
 } // namespace
-
-bool
-parseNumber(const std::string &text, int *out)
-{
-    return parseWhole(text, out);
-}
-
-bool
-parseNumber(const std::string &text, std::uint64_t *out)
-{
-    return parseWhole(text, out);
-}
-
-bool
-parseNumber(const std::string &text, double *out)
-{
-    return parseWhole(text, out);
-}
-
-bool
-parseNumbers(const std::string &csv, std::vector<int> *out)
-{
-    return parseList(csv, out);
-}
-
-bool
-parseNumbers(const std::string &csv, std::vector<double> *out)
-{
-    return parseList(csv, out);
-}
 
 OptionParser::OptionParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description))
@@ -149,26 +125,12 @@ OptionParser::addNumber(const std::string &name, const std::string &help,
              });
 }
 
-void
-OptionParser::addInt(const std::string &name, const std::string &help,
-                     int *target)
-{
-    addNumber(name, help, target);
-}
-
-void
-OptionParser::addUint64(const std::string &name, const std::string &help,
-                        std::uint64_t *target)
-{
-    addNumber(name, help, target);
-}
-
-void
-OptionParser::addDouble(const std::string &name, const std::string &help,
-                        double *target)
-{
-    addNumber(name, help, target);
-}
+template void OptionParser::addNumber(const std::string &,
+                                      const std::string &, int *);
+template void OptionParser::addNumber(const std::string &,
+                                      const std::string &, std::uint64_t *);
+template void OptionParser::addNumber(const std::string &,
+                                      const std::string &, double *);
 
 void
 OptionParser::addString(const std::string &name, const std::string &help,
@@ -184,10 +146,10 @@ OptionParser::addString(const std::string &name, const std::string &help,
 void
 OptionParser::addJobs(int *target)
 {
-    addInt("jobs",
-           "worker threads (0 = $TPNET_JOBS, else all hardware "
-           "threads); results are identical for every value",
-           target);
+    addNumber("jobs",
+              "worker threads (0 = $TPNET_JOBS, else all hardware "
+              "threads); results are identical for every value",
+              target);
 }
 
 const OptionParser::Option *
@@ -334,7 +296,101 @@ formatField(const T &v)
         return formatTrafficClasses(v);
 }
 
+/** Read one `key=value` of a class spec into @p tc. */
+bool
+parseClassKey(const std::string &kv, TrafficClassConfig *tc,
+              std::string *why)
+{
+    const std::size_t eq = kv.find('=');
+    if (eq == std::string::npos) {
+        *why = "expected key=value, got \"" + kv + "\"";
+        return false;
+    }
+    const std::string key = kv.substr(0, eq);
+    const std::string val = kv.substr(eq + 1);
+    bool known = false;
+    bool ok = false;
+    std::string expected;
+    TrafficClassConfig::forEachField([&](const auto &k) {
+        if (key == k.name) {
+            known = true;
+            ok = parseField(val, &(tc->*k.member), &expected);
+        }
+    });
+    if (!known)
+        *why = "unknown class key \"" + key + "\"";
+    else if (!ok)
+        *why = "bad value for " + key + ": \"" + val + "\"" +
+               (expected.empty() ? "" : " (" + expected + ")");
+    return ok;
+}
+
 } // namespace
+
+bool
+parseTrafficClasses(const std::string &spec,
+                    std::vector<TrafficClassConfig> *out,
+                    std::string *err)
+{
+    std::string scratch;
+    std::string &why = err ? *err : scratch;
+    std::vector<TrafficClassConfig> classes;
+    std::istringstream specStream(spec);
+    for (std::string clause; std::getline(specStream, clause, ';');) {
+        if (clause.empty())
+            continue;
+        TrafficClassConfig &tc = classes.emplace_back();
+        std::istringstream clauseStream(clause);
+        for (std::string kv; std::getline(clauseStream, kv, ',');)
+            if (!parseClassKey(kv, &tc, &why))
+                return false;
+    }
+    if (classes.empty()) {
+        why = "workload spec describes no classes";
+        return false;
+    }
+    *out = std::move(classes);
+    return true;
+}
+
+std::string
+formatTrafficClasses(const std::vector<TrafficClassConfig> &classes)
+{
+    const TrafficClassConfig defaults{};
+    std::string out;
+    for (const TrafficClassConfig &tc : classes) {
+        if (!out.empty())
+            out += ';';
+        const char *sep = "";
+        TrafficClassConfig::forEachField([&](const auto &k) {
+            if (k.always || tc.*k.member != defaults.*k.member) {
+                out += sep + std::string(k.name) + "=" +
+                       formatField(tc.*k.member);
+                sep = ",";
+            }
+        });
+    }
+    return out;
+}
+
+const char *
+trafficClassesHelp()
+{
+    static const std::string help = [] {
+        std::string syntax;
+        TrafficClassConfig::forEachField([&syntax](const auto &k) {
+            using T = typename std::remove_cvref_t<decltype(k)>::Type;
+            if (k.always)
+                syntax += (syntax.empty() ? "" : ",") + std::string(k.name) +
+                          (std::is_enum_v<T> ? "=<name>" : "=<f>");
+            else
+                syntax += "[," + std::string(k.name) + "=]";
+        });
+        return "workload classes replacing --pattern/--load: \"" + syntax +
+               "\" joined by ';'";
+    }();
+    return help.c_str();
+}
 
 void
 addSimConfigOptions(OptionParser &parser, SimConfigOptions *out,

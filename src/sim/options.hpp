@@ -24,21 +24,22 @@
 namespace tpnet {
 
 /**
- * Strict number parsing: the whole token must be one number of the
- * type (no blanks, no trailing characters, no out-of-range or
- * non-finite values); an unsigned value takes no sign. @p out is only
- * written on success.
+ * Strict number parsing, the one reader of every number in argv, the
+ * environment, spec strings and shard files: the whole token must be
+ * one number of the type (no blanks, no trailing characters, no
+ * out-of-range or non-finite values); an unsigned value takes no sign.
+ * @p out is only written on success. Defined for int, std::uint64_t
+ * and double.
  */
-bool parseNumber(const std::string &text, int *out);
-bool parseNumber(const std::string &text, std::uint64_t *out);
-bool parseNumber(const std::string &text, double *out);
+template <typename T>
+bool parseNumber(const std::string &text, T *out);
 
 /**
- * A non-empty comma-separated list, each item parsed by parseNumber().
- * @p out is only written on success.
+ * A non-empty comma-separated list, each item parsed by parseNumber()
+ * (int or double). @p out is only written on success.
  */
-bool parseNumbers(const std::string &csv, std::vector<int> *out);
-bool parseNumbers(const std::string &csv, std::vector<double> *out);
+template <typename T>
+bool parseNumbers(const std::string &csv, std::vector<T> *out);
 
 /** Declarative command-line parser. */
 class OptionParser
@@ -58,12 +59,10 @@ class OptionParser
     /** A flag whose value (on or off) goes to @p set. */
     void addFlag(const std::string &name, const std::string &help,
                  std::function<void(bool)> set);
-    void addInt(const std::string &name, const std::string &help,
-                int *target);
-    void addUint64(const std::string &name, const std::string &help,
-                   std::uint64_t *target);
-    void addDouble(const std::string &name, const std::string &help,
-                   double *target);
+    /** An int, std::uint64_t or double option, read by parseNumber(). */
+    template <typename T>
+    void addNumber(const std::string &name, const std::string &help,
+                   T *target);
     void addString(const std::string &name, const std::string &help,
                    std::string *target);
 
@@ -111,9 +110,6 @@ class OptionParser
         Setter set;
     };
 
-    template <typename T>
-    void addNumber(const std::string &name, const std::string &help,
-                   T *target);
     const Option *find(const std::string &name) const;
 
     std::string program_;

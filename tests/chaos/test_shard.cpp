@@ -168,7 +168,7 @@ TEST(Shard, ParseShardSpecAcceptsAndRejects)
     // Counts above INT_MAX are refused, not truncated: 2^32 + 2 would
     // wrap to shard 3/2 and 10^20 to shard 0/-1.
     for (const char *bad : {"", "4/4", "5/4", "-1/4", "a/b", "1/0",
-                            "1/", "/4", "1/4x", "1.5/4", "1 / 4",
+                            "1/", "/4", "1/4x", "1.5/4", "1 / 4", "+1/4",
                             "3/4294967298", "0/2147483648",
                             "0/99999999999999999999",
                             "99999999999999999999/99999999999999999999"})

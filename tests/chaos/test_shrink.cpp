@@ -132,6 +132,30 @@ TEST(Shrink, AlreadyScriptedSpecSkipsClassDropsAndStaysPinned)
     EXPECT_FALSE(syntheticRun(out.spec).passed);
 }
 
+TEST(Shrink, LastPinnedEventStaysWhenTheFailureNeedsAFault)
+{
+    // The bug needs any fault at all. Dropping the one pinned event
+    // must not hand the campaign back to its randomized fault counts:
+    // an empty pinned timeline means no faults, so the event stays.
+    CampaignSpec spec = failingSpec();
+    spec.faults.nodeKills = spec.faults.linkKills = 0;
+    spec.faults.intermittents = 6;
+    spec.scriptedFaults = {nodeKill(100, 2)};
+    const auto anyFault = [](const CampaignSpec &s) {
+        CampaignResult r;
+        r.passed = s.scriptedFaults.empty() && s.faults.nodeKills == 0 &&
+                   s.faults.linkKills == 0 && s.faults.intermittents == 0;
+        r.quiescent = r.passed;
+        r.firedEvents = s.scriptedFaults;
+        return r;
+    };
+    const ShrinkOutcome out = shrinkCampaign(spec, anyFault);
+    EXPECT_TRUE(out.eventsPinned);
+    ASSERT_EQ(out.spec.scriptedFaults.size(), 1u);
+    EXPECT_EQ(out.spec.scriptedFaults[0].node, 2);
+    EXPECT_EQ(out.eventSteps, 0);
+}
+
 TEST(Shrink, DrainBudgetIsNeverShrunk)
 {
     // A short drain fabricates "not quiescent" failures unrelated to
@@ -169,6 +193,10 @@ TEST(FaultEventFormat, RejectsMalformedSpecs)
     EXPECT_FALSE(parseFaultEvents("84:x:35:-1:0", &out));   // bad kind
     EXPECT_FALSE(parseFaultEvents("abc:n:35:-1:0", &out));  // bad time
     EXPECT_FALSE(parseFaultEvents(",", &out));
+    EXPECT_FALSE(parseFaultEvents("12x:n:5:-1:0", &out));  // time prefix
+    EXPECT_FALSE(parseFaultEvents("-5:n:5:-1:0", &out));   // no wrap
+    EXPECT_FALSE(parseFaultEvents("1:n:5:-1:0x", &out));   // down suffix
+    EXPECT_FALSE(parseFaultEvents("1:n:-7:-1:0", &out));   // node < -1
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "chaos/shard.hpp"
@@ -18,10 +19,10 @@ struct ParserFixture : ::testing::Test
         : parser("prog", "test program")
     {
         parser.addFlag("flag", "a flag", &flag);
-        parser.addInt("count", "an int", &count);
-        parser.addDouble("rate", "a double", &rate);
+        parser.addNumber("count", "an int", &count);
+        parser.addNumber("rate", "a double", &rate);
         parser.addString("name", "a string", &name);
-        parser.addUint64("seed", "a u64", &seed);
+        parser.addNumber("seed", "a u64", &seed);
     }
 
     bool
@@ -194,8 +195,8 @@ TEST(OptionParserDeath, DuplicateNamePanics)
 {
     OptionParser parser("prog", "test program");
     int a = 0;
-    parser.addInt("k", "radix", &a);
-    EXPECT_DEATH(parser.addInt("k", "again", &a), "registered twice");
+    parser.addNumber("k", "radix", &a);
+    EXPECT_DEATH(parser.addNumber("k", "again", &a), "registered twice");
 }
 
 /** A parser carrying only the shared simulator options. */
@@ -470,6 +471,46 @@ TEST(SimOptionsRoundTrip, EveryOptionReadsBackExactly)
         cfg.load = load;
         EXPECT_EQ(replayed(cfg, SimConfig{}).load, load);
     }
+}
+
+TEST(ClassKeys, EveryKeyRoundTripsAndCountsInTheDigest)
+{
+    // Each key of the table in turn, set away from TrafficClassConfig{}:
+    // format -> parse gives back the class, and the digest sees it.
+    SimConfig plain;
+    plain.trafficClasses.resize(1);
+    int keys = 0;
+    TrafficClassConfig::forEachField([&](const auto &k) {
+        using T = typename std::remove_cvref_t<decltype(k)>::Type;
+        TrafficClassConfig tc;
+        if constexpr (std::is_enum_v<T>)
+            tc.*k.member = TrafficPattern::Tornado;
+        else if constexpr (std::is_same_v<T, double>)
+            tc.*k.member = 1.0 / 3.0;
+        else
+            tc.*k.member += 3;
+        const std::string spec = formatTrafficClasses({tc});
+        std::vector<TrafficClassConfig> back;
+        std::string err;
+        EXPECT_TRUE(parseTrafficClasses(spec, &back, &err)) << err;
+        EXPECT_EQ(back, std::vector<TrafficClassConfig>{tc})
+            << k.name << ": " << spec;
+        SimConfig cfg = plain;
+        cfg.trafficClasses[0] = tc;
+        EXPECT_NE(chaos::configDigest(cfg), chaos::configDigest(plain))
+            << k.name;
+        ++keys;
+    });
+    EXPECT_EQ(keys, 10);
+    // Keys at their default value are left out, but pattern and load
+    // are always spelled; the help text lists the keys of the table.
+    EXPECT_EQ(formatTrafficClasses(plain.trafficClasses),
+              "pattern=uniform,load=0");
+    EXPECT_STREQ(trafficClassesHelp(),
+                 "workload classes replacing --pattern/--load: "
+                 "\"pattern=<name>,load=<f>[,len=][,prio=][,hotspot=]"
+                 "[,hotspots=][,burst=][,duty=][,outstanding=]"
+                 "[,replylen=]\" joined by ';'");
 }
 
 TEST(ConfigDigest, EveryFieldButTheEngineCounts)

@@ -25,8 +25,12 @@ TEST(ResolveJobs, EnvironmentFallback)
     EXPECT_EQ(resolveJobs(0), 5u);
     EXPECT_EQ(resolveJobs(-1), 5u);
     EXPECT_EQ(resolveJobs(2), 2u);  // explicit still wins
-    ::setenv("TPNET_JOBS", "garbage", 1);
-    EXPECT_GE(resolveJobs(0), 1u);  // unparsable -> hardware threads
+    ::setenv("TPNET_JOBS", "0", 1);
+    EXPECT_GE(resolveJobs(0), 1u);  // not positive -> hardware threads
+    for (const char *bad : {"garbage", "4x", ""}) {
+        ::setenv("TPNET_JOBS", bad, 1);
+        EXPECT_DEATH(resolveJobs(0), "TPNET_JOBS") << bad;
+    }
     ::unsetenv("TPNET_JOBS");
     EXPECT_GE(resolveJobs(0), 1u);
 }

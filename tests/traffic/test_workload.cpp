@@ -132,6 +132,12 @@ TEST(Workload, SpecRejectsMalformed)
     EXPECT_FALSE(
         parseTrafficClasses("pattern=uniform,load=abc", &classes, &err));
     EXPECT_FALSE(parseTrafficClasses("pattern", &classes, &err));
+    // Values parse whole and finite: no prefix, no truncation.
+    for (const char *bad : {"load=0.05x", "len=3.9", "load=nan", "load=inf"})
+        EXPECT_FALSE(parseTrafficClasses(std::string("pattern=uniform,") +
+                                             bad,
+                                         &classes, &err))
+            << bad;
 }
 
 TEST(Workload, ValidatePanicsOnBitPatternWithoutPow2Nodes)

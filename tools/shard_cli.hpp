@@ -111,7 +111,7 @@ addCheckpointOptions(OptionParser &parser, CheckpointCli *c)
                      "campaign to this file (atomic overwrite; the "
                      "newest complete checkpoint survives a kill)",
                      &c->path);
-    parser.addUint64("checkpoint-every",
+    parser.addNumber("checkpoint-every",
                      "replay only: checkpoint cadence in cycles "
                      "(requires --checkpoint)",
                      &c->every);

@@ -42,26 +42,26 @@ main(int argc, char **argv)
         "flit-level simulator of fault-tolerant routing with "
         "configurable flow control (Dao/Duato/Yalamanchili, ISCA'95)");
     addSimConfigOptions(parser, &simopts);
-    parser.addInt("faults", "static node faults", &cfg.staticNodeFaults);
-    parser.addInt("link-faults", "static link faults",
-                  &cfg.staticLinkFaults);
-    parser.addDouble("dynamic", "dynamic node faults over the run",
+    parser.addNumber("faults", "static node faults", &cfg.staticNodeFaults);
+    parser.addNumber("link-faults", "static link faults",
+                     &cfg.staticLinkFaults);
+    parser.addNumber("dynamic", "dynamic node faults over the run",
                      &cfg.dynamicNodeFaults);
-    parser.addDouble("dynamic-links", "dynamic link faults over the run",
+    parser.addNumber("dynamic-links", "dynamic link faults over the run",
                      &cfg.dynamicLinkFaults);
-    parser.addDouble("intermittent",
+    parser.addNumber("intermittent",
                      "intermittent link faults over the run",
                      &cfg.intermittentFaults);
-    parser.addInt("intermittent-down",
-                  "cycles an intermittent link stays down",
-                  &cfg.intermittentDownCycles);
+    parser.addNumber("intermittent-down",
+                     "cycles an intermittent link stays down",
+                     &cfg.intermittentDownCycles);
     parser.addFlag("no-unsafe", "disable unsafe-channel marking",
                    &no_unsafe);
-    parser.addUint64("warmup", "warmup cycles", &cfg.warmup);
-    parser.addUint64("measure", "measurement window cycles",
+    parser.addNumber("warmup", "warmup cycles", &cfg.warmup);
+    parser.addNumber("measure", "measurement window cycles",
                      &cfg.measure);
-    parser.addInt("reps", "max replications (95% CI rule when > 1)",
-                  &reps);
+    parser.addNumber("reps", "max replications (95% CI rule when > 1)",
+                     &reps);
     parser.addValue("sweep", "<loads>", "comma-separated offered loads",
                     [&loads](const std::string &v, std::string *why) {
                         *why = "expected numbers joined by ','";

@@ -110,8 +110,8 @@ cmdRecord(OptionParser &parser, int argc, const char *const *argv)
                                "tp-staticfault | tp-dynkill";
                         return scenario >= 0;
                     });
-    parser.addInt("cycles", "injection window override (0: default)",
-                  &cycles);
+    parser.addNumber("cycles", "injection window override (0: default)",
+                     &cycles);
     parser.addJobs(&jobs);
     parser.parseOrExit(argc, argv);
 
@@ -167,9 +167,9 @@ cmdDump(OptionParser &parser, int argc, const char *const *argv)
                      "vc-alloc | vc-release | probe | msg-create | "
                      "msg-terminal)",
                      &kind);
-    parser.addUint64("msg", "only this message id", &msg);
-    parser.addInt("limit", "stop after N matching events (0: all)",
-                  &limit);
+    parser.addNumber("msg", "only this message id", &msg);
+    parser.addNumber("limit", "stop after N matching events (0: all)",
+                     &limit);
 
     parser.parseOrExit(argc, argv);
 
@@ -197,10 +197,10 @@ cmdReplay(OptionParser &parser, int argc, const char *const *argv)
     std::uint64_t msg = ~0ull;
     int width = 120;
     parser.addString("in", "input trace file", &in);
-    parser.addUint64("msg",
+    parser.addNumber("msg",
                      "message to diagram (default: first delivered)",
                      &msg);
-    parser.addInt("width", "max diagram columns", &width);
+    parser.addNumber("width", "max diagram columns", &width);
 
     parser.parseOrExit(argc, argv);
 
@@ -331,16 +331,16 @@ legacyLive(int argc, const char *const *argv)
                         "see also the record/dump/replay/digest/check "
                         "subcommands");
     addSimConfigOptions(parser, &simopts);
-    parser.addInt("hops", "path length along dim 0 (ignored with --dst)",
-                  &hops);
-    parser.addInt("src", "source node id", &src);
-    parser.addInt("dst", "destination node id (-1: use --hops)", &dst);
+    parser.addNumber("hops", "path length along dim 0 (ignored with --dst)",
+                     &hops);
+    parser.addNumber("src", "source node id", &src);
+    parser.addNumber("dst", "destination node id (-1: use --hops)", &dst);
     parser.addValue("fail", "<nodes>", "comma-separated failed node ids",
                     [&failed](const std::string &v, std::string *why) {
                         *why = "expected node ids joined by ','";
                         return parseNumbers(v, &failed);
                     });
-    parser.addInt("width", "max diagram columns", &width);
+    parser.addNumber("width", "max diagram columns", &width);
     parser.parseOrExit(argc, argv);
     simopts.apply(&cfg);
     if (cfg.topology != TopologyKind::Torus &&

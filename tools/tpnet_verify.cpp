@@ -59,6 +59,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -69,6 +70,7 @@
 #include "chaos/shrink.hpp"
 #include "sim/log.hpp"
 #include "sim/options.hpp"
+#include "topology/registry.hpp"
 #include "shard_cli.hpp"
 
 namespace {
@@ -315,8 +317,37 @@ struct Overrides
 };
 
 /**
+ * Exit 2 unless every pinned event of @p spec fits its topology: a
+ * pinned victim is one of its nodes; a node kill or an open victim
+ * takes port -1, a pinned link event one of the node's ports.
+ */
+void
+checkPinnedEvents(const CampaignSpec &spec)
+{
+    spec.cfg.validate();
+    const auto topo = makeTopology(spec.cfg);
+    for (const FaultEvent &ev : spec.scriptedFaults) {
+        const bool portless =
+            ev.node == invalidNode || ev.kind == FaultKind::NodeKill;
+        if (ev.node < topo->nodes() &&
+            (portless ? ev.port == -1
+                      : ev.port >= 0 && ev.port < topo->radix()))
+            continue;
+        std::fprintf(stderr,
+                     "error: --fault-events event %s does not fit the %s "
+                     "of campaign %llu: nodes 0..%d or -1 (drawn), ports "
+                     "0..%d for a pinned link event, else -1\n",
+                     formatFaultEvents({ev}).c_str(), topo->name(),
+                     static_cast<unsigned long long>(spec.seed),
+                     topo->nodes() - 1, topo->radix() - 1);
+        std::exit(2);
+    }
+}
+
+/**
  * The campaign of @p seed on @p cell with the options @p o on top, at
- * fault-intensity multiplier @p fault_scale.
+ * fault-intensity multiplier @p fault_scale. A pinned event that does
+ * not fit the campaign's topology exits 2.
  */
 CampaignSpec
 buildSpec(const Cell &cell, std::uint64_t seed, const Overrides &o,
@@ -367,6 +398,8 @@ buildSpec(const Cell &cell, std::uint64_t seed, const Overrides &o,
     spec.faults.downMin = 100;
     spec.faults.downMax = 2000;
     spec.scriptedFaults = o.scripted;
+    if (!o.scripted.empty())
+        checkPinnedEvents(spec);
     return spec;
 }
 
@@ -599,19 +632,19 @@ main(int argc, char **argv)
         "event-by-event to a minimal replayable case. Simulator options "
         "apply on top of every grid cell");
     addSimConfigOptions(parser, &o.sim);
-    parser.addInt("campaigns", "number of seeded campaigns (campaign i "
-                               "uses --seed + i)",
-                  &campaigns);
+    parser.addNumber("campaigns", "number of seeded campaigns (campaign i "
+                                  "uses --seed + i)",
+                     &campaigns);
     parser.addJobs(&jobs);
-    parser.addUint64("max-cycles", "traffic injection window per campaign",
+    parser.addNumber("max-cycles", "traffic injection window per campaign",
                      &o.inject);
-    parser.addUint64("inject",
+    parser.addNumber("inject",
                      "same as --max-cycles (the spelling replay lines "
                      "use)",
                      &o.inject);
-    parser.addUint64("drain", "extra cycles allowed to reach quiescence",
+    parser.addNumber("drain", "extra cycles allowed to reach quiescence",
                      &o.drain);
-    parser.addUint64("replay-seed",
+    parser.addNumber("replay-seed",
                      "replay exactly one campaign by its seed",
                      &replay_seed);
     const auto addCount = [&parser](const char *name, const char *help,
@@ -640,7 +673,7 @@ main(int argc, char **argv)
                                "kind n|l|i";
                         return parseFaultEvents(v, &o.scripted);
                     });
-    parser.addDouble("fault-scale",
+    parser.addNumber("fault-scale",
                      "global multiplier on the per-campaign fault mix",
                      &o.faultScale);
     parser.addFlag("compare",
