@@ -10,7 +10,7 @@ Network::Network(const SimConfig &cfg)
     : cfg_(cfg),
       topo_(makeTopology(cfg)),
       rng_(cfg.seed),
-      proto_(makeProtocol(cfg)),
+      proto_(cfg),
       victimRng_(cfg.seed ^ 0x5EED5EEDC4A0B0D5ull)
 {
     cfg_.validate();
@@ -195,13 +195,7 @@ Network::offerMessage(NodeId src, NodeId dst, const OfferSpec &spec)
     msg.reqId = spec.reqId;
     msg.reqCreated = spec.reqCreated;
     msg.e2eMeasured = spec.e2eMeasured;
-    msg.hdr.cur = src;
-    msg.hdr.offset = topo_->offsets(src, dst);
-    msg.hdr.flow = proto_->initialFlow();
-    if (msg.hdr.flow == FlowMode::PcsSetup)
-        msg.srcHold = true;
-    else if (msg.hdr.flow == FlowMode::Scout)
-        msg.srcK = cfg_.scoutK;  // the injection channel's K register
+    startAttempt(msg);
     Message &stored = messages_.insert(std::move(msg));
     queue.push_back(id);
     ++counters_.generated;
@@ -218,6 +212,17 @@ Network::offerMessage(NodeId src, NodeId dst, const OfferSpec &spec)
     if (queue.front() == id)
         activateFront(src);
     return true;
+}
+
+void
+Network::startAttempt(Message &msg) const
+{
+    msg.hdr = HeaderState{};
+    msg.hdr.cur = msg.src;
+    msg.hdr.offset = topo_->offsets(msg.src, msg.dst);
+    msg.hdr.flow = proto_.initialFlow();
+    msg.srcK = proto_.kRegFor(msg);  // the injection channel's K register
+    msg.srcHold = msg.hdr.flow == FlowMode::PcsSetup;
 }
 
 void
@@ -580,7 +585,7 @@ Network::tryInjectOn(NodeId node, int port)
 
     // Source-side flow control gate (the injection channel's CMU),
     // checked before the channel so a closed gate touches no link.
-    const bool header = proto_->inlineHeader() && !msg->headerInjected;
+    const bool header = proto_.inlineHeader() && !msg->headerInjected;
     if (!header && (msg->srcHold || msg->srcCounter < msg->srcK ||
                     msg->injectedFlits >= msg->length)) {
         return false;

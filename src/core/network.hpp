@@ -46,9 +46,6 @@
 
 namespace tpnet {
 
-/** Builds the configured routing protocol object. */
-std::unique_ptr<RoutingAlgorithm> makeProtocol(const SimConfig &cfg);
-
 struct SnapshotAccess;
 
 /** What a dynamic fault fails when it strikes (Section 2.4, Fig. 16). */
@@ -305,7 +302,7 @@ class Network
 
     Message &message(MsgId id);
 
-    RoutingAlgorithm &protocol() { return *proto_; }
+    const RoutingProtocol &protocol() const { return proto_; }
 
     /** CWG deadlock analyzer, or nullptr unless cfg.verifyCwg. */
     verify::CwgTracker *cwg() { return cwg_.get(); }
@@ -377,9 +374,6 @@ class Network
         return plane_.firstFreeVc(topo_->linkId(node, port), lo, hi);
     }
 
-    /** First free adaptive VC on (node, port), or -1. */
-    int freeAdaptiveVc(NodeId node, int port) const;
-
     /** Escape VC class @p msg must use through @p port (topology-defined:
      *  dateline classes on tori, destination-group classes on dragonfly). */
     int escapeClass(const Message &msg, int port) const;
@@ -421,8 +415,9 @@ class Network
      * to 64 draws over healthyNodes() (only while more than two are
      * healthy; never node 0 under cfg.protectPerimeter), a link in up
      * to 256 draws over healthy links between healthy endpoints. A
-     * pinned victim already down is rejected. A hit is counted, notes
-     * activity, and fails the victim.
+     * pinned victim already down, or whose node or port the topology
+     * does not have, is rejected. A hit is counted, notes activity,
+     * and fails the victim.
      * @return @p ev with its victim resolved, or nothing.
      */
     std::optional<FaultEvent> strike(const FaultEvent &ev, Rng &rng);
@@ -689,6 +684,10 @@ class Network
      *  once when @p at is now, else waiting for cycle @p at. */
     void requeue(Message &msg, Cycle at);
 
+    /** A fresh header at the source under the protocol's initial flow,
+     *  and the source's K register and PCS hold to match. */
+    void startAttempt(Message &msg) const;
+
     void wakeRetries();
     void dropMessage(Message &msg, bool lost);
     void synchronousRelease(Message &msg, int from_hop, int to_hop);
@@ -711,7 +710,7 @@ class Network
     SimConfig cfg_;
     std::unique_ptr<const Topology> topo_;
     Rng rng_;
-    std::unique_ptr<RoutingAlgorithm> proto_;
+    RoutingProtocol proto_;
 
     std::vector<Link> links_;
     std::vector<Router> routers_;

@@ -36,7 +36,7 @@ Network::serveHeader(Message &msg)
 
     if (cwg_)
         cwg_->beginEvaluation(msg);
-    const Decision d = proto_->route(*this, msg);
+    const Decision d = proto_.route(*this, msg);
     switch (d.kind) {
       case Decision::Kind::Forward:
         msg.inRcu = false;
@@ -61,7 +61,7 @@ Network::serveHeader(Message &msg)
 
       case Decision::Kind::Block:
         ++hdr.stalled;
-        if (hdr.stalled > stallLimit && proto_->abortsOnStall(msg)) {
+        if (hdr.stalled > stallLimit && proto_.abortsOnStall(msg)) {
             msg.inRcu = false;
             abortSetup(msg);
         } else if (cwg_) {
@@ -116,7 +116,7 @@ Network::applyForward(Message &msg, const Decision &d)
         }
     }
 
-    vc.reserve(msg.id, proto_->kRegFor(*this, msg), hdr.detour);
+    vc.reserve(msg.id, proto_.kRegFor(msg), hdr.detour);
 
     if (msg.path.empty()) {
         msg.srcRouted = true;
@@ -139,7 +139,7 @@ Network::applyForward(Message &msg, const Decision &d)
         trace_->probeEvent(now_, msg, ProbeEvent::Routed);
     }
 
-    if (!proto_->inlineHeader()) {
+    if (!proto_.inlineHeader()) {
         // Probe travels on the corresponding channel via the control lane.
         Flit flit;
         flit.type = FlitType::Header;
@@ -173,7 +173,7 @@ Network::probeArrived(Message &msg, int hop_idx)
 
     // "Every time a channel is successfully reserved by the routing
     // header, it returns a positive acknowledgment" (Section 2.2).
-    if (proto_->emitsPosAck(msg)) {
+    if (proto_.emitsPosAck(msg)) {
         ++counters_.posAcks;
         Flit ack;
         ack.type = FlitType::AckPos;
@@ -184,7 +184,11 @@ Network::probeArrived(Message &msg, int hop_idx)
         relayUpstream(msg, ack);
     }
 
-    proto_->postMove(*this, msg);
+    // "The detour is complete when all misrouting steps performed
+    // during detour construction have been corrected" (reaching the
+    // destination is handled at ejection).
+    if (hdr.detour && hdr.misroutes == 0)
+        completeDetour(msg);
     if (msg.terminal() || msg.state == MsgState::WaitRetry)
         return;
 
@@ -205,7 +209,7 @@ Network::applyBacktrack(Message &msg)
     HeaderState &hdr = msg.hdr;
     if (!canBacktrack(msg))
         tpnet_panic("illegal backtrack");
-    if (proto_->inlineHeader())
+    if (proto_.inlineHeader())
         tpnet_panic("inline wormhole probes cannot backtrack");
 
     const int idx = static_cast<int>(msg.path.size()) - 1;
@@ -336,12 +340,6 @@ bool
 Network::channelSafe(NodeId node, int port) const
 {
     return !channelFaulty(node, port) && !channelUnsafe(node, port);
-}
-
-int
-Network::freeAdaptiveVc(NodeId node, int port) const
-{
-    return firstFreeVc(node, port, adaptiveVcFloor(), cfg_.vcsPerLink());
 }
 
 int

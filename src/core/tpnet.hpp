@@ -32,7 +32,7 @@
 #include "core/simulator.hpp"
 #include "metrics/collector.hpp"
 #include "routing/header.hpp"
-#include "routing/protocols.hpp"
+#include "routing/protocol.hpp"
 #include "sim/config.hpp"
 #include "sim/stats.hpp"
 #include "topology/torus.hpp"

@@ -45,6 +45,11 @@ std::optional<FaultEvent>
 Network::strike(const FaultEvent &ev, Rng &rng)
 {
     FaultEvent hit = ev;
+    // A pinned victim the topology does not have is skipped like one
+    // already down.
+    auto onTopology = [this](NodeId node) {
+        return node >= 0 && node < topo_->nodes();
+    };
     if (ev.kind == FaultKind::NodeKill) {
         hit.port = -1;
         hit.downFor = 0;
@@ -58,7 +63,7 @@ Network::strike(const FaultEvent &ev, Rng &rng)
             if (!cfg_.protectPerimeter || cand != 0)
                 hit.node = cand;
         }
-        if (hit.node == invalidNode || nodeFaulty(hit.node))
+        if (!onTopology(hit.node) || nodeFaulty(hit.node))
             return std::nullopt;
         ++counters_.dynamicFaults;
         failNode(hit.node);
@@ -77,7 +82,9 @@ Network::strike(const FaultEvent &ev, Rng &rng)
                 hit.port = lk.srcPort;
             }
         }
-        if (hit.node == invalidNode || !strikeable(linkAt(hit.node, hit.port)))
+        if (!onTopology(hit.node) || hit.port < 0 ||
+            hit.port >= topo_->radix() ||
+            !strikeable(linkAt(hit.node, hit.port)))
             return std::nullopt;
         ++counters_.dynamicFaults;
         if (ev.kind == FaultKind::LinkKill) {

@@ -228,17 +228,12 @@ Network::requeue(Message &msg, Cycle at)
     if (cwg_)
         cwg_->onMessageGone(msg.id);
     ++msg.epoch;
-    msg.hdr = HeaderState{};
-    msg.hdr.cur = msg.src;
-    msg.hdr.offset = topo_->offsets(msg.src, msg.dst);
-    msg.hdr.flow = proto_->initialFlow();
+    startAttempt(msg);
     msg.path.clear();
     msg.visited.clear();
     msg.srcRouted = false;
     msg.headerInjected = false;
     msg.srcCounter = 0;
-    msg.srcK = msg.hdr.flow == FlowMode::Scout ? cfg_.scoutK : 0;
-    msg.srcHold = msg.hdr.flow == FlowMode::PcsSetup;
     msg.injectedFlits = 0;
     msg.arrivedFlits = 0;
     msg.leadHop = -1;

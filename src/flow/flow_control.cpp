@@ -135,7 +135,7 @@ Network::processCtrlArrival(Link &wire, Flit flit)
         hdr.stalled = 0;
         ++counters_.headerMoves;
 
-        if (proto_->emitsPosAck(msg)) {
+        if (proto_.emitsPosAck(msg)) {
             ++counters_.negAcks;
             const int j = static_cast<int>(msg.path.size()) - 1;
             Flit neg;

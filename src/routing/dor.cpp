@@ -3,20 +3,19 @@
  * Deterministic dimension-order (e-cube) wormhole routing on the torus.
  *
  * Messages resolve dimensions in increasing order; each torus ring is
- * made deadlock-free with two dateline virtual-channel classes (class 0
+ * made deadlock-free with two dateline VC classes (class 0
  * before the ring's wrap edge, class 1 after). This is the escape
  * structure DP and TP rely on, exposed as a standalone protocol for
  * validation experiments and tests.
  */
 
-#include "routing/protocols.hpp"
-
 #include "core/network.hpp"
+#include "routing/selection.hpp"
 
 namespace tpnet {
 
 Decision
-DimOrderRouting::route(Network &net, Message &msg)
+route::dimOrder(Network &net, Message &msg)
 {
     const int port = net.ecubePort(msg);
     if (port < 0)
@@ -25,11 +24,7 @@ DimOrderRouting::route(Network &net, Message &msg)
     // (only fault-free validation runs use this protocol).
     if (net.channelFaulty(msg.hdr.cur, port))
         return Decision::block();
-    if (!net.escapeVcFree(msg, port)) {
-        net.cwgNoteCandidate(msg.hdr.cur, port, net.escapeClass(msg, port));
-        return Decision::block();
-    }
-    return Decision::forward(port, net.escapeClass(msg, port));
+    return select::escapeStep(net, msg, port);
 }
 
 } // namespace tpnet

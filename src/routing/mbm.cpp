@@ -13,24 +13,24 @@
  * robust at the price of the 3l setup latency (Section 2.2).
  */
 
-#include "routing/protocols.hpp"
-
 #include "core/network.hpp"
 #include "routing/selection.hpp"
 
 namespace tpnet {
 
 Decision
-MbmRouting::route(Network &net, Message &msg)
+route::mbm(Network &net, Message &msg)
 {
     // 1. Profitable, untried, healthy channel with a free VC.
-    if (auto c = select::anyVcProfitableUntried(net, msg))
+    if (auto c = select::firstFree(net, msg,
+                                   select::profitableByOffset(net, msg),
+                                   {.skipTried = true, .vcFloor = 0}))
         return Decision::forward(c->port, c->vc);
 
     // 2. Misroute while the outstanding-misroute budget allows; the
-    //    search may use every virtual channel (PCS needs no escape
-    //    structure) and may not U-turn (backtracking covers retreat).
-    if (msg.hdr.misroutes < limit_) {
+    //    search may use every VC (PCS needs no escape structure) and
+    //    may not U-turn (backtracking covers retreat).
+    if (msg.hdr.misroutes < net.config().misrouteLimit) {
         if (auto c = select::misrouteUntried(net, msg, false, false))
             return Decision::forward(c->port, c->vc);
     }

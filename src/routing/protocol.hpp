@@ -1,14 +1,21 @@
 /**
  * @file
- * Routing protocol interface.
+ * The routing protocol: one table row per Protocol, and the flow
+ * control policy that follows from the message's own flow mode.
  *
- * The RCU consults the configured RoutingAlgorithm once per serviced
- * header. The algorithm inspects the network (channel status, unsafe
+ * The RCU consults the configured protocol once per serviced header.
+ * The route function inspects the network (channel status, unsafe
  * bits, VC occupancy) and the probe's header state, possibly flips the
  * header's mode bits (SR, detour — Section 4.0), and returns a decision.
  * The Network applies the decision: it reserves/releases trios, moves the
  * probe, spawns acknowledgment flits, and maintains the Theorem 2
  * misroute bookkeeping.
+ *
+ * Flow control is a setting, not a protocol (Sections 2.2 and 4.0):
+ * a row names the flow mode a setup attempt starts under and whether
+ * the header travels inline; the scouting distance, the positive
+ * acknowledgments and the stall abort then follow from the message's
+ * current flow mode and detour bit alone.
  */
 
 #ifndef TPNET_ROUTING_PROTOCOL_HPP
@@ -49,56 +56,85 @@ struct Decision
     static Decision abort() { return {Kind::Abort, -1, -1}; }
 };
 
-/** A routing protocol: decision function plus flow control policy. */
-class RoutingAlgorithm
+/**
+ * The protocols' routing functions. Each decides the next action for
+ * @p msg whose probe sits at msg.hdr.cur, and may mutate msg.hdr mode
+ * bits.
+ */
+namespace route {
+
+/** DOR: deterministic e-cube wormhole routing (dor.cpp). */
+Decision dimOrder(Network &net, Message &msg);
+/** DP [12] and PCS [18]: adaptive first, then escape (duato.cpp). */
+Decision duato(Network &net, Message &msg);
+/** SR [13]: adaptive search with history-guided backtracking. */
+Decision scouting(Network &net, Message &msg);
+/** MB-m [17]: misrouting backtracking search (mbm.cpp). */
+Decision mbm(Network &net, Message &msg);
+/** TP, Fig. 6 (two_phase.cpp). */
+Decision twoPhase(Network &net, Message &msg);
+
+} // namespace route
+
+/** One protocol's row of the protocol table. */
+struct ProtocolRow
+{
+    FlowMode initialFlow;  ///< flow control a setup attempt starts under
+    bool inlineHeader;     ///< header travels inline on the data lanes
+    Decision (*route)(Network &, Message &);
+};
+
+/** The configured protocol: its table row plus the scouting distance. */
+class RoutingProtocol
 {
   public:
-    virtual ~RoutingAlgorithm() = default;
+    explicit RoutingProtocol(const SimConfig &cfg);
 
-    /** Protocol name for reports. */
-    virtual const char *name() const = 0;
+    FlowMode initialFlow() const { return row_.initialFlow; }
+    bool inlineHeader() const { return row_.inlineHeader; }
 
-    /** Flow control mode a fresh message starts under. */
-    virtual FlowMode initialFlow() const = 0;
-
-    /** Headers travel inline on the data lanes (pure wormhole)? */
-    virtual bool inlineHeader() const = 0;
-
-    /**
-     * Decide the next action for @p msg whose probe sits at
-     * msg.hdr.cur. May mutate msg.hdr mode bits.
-     */
-    virtual Decision route(Network &net, Message &msg) = 0;
+    Decision
+    route(Network &net, Message &msg) const
+    {
+        return row_.route(net, msg);
+    }
 
     /**
      * Scouting distance to program into the next reserved trio for
-     * @p msg (the dynamically configurable K of Section 4.0).
+     * @p msg (the dynamically configurable K of Section 4.0): K while
+     * the message scouts — SR always, TP once it entered SR mode.
      */
-    virtual int kRegFor(const Network &net, const Message &msg) const = 0;
+    int
+    kRegFor(const Message &msg) const
+    {
+        return msg.hdr.flow == FlowMode::Scout ? scoutK_ : 0;
+    }
 
     /**
      * Whether the probe's advance over a newly reserved channel emits a
-     * positive acknowledgment (suppressed in detour mode and in WR-like
-     * operation, Section 4.0).
+     * positive acknowledgment: only with K > 0, and never in detour
+     * mode (Section 4.0).
      */
-    virtual bool emitsPosAck(const Message &msg) const = 0;
-
-    /**
-     * Whether a probe of @p msg that has been blocked for the configured
-     * stall limit should abandon the setup attempt (tear down and re-try
-     * from the source) instead of waiting forever. Wormhole protocols
-     * must return false — a blocked WR header simply waits.
-     */
-    virtual bool
-    abortsOnStall(const Message &msg) const
+    bool
+    emitsPosAck(const Message &msg) const
     {
-        (void)msg;
-        return false;
+        return kRegFor(msg) > 0 && !msg.hdr.detour;
     }
 
-    /** Hook invoked after the Network applied a Forward decision. */
-    virtual void postMove(Network &net, Message &msg) { (void)net;
-                                                        (void)msg; }
+    /**
+     * Whether a probe blocked for the stall limit abandons the setup
+     * attempt (tear down and re-try from the source): every flow but
+     * wormhole, and any detour. A blocked WR header simply waits.
+     */
+    bool
+    abortsOnStall(const Message &msg) const
+    {
+        return msg.hdr.flow != FlowMode::Wormhole || msg.hdr.detour;
+    }
+
+  private:
+    ProtocolRow row_;
+    int scoutK_;
 };
 
 } // namespace tpnet

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "core/network.hpp"
-#include "routing/protocols.hpp"
 #include "sim/log.hpp"
 
 namespace tpnet {
@@ -36,69 +36,34 @@ noteCandidateRange(Network &net, NodeId cur, int port, int lo, int hi)
 } // namespace
 
 std::optional<Candidate>
-adaptiveProfitable(Network &net, const Message &msg, Safety safety)
+firstFree(Network &net, Message &msg, const PortList &ports, Scan scan)
 {
     const NodeId cur = msg.hdr.cur;
-    for (int port : profitableByOffset(net, msg)) {
-        if (net.channelFaulty(cur, port))
-            continue;
-        if (safety == Safety::SafeOnly && net.channelUnsafe(cur, port))
-            continue;
-        const int vc = net.freeAdaptiveVc(cur, port);
-        if (vc >= 0)
-            return Candidate{port, vc};
-        noteCandidateRange(net, cur, port, net.adaptiveVcFloor(),
-                      net.vcCount());
-    }
-    return std::nullopt;
-}
-
-std::optional<Candidate>
-recoveryEscape(Network &net, const Message &msg, int ep)
-{
-    const NodeId cur = msg.hdr.cur;
-    const int vc = net.freeAdaptiveVc(cur, ep);
-    if (vc >= 0)
-        return Candidate{ep, vc};
-    noteCandidateRange(net, cur, ep, net.adaptiveVcFloor(), net.vcCount());
-    return std::nullopt;
-}
-
-std::optional<Candidate>
-anyVcProfitableUntried(Network &net, Message &msg)
-{
-    const NodeId cur = msg.hdr.cur;
-    const std::uint32_t tried = net.triedHere(msg);
-    for (int port : profitableByOffset(net, msg)) {
+    const std::uint32_t tried = scan.skipTried ? net.triedHere(msg) : 0;
+    for (int port : ports) {
         if (tried & (1u << port))
             continue;
         if (net.channelFaulty(cur, port))
             continue;
-        const int vc = net.firstFreeVc(cur, port, 0, net.vcCount());
+        if (scan.skipUnsafe && net.channelUnsafe(cur, port))
+            continue;
+        const int vc = net.firstFreeVc(cur, port, scan.vcFloor,
+                                       net.vcCount());
         if (vc >= 0)
             return Candidate{port, vc};
-        noteCandidateRange(net, cur, port, 0, net.vcCount());
+        noteCandidateRange(net, cur, port, scan.vcFloor, net.vcCount());
     }
     return std::nullopt;
 }
 
-std::optional<Candidate>
-anyAdaptiveProfitableUntried(Network &net, Message &msg)
+Decision
+escapeStep(Network &net, const Message &msg, int ep)
 {
-    const NodeId cur = msg.hdr.cur;
-    const std::uint32_t tried = net.triedHere(msg);
-    for (int port : profitableByOffset(net, msg)) {
-        if (tried & (1u << port))
-            continue;
-        if (net.channelFaulty(cur, port))
-            continue;
-        const int vc = net.freeAdaptiveVc(cur, port);
-        if (vc >= 0)
-            return Candidate{port, vc};
-        noteCandidateRange(net, cur, port, net.adaptiveVcFloor(),
-                      net.vcCount());
-    }
-    return std::nullopt;
+    const int cls = net.escapeClass(msg, ep);
+    if (net.escapeVcFree(msg, ep))
+        return Decision::forward(ep, cls);
+    net.cwgNoteCandidate(msg.hdr.cur, ep, cls);
+    return Decision::block();
 }
 
 std::optional<Candidate>
@@ -165,25 +130,33 @@ exhausted(Network &net, Message &msg)
 
 } // namespace select
 
-std::unique_ptr<RoutingAlgorithm>
-makeProtocol(const SimConfig &cfg)
+namespace {
+
+/** The protocol table, one row per Protocol in declaration order. */
+constexpr ProtocolRow protocolRows[] = {
+    /* DimOrder */ {FlowMode::Wormhole, true, route::dimOrder},
+    /* Duato    */ {FlowMode::Wormhole, true, route::duato},
+    /* Scouting */ {FlowMode::Scout, false, route::scouting},
+    /* Pcs      */ {FlowMode::PcsSetup, false, route::duato},
+    /* MBm      */ {FlowMode::PcsSetup, false, route::mbm},
+    /* TwoPhase */ {FlowMode::Wormhole, false, route::twoPhase},
+};
+static_assert(std::size(protocolRows) ==
+              static_cast<std::size_t>(Protocol::TwoPhase) + 1);
+
+const ProtocolRow &
+rowOf(Protocol p)
 {
-    switch (cfg.protocol) {
-      case Protocol::DimOrder:
-        return std::make_unique<DimOrderRouting>();
-      case Protocol::Duato:
-        return std::make_unique<DuatoRouting>();
-      case Protocol::Scouting:
-        return std::make_unique<ScoutingRouting>(cfg.scoutK);
-      case Protocol::Pcs:
-        return std::make_unique<PcsRouting>();
-      case Protocol::MBm:
-        return std::make_unique<MbmRouting>(cfg.misrouteLimit);
-      case Protocol::TwoPhase:
-        return std::make_unique<TwoPhaseRouting>(cfg.scoutK,
-                                                 cfg.misrouteLimit);
-    }
-    tpnet_panic("unknown protocol ", static_cast<int>(cfg.protocol));
+    const auto i = static_cast<std::size_t>(p);
+    if (i >= std::size(protocolRows))
+        tpnet_panic("unknown protocol ", static_cast<int>(p));
+    return protocolRows[i];
 }
+
+} // namespace
+
+RoutingProtocol::RoutingProtocol(const SimConfig &cfg)
+    : row_(rowOf(cfg.protocol)), scoutK_(cfg.scoutK)
+{}
 
 } // namespace tpnet

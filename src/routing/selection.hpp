@@ -2,7 +2,7 @@
  * @file
  * Selection-function toolkit shared by the routing protocols
  * (paper Section 2.1: the routing function supplies candidate output
- * virtual channels; the selection function picks one).
+ * VCs; the selection function picks one).
  */
 
 #ifndef TPNET_ROUTING_SELECTION_HPP
@@ -21,17 +21,22 @@ class Network;
 
 namespace select {
 
-/** A candidate output virtual channel. */
+/** A candidate output VC. */
 struct Candidate
 {
     int port = -1;
     int vc = -1;
 };
 
-/** Safety requirement when filtering candidate channels. */
-enum class Safety : std::uint8_t {
-    SafeOnly,  ///< healthy and not marked unsafe
-    Healthy,   ///< not faulty (unsafe permitted)
+/**
+ * What a channel scan skips, and the lowest VC it may take: the three
+ * ways the routing steps' scans differ.
+ */
+struct Scan
+{
+    bool skipTried = false;   ///< skip ports the history marks tried
+    bool skipUnsafe = false;  ///< skip healthy channels marked unsafe
+    int vcFloor = 0;          ///< lowest VC: adaptiveVcFloor(), or 0
 };
 
 /**
@@ -41,26 +46,20 @@ enum class Safety : std::uint8_t {
 PortList profitableByOffset(const Network &net, const Message &msg);
 
 /**
- * First free adaptive VC on a profitable channel meeting @p safety,
- * scanning dimensions by decreasing remaining offset.
+ * First free VC in [scan.vcFloor, vcCount) on a healthy channel of
+ * @p ports that @p scan admits, in list order. Each admitted channel
+ * with no free VC reports its trios as CWG candidates, so a Block
+ * commits the full candidate set. Only a scan that skips tried ports
+ * reads the history frame (Network::triedHere creates it).
  */
-std::optional<Candidate> adaptiveProfitable(Network &net,
-                                            const Message &msg,
-                                            Safety safety);
+std::optional<Candidate> firstFree(Network &net, Message &msg,
+                                   const PortList &ports, Scan scan);
 
 /**
- * Free VC (any partition) on an untried profitable healthy channel —
- * the backtracking protocols' forward step.
+ * The escape step on port @p ep: forward on its escape class when
+ * that VC is free; otherwise report it as the CWG candidate and block.
  */
-std::optional<Candidate> anyVcProfitableUntried(Network &net, Message &msg);
-
-/**
- * Free adaptive VC on an untried profitable healthy channel, safety
- * ignored — the TP detour's forward step (detours use only adaptive
- * channels, Theorem 3).
- */
-std::optional<Candidate> anyAdaptiveProfitableUntried(Network &net,
-                                                      Message &msg);
+Decision escapeStep(Network &net, const Message &msg, int ep);
 
 /**
  * Free VC on an untried, unprofitable, healthy channel for misrouting.
@@ -68,20 +67,12 @@ std::optional<Candidate> anyAdaptiveProfitableUntried(Network &net,
  * preferred (Theorem 2 condition iii); @p adaptive_only restricts the
  * search to the adaptive partition (TP detours use only channels of C2,
  * Theorem 3); @p allow_uturn permits the reverse of the arrival channel
- * ("the header can route using the virtual channels in the opposite
- * direction", Section 4.0).
+ * (Section 4.0: the header may route over the VCs of the opposite
+ * direction).
  */
 std::optional<Candidate> misrouteUntried(Network &net, Message &msg,
                                          bool adaptive_only,
                                          bool allow_uturn);
-
-/**
- * Recovery mode's wait on the healthy e-cube port @p ep, which the
- * profitable-port scan may have skipped (dragonfly, express cube): a
- * free VC on it, or nullopt with all its trios reported as candidates.
- */
-std::optional<Candidate> recoveryEscape(Network &net, const Message &msg,
-                                        int ep);
 
 /**
  * The backtracking searches' step once no forward move is left:

@@ -13,7 +13,7 @@
  * probe may take an unsafe profitable adaptive channel or the unsafe
  * deterministic channel; doing so sets the SR bit and switches the
  * message to scouting flow control — every subsequently reserved
- * virtual channel is programmed with scouting distance K (aggressive
+ * VC is programmed with scouting distance K (aggressive
  * configurations keep K = 0 and send no acknowledgments at all).
  *
  * Phase 2 (conservative): when the probe can no longer advance it sets
@@ -22,13 +22,11 @@
  * search using only adaptive channels (Theorem 3) with at most m
  * outstanding misroutes, preferring misrouting over backtracking and
  * same-dimension misroutes (Theorem 2); U-turns through the
- * opposite-direction virtual channels are permitted. The detour
+ * opposite-direction VCs are permitted. The detour
  * completes when every misroute has been corrected or the destination
  * is reached; a release then re-opens the held gates ("all channels (or
  * none) in a detour are accepted").
  */
-
-#include "routing/protocols.hpp"
 
 #include "core/network.hpp"
 #include "routing/selection.hpp"
@@ -36,18 +34,18 @@
 namespace tpnet {
 
 Decision
-TwoPhaseRouting::route(Network &net, Message &msg)
+route::twoPhase(Network &net, Message &msg)
 {
     HeaderState &hdr = msg.hdr;
-    using select::Safety;
+    const int floor = net.adaptiveVcFloor();
 
     if (!hdr.detour) {
         // --- Phase 1: DP routing restrictions with unsafe channels ----
         // 1. Safe profitable adaptive channel.
-        if (auto c = select::adaptiveProfitable(net, msg,
-                                                Safety::SafeOnly)) {
+        const PortList ports = select::profitableByOffset(net, msg);
+        if (auto c = select::firstFree(
+                net, msg, ports, {.skipUnsafe = true, .vcFloor = floor}))
             return Decision::forward(c->port, c->vc);
-        }
 
         const int ep = net.ecubePort(msg);
         // On an express cube the local e-cube hop is not minimal, so a
@@ -68,20 +66,16 @@ TwoPhaseRouting::route(Network &net, Message &msg)
         //    avoided) — unless the port was never scanned because it is
         //    not profitable and has a free VC.
         if (!ep_faulty && !ep_unsafe) {
-            if (net.config().recoveryMode) {
-                if (auto c = select::recoveryEscape(net, msg, ep))
-                    return Decision::forward(c->port, c->vc);
-                return Decision::block();
-            }
-            if (net.escapeVcFree(msg, ep))
-                return Decision::forward(ep, net.escapeClass(msg, ep));
-            net.cwgNoteCandidate(hdr.cur, ep, net.escapeClass(msg, ep));
+            if (!net.config().recoveryMode)
+                return select::escapeStep(net, msg, ep);
+            if (auto c = select::firstFree(net, msg, PortList(ep),
+                                           {.vcFloor = floor}))
+                return Decision::forward(c->port, c->vc);
             return Decision::block();
         }
 
         // 3. Unsafe profitable adaptive channel -> switch to SR mode.
-        if (auto c = select::adaptiveProfitable(net, msg,
-                                                Safety::Healthy)) {
+        if (auto c = select::firstFree(net, msg, ports, {.vcFloor = floor})) {
             net.enterSrMode(msg);
             return Decision::forward(c->port, c->vc);
         }
@@ -99,17 +93,14 @@ TwoPhaseRouting::route(Network &net, Message &msg)
         net.enterDetour(msg);
     }
 
-    return detourStep(net, msg);
-}
-
-Decision
-TwoPhaseRouting::detourStep(Network &net, Message &msg)
-{
-    // Route with no restrictions, over adaptive channels only.
-    if (auto c = select::anyAdaptiveProfitableUntried(net, msg))
+    // Detour step: route with no restrictions, over adaptive channels
+    // only.
+    if (auto c = select::firstFree(net, msg,
+                                   select::profitableByOffset(net, msg),
+                                   {.skipTried = true, .vcFloor = floor}))
         return Decision::forward(c->port, c->vc);
 
-    if (msg.hdr.misroutes < limit_) {
+    if (hdr.misroutes < net.config().misrouteLimit) {
         if (auto c = select::misrouteUntried(net, msg, true, true))
             return Decision::forward(c->port, c->vc);
     }
@@ -118,16 +109,6 @@ TwoPhaseRouting::detourStep(Network &net, Message &msg)
     // the message to the recovery mechanism ("the recovery mechanism
     // will tear down the path", Section 4.0).
     return select::exhausted(net, msg);
-}
-
-void
-TwoPhaseRouting::postMove(Network &net, Message &msg)
-{
-    // "The detour is complete when all misrouting steps performed
-    // during detour construction have been corrected" (reaching the
-    // destination is handled at ejection).
-    if (msg.hdr.detour && msg.hdr.misroutes == 0)
-        net.completeDetour(msg);
 }
 
 } // namespace tpnet

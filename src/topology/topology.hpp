@@ -47,6 +47,9 @@ using OffsetVec = std::array<int, maxDims>;
 class PortList
 {
   public:
+    PortList() = default;
+    explicit PortList(int port) { push_back(port); }
+
     void push_back(int port) { ports_[n_++] = static_cast<std::int8_t>(port); }
 
     std::size_t size() const { return n_; }

@@ -83,6 +83,28 @@ TEST(FaultSchedule, OpenNodeKillSparesNodeZeroUnderProtectPerimeter)
     }
 }
 
+TEST(FaultSchedule, PinnedVictimOffTheTopologyIsSkipped)
+{
+    // A pinned node or port the topology does not have is skipped the
+    // way a victim already down is, never indexed.
+    SimConfig cfg = test::smallConfig(Protocol::TwoPhase, 8, 2);
+    cfg.watchdog = 0;
+    Network net(cfg);
+    Rng rng(5);
+    FaultSchedule sched;
+    sched.add({10, FaultKind::NodeKill, 99999, -1, 0});
+    sched.add({10, FaultKind::LinkKill, 3, 99, 0});
+    sched.add({10, FaultKind::LinkIntermittent, -7, 0, 5});
+    for (int c = 0; c < 12; ++c) {
+        sched.apply(net, rng);
+        net.step();
+    }
+    EXPECT_TRUE(sched.exhausted());
+    EXPECT_EQ(sched.skipped(), 3u);
+    EXPECT_EQ(sched.fired(), 0u);
+    EXPECT_EQ(net.counters().dynamicFaults, 0u);
+}
+
 TEST(FaultSchedule, RandomizedTimelineRespectsSpec)
 {
     ScheduleSpec spec;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "helpers.hpp"
 #include "routing/selection.hpp"
 
@@ -27,6 +29,30 @@ class SelectionTest : public ::testing::Test
         return net_.message(static_cast<MsgId>(counter_++));
     }
 
+    /** The profitable-channel scan of @p msg under @p scan. */
+    std::optional<select::Candidate>
+    scanProfitable(Message &msg, select::Scan scan)
+    {
+        return select::firstFree(net_, msg,
+                                 select::profitableByOffset(net_, msg),
+                                 scan);
+    }
+
+    /**
+     * The scans the routing steps run: safe adaptive (DP phase of TP),
+     * healthy adaptive (DP, PCS, TP's switch to SR), untried adaptive
+     * (SR, TP detours) and untried over every VC (MB-m).
+     */
+    std::vector<select::Scan>
+    routingScans() const
+    {
+        const int floor = net_.adaptiveVcFloor();
+        return {{.skipUnsafe = true, .vcFloor = floor},
+                {.vcFloor = floor},
+                {.skipTried = true, .vcFloor = floor},
+                {.skipTried = true, .vcFloor = 0}};
+    }
+
     Network net_;
     int counter_ = 0;
 };
@@ -43,43 +69,62 @@ TEST_F(SelectionTest, ProfitableByOffsetOrdersByMagnitude)
 TEST_F(SelectionTest, AdaptiveProfitableFindsFreeVc)
 {
     Message &msg = makeMessage(0, 3);
-    const auto c = select::adaptiveProfitable(net_, msg,
-                                              select::Safety::SafeOnly);
+    for (const select::Scan &scan : routingScans()) {
+        const auto c = scanProfitable(msg, scan);
+        ASSERT_TRUE(c.has_value());
+        EXPECT_EQ(c->port, portOf(0, Dir::Plus));
+        EXPECT_EQ(c->vc, scan.vcFloor);  // lowest free VC of the range
+    }
+    EXPECT_GE(net_.adaptiveVcFloor(), net_.escapeVcCount());
+
+    // Recovery mode: the escape VCs join the adaptive scan.
+    SimConfig cfg = smallConfig(Protocol::TwoPhase);
+    cfg.recoveryMode = true;
+    Network rec(cfg);
+    ASSERT_TRUE(rec.offerMessage(0, 3));
+    Message &rmsg = rec.message(0);
+    ASSERT_EQ(rec.adaptiveVcFloor(), 0);
+    const auto c = select::firstFree(rec, rmsg,
+                                     select::profitableByOffset(rec, rmsg),
+                                     {.vcFloor = rec.adaptiveVcFloor()});
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->port, portOf(0, Dir::Plus));
-    EXPECT_GE(c->vc, net_.escapeVcCount());  // adaptive partition
+    EXPECT_EQ(c->vc, 0);
 }
 
 TEST_F(SelectionTest, SafeOnlySkipsUnsafeChannels)
 {
     // Fail a node adjacent to the source: the source's channels become
-    // unsafe, so SafeOnly finds nothing while Healthy still does.
+    // unsafe, so a safe scan finds nothing while the others still do.
     net_.failNode(8 * 7);  // neighbor of 0 in dim 1 minus
     Message &msg = makeMessage(0, 3);
-    EXPECT_FALSE(select::adaptiveProfitable(net_, msg,
-                                            select::Safety::SafeOnly)
-                     .has_value());
-    EXPECT_TRUE(select::adaptiveProfitable(net_, msg,
-                                           select::Safety::Healthy)
-                    .has_value());
+    for (const select::Scan &scan : routingScans())
+        EXPECT_EQ(scanProfitable(msg, scan).has_value(), !scan.skipUnsafe);
 }
 
 TEST_F(SelectionTest, FaultyChannelsNeverCandidates)
 {
     net_.failNode(1);  // the profitable neighbor itself
     Message &msg = makeMessage(0, 3);
-    const auto c = select::adaptiveProfitable(net_, msg,
-                                              select::Safety::Healthy);
-    EXPECT_FALSE(c.has_value());  // only dim-0 was profitable
+    for (const select::Scan &scan : routingScans())
+        EXPECT_FALSE(scanProfitable(msg, scan).has_value());  // only dim 0
 }
 
 TEST_F(SelectionTest, UntriedFilterHonorsHistory)
 {
     Message &msg = makeMessage(0, 3);
+    // A scan that does not filter tried ports never reads the history,
+    // so it creates no frame for the checkpoint to carry.
+    for (const select::Scan &scan : routingScans()) {
+        if (!scan.skipTried) {
+            EXPECT_TRUE(scanProfitable(msg, scan).has_value());
+        }
+    }
+    EXPECT_TRUE(msg.visited.empty());
+
     net_.triedHere(msg) |= 1u << portOf(0, Dir::Plus);
-    EXPECT_FALSE(select::anyVcProfitableUntried(net_, msg).has_value());
-    EXPECT_FALSE(
-        select::anyAdaptiveProfitableUntried(net_, msg).has_value());
+    for (const select::Scan &scan : routingScans())
+        EXPECT_EQ(scanProfitable(msg, scan).has_value(), !scan.skipTried);
 }
 
 TEST_F(SelectionTest, MisrouteSkipsProfitablePorts)
@@ -116,6 +161,92 @@ TEST_F(SelectionTest, EcubePortLowestDimensionFirst)
     EXPECT_EQ(net_.ecubePort(msg), portOf(0, Dir::Plus));
     Message &msg2 = makeMessage(1, 1 + 8 * 5);  // offset (0, -3)
     EXPECT_EQ(net_.ecubePort(msg2), portOf(1, Dir::Minus));
+}
+
+/** Header states of the policy table: fresh, SR bit set, SR + detour. */
+enum class Hdr { Fresh, Sr, SrDetour };
+
+/** One row of the protocol policy table, written out by hand. */
+struct PolicyRow
+{
+    Protocol proto;
+    int scoutK;
+    Hdr hdr;
+    FlowMode initialFlow;
+    bool inlineHeader;
+    int kReg;
+    bool posAck;
+    bool abortsOnStall;
+};
+
+TEST(ProtocolPolicy, EveryProtocolRowMatchesTheTable)
+{
+    using FM = FlowMode;
+    using P = Protocol;
+    // Wormhole protocols (DOR, DP) never build a detour, so they have
+    // no SR + detour row.
+    const PolicyRow rows[] = {
+        {P::DimOrder, 3, Hdr::Fresh, FM::Wormhole, true, 0, false, false},
+        {P::DimOrder, 3, Hdr::Sr, FM::Wormhole, true, 0, false, false},
+        {P::DimOrder, 0, Hdr::Fresh, FM::Wormhole, true, 0, false, false},
+        {P::DimOrder, 0, Hdr::Sr, FM::Wormhole, true, 0, false, false},
+        {P::Duato, 3, Hdr::Fresh, FM::Wormhole, true, 0, false, false},
+        {P::Duato, 3, Hdr::Sr, FM::Wormhole, true, 0, false, false},
+        {P::Duato, 0, Hdr::Fresh, FM::Wormhole, true, 0, false, false},
+        {P::Duato, 0, Hdr::Sr, FM::Wormhole, true, 0, false, false},
+        {P::Scouting, 3, Hdr::Fresh, FM::Scout, false, 3, true, true},
+        {P::Scouting, 3, Hdr::Sr, FM::Scout, false, 3, true, true},
+        {P::Scouting, 3, Hdr::SrDetour, FM::Scout, false, 3, false, true},
+        {P::Scouting, 0, Hdr::Fresh, FM::Scout, false, 0, false, true},
+        {P::Scouting, 0, Hdr::Sr, FM::Scout, false, 0, false, true},
+        {P::Scouting, 0, Hdr::SrDetour, FM::Scout, false, 0, false, true},
+        {P::Pcs, 3, Hdr::Fresh, FM::PcsSetup, false, 0, false, true},
+        {P::Pcs, 3, Hdr::Sr, FM::PcsSetup, false, 0, false, true},
+        {P::Pcs, 3, Hdr::SrDetour, FM::PcsSetup, false, 0, false, true},
+        {P::Pcs, 0, Hdr::Fresh, FM::PcsSetup, false, 0, false, true},
+        {P::Pcs, 0, Hdr::Sr, FM::PcsSetup, false, 0, false, true},
+        {P::Pcs, 0, Hdr::SrDetour, FM::PcsSetup, false, 0, false, true},
+        {P::MBm, 3, Hdr::Fresh, FM::PcsSetup, false, 0, false, true},
+        {P::MBm, 3, Hdr::Sr, FM::PcsSetup, false, 0, false, true},
+        {P::MBm, 3, Hdr::SrDetour, FM::PcsSetup, false, 0, false, true},
+        {P::MBm, 0, Hdr::Fresh, FM::PcsSetup, false, 0, false, true},
+        {P::MBm, 0, Hdr::Sr, FM::PcsSetup, false, 0, false, true},
+        {P::MBm, 0, Hdr::SrDetour, FM::PcsSetup, false, 0, false, true},
+        {P::TwoPhase, 3, Hdr::Fresh, FM::Wormhole, false, 0, false, false},
+        {P::TwoPhase, 3, Hdr::Sr, FM::Wormhole, false, 3, true, true},
+        {P::TwoPhase, 3, Hdr::SrDetour, FM::Wormhole, false, 3, false,
+         true},
+        {P::TwoPhase, 0, Hdr::Fresh, FM::Wormhole, false, 0, false, false},
+        {P::TwoPhase, 0, Hdr::Sr, FM::Wormhole, false, 0, false, true},
+        {P::TwoPhase, 0, Hdr::SrDetour, FM::Wormhole, false, 0, false,
+         true},
+    };
+    for (const PolicyRow &row : rows) {
+        SCOPED_TRACE(::testing::Message()
+                     << protocolName(row.proto) << " K=" << row.scoutK
+                     << " hdr=" << static_cast<int>(row.hdr));
+        SimConfig cfg = smallConfig(row.proto);
+        cfg.scoutK = row.scoutK;
+        const RoutingProtocol proto(cfg);
+
+        Message msg;
+        msg.hdr.flow = proto.initialFlow();
+        if (row.hdr != Hdr::Fresh) {
+            // Only TP sets the SR bit (Network::enterSrMode), and it
+            // moves the flow to Scout with it; the other protocols'
+            // flow never leaves its initial mode.
+            msg.hdr.sr = true;
+            if (row.proto == Protocol::TwoPhase)
+                msg.hdr.flow = FlowMode::Scout;
+        }
+        msg.hdr.detour = row.hdr == Hdr::SrDetour;
+
+        EXPECT_EQ(proto.initialFlow(), row.initialFlow);
+        EXPECT_EQ(proto.inlineHeader(), row.inlineHeader);
+        EXPECT_EQ(proto.kRegFor(msg), row.kReg);
+        EXPECT_EQ(proto.emitsPosAck(msg), row.posAck);
+        EXPECT_EQ(proto.abortsOnStall(msg), row.abortsOnStall);
+    }
 }
 
 } // namespace

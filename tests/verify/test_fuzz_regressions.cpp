@@ -182,7 +182,7 @@ TEST(FuzzRegressions, TpExpressCubeProbeNeverWaitsOnItsOwnEscape)
 // watchdog declared a deadlock (seed 9: message 168, 21->26, stuck at
 // node 22). The header now takes a free VC on the e-cube port, and
 // reports the port's trios as its wait when they are all busy
-// (select::recoveryEscape).
+// (select::firstFree over the e-cube port).
 chaos::CampaignSpec
 recoverySpec(Protocol proto, TopologyKind topo, double load, Cycle inject,
              std::uint64_t seed, int linkKills)
@@ -285,7 +285,7 @@ TEST(FuzzRegressions, DedicatedAckSignalsDrainAllReadyFlitsPerCycle)
 /**
  * Deterministic distillation of the DP wedge: a message whose only
  * minimal direction is +X hits a faulty escape channel mid-path.
- * Adaptive candidates (Safety::Healthy) skip the faulty channel, the
+ * Adaptive candidates (the healthy scan) skip the faulty channel, the
  * escape IS the faulty channel, and DP cannot backtrack or misroute —
  * before the fix the header blocked forever (Active, no wait edges,
  * invisible to the stall limit). Now it aborts, retries against the

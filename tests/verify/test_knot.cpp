@@ -69,6 +69,17 @@ class KnotTest : public ::testing::Test
         cwg.onBlocked(msg);
     }
 
+    /** Put TP message @p id in or out of the SR phase, whose scouting
+     *  flow aborts on its stall limit (the header's SR bit and flow
+     *  mode, as Network::enterSrMode sets them). */
+    void
+    setSrPhase(MsgId id, bool on)
+    {
+        HeaderState &hdr = net_.message(id).hdr;
+        hdr.sr = on;
+        hdr.flow = on ? FlowMode::Scout : FlowMode::Wormhole;
+    }
+
     std::vector<MsgId>
     sortedMembers(const CwgCycle &c) const
     {
@@ -217,7 +228,7 @@ TEST_F(KnotTest, SweepPromotesBenignCycleWhenItsExitEvaporates)
     for (MsgId i = 0; i < 4; ++i)
         own(static_cast<NodeId>(i), avc, (i + 1) % 4);
 
-    net_.message(2).hdr.sr = true;  // abort-on-stall exit
+    setSrPhase(2, true);  // abort-on-stall exit
     for (MsgId i = 0; i < 4; ++i)
         blockOn(cwg, i, static_cast<NodeId>(i), avc);
     EXPECT_TRUE(cwg.violations().empty());
@@ -226,7 +237,7 @@ TEST_F(KnotTest, SweepPromotesBenignCycleWhenItsExitEvaporates)
     cwg.onCycleEnd(4);  // sweep with the exit still live: no change
     EXPECT_TRUE(cwg.violations().empty());
 
-    net_.message(2).hdr.sr = false;  // the exit evaporates silently
+    setSrPhase(2, false);  // the exit evaporates silently
     cwg.onCycleEnd(8);
 
     ASSERT_EQ(cwg.violations().size(), 1u);
@@ -258,12 +269,12 @@ TEST_F(KnotTest, FreedCommittedCandidateCountsAsAnExit)
     own(1, avc, 1);  // candidate B of msg 0
     own(2, avc, 0);  // msg 1's wait
 
-    net_.message(1).hdr.sr = true;  // keep formation benign
+    setSrPhase(1, true);  // keep formation benign
     blockOnMany(cwg, 0, {{0, avc}, {1, avc}});
     blockOn(cwg, 1, 2, avc);
     EXPECT_EQ(cwg.cyclesDetected(), 1u);
     EXPECT_TRUE(cwg.violations().empty());
-    net_.message(1).hdr.sr = false;
+    setSrPhase(1, false);
 
     // Candidate B is released: waits drop 2 -> 1 under committed 2.
     net_.vc(net_.linkAt(1, 0).id, avc).owner = invalidMsg;
