@@ -870,8 +870,6 @@ struct SnapshotAccess
     io(Ar &ar, chaos::Watchdog &w, MsgId nextId)
     {
         ioVec(ar, w.violations_, [](Ar &a, std::string &v) { a.str(v); });
-        ar.u64(w.lastComposite_);
-        ar.u64(w.lastActivity_);
         ar.b(w.deadlocked_);
         MsgId last = invalidMsg;
         ioVec(ar, w.tracks_, [&last, nextId](Ar &a, auto &t) {

@@ -13,8 +13,6 @@ namespace chaos {
 Watchdog::Watchdog(Network &net, const WatchdogConfig &cfg)
     : net_(net), cfg_(cfg)
 {
-    lastComposite_ = activityComposite();
-    lastActivity_ = net_.now();
 }
 
 void
@@ -27,16 +25,10 @@ Watchdog::report(const std::string &what)
     violations_.push_back(os.str());
 }
 
-std::uint64_t
-Watchdog::activityComposite() const
+Cycle
+Watchdog::lastProgress() const
 {
-    const Counters &c = net_.counters();
-    return c.generated + c.delivered + c.dropped + c.lost +
-           c.retransmits + c.retriesScheduled + c.headerMoves +
-           c.backtracks + c.misroutes + c.detoursBuilt + c.setupAborts +
-           c.dataCrossings + c.ctrlCrossings + c.posAcks + c.negAcks +
-           c.killFlits + c.msgAcks + c.dataFlitsDelivered +
-           c.dynamicFaults + c.messagesKilled + c.linksRestored;
+    return net_.lastActivity() + 1;
 }
 
 void
@@ -56,7 +48,7 @@ Watchdog::nextDeadline() const
     Cycle at = cycleNever;
     if (cfg_.globalStallBound > 0 && !deadlocked_ &&
         net_.activeMessages() > 0) {
-        at = std::min(at, lastActivity_ + cfg_.globalStallBound);
+        at = std::min(at, lastProgress() + cfg_.globalStallBound);
     }
     if (cfg_.msgStallBound > 0) {
         for (const MsgTrack &track : tracks_) {
@@ -81,19 +73,6 @@ Watchdog::nextDeadline() const
 }
 
 void
-Watchdog::skipTo(Cycle upto)
-{
-    // Each skipped observe() with no live messages would have
-    // refreshed the global-progress baseline; replay the last one.
-    // With live messages and a frozen network the baseline is
-    // untouched by observe(), so there is nothing to replay.
-    if (net_.activeMessages() == 0) {
-        lastComposite_ = activityComposite();
-        lastActivity_ = upto;
-    }
-}
-
-void
 Watchdog::finalCheck()
 {
     checkConservation();
@@ -103,30 +82,26 @@ Watchdog::finalCheck()
 void
 Watchdog::checkGlobalProgress()
 {
-    const std::uint64_t composite = activityComposite();
-    if (composite != lastComposite_ || net_.activeMessages() == 0) {
-        lastComposite_ = composite;
-        lastActivity_ = net_.now();
+    if (cfg_.globalStallBound == 0 || deadlocked_ ||
+        net_.activeMessages() == 0) {
         return;
     }
-    if (cfg_.globalStallBound > 0 && !deadlocked_ &&
-        net_.now() - lastActivity_ >= cfg_.globalStallBound) {
-        std::ostringstream os;
-        os << "deadlock: no token moved for "
-           << net_.now() - lastActivity_ << " cycles with "
-           << net_.activeMessages() << " live messages";
-        // The CWG analyzer (when on) turns the symptom into a cause.
-        if (const verify::CwgTracker *cwg = net_.cwg()) {
-            if (!cwg->violations().empty()) {
-                os << "; deadlock cycle: "
-                   << cwg->violations().front().diagnosis;
-            } else if (!cwg->lastCycleDiagnosis().empty()) {
-                os << "; last observed " << cwg->lastCycleDiagnosis();
-            }
+    const Cycle since = lastProgress();
+    if (net_.now() < since + cfg_.globalStallBound)
+        return;
+    std::ostringstream os;
+    os << "deadlock: no token moved for " << net_.now() - since
+       << " cycles with " << net_.activeMessages() << " live messages";
+    // The CWG analyzer (when on) turns the symptom into a cause.
+    if (const verify::CwgTracker *cwg = net_.cwg()) {
+        if (!cwg->violations().empty()) {
+            os << "; deadlock cycle: " << cwg->violations().front().diagnosis;
+        } else if (!cwg->lastCycleDiagnosis().empty()) {
+            os << "; last observed " << cwg->lastCycleDiagnosis();
         }
-        report(os.str());
-        deadlocked_ = true;
     }
+    report(os.str());
+    deadlocked_ = true;
 }
 
 Watchdog::Signatures

@@ -17,8 +17,11 @@
  *    deliberately purged);
  *  - structural: periodic validateNetwork() sweeps.
  *
- * Unlike the simulator's built-in watchdog (which panics), this one
- * records violations and lets the campaign driver finish and report.
+ * The deadlock check reads the network's progress clock
+ * (Network::lastActivity, ticked by Counters::tokenMoves()), the same
+ * clock the simulator's cfg.watchdog panic reads; unlike that panic,
+ * this watchdog records violations and lets the campaign driver finish
+ * and report.
  */
 
 #ifndef TPNET_CHAOS_WATCHDOG_HPP
@@ -81,12 +84,12 @@ class Watchdog
     Cycle nextDeadline() const;
 
     /**
-     * Replay the bookkeeping of observes skipped over a frozen span
-     * ending at @p upto (the driver's idle-skip precondition). Keeps
-     * the serialized watchdog state — and hence checkpoint digests —
-     * bit-identical to having stepped every cycle.
+     * No-op: the watchdog keeps no clock of its own, so an idle skip
+     * leaves nothing to replay. It stays only for the perfbench
+     * replica's call (perfbench/replica.cpp) and goes when ROADMAP
+     * item 9 deletes the replica.
      */
-    void skipTo(Cycle upto);
+    void skipTo(Cycle) {}
 
     const std::vector<std::string> &violations() const
     {
@@ -117,15 +120,14 @@ class Watchdog
     /** CWG-informed annotation of a frozen message ("" when none). */
     std::string diagnoseFrozen(const Message &msg) const;
 
-    /** Sum of every activity counter: changes iff some token moved. */
-    std::uint64_t activityComposite() const;
+    /** The observe() cycle of the last token move: observe() runs
+     *  one cycle past the step that ticked the network's clock. */
+    Cycle lastProgress() const;
 
     Network &net_;
     WatchdogConfig cfg_;
     std::vector<std::string> violations_;
 
-    std::uint64_t lastComposite_ = 0;
-    Cycle lastActivity_ = 0;
     bool deadlocked_ = false;
 
     /** Progress record of one watched message. */

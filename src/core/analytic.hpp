@@ -56,23 +56,6 @@ maxScoutGap(int k)
     return k > 0 ? 2 * k - 1 : 0;
 }
 
-/**
- * Theorem 1: maximum consecutive backtracking steps forced by f faulty
- * components in a k-ary n-cube (straight-alley case).
- */
-constexpr int
-theorem1Backtracks(int f, int n)
-{
-    return f < 2 * n - 1 ? 0 : (f - 1) / (2 * n - 2);
-}
-
-/** Theorem 1, alley-with-turn variant: b = f div (2n - 2). */
-constexpr int
-theorem1BacktracksTurn(int f, int n)
-{
-    return f < 2 * n - 1 ? 0 : f / (2 * n - 2);
-}
-
 /** Theorem 2: misroute budget guaranteeing delivery (< 2n faults). */
 constexpr int theorem2Misroutes = 6;
 

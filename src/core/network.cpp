@@ -85,6 +85,7 @@ Network::rebuildActivity()
         if (!nodeFaulty(node) && !dataNodeIdle(node))
             dataActive_.add(static_cast<std::uint32_t>(node));
     }
+    lastMoves_ = counters_.tokenMoves();
 }
 
 bool
@@ -270,6 +271,13 @@ Network::step()
                         cwg_->violations().front().diagnosis);
         }
     }
+    // The progress clock: offers and strikes made since the last step
+    // count towards this cycle.
+    const std::uint64_t moves = counters_.tokenMoves();
+    if (moves != lastMoves_) {
+        lastMoves_ = moves;
+        lastActivity_ = now_;
+    }
     checkWatchdog();
     ++now_;
 }
@@ -388,7 +396,6 @@ Network::dataVisit(NodeId node)
                 continue;
             const Flit flit = popData(node, in);
             rt.setRr(ejectPort, pick);
-            noteActivity();
             Message *msg = findMessage(flit.msg);
             if (msg && !msg->tearingDown())
                 deliverFlit(*msg, flit);
@@ -533,7 +540,6 @@ Network::moveFlit(VcIndex in, NodeId node, LinkId outId, Flit &moved)
     ++work_.moves;
     ++out.dataCrossings;
     ++counters_.dataCrossings;
-    noteActivity();
     if (trace_)
         trace_->flitCrossed(now_, out, vc.outVc, flit, false);
 
@@ -609,7 +615,6 @@ Network::tryInjectOn(NodeId node, int port)
         ++work_.injections;
         msg->headerInjected = true;
         ++counters_.dataCrossings;
-        noteActivity();
         if (trace_) {
             trace_->flitInjected(now_, node, flit);
             trace_->flitCrossed(now_, first, msg->path[0].vc, flit, false);
@@ -631,7 +636,6 @@ Network::tryInjectOn(NodeId node, int port)
     if (flit.seq == 1)
         msg->leadHop = 0;
     ++counters_.dataCrossings;
-    noteActivity();
     if (trace_) {
         trace_->flitInjected(now_, node, flit);
         trace_->flitCrossed(now_, first, msg->path[0].vc, flit, false);

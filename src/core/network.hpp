@@ -164,11 +164,12 @@ class Network
     void skipTo(Cycle target);
 
     /**
-     * Recompute the activity sets (and the mapped-flit counts) from the
-     * current network state — used after a checkpoint restore, which
-     * rebuilds state wholesale. A rebuilt set may omit active-but-
-     * drained entities an organic run would still visit once more;
-     * such visits mutate nothing, so behavior is unchanged.
+     * Recompute the activity sets, the mapped-flit counts and the
+     * progress clock's baseline from the current network state — used
+     * after a checkpoint restore, which rebuilds state wholesale. A
+     * rebuilt set may omit active-but-drained entities an organic run
+     * would still visit once more; such visits mutate nothing, so
+     * behavior is unchanged.
      */
     void rebuildActivity();
 
@@ -213,6 +214,14 @@ class Network
 
     /** True when no message is active anywhere. */
     bool quiescent() const { return messages_.size() == 0; }
+
+    /**
+     * The progress clock: the last cycle whose step (or the offers and
+     * strikes made just before it) changed Counters::tokenMoves(), i.e.
+     * the last cycle some token moved. Both deadlock verdicts read it:
+     * the cfg.watchdog panic and chaos::Watchdog's report.
+     */
+    Cycle lastActivity() const { return lastActivity_; }
 
     // --- Component access ---------------------------------------------
     const SimConfig &config() const { return cfg_; }
@@ -347,9 +356,6 @@ class Network
 
     /** Healthy but marked unsafe (Section 2.4). */
     bool channelUnsafe(NodeId node, int port) const;
-
-    /** Healthy and not unsafe. */
-    bool channelSafe(NodeId node, int port) const;
 
     int escapeVcCount() const { return cfg_.escapeVcs; }
     int vcCount() const { return cfg_.vcsPerLink(); }
@@ -699,7 +705,6 @@ class Network
     /** Sacrifice @p msg to dissolve knot @p hash. */
     void healVictim(Message &msg, std::uint64_t hash);
 
-    void noteActivity() { lastActivity_ = now_; }
     void checkWatchdog();
 
     /** Per-class counter slice for @p cls, or nullptr when the run has
@@ -746,6 +751,9 @@ class Network
     std::vector<HealRecord> healLog_;
     Cycle now_ = 0;
     Cycle lastActivity_ = 0;
+    /// Counters::tokenMoves() at the end of the last step (derived:
+    /// rebuildActivity() recomputes it, the checkpoint does not carry it).
+    std::uint64_t lastMoves_ = 0;
     MsgId nextMsgId_ = 0;
     bool measuring_ = false;
 

@@ -169,7 +169,6 @@ Network::probeArrived(Message &msg, int hop_idx)
     ++hdr.hops;
     hdr.stalled = 0;
     ++counters_.headerMoves;
-    noteActivity();
 
     // "Every time a channel is successfully reserved by the routing
     // header, it returns a positive acknowledgment" (Section 2.2).
@@ -334,12 +333,6 @@ bool
 Network::channelUnsafe(NodeId node, int port) const
 {
     return linkAt(node, port).unsafe;
-}
-
-bool
-Network::channelSafe(NodeId node, int port) const
-{
-    return !channelFaulty(node, port) && !channelUnsafe(node, port);
 }
 
 int

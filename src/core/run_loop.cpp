@@ -82,8 +82,6 @@ RunLoop::skipIdle(Cycle end, bool sampling, const Stop &stop)
     net_.skipTo(target);
     if (sampling && registry)
         registry->skipIdle(net_, target - now);
-    if (watchdog)
-        watchdog->skipTo(target);
 }
 
 } // namespace tpnet

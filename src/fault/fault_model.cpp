@@ -96,7 +96,6 @@ Network::strike(const FaultEvent &ev, Rng &rng)
             failLinkIntermittent(hit.node, hit.port, hit.downFor);
         }
     }
-    noteActivity();
     return hit;
 }
 
@@ -298,7 +297,6 @@ Network::restoreLink(NodeId node, int port)
     }
     ++counters_.linksRestored;
     recomputeUnsafe();
-    noteActivity();
     return true;
 }
 

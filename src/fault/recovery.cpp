@@ -302,7 +302,6 @@ Network::wakeRetries()
         }
         if (msg->retryAt <= now_) {
             msg->state = MsgState::Queued;
-            noteActivity();
             if (!nodeFaulty(msg->src))
                 activateFront(msg->src);
             retryList_[i] = retryList_.back();

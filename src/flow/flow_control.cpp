@@ -49,7 +49,6 @@ Network::ctrlVisit(Link &wire)
         wire.ctrlQ.pop_front();
         ++wire.ctrlCrossings;
         ++counters_.ctrlCrossings;
-        noteActivity();
         if (trace_)
             trace_->flitCrossed(now_, wire, -1, flit, true);
         processCtrlArrival(wire, flit);
@@ -68,7 +67,6 @@ Network::ctrlVisit(Link &wire)
         wire.ackQ.pop_front();
         ++wire.ctrlCrossings;
         ++counters_.ctrlCrossings;
-        noteActivity();
         if (trace_)
             trace_->flitCrossed(now_, wire, -1, flit, true);
         processCtrlArrival(wire, flit);

@@ -164,6 +164,22 @@ struct Counters
      * summed, every RunningStat, Histogram and ClassStat merged.
      */
     void merge(const Counters &other);
+
+    /**
+     * Sum of every counter a moving token bumps: it changes iff some
+     * message, probe, flit, acknowledgment or fault event moved. The
+     * network's progress clock (Network::lastActivity) ticks on it.
+     */
+    std::uint64_t
+    tokenMoves() const
+    {
+        return generated + delivered + dropped + lost + retransmits +
+               retriesScheduled + headerMoves + backtracks + misroutes +
+               detoursBuilt + setupAborts + dataCrossings + ctrlCrossings +
+               posAcks + negAcks + killFlits + msgAcks +
+               dataFlitsDelivered + dynamicFaults + messagesKilled +
+               linksRestored;
+    }
 };
 
 /**

@@ -40,7 +40,7 @@
 namespace tpnet::obs {
 
 /** Current checkpoint container version. */
-constexpr std::uint16_t checkpointFormatVersion = 4;
+constexpr std::uint16_t checkpointFormatVersion = 5;
 
 /** Parsed checkpoint-file header. */
 struct CheckpointFileInfo

@@ -239,8 +239,9 @@ struct SimConfig
     Cycle warmup = 2000;     ///< cycles discarded before measuring
     Cycle measure = 10000;   ///< measurement window
     Cycle drain = 20000;     ///< max extra cycles to wait for tagged messages
-    /// Abort if no flit moves for this many cycles while work is pending
-    /// (deadlock watchdog, Theorem 3 check). 0 disables.
+    /// Abort if no token moves (Network::lastActivity) for this many
+    /// cycles while work is pending (deadlock watchdog, Theorem 3
+    /// check). 0 disables.
     Cycle watchdog = 20000;
 
     // --- Engine --------------------------------------------------------

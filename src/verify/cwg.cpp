@@ -399,7 +399,7 @@ CwgTracker::diagnose(const std::vector<MsgId> &members,
         if (const Message *msg = net_.findMessage(id)) {
             const char *phase =
                 msg->hdr.detour                      ? "detour"
-                : msg->hdr.sr                        ? "SR"
+                : msg->hdr.flow == FlowMode::Scout    ? "SR"
                 : msg->hdr.flow == FlowMode::PcsSetup ? "PCS"
                                                       : "WR";
             os << " [node " << msg->hdr.cur << ", phase " << phase

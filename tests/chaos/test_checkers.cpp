@@ -4,7 +4,9 @@
  * through its trace hooks by hand, and the progress watchdog watching a
  * network frozen by skipping its clock. Each report is pinned by its
  * full text, so a change to how the checkers find their records shows
- * up as a changed line.
+ * up as a changed line. Both deadlock verdicts, the network's panic
+ * and the watchdog's report, are also shown firing on a really wedged
+ * worm.
  */
 
 #include <gtest/gtest.h>
@@ -321,6 +323,63 @@ TEST(Watchdog, ValidatorReportFires)
     EXPECT_EQ(h.dog.violations(),
               Lines{"cycle 2: validator: msg 0 negative outstanding "
                     "misroutes"});
+}
+
+/**
+ * A 64-flit worm whose circuit loses its second link for good while
+ * the kill sweep is switched off: the circuit is never torn down, so
+ * once the flits past the cut drain nothing moves again.
+ */
+void
+wedgeWorm(Network &net)
+{
+    net.offerMessage(0, 2);  // (0,0) -> (2,0): the only minimal path
+    for (int c = 0; c < 8; ++c)
+        net.step();
+    ASSERT_GE(net.message(0).path.size(), 2u);
+    net.testHookSkipKillSweep(true);
+    net.failLink(1, portOf(0, Dir::Plus));
+}
+
+SimConfig
+wedgeConfig(Cycle watchdog)
+{
+    SimConfig cfg = test::smallConfig(Protocol::TwoPhase, 8, 2);
+    cfg.msgLength = 64;
+    cfg.watchdog = watchdog;
+    cfg.validate();
+    return cfg;
+}
+
+TEST(Watchdog, NetworkPanicFiresOnAWedgedWorm)
+{
+    EXPECT_DEATH(
+        {
+            Network net(wedgeConfig(200));
+            wedgeWorm(net);
+            for (int c = 0; c < 1000; ++c)
+                net.step();
+        },
+        "deadlock watchdog: no activity for 201 cycles with 1 live "
+        "messages at cycle 211");
+}
+
+TEST(Watchdog, DeadlockReportFiresOnAWedgedWorm)
+{
+    // The same wedge read through the same clock: the last token moved
+    // in cycle 10, and the report lands on the panic's cycle.
+    Network net(wedgeConfig(0));
+    WatchdogConfig w = quietWatchdog();
+    w.globalStallBound = 200;
+    Watchdog dog(net, w);
+    wedgeWorm(net);
+    while (!dog.deadlocked() && net.now() < 1000) {
+        net.step();
+        dog.observe();
+    }
+    EXPECT_EQ(dog.violations(),
+              Lines{"cycle 211: deadlock: no token moved for 200 cycles "
+                    "with 1 live messages"});
 }
 
 } // namespace

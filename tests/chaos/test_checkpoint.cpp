@@ -167,7 +167,7 @@ TEST(CheckpointContainer, RejectsEveryCorruptionMode)
         obs::CkReader r(is);
         EXPECT_FALSE(r.ok());
         EXPECT_NE(r.error().find(
-                      "unsupported checkpoint version 2 (reader supports 4)"),
+                      "unsupported checkpoint version 2 (reader supports 5)"),
                   std::string::npos)
             << r.error();
     }
@@ -178,7 +178,18 @@ TEST(CheckpointContainer, RejectsEveryCorruptionMode)
         obs::CkReader r(is);
         EXPECT_FALSE(r.ok());
         EXPECT_NE(r.error().find(
-                      "unsupported checkpoint version 3 (reader supports 4)"),
+                      "unsupported checkpoint version 3 (reader supports 5)"),
+                  std::string::npos)
+            << r.error();
+    }
+    {  // version 4 (the watchdog's own activity sum and clock)
+        std::string bad = good;
+        bad[4] = 4;
+        std::istringstream is(bad, std::ios::binary);
+        obs::CkReader r(is);
+        EXPECT_FALSE(r.ok());
+        EXPECT_NE(r.error().find(
+                      "unsupported checkpoint version 4 (reader supports 5)"),
                   std::string::npos)
             << r.error();
     }
@@ -457,9 +468,9 @@ TEST(CheckpointState, RejectsDisorderedRecordIds)
         [&st](obs::CkWriter &w) { serializeCampaign(w, st); });
 
     // Locate the oracle's records (count, then three untouched records)
-    // and the watchdog's tracks 163 bytes on (the oracle's empty
-    // violations and four counters, the watchdog's empty violations,
-    // two cycles and a flag).
+    // and the watchdog's tracks 147 bytes on (the oracle's empty
+    // violations and four counters, the watchdog's empty violations
+    // and its deadlock flag).
     const std::string oracleRecords = bytesOf([&ends](obs::CkWriter &w) {
         std::uint64_t n = 3;
         w.u64(n);
@@ -481,7 +492,7 @@ TEST(CheckpointState, RejectsDisorderedRecordIds)
     const std::size_t oracleAt = payload.find(oracleRecords);
     ASSERT_NE(oracleAt, std::string::npos);
     ASSERT_EQ(payload.rfind(oracleRecords), oracleAt);
-    const std::size_t tracksAt = oracleAt + 163;
+    const std::size_t tracksAt = oracleAt + 147;
     ASSERT_EQ(payload.substr(tracksAt, 8), bytesOf([](obs::CkWriter &w) {
                   std::uint64_t n = 3;
                   w.u64(n);
@@ -827,11 +838,11 @@ TEST(CheckpointCampaign, StateDigestsArePinned)
     CampaignSpec recovery = ckCampaignSpec(13);
     recovery.cfg.recoveryMode = true;
     const Row rows[] = {
-        {"base", ckCampaignSpec(11), 0xb15951ccb013b739ull,
-         0xfd11aaf31ab3021aull},
-        {"cwg", cwg, 0x96a07a6aac51e8e7ull, 0x8d2d26bb7477fccaull},
-        {"recovery", recovery, 0x994ffb8540859733ull,
-         0x2516b209b65a6d71ull},
+        {"base", ckCampaignSpec(11), 0xd6d569de54fb6501ull,
+         0xd16b2fcf5fe60441ull},
+        {"cwg", cwg, 0xb5cf758b37a6112eull, 0x73c17f966de2109eull},
+        {"recovery", recovery, 0x504dbafcd4555422ull,
+         0xe834b190e1ab522eull},
     };
     for (const Row &row : rows) {
         const fs::path ck = scratchFile(std::string("pinned-") + row.tag +
@@ -855,7 +866,7 @@ TEST(CheckpointCampaign, StateDigestsArePinned)
     h.run(200);
     ASSERT_GT(h.net.activeMessages(), 0u);
     CampaignState st = h.state();
-    EXPECT_EQ(campaignStateDigest(st), 0xb45d8612ef4f38c2ull)
+    EXPECT_EQ(campaignStateDigest(st), 0x3afcc4cd53b3e068ull)
         << std::hex << " 0x" << campaignStateDigest(st);
 }
 

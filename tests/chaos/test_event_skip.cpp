@@ -95,7 +95,6 @@ TEST(EventSkip, WatchdogDeadlineNeverExceedsTheNextSweepBoundary)
 
     // The deadline tracks the clock across sweeps.
     net.skipTo(256);
-    dog.skipTo(256);
     dog.observe();
     EXPECT_EQ(dog.nextDeadline(), 512u);
     EXPECT_TRUE(dog.violations().empty());

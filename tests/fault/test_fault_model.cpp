@@ -60,7 +60,8 @@ TEST(FaultModel, DistantChannelsStaySafe)
     // A node far from the failure keeps safe channels.
     const NodeId far = 8 + 16 * 8;
     for (int port = 0; port < net.topo().radix(); ++port)
-        EXPECT_TRUE(net.channelSafe(far, port));
+        EXPECT_TRUE(!net.channelFaulty(far, port) &&
+                    !net.channelUnsafe(far, port));
 }
 
 TEST(FaultModel, FailLinkMarksBothDirections)

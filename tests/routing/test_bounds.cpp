@@ -48,16 +48,6 @@ TEST(Theorem1, InverseRelation)
     }
 }
 
-TEST(Theorem1, MatchesAnalyticHeader)
-{
-    for (int f = 0; f < 12; ++f) {
-        EXPECT_EQ(bounds::maxConsecutiveBacktracks(f, 2),
-                  analytic::theorem1Backtracks(f, 2));
-        EXPECT_EQ(bounds::maxConsecutiveBacktracksTurn(f, 2),
-                  analytic::theorem1BacktracksTurn(f, 2));
-    }
-}
-
 TEST(Theorem2, Constants)
 {
     EXPECT_EQ(analytic::theorem2Misroutes, 6);

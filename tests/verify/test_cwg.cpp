@@ -38,8 +38,8 @@ using verify::CycleClass;
 class CwgTest : public ::testing::Test
 {
   protected:
-    CwgTest()
-        : cfg_(smallConfig(Protocol::TwoPhase, 8, 2)), net_(cfg_)
+    explicit CwgTest(const SimConfig &cfg = smallConfig(Protocol::TwoPhase))
+        : cfg_(cfg), net_(cfg_)
     {
         // Real messages so classification can inspect phase/exits.
         // Msg 4 is never blocked — it serves as an external owner whose
@@ -108,6 +108,41 @@ TEST_F(CwgTest, EscapeClassCycleIsAViolation)
     EXPECT_NE(c.diagnosis.find("escape class 0"), std::string::npos);
     EXPECT_EQ(cwg.cyclesDetected(), 1u);
     EXPECT_EQ(cwg.benignCycles(), 0u);
+}
+
+/** The same hand-built graphs over standalone SR(3). */
+class CwgScoutTest : public CwgTest
+{
+  protected:
+    CwgScoutTest() : CwgTest(config()) {}
+
+    static SimConfig
+    config()
+    {
+        SimConfig cfg = smallConfig(Protocol::Scouting);
+        cfg.scoutK = 3;
+        return cfg;
+    }
+};
+
+TEST_F(CwgScoutTest, CycleReportLabelsScoutingMembersSr)
+{
+    // An SR(K) message scouts from its first cycle (flow Scout) and
+    // never sets TP's SR bit; its cycle report still says phase SR.
+    CwgTracker cwg(net_);
+    buildRing(cwg, 0);
+
+    ASSERT_EQ(cwg.violations().size(), 1u);
+    EXPECT_EQ(cwg.violations().front().diagnosis,
+              "wait cycle (escape-cycle, 4 members): "
+              "msg 3 [node 3, phase SR, K=3] waits on link 12 vc 0 "
+              "(escape class 0) [kReg=0] owned by msg 0; "
+              "msg 0 [node 0, phase SR, K=3] waits on link 0 vc 0 "
+              "(escape class 0) [kReg=0] owned by msg 1; "
+              "msg 1 [node 1, phase SR, K=3] waits on link 4 vc 0 "
+              "(escape class 0) [kReg=0] owned by msg 2; "
+              "msg 2 [node 2, phase SR, K=3] waits on link 8 vc 0 "
+              "(escape class 0) [kReg=0] owned by msg 3");
 }
 
 TEST_F(CwgTest, AdaptiveCycleWithExternalExitIsBenign)
