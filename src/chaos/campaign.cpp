@@ -1,19 +1,137 @@
 #include "chaos/campaign.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 
-#include "chaos/shard.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/snapshot.hpp"
 #include "core/network.hpp"
 #include "core/pool.hpp"
 #include "core/run_loop.hpp"
 #include "obs/checkpoint.hpp"
+#include "obs/trace_format.hpp"
+#include "sim/config_fields.hpp"
 #include "traffic/injector.hpp"
 
 namespace tpnet {
 namespace chaos {
+
+namespace {
+
+std::uint64_t
+foldU64(std::uint64_t h, std::uint64_t v)
+{
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i)
+        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return obs::fnv1a64(b, sizeof(b), h);
+}
+
+std::uint64_t
+foldI64(std::uint64_t h, long long v)
+{
+    return foldU64(h, static_cast<std::uint64_t>(v));
+}
+
+std::uint64_t
+foldF64(std::uint64_t h, double v)
+{
+    std::uint64_t u;
+    static_assert(sizeof(u) == sizeof(v));
+    std::memcpy(&u, &v, sizeof(u));
+    return foldU64(h, u);
+}
+
+/** Fold a config value: numbers and enums by value, classes field by
+ *  field after their count. */
+template <typename T>
+std::uint64_t
+foldValue(std::uint64_t h, const T &v)
+{
+    if constexpr (std::is_same_v<T, double>) {
+        return foldF64(h, v);
+    } else if constexpr (std::is_same_v<T, std::vector<TrafficClassConfig>>) {
+        h = foldU64(h, v.size());
+        for (const TrafficClassConfig &tc : v)
+            TrafficClassConfig::forEachField(
+                [&](const auto &k) { h = foldValue(h, tc.*k.member); });
+        return h;
+    } else {
+        return foldU64(h, static_cast<std::uint64_t>(v));
+    }
+}
+
+std::uint64_t
+foldTag(const char *tag)
+{
+    return obs::fnv1a64(tag, std::strlen(tag));
+}
+
+} // namespace
+
+std::uint64_t
+configDigest(const SimConfig &cfg)
+{
+    // Versioned canonical encoding: every field of the config table but
+    // the engine switch (checkpoints are engine-agnostic). Bump the tag
+    // when the table changes so old checkpoints are refused, not
+    // misread.
+    std::uint64_t h = foldTag("tpnet-config-v5");
+    forEachConfigField([&](const auto &f) {
+        using T = typename std::remove_cvref_t<decltype(f)>::Type;
+        if constexpr (std::is_same_v<T, bool>) {
+            if (f.member == &SimConfig::eventEngine)
+                return;
+        }
+        h = foldValue(h, cfg.*f.member);
+    });
+    return h;
+}
+
+std::uint64_t
+campaignSpecDigest(const CampaignSpec &spec)
+{
+    std::uint64_t h = foldTag("tpnet-cell-v1");
+    h = foldU64(h, configDigest(spec.cfg));
+    h = foldU64(h, spec.seed);
+    h = foldU64(h, spec.injectCycles);
+    h = foldU64(h, spec.drainCycles);
+    h = foldU64(h, spec.faults.horizon);
+    h = foldU64(h, spec.faults.earliest);
+    h = foldI64(h, spec.faults.nodeKills);
+    h = foldI64(h, spec.faults.linkKills);
+    h = foldI64(h, spec.faults.intermittents);
+    h = foldU64(h, spec.faults.downMin);
+    h = foldU64(h, spec.faults.downMax);
+    h = foldU64(h, spec.scriptedFaults.size());
+    for (const FaultEvent &ev : spec.scriptedFaults) {
+        h = foldU64(h, ev.at);
+        h = foldI64(h, static_cast<int>(ev.kind));
+        h = foldI64(h, ev.node);
+        h = foldI64(h, ev.port);
+        h = foldU64(h, ev.downFor);
+    }
+    h = foldU64(h, spec.watchdog.globalStallBound);
+    h = foldU64(h, spec.watchdog.msgStallBound);
+    h = foldU64(h, spec.watchdog.validateEvery);
+    h = foldU64(h, spec.watchdog.conserveEvery);
+    h = foldU64(h, spec.watchdog.maxViolations);
+    h = foldI64(h, spec.injectSkipKillBug);
+    h = foldI64(h, spec.verifyCwg);
+    return h;
+}
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
 
 std::string
 CampaignResult::summary() const

@@ -133,7 +133,7 @@ struct CampaignResult
     std::vector<std::string> liveDump;
 
     // --- Checkpoint/restore observability (not part of campaignJson,
-    // so sharded/merged documents stay bit-identical) -----------------
+    // so a restored run's document matches the straight-through one) --
     /// FNV-1a digest of the trace events after the last checkpoint
     /// boundary (the whole run when none was written). A restore from
     /// that boundary must reproduce this value bit-identically.
@@ -148,6 +148,22 @@ struct CampaignResult
     /** One-line human summary. */
     std::string summary() const;
 };
+
+/**
+ * Stable digest of a simulation configuration (versioned encoding of
+ * every SimConfig field but the engine switch).
+ */
+std::uint64_t configDigest(const SimConfig &cfg);
+
+/**
+ * Stable digest of one fully resolved campaign: its config, seed,
+ * windows, fault shape, watchdog bounds and switches. A checkpoint
+ * carries it and a restore refuses a checkpoint of another spec.
+ */
+std::uint64_t campaignSpecDigest(const CampaignSpec &spec);
+
+/** 16-digit lowercase hex. */
+std::string hex64(std::uint64_t v);
 
 /** Run one campaign to completion. */
 CampaignResult runCampaign(const CampaignSpec &spec);

@@ -91,7 +91,9 @@ formatFaultEvents(const std::vector<FaultEvent> &events)
 {
     std::string out;
     for (const FaultEvent &ev : events) {
-        out += (out.empty() ? "" : ",") + std::to_string(ev.at) + ':' +
+        if (!out.empty())
+            out += ',';
+        out += std::to_string(ev.at) + ':' +
                kindLetters[static_cast<std::size_t>(ev.kind)] + ':' +
                std::to_string(ev.node) + ':' + std::to_string(ev.port) +
                ':' + std::to_string(ev.downFor);

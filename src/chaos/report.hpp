@@ -1,9 +1,8 @@
 /**
  * @file
  * Structured campaign-result emitter behind tpnet_verify's
- * `--json out.json`. Monolithic runs, --compare, shard files and
- * merged shards all write the one campaign document below; a shard
- * file only adds its "shard" line (chaos/shard.hpp).
+ * `--json out.json`. Sweeps, replays and --compare all write the one
+ * campaign document below.
  *
  * One object per campaign: verdict, cycle/message totals, fault
  * counts, the CWG tally (cycles / benign / violations / persistent
@@ -125,47 +124,23 @@ campaignJson(const CampaignResult &r)
 
 /**
  * Write a campaign batch as the one campaign document, one campaign
- * object per line so the shard reader needs no JSON parser:
- *   { "tool": ...,
- *     [@p shard_line, a shard file's "shard": {...} line,]
- *     "campaigns": [ {...}, ... ] }
+ * object per line:
+ *   { "tool": ..., "campaigns": [ {...}, ... ] }
  * @return false on I/O error.
  */
 inline bool
 writeCampaignJson(const std::string &path, const std::string &tool,
-                  const std::vector<std::string> &campaigns,
-                  const std::string &shard_line = {})
+                  const std::vector<CampaignResult> &results)
 {
     std::ofstream os(path);
     if (!os)
         return false;
-    os << "{\n  \"tool\": \"" << jsonEscape(tool) << "\",\n";
-    if (!shard_line.empty())
-        os << "  " << shard_line << ",\n";
-    os << "  \"campaigns\": [";
-    for (std::size_t i = 0; i < campaigns.size(); ++i)
-        os << (i ? ",\n    " : "\n    ") << campaigns[i];
+    os << "{\n  \"tool\": \"" << jsonEscape(tool)
+       << "\",\n  \"campaigns\": [";
+    for (std::size_t i = 0; i < results.size(); ++i)
+        os << (i ? ",\n    " : "\n    ") << campaignJson(results[i]);
     os << "\n  ]\n}\n";
     return static_cast<bool>(os);
-}
-
-/** The campaign lines of @p results, in order. */
-inline std::vector<std::string>
-campaignLines(const std::vector<CampaignResult> &results)
-{
-    std::vector<std::string> lines;
-    lines.reserve(results.size());
-    for (const CampaignResult &r : results)
-        lines.push_back(campaignJson(r));
-    return lines;
-}
-
-/** writeCampaignJson of a monolithic run's results. */
-inline bool
-writeCampaignJson(const std::string &path, const std::string &tool,
-                  const std::vector<CampaignResult> &results)
-{
-    return writeCampaignJson(path, tool, campaignLines(results));
 }
 
 } // namespace chaos

@@ -25,9 +25,9 @@ namespace tpnet {
 
 /**
  * Strict number parsing, the one reader of every number in argv, the
- * environment, spec strings and shard files: the whole token must be
- * one number of the type (no blanks, no trailing characters, no
- * out-of-range or non-finite values); an unsigned value takes no sign.
+ * environment and spec strings: the whole token must be one number of
+ * the type (no blanks, no trailing characters, no out-of-range or
+ * non-finite values); an unsigned value takes no sign.
  * @p out is only written on success. Defined for int, std::uint64_t
  * and double.
  */

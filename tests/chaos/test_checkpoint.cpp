@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "chaos/campaign.hpp"
-#include "chaos/shard.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/report.hpp"
 #include "chaos/snapshot.hpp"
@@ -749,6 +748,34 @@ ckCampaignSpec(std::uint64_t seed)
     spec.faults.downMin = 50;
     spec.faults.downMax = 100;
     return spec;
+}
+
+TEST(CheckpointCampaign, SpecDigestIsStableAndSensitive)
+{
+    // A checkpoint carries campaignSpecDigest and a restore refuses a
+    // foreign one, so the digest must be a pure function of the spec
+    // that moves with its config, seed and fault shape.
+    const CampaignSpec spec = ckCampaignSpec(21);
+    const std::uint64_t digest = campaignSpecDigest(spec);
+    EXPECT_EQ(digest, campaignSpecDigest(ckCampaignSpec(21)));
+
+    CampaignSpec mutated = spec;
+    mutated.cfg.load += 0.01;
+    EXPECT_NE(digest, campaignSpecDigest(mutated));
+    mutated = spec;
+    mutated.seed += 100;
+    EXPECT_NE(digest, campaignSpecDigest(mutated));
+    mutated = spec;
+    mutated.faults.nodeKills += 1;
+    EXPECT_NE(digest, campaignSpecDigest(mutated));
+
+    // A resumed campaign is the same campaign: the checkpoint fields
+    // stay out of the digest.
+    mutated = spec;
+    mutated.checkpointEvery = 128;
+    mutated.checkpointPath = "a.ck";
+    mutated.restorePath = "b.ck";
+    EXPECT_EQ(digest, campaignSpecDigest(mutated));
 }
 
 /** The golden property, for one spec variant. */

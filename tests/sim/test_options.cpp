@@ -6,7 +6,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "chaos/shard.hpp"
+#include "chaos/campaign.hpp"
 #include "sim/options.hpp"
 #include "topology/registry.hpp"
 

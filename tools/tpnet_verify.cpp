@@ -71,7 +71,6 @@
 #include "sim/log.hpp"
 #include "sim/options.hpp"
 #include "topology/registry.hpp"
-#include "shard_cli.hpp"
 
 namespace {
 
@@ -493,6 +492,89 @@ printCapped(const char *tag, const std::vector<std::string> &lines,
     }
 }
 
+/** Checkpoint/restore options (replay mode only). */
+struct CheckpointCli
+{
+    std::uint64_t every = 0;  ///< --checkpoint-every N
+    std::string path;         ///< --checkpoint FILE
+    std::string restore;      ///< --restore FILE
+};
+
+void
+addCheckpointOptions(OptionParser &parser, CheckpointCli *c)
+{
+    parser.addString("checkpoint",
+                     "replay only: write checkpoints of the replayed "
+                     "campaign to this file (atomic overwrite; the "
+                     "newest complete checkpoint survives a kill)",
+                     &c->path);
+    parser.addNumber("checkpoint-every",
+                     "replay only: checkpoint cadence in cycles "
+                     "(requires --checkpoint)",
+                     &c->every);
+    parser.addString("restore",
+                     "replay only: resume the replayed campaign from "
+                     "this checkpoint file; the finished run is "
+                     "bit-identical to a straight-through replay",
+                     &c->restore);
+}
+
+/** Any checkpoint option present (arms the trace digest tee too). */
+bool
+checkpointArmed(const CheckpointCli &c)
+{
+    return c.every > 0 || !c.path.empty() || !c.restore.empty();
+}
+
+bool
+validateCheckpointCli(const CheckpointCli &c, bool replay,
+                      std::string *error)
+{
+    if (!checkpointArmed(c))
+        return true;
+    if (!replay) {
+        *error = "--checkpoint/--checkpoint-every/--restore need "
+                 "--replay-seed (they act on a single campaign)";
+        return false;
+    }
+    if (c.every > 0 && c.path.empty()) {
+        *error = "--checkpoint-every needs --checkpoint FILE";
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Print the restore/checkpoint/digest report for a finished replay.
+ * Goes to stdout as '#' comment lines, never into --json, so a
+ * restored run writes the same document as a straight-through one.
+ */
+void
+printCheckpointReport(const CheckpointCli &c, const CampaignResult &r)
+{
+    if (r.restored) {
+        std::printf("# restore: resumed at cycle %llu from %s\n",
+                    static_cast<unsigned long long>(r.restoredAt),
+                    c.restore.c_str());
+    }
+    if (r.checkpointsWritten > 0) {
+        std::printf("# checkpoint: wrote %llu checkpoint(s) to %s "
+                    "(every %llu cycles)\n",
+                    static_cast<unsigned long long>(
+                        r.checkpointsWritten),
+                    c.path.c_str(),
+                    static_cast<unsigned long long>(c.every));
+    }
+    if (!r.checkpointError.empty()) {
+        std::printf("# checkpoint ERROR: %s\n",
+                    r.checkpointError.c_str());
+    }
+    std::printf("# tail digest %s (from cycle %llu), state digest %s\n",
+                hex64(r.tailDigest).c_str(),
+                static_cast<unsigned long long>(r.tailDigestFrom),
+                hex64(r.stateDigest).c_str());
+}
+
 /**
  * The headline experiment: avoidance (reserved escape bandwidth,
  * Theorem 3 contract verified online) vs recovery (escape pool freed,
@@ -621,8 +703,7 @@ main(int argc, char **argv)
     bool verbose = false;
     bool compare = false;
     std::string json_path;
-    tools::ShardCli shardcli;
-    tools::CheckpointCli ckcli;
+    CheckpointCli ckcli;
 
     OptionParser parser(
         "tpnet_verify",
@@ -691,8 +772,7 @@ main(int argc, char **argv)
                    "TEST HOOK: break fault recovery on purpose to prove "
                    "the oracle detects it (campaigns must FAIL)",
                    &o.skipKillBug);
-    tools::addShardOptions(parser, &shardcli);
-    tools::addCheckpointOptions(parser, &ckcli);
+    addCheckpointOptions(parser, &ckcli);
     parser.parseOrExit(argc, argv);
 
     // The grid's base: the options apply here too, so base.seed is the
@@ -704,8 +784,7 @@ main(int argc, char **argv)
 
     std::string error;
     const bool replay = replay_seed != 0;
-    if (!tools::validateShardCli(shardcli, replay, &error) ||
-        !tools::validateCheckpointCli(ckcli, replay, &error)) {
+    if (!validateCheckpointCli(ckcli, replay, &error)) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
     }
@@ -716,10 +795,9 @@ main(int argc, char **argv)
     }
 
     if (compare) {
-        if (shardcli.shardGiven || !shardcli.mergeDir.empty() ||
-            tools::checkpointArmed(ckcli)) {
-            std::fprintf(stderr, "error: sharding/checkpoint options "
-                                 "cannot be combined with --compare\n");
+        if (checkpointArmed(ckcli)) {
+            std::fprintf(stderr, "error: checkpoint options cannot be "
+                                 "combined with --compare\n");
             return 2;
         }
         return runComparison(base, grid, campaigns, jobs, o, json_path);
@@ -735,28 +813,6 @@ main(int argc, char **argv)
         spec.checkpointPath = ckcli.path;
         spec.restorePath = ckcli.restore;
         specs.push_back(spec);
-    }
-
-    // Sharded execution: the full spec list above is exactly what a
-    // monolithic run would execute, so the shard keys and the merge
-    // validation both derive from it.
-    if (!shardcli.mergeDir.empty())
-        return tools::runMergeShards(shardcli, "tpnet_verify", specs,
-                                     json_path);
-
-    const std::size_t shard_total = specs.size();
-    std::uint64_t shard_key = 0;
-    if (shardcli.shardGiven) {
-        shard_key = shardKey(specs, shardcli.shard);
-        std::vector<CampaignSpec> mine;
-        for (std::size_t idx : shardIndices(shard_total, shardcli.shard))
-            mine.push_back(specs[idx]);
-        specs.swap(mine);
-        std::printf("# shard %d/%d: owns %zu of %zu campaign(s), "
-                    "key %s\n",
-                    shardcli.shard.index, shardcli.shard.count,
-                    specs.size(), shard_total,
-                    hex64(shard_key).c_str());
     }
 
     std::printf("# tpnet_verify: %zu campaign(s), grid of %zu cells "
@@ -832,13 +888,10 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(c.healRetransmits),
                     static_cast<unsigned long long>(c.healEscalations));
     }
-    if (replay && tools::checkpointArmed(ckcli))
-        tools::printCheckpointReport(ckcli, results[0]);
+    if (replay && checkpointArmed(ckcli))
+        printCheckpointReport(ckcli, results[0]);
     if (!json_path.empty() &&
-        !(shardcli.shardGiven
-              ? writeShardJson(json_path, "tpnet_verify", shardcli.shard,
-                               shard_total, shard_key, results)
-              : writeCampaignJson(json_path, "tpnet_verify", results))) {
+        !writeCampaignJson(json_path, "tpnet_verify", results)) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
                      json_path.c_str());
         return 2;
