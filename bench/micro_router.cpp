@@ -66,10 +66,11 @@ BENCHMARK(BM_RngDraw);
 
 /**
  * Cost of one network cycle at a given offered load (x1000 cycles).
- * Arg(30) is the uniform_sat load, the saturation knee. The data phase's
- * work per cycle — move attempts, moves, rejects by reason, injection
- * attempts, message-table lookups — is reported as user counters from
- * Network::dataWork(), so a speedup can be told apart from less work.
+ * Arg(30) is the uniform_sat load, the saturation knee. The step's work
+ * per cycle — visits per phase, route() calls and blocked re-routes,
+ * move attempts, moves, rejects by reason, injection attempts,
+ * message-table lookups — is reported as user counters from
+ * Network::stepWork(), so a speedup can be told apart from less work.
  */
 void
 BM_NetworkCycle(benchmark::State &state)
@@ -83,7 +84,7 @@ BM_NetworkCycle(benchmark::State &state)
         inj.step();
         net.step();
     }
-    const DataPhaseWork before = net.dataWork();
+    const StepWork before = net.stepWork();
     for (auto _ : state) {
         inj.step();
         net.step();
@@ -91,13 +92,19 @@ BM_NetworkCycle(benchmark::State &state)
     benchmark::DoNotOptimize(net.counters().dataCrossings);
     state.SetItemsProcessed(state.iterations());
 
-    const DataPhaseWork &after = net.dataWork();
+    const StepWork &after = net.stepWork();
     const auto perCycle = [&](const char *name, std::uint64_t a,
                               std::uint64_t b) {
         state.counters[name] = benchmark::Counter(
             static_cast<double>(a - b) /
             static_cast<double>(state.iterations()));
     };
+    perCycle("rcu_visits", after.rcuVisits, before.rcuVisits);
+    perCycle("ctrl_visits", after.ctrlVisits, before.ctrlVisits);
+    perCycle("data_visits", after.dataVisits, before.dataVisits);
+    perCycle("route_calls", after.routeCalls, before.routeCalls);
+    perCycle("blocked_reroutes", after.blockedReroutes,
+             before.blockedReroutes);
     perCycle("move_attempts", after.moveAttempts, before.moveAttempts);
     perCycle("moves", after.moves, before.moves);
     perCycle("rej_empty", after.rejectEmpty, before.rejectEmpty);

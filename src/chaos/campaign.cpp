@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <type_traits>
 
 #include "chaos/oracle.hpp"
@@ -14,6 +15,7 @@
 #include "obs/checkpoint.hpp"
 #include "obs/trace_format.hpp"
 #include "sim/config_fields.hpp"
+#include "sim/log.hpp"
 #include "traffic/injector.hpp"
 
 namespace tpnet {
@@ -168,6 +170,7 @@ CampaignResult::summary() const
 CampaignResult
 runCampaign(const CampaignSpec &spec)
 {
+    const PanicContext context("campaign seed " + std::to_string(spec.seed));
     SimConfig cfg = spec.cfg;
     cfg.seed = spec.seed;
     cfg.watchdog = 0;  // the chaos watchdog reports instead of panicking

@@ -17,6 +17,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/fault_schedule.hpp"
@@ -135,7 +136,7 @@ struct SnapshotAccess
         }
     }
 
-    /** vector/deque with per-element callback f(ar, element). */
+    /** vector/deque/Fifo with per-element callback f(ar, element). */
     template <class Ar, class V, class F>
     static void
     ioVec(Ar &ar, V &v, F f)
@@ -152,20 +153,18 @@ struct SnapshotAccess
             v.clear();
             v.resize(static_cast<std::size_t>(n));
         }
-        for (auto &e : v) {
-            if (bad(ar))
-                return;
-            f(ar, e);
-        }
+        for (std::size_t i = 0; i < v.size() && !bad(ar); ++i)
+            f(ar, v[i]);
     }
 
     /**
-     * unordered_map written in sorted key order (deterministic bytes;
-     * restore-order independence is the caller's contract).
+     * unordered_map with 64-bit keys, written in sorted key order
+     * (deterministic bytes; restore-order independence is the caller's
+     * contract).
      */
-    template <class Ar, class Map, class Less, class FKey, class FVal>
+    template <class Ar, class Map, class FVal>
     static void
-    ioMap(Ar &ar, Map &m, Less less, FKey fkey, FVal fval)
+    ioMap(Ar &ar, Map &m, FVal fval)
     {
         std::uint64_t n = static_cast<std::uint64_t>(m.size());
         ar.u64(n);
@@ -178,18 +177,18 @@ struct SnapshotAccess
             for (std::uint64_t i = 0; i < n; ++i) {
                 if (!ar.ok())
                     return;
-                typename Map::key_type k{};
-                fkey(ar, k);
+                std::uint64_t k = 0;
+                ar.u64(k);
                 fval(ar, m[k]);
             }
         } else {
-            std::vector<typename Map::key_type> keys;
+            std::vector<std::uint64_t> keys;
             keys.reserve(m.size());
             for (const auto &kv : m)
                 keys.push_back(kv.first);
-            std::sort(keys.begin(), keys.end(), less);
-            for (auto &k : keys) {
-                fkey(ar, k);
+            std::sort(keys.begin(), keys.end());
+            for (std::uint64_t k : keys) {
+                ar.u64(k);
                 fval(ar, m.find(k)->second);
             }
         }
@@ -367,9 +366,32 @@ struct SnapshotAccess
         ioInt(ar, h.holdIdx);
     }
 
+    /** Message::visited; triedHere searches it in place, so the reader
+     *  refuses nodes out of strictly ascending order or off @p nodes. */
     template <class Ar>
     static void
-    io(Ar &ar, Message &m)
+    ioHistory(Ar &ar, std::vector<std::pair<NodeId, std::uint32_t>> &hist,
+              std::size_t nodes)
+    {
+        ioVec(ar, hist, [](Ar &a, std::pair<NodeId, std::uint32_t> &e) {
+            a.i32(e.first);
+            a.u32(e.second);
+        });
+        if constexpr (Ar::isReader) {
+            NodeId last = -1;
+            for (const auto &[node, ports] : hist) {
+                if (node <= last || static_cast<std::size_t>(node) >= nodes)
+                    return ar.fail("checkpoint message search history not "
+                                   "in strictly ascending node order on "
+                                   "the topology");
+                last = node;
+            }
+        }
+    }
+
+    template <class Ar>
+    static void
+    io(Ar &ar, Message &m, std::size_t nodes)
     {
         ar.i64(m.id);
         ar.i32(m.src);
@@ -381,9 +403,7 @@ struct SnapshotAccess
         ar.b(m.measured);
         io(ar, m.hdr);
         ioVec(ar, m.path, [](Ar &a, PathHop &h) { io(a, h); });
-        ioMap(ar, m.visited, std::less<NodeId>{},
-              [](Ar &a, NodeId &k) { a.i32(k); },
-              [](Ar &a, std::uint32_t &v) { a.u32(v); });
+        ioHistory(ar, m.visited, nodes);
         ioInt(ar, m.srcCounter);
         ioInt(ar, m.srcK);
         ar.b(m.srcHold);
@@ -541,18 +561,16 @@ struct SnapshotAccess
             }
         });
 
-        ioMap(ar, t.seen_, std::less<std::uint64_t>{},
-              [](Ar &a, std::uint64_t &k) { a.u64(k); },
-              [](Ar &a, auto &e) {
-                  a.b(e.violation);
-                  bool benign = e.benignSince.has_value();
-                  Cycle since = e.benignSince.value_or(0);
-                  a.b(benign);
-                  a.u64(since);
-                  if (benign)
-                      e.benignSince = since;
-                  a.b(e.warned);
-              });
+        ioMap(ar, t.seen_, [](Ar &a, auto &e) {
+            a.b(e.violation);
+            bool benign = e.benignSince.has_value();
+            Cycle since = e.benignSince.value_or(0);
+            a.b(benign);
+            a.u64(since);
+            if (benign)
+                e.benignSince = since;
+            a.b(e.warned);
+        });
         // recovery_ is armed by the constructor (config-derived).
         std::vector<std::uint64_t> healing(t.healing_.begin(),
                                            t.healing_.end());
@@ -635,7 +653,8 @@ struct SnapshotAccess
      */
     template <class Ar>
     static void
-    ioMessages(Ar &ar, MessageStore &store, MsgId nextId)
+    ioMessages(Ar &ar, MessageStore &store, MsgId nextId,
+               std::size_t nodes)
     {
         std::uint64_t n = store.size();
         ar.u64(n);
@@ -663,7 +682,7 @@ struct SnapshotAccess
                     return;
                 }
                 Message m;
-                io(ar, m);
+                io(ar, m, nodes);
                 if (m.id != id) {
                     ar.fail("checkpoint message record under another id");
                     return;
@@ -671,10 +690,10 @@ struct SnapshotAccess
                 store.insert(std::move(m));
             }
         } else {
-            store.forEach([&ar](Message &m) {
+            store.forEach([&ar, nodes](Message &m) {
                 MsgId id = m.id;
                 ar.i64(id);
-                io(ar, m);
+                io(ar, m, nodes);
             });
         }
     }
@@ -734,7 +753,7 @@ struct SnapshotAccess
             ar.u64(rt.headersRouted);
         }
 
-        ioMessages(ar, net.messages_, net.nextMsgId_);
+        ioMessages(ar, net.messages_, net.nextMsgId_, net.routers_.size());
 
         ioCheckCount(ar, net.injQ_.size(), "injection-queue");
         for (auto &q : net.injQ_)
@@ -744,9 +763,7 @@ struct SnapshotAccess
 
         io(ar, net.counters_);
 
-        ioMap(ar, net.knotHealCount_, std::less<std::uint64_t>{},
-              [](Ar &a, std::uint64_t &k) { a.u64(k); },
-              [](Ar &a, int &v) { ioInt(a, v); });
+        ioMap(ar, net.knotHealCount_, [](Ar &a, int &v) { ioInt(a, v); });
         ioVec(ar, net.healLog_, [](Ar &a, Network::HealRecord &h) {
             a.u64(h.at);
             a.u64(h.knotHash);

@@ -13,7 +13,7 @@
 #define TPNET_CORE_MESSAGE_HPP
 
 #include <limits>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "routing/header.hpp"
@@ -110,9 +110,11 @@ struct alignas(64) Message
     /**
      * History store of the depth-first backtracking search (Fig. 10):
      * output ports already searched at each node during the current
-     * setup attempt. Cleared on every re-try.
+     * setup attempt, as (node, port mask) pairs in strictly ascending
+     * node order (Network::triedHere inserts in place; Theorem 2's
+     * misroute bound keeps the list short). Cleared on every re-try.
      */
-    std::unordered_map<NodeId, std::uint32_t> visited;
+    std::vector<std::pair<NodeId, std::uint32_t>> visited;
 
     /** Hops already fully released behind the tail (exclusive index). */
     int releasedHops = 0;

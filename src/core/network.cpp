@@ -315,6 +315,7 @@ Network::phaseRcu()
 void
 Network::rcuVisit(Router &rt)
 {
+    ++work_.rcuVisits;
     if (rt.rcuQueue.size() > rt.maxRcuDepth)
         rt.maxRcuDepth = rt.rcuQueue.size();
     // Serve one header per cycle; skip over stale entries of killed
@@ -375,6 +376,7 @@ Network::phaseData()
 void
 Network::dataVisit(NodeId node)
 {
+    ++work_.dataVisits;
     Router &rt = routers_[static_cast<std::size_t>(node)];
     const std::uint32_t *buffered = &listFlits_[listSlot(node, 0)];
     const int radix = topo_->radix();

@@ -97,12 +97,19 @@ class RetireListener
 };
 
 /**
- * Work counts of the data phase (host-side instrumentation, like the
+ * Work counts of Network::step (host-side instrumentation, like the
  * benchmarks' clocks): not simulation state, so they are neither
- * serialized nor restored and never enter a digest or Counters.
+ * serialized nor restored and never enter a digest or Counters. A
+ * phase's visits are its ready set's live members under the event
+ * engine and the whole scan under the stepped one.
  */
-struct DataPhaseWork
+struct StepWork
 {
+    std::uint64_t rcuVisits = 0;   ///< routers phaseRcu visited
+    std::uint64_t ctrlVisits = 0;  ///< wires phaseControl visited
+    std::uint64_t dataVisits = 0;  ///< nodes phaseData visited
+    std::uint64_t routeCalls = 0;  ///< routing-function evaluations
+    std::uint64_t blockedReroutes = 0;  ///< of a header blocked last time
     std::uint64_t moveAttempts = 0;  ///< tryMoveData calls
     std::uint64_t moves = 0;         ///< data flits moved link to link
     std::uint64_t rejectEmpty = 0;   ///< input DIBU empty
@@ -298,8 +305,8 @@ class Network
     /** The message table: checkers walk the live messages in id order. */
     const MessageStore &messageStore() const { return messages_; }
 
-    /** Data-phase work counts since construction. */
-    const DataPhaseWork &dataWork() const { return work_; }
+    /** Step work counts since construction. */
+    const StepWork &stepWork() const { return work_; }
 
     /** @return the message or nullptr if retired. */
     Message *
@@ -738,7 +745,7 @@ class Network
     ActivitySet dataActive_;  ///< nodes with possible data-phase work
 
     Counters counters_;
-    DataPhaseWork work_;
+    StepWork work_;
     TraceSink *trace_ = nullptr;
     RetireListener *retire_ = nullptr;
     std::unique_ptr<verify::CwgTracker> cwg_;

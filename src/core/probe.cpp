@@ -36,6 +36,9 @@ Network::serveHeader(Message &msg)
 
     if (cwg_)
         cwg_->beginEvaluation(msg);
+    ++work_.routeCalls;
+    if (hdr.stalled > 0)
+        ++work_.blockedReroutes;
     const Decision d = proto_.route(*this, msg);
     switch (d.kind) {
       case Decision::Kind::Forward:
@@ -316,7 +319,13 @@ Network::arrivalPort(const Message &msg) const
 std::uint32_t &
 Network::triedHere(Message &msg)
 {
-    return msg.visited[msg.hdr.cur];
+    // Masks are >= 0, so (cur, 0) lower-bounds cur's entry if any.
+    auto &hist = msg.visited;
+    const std::pair<NodeId, std::uint32_t> fresh{msg.hdr.cur, 0};
+    auto at = std::lower_bound(hist.begin(), hist.end(), fresh);
+    if (at == hist.end() || at->first != fresh.first)
+        at = hist.insert(at, fresh);
+    return at->second;
 }
 
 // --- Channel-status queries ------------------------------------------------

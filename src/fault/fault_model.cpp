@@ -133,8 +133,8 @@ Network::killAffectedCircuits(const std::vector<LinkId> &failed)
     for (LinkId id : failed) {
         Link &wire = link(id);
         for (auto *q : {&wire.ctrlQ, &wire.ackQ}) {
-            for (const Flit &flit : *q)
-                salvageControlFlit(flit);
+            for (std::size_t i = 0; i < q->size(); ++i)
+                salvageControlFlit((*q)[i]);
             q->clear();
         }
         ctrlActive_.remove(static_cast<std::uint32_t>(id));

@@ -37,6 +37,7 @@ Network::pushCtrl(NodeId node, int port, const Flit &flit)
 void
 Network::ctrlVisit(Link &wire)
 {
+    ++work_.ctrlVisits;
     if (wire.faulty) {
         // Control flits on a failed wire are lost; the recovery
         // machinery releases the affected circuits separately.

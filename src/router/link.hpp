@@ -10,9 +10,10 @@
 #ifndef TPNET_ROUTER_LINK_HPP
 #define TPNET_ROUTER_LINK_HPP
 
-#include <deque>
+#include <cstdint>
 
 #include "router/flit.hpp"
+#include "sim/fifo.hpp"
 #include "sim/types.hpp"
 
 namespace tpnet {
@@ -51,7 +52,7 @@ class Link
      * Control lane queue: flits waiting to cross this wire (the COBU at
      * src feeding the CIBU at dst). One flit crosses per cycle.
      */
-    std::deque<Flit> ctrlQ;
+    Fifo<Flit> ctrlQ;
 
     /**
      * Dedicated acknowledgment lane (only used when the hardware-ack
@@ -59,7 +60,7 @@ class Link
      * flits cross here, one per cycle, without competing with headers
      * for the multiplexed control lane.
      */
-    std::deque<Flit> ackQ;
+    Fifo<Flit> ackQ;
 
     // --- Statistics --------------------------------------------------------
     std::uint64_t ctrlCrossings = 0;

@@ -16,11 +16,11 @@
 #define TPNET_ROUTER_ROUTER_HPP
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
 #include "router/data_plane.hpp"
+#include "sim/fifo.hpp"
 #include "sim/log.hpp"
 #include "sim/types.hpp"
 
@@ -55,7 +55,7 @@ class Router
      * cycle; headers that cannot make progress rotate to the back of the
      * queue (the control FIFOs arbitrating for the RCU, Fig. 8).
      */
-    std::deque<RcuEntry> rcuQueue;
+    Fifo<RcuEntry> rcuQueue;
 
     // --- Statistics --------------------------------------------------------
     std::size_t maxRcuDepth = 0;

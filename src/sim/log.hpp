@@ -20,6 +20,18 @@ namespace tpnet {
 /** Exit the process after reporting a user/configuration error. */
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 
+/** While alive, every panic of the calling thread names @p what (e.g.
+ *  "campaign seed 7"), the innermost of nested guards. */
+class PanicContext
+{
+  public:
+    explicit PanicContext(const std::string &what);
+    ~PanicContext();
+
+  private:
+    std::string outer_;  ///< the context this guard shadows
+};
+
 namespace detail {
 
 /** Build a string from stream-style arguments. */

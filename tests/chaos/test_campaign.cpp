@@ -216,5 +216,34 @@ TEST(Campaign, SeededRecoveryBugIsDetected)
     FAIL() << "seeded kill-sweep bug went undetected across 3 seeds";
 }
 
+TEST(CampaignDeath, PanicNamesTheCampaignSeed)
+{
+    // tpnet_verify's seed-2 grid cell (Duato on the 4-ary 3-cube at load
+    // 0.15, fault intensity 2) with the kill sweep skipped trips a
+    // simulator panic before any checker reports. The panic line names
+    // the campaign, so a sweep that aborts says which seed to replay.
+    CampaignSpec spec;
+    spec.cfg.protocol = Protocol::Duato;
+    spec.cfg.k = 4;
+    spec.cfg.n = 3;
+    spec.cfg.load = 0.15;
+    spec.cfg.maxRetries = 6;
+    spec.seed = 2;
+    spec.injectCycles = 8000;
+    spec.drainCycles = 200000;
+    spec.verifyCwg = true;
+    spec.injectSkipKillBug = true;
+    spec.faults.horizon = 8000;
+    spec.faults.earliest = 80;
+    spec.faults.nodeKills = 4;
+    spec.faults.linkKills = 4;
+    spec.faults.intermittents = 6;
+    spec.faults.downMin = 100;
+    spec.faults.downMax = 2000;
+    EXPECT_DEATH(runCampaign(spec),
+                 "panic: data flit of retired message in flight.*"
+                 "\\[campaign seed 2\\]");
+}
+
 } // namespace
 } // namespace tpnet

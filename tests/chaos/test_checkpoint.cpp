@@ -403,6 +403,41 @@ TEST(CheckpointState, RejectsOutOfRangeTeardownCause)
         << error;
 }
 
+TEST(CheckpointState, RejectsHostileSearchHistory)
+{
+    // Network::triedHere searches a message's history in place, so a
+    // restore refuses a list out of strictly ascending node order
+    // (disordered or repeated) or naming a node off the 16-node
+    // topology, and says which field it refused.
+    using History = std::vector<std::pair<NodeId, std::uint32_t>>;
+    const History rows[] = {
+        {{5, 1}, {3, 2}},
+        {{3, 1}, {3, 2}},
+        {{2, 1}, {16, 2}},
+        {{-1, 1}},
+    };
+    std::string error;
+    for (const History &hist : rows) {
+        Harness a(harnessConfig());
+        a.run(100);
+        MsgId first = invalidMsg;
+        a.net.messageStore().forEach([&first](const Message &m) {
+            if (first == invalidMsg)
+                first = m.id;
+        });
+        ASSERT_NE(first, invalidMsg);
+        a.net.message(first).visited = {{1, 4}, {7, 8}};
+        ASSERT_TRUE(roundTrip(a, error)) << error;
+        a.net.message(first).visited = hist;
+        EXPECT_FALSE(roundTrip(a, error));
+        EXPECT_NE(error.find("checkpoint message search history not in "
+                             "strictly ascending node order on the "
+                             "topology"),
+                  std::string::npos)
+            << error;
+    }
+}
+
 /** The bytes @p write puts into a fresh payload. */
 template <class F>
 std::string

@@ -37,7 +37,8 @@ findRetreatingHeader(Network &net)
         Link &lk = net.link(l);
         if (lk.faulty || lk.absent)
             continue;
-        for (const Flit &flit : lk.ctrlQ) {
+        for (std::size_t i = 0; i < lk.ctrlQ.size(); ++i) {
+            const Flit &flit = lk.ctrlQ[i];
             if (flit.type != FlitType::Header)
                 continue;
             const Message *msg = net.findMessage(flit.msg);

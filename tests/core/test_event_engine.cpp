@@ -110,8 +110,7 @@ TEST(ActivitySet, RemovedMidPassEntityIsSkipped)
 TEST(ActivitySet, ReaddedMidPassEntityIsVisitedOnce)
 {
     // Deactivate then reactivate an entity that is ahead of the
-    // cursor: it ends up both in the membership list and in the
-    // mid-pass additions, and must still be visited exactly once.
+    // cursor: the walk meets its bit once and visits it exactly once.
     ActivitySet set;
     set.reset(8);
     set.add(2);
@@ -129,6 +128,130 @@ TEST(ActivitySet, EmptyPassReturnsNoneImmediately)
     ActivitySet set;
     set.reset(4);
     EXPECT_EQ(drainPass(set, 3), std::vector<std::uint32_t>{});
+}
+
+/** The ids a full scan from offset @p rot finds active in @p ref. */
+std::vector<std::uint32_t>
+fullScan(const std::vector<bool> &ref, std::size_t rot)
+{
+    std::vector<std::uint32_t> order;
+    const std::size_t n = ref.size();
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t id = (rot + k) % n;
+        if (ref[id])
+            order.push_back(static_cast<std::uint32_t>(id));
+    }
+    return order;
+}
+
+const std::size_t kUniverses[] = {1, 63, 64, 65, 130};
+
+TEST(ActivitySet, PassOrderMatchesFullScanAcrossWordBoundaries)
+{
+    // Rotations on a word boundary (0, 64, 128) and on either side of
+    // one, in universes that end inside, at, and past a word.
+    for (const std::size_t n : kUniverses) {
+        ActivitySet set;
+        set.reset(n);
+        std::vector<bool> ref(n);
+        for (std::size_t id = 0; id < n; ++id) {
+            if (id % 3 != 1 || id == 63 || id == 64 || id + 1 == n) {
+                set.add(static_cast<std::uint32_t>(id));
+                ref[id] = true;
+            }
+        }
+        for (const std::size_t rot :
+             {std::size_t{0}, std::size_t{1}, std::size_t{62},
+              std::size_t{63}, std::size_t{64}, std::size_t{65},
+              std::size_t{127}, std::size_t{128}, std::size_t{129},
+              n - 1, n, n + 64}) {
+            EXPECT_EQ(drainPass(set, rot), fullScan(ref, rot % n))
+                << "n=" << n << " rot=" << rot;
+        }
+    }
+}
+
+TEST(ActivitySet, LastEntityOfEachWordIsVisitedOnce)
+{
+    for (const std::size_t n : kUniverses) {
+        for (const std::size_t rot : {std::size_t{0}, n / 2, n - 1}) {
+            ActivitySet set;
+            set.reset(n);
+            std::vector<bool> ref(n);
+            for (std::size_t id = 63; id < n; id += 64) {
+                set.add(static_cast<std::uint32_t>(id));
+                ref[id] = true;
+            }
+            set.add(static_cast<std::uint32_t>(n - 1));
+            ref[n - 1] = true;
+            EXPECT_EQ(drainPass(set, rot), fullScan(ref, rot))
+                << "n=" << n << " rot=" << rot;
+            EXPECT_EQ(set.count(), fullScan(ref, 0).size());
+        }
+    }
+}
+
+TEST(ActivitySet, RandomizedChurnDuringPassesMatchesNaiveFullScan)
+{
+    // Each visit adds and removes random entities, the visited one
+    // included, in both the set and a plain bool array. The reference
+    // pass is the full scan itself: a cursor over rotation keys that
+    // reads the array's live state, so it visits an entity added ahead
+    // of the cursor and skips one removed ahead of it.
+    Rng rng(35);
+    for (const std::size_t n : kUniverses) {
+        ActivitySet set;
+        set.reset(n);
+        std::vector<bool> ref(n);
+        const auto churn = [&](std::uint64_t times, double addP) {
+            for (; times > 0; --times) {
+                const auto id = static_cast<std::uint32_t>(rng.below(n));
+                const bool add = rng.chance(addP);
+                if (add)
+                    set.add(id);
+                else
+                    set.remove(id);
+                ref[id] = add;
+            }
+        };
+        for (int pass = 0; pass < 300; ++pass) {
+            const std::size_t rot = rng.below(n + 1);
+            set.beginPass(rot);
+            std::size_t k = 0;
+            const auto refNext = [&]() -> std::uint32_t {
+                for (; k < n; ++k) {
+                    const std::size_t id = (rot + k) % n;
+                    if (ref[id]) {
+                        ++k;
+                        return static_cast<std::uint32_t>(id);
+                    }
+                }
+                return ActivitySet::kNone;
+            };
+            for (;;) {
+                const std::uint32_t want = refNext();
+                ASSERT_EQ(set.next(), want)
+                    << "n=" << n << " pass=" << pass << " rot=" << rot;
+                if (want == ActivitySet::kNone)
+                    break;
+                if (rng.chance(0.5)) {
+                    set.remove(want);
+                    ref[want] = false;
+                }
+                churn(rng.below(4), 0.6);
+            }
+            // Churn between passes too, so sparse and dense sets both
+            // occur.
+            churn(rng.below(8), 0.5);
+            std::size_t live = 0;
+            for (std::size_t id = 0; id < n; ++id) {
+                live += ref[id];
+                ASSERT_EQ(set.active(static_cast<std::uint32_t>(id)),
+                          ref[id]);
+            }
+            ASSERT_EQ(set.count(), live);
+        }
+    }
 }
 
 // --- WakeupQueue --------------------------------------------------------
