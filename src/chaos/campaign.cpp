@@ -12,7 +12,7 @@
 #include "core/network.hpp"
 #include "core/pool.hpp"
 #include "core/run_loop.hpp"
-#include "obs/checkpoint.hpp"
+#include "obs/digest.hpp"
 #include "obs/trace_format.hpp"
 #include "sim/config_fields.hpp"
 #include "sim/log.hpp"
@@ -30,12 +30,6 @@ foldU64(std::uint64_t h, std::uint64_t v)
     for (int i = 0; i < 8; ++i)
         b[i] = static_cast<std::uint8_t>(v >> (8 * i));
     return obs::fnv1a64(b, sizeof(b), h);
-}
-
-std::uint64_t
-foldI64(std::uint64_t h, long long v)
-{
-    return foldU64(h, static_cast<std::uint64_t>(v));
 }
 
 std::uint64_t
@@ -78,9 +72,8 @@ std::uint64_t
 configDigest(const SimConfig &cfg)
 {
     // Versioned canonical encoding: every field of the config table but
-    // the engine switch (checkpoints are engine-agnostic). Bump the tag
-    // when the table changes so old checkpoints are refused, not
-    // misread.
+    // the engine switch (results are engine-agnostic). Bump the tag when
+    // the table changes.
     std::uint64_t h = foldTag("tpnet-config-v5");
     forEachConfigField([&](const auto &f) {
         using T = typename std::remove_cvref_t<decltype(f)>::Type;
@@ -90,39 +83,6 @@ configDigest(const SimConfig &cfg)
         }
         h = foldValue(h, cfg.*f.member);
     });
-    return h;
-}
-
-std::uint64_t
-campaignSpecDigest(const CampaignSpec &spec)
-{
-    std::uint64_t h = foldTag("tpnet-cell-v1");
-    h = foldU64(h, configDigest(spec.cfg));
-    h = foldU64(h, spec.seed);
-    h = foldU64(h, spec.injectCycles);
-    h = foldU64(h, spec.drainCycles);
-    h = foldU64(h, spec.faults.horizon);
-    h = foldU64(h, spec.faults.earliest);
-    h = foldI64(h, spec.faults.nodeKills);
-    h = foldI64(h, spec.faults.linkKills);
-    h = foldI64(h, spec.faults.intermittents);
-    h = foldU64(h, spec.faults.downMin);
-    h = foldU64(h, spec.faults.downMax);
-    h = foldU64(h, spec.scriptedFaults.size());
-    for (const FaultEvent &ev : spec.scriptedFaults) {
-        h = foldU64(h, ev.at);
-        h = foldI64(h, static_cast<int>(ev.kind));
-        h = foldI64(h, ev.node);
-        h = foldI64(h, ev.port);
-        h = foldU64(h, ev.downFor);
-    }
-    h = foldU64(h, spec.watchdog.globalStallBound);
-    h = foldU64(h, spec.watchdog.msgStallBound);
-    h = foldU64(h, spec.watchdog.validateEvery);
-    h = foldU64(h, spec.watchdog.conserveEvery);
-    h = foldU64(h, spec.watchdog.maxViolations);
-    h = foldI64(h, spec.injectSkipKillBug);
-    h = foldI64(h, spec.verifyCwg);
     return h;
 }
 
@@ -168,7 +128,7 @@ CampaignResult::summary() const
 }
 
 CampaignResult
-runCampaign(const CampaignSpec &spec)
+runCampaign(const CampaignSpec &spec, CampaignDigests *digests)
 {
     const PanicContext context("campaign seed " + std::to_string(spec.seed));
     SimConfig cfg = spec.cfg;
@@ -202,81 +162,29 @@ runCampaign(const CampaignSpec &spec)
     Watchdog watchdog(net, spec.watchdog);
     Injector injector(net);
 
-    // Checkpoint/restore plumbing. The tee forwards every event to the
-    // oracle unchanged and only folds a digest on the side, so arming
-    // it cannot perturb the run; when it is off the oracle is attached
-    // directly, exactly as before.
-    const bool ckArmed = spec.checkpointEvery > 0 ||
-                         !spec.checkpointPath.empty() ||
-                         !spec.restorePath.empty();
+    // With digests asked for, a tee folds every event on its way to the
+    // oracle. It forwards each one unchanged, so it cannot perturb the
+    // run; without digests the oracle is attached directly.
     obs::DigestTee tee(&oracle);
-    net.attachTrace(ckArmed ? static_cast<TraceSink *>(&tee) : &oracle);
-
-    CampaignState st;
-    st.net = &net;
-    st.faultRng = &faultRng;
-    st.schedule = &schedule;
-    st.oracle = &oracle;
-    st.watchdog = &watchdog;
-    st.injector = &injector;
-
-    const std::uint64_t specDigest =
-        ckArmed ? campaignSpecDigest(spec) : 0;
-
-    if (!spec.restorePath.empty()) {
-        std::string err;
-        if (!readCampaignCheckpoint(spec.restorePath, specDigest, st,
-                                    &err)) {
-            net.attachTrace(nullptr);
-            result.checkpointError = err;
-            result.violations.push_back("checkpoint: restore failed: " +
-                                        err);
-            result.passed = false;
-            return result;
-        }
-        result.restored = true;
-        result.restoredAt = net.now();
-        tee.reset(net.now());
-    }
+    net.attachTrace(digests ? static_cast<TraceSink *>(&tee) : &oracle);
 
     RunLoop loop(net, injector);
     loop.schedule = &schedule;
     loop.faultRng = &faultRng;
     loop.watchdog = &watchdog;
-    if (spec.checkpointEvery > 0 && !spec.checkpointPath.empty()) {
-        loop.checkpointEvery = spec.checkpointEvery;
-        loop.checkpoint = [&] {
-            std::string err;
-            if (writeCampaignCheckpoint(spec.checkpointPath, specDigest,
-                                        st, &err)) {
-                ++result.checkpointsWritten;
-                tee.reset(net.now());
-            } else if (result.checkpointError.empty()) {
-                result.checkpointError = err;
-                result.violations.push_back(
-                    "checkpoint: write failed: " + err);
-            }
-        };
-    }
-
-    if (st.phase == 0) {
-        loop.run(spec.injectCycles);
-        injector.stop();
-    }
-    // The drain budget ends at an absolute cycle, so a restore into the
-    // drain phase resumes it where the checkpoint left off. A drained
-    // network with a reply still waiting for queue space is not done:
-    // the injector must keep flushing (it generates nothing new once
-    // stopped). Late scripted faults still fire.
-    st.phase = 1;
+    loop.run(spec.injectCycles);
+    injector.stop();
+    // A drained network with a reply still waiting for queue space is
+    // not done: the injector must keep flushing (it generates nothing
+    // new once stopped). Late scripted faults still fire.
     loop.run(spec.injectCycles + spec.drainCycles, false,
              [&] { return net.quiescent() && !injector.repliesPending(); });
 
-    if (ckArmed) {
-        result.tailDigest = tee.digest();
-        result.tailDigestFrom = tee.tailFrom();
-        st.phase = 2;
-        result.stateDigest = campaignStateDigest(st);
+    if (digests) {
+        digests->trace = tee.digest();
+        digests->records = tee.records();
+        digests->state = campaignStateDigest(
+            {&net, &faultRng, &schedule, &oracle, &watchdog, &injector, 2});
     }
 
     result.quiescent = net.quiescent();

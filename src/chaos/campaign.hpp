@@ -61,18 +61,12 @@ struct CampaignSpec
     /// benign cycles are collected as warnings (advisory, non-fatal).
     bool verifyCwg = false;
 
-    // --- Checkpoint/restore (src/chaos/snapshot.hpp) -----------------
-    /// Write a checkpoint of the full harness state to checkpointPath
-    /// every N cycles (0 = off; the same file is overwritten
-    /// atomically, so the newest complete checkpoint always survives).
-    /// None of these fields participate in campaignSpecDigest: a
-    /// resumed campaign is the *same* campaign.
+    /// Inert: nothing reads these three fields. A campaign is replayed
+    /// from (spec, seed), not restored. They stay only because the
+    /// perfbench replica (perfbench/replica.cpp) still names them, and
+    /// they go with it (ROADMAP item 9).
     Cycle checkpointEvery = 0;
     std::string checkpointPath;
-
-    /// Resume from this checkpoint instead of starting at cycle 0. The
-    /// restored run is bit-identical to the straight-through run: same
-    /// campaign JSON, same tail trace digest, same final state digest.
     std::string restorePath;
 };
 
@@ -132,19 +126,6 @@ struct CampaignResult
     /// starting point of every wedge diagnosis.
     std::vector<std::string> liveDump;
 
-    // --- Checkpoint/restore observability (not part of campaignJson,
-    // so a restored run's document matches the straight-through one) --
-    /// FNV-1a digest of the trace events after the last checkpoint
-    /// boundary (the whole run when none was written). A restore from
-    /// that boundary must reproduce this value bit-identically.
-    std::uint64_t tailDigest = 0;
-    Cycle tailDigestFrom = 0;    ///< cycle the tail digest starts at
-    std::uint64_t stateDigest = 0;  ///< digest of the final harness state
-    std::uint64_t checkpointsWritten = 0;
-    bool restored = false;       ///< run resumed from a checkpoint
-    Cycle restoredAt = 0;        ///< cycle the restore landed on
-    std::string checkpointError; ///< non-empty: checkpoint I/O failed
-
     /** One-line human summary. */
     std::string summary() const;
 };
@@ -155,18 +136,27 @@ struct CampaignResult
  */
 std::uint64_t configDigest(const SimConfig &cfg);
 
-/**
- * Stable digest of one fully resolved campaign: its config, seed,
- * windows, fault shape, watchdog bounds and switches. A checkpoint
- * carries it and a restore refuses a checkpoint of another spec.
- */
-std::uint64_t campaignSpecDigest(const CampaignSpec &spec);
-
 /** 16-digit lowercase hex. */
 std::string hex64(std::uint64_t v);
 
-/** Run one campaign to completion. */
-CampaignResult runCampaign(const CampaignSpec &spec);
+/**
+ * Whole-run digests of one campaign. Two runs of one spec that must
+ * agree (event engine on vs off, a replay) compare them.
+ */
+struct CampaignDigests
+{
+    std::uint64_t trace = 0;    ///< FNV-1a over every trace record
+    std::uint64_t records = 0;  ///< trace records folded into `trace`
+    std::uint64_t state = 0;    ///< campaignStateDigest of the final harness
+};
+
+/**
+ * Run one campaign to completion. With @p digests non-null, a digest
+ * tee sits in front of the oracle for the whole run and the final
+ * harness state is hashed; both cost time, so sweeps pass null.
+ */
+CampaignResult runCampaign(const CampaignSpec &spec,
+                           CampaignDigests *digests = nullptr);
 
 /**
  * Run several campaigns across @p jobs worker threads (0 resolves via

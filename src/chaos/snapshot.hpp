@@ -1,45 +1,37 @@
 /**
  * @file
- * Campaign checkpoint/restore: serialize the complete dynamic state of
- * a running campaign harness at a cycle boundary, and load it back into
- * a freshly constructed harness of the same spec.
+ * The whole-harness state hash: fold the complete dynamic state of a
+ * running campaign harness into one 64-bit digest.
  *
- * What is serialized is exactly the dynamic state: both network RNG
+ * What is hashed is exactly the dynamic state: both network RNG
  * streams, every link's virtual-channel trios and control queues, every
  * router's RCU queue and crossbar maps, every live message (header,
  * path, history store, gates), the injection queues, counters, the CWG
  * analyzer's full wait graph, the fault timeline position, the delivery
  * oracle's books, the watchdog's progress tracks, and the injector
  * gate. Configuration-derived state (geometry, routing protocol,
- * topology, trace attachment) is NOT serialized — the Network
- * constructor rebuilds it, and the checkpoint header's config digest
- * refuses restores under a different spec.
+ * topology, trace attachment) and derived state (the ready sets) are
+ * left out.
  *
- * All unordered containers are written in sorted key order, so writing
- * the same state twice produces identical bytes and a restored run is
- * bit-identical to the straight-through run (the golden-digest tests
- * assert both).
+ * All unordered containers are folded in sorted key order, and a ring
+ * in pop order, so equal states hash alike whatever their insertion
+ * history or ring layout. Two runs of one spec that must agree (engine
+ * on vs off, jobs 1 vs N) compare this digest (DESIGN.md §6h).
  *
- * The field lists live in one TU (snapshot.cpp) as a single symmetric
- * io() routine per type, driven by obs::CkWriter / obs::CkReader.
+ * The field lists live in one TU (snapshot.cpp), one routine per type,
+ * driven by obs::StateHasher.
  */
 
 #ifndef TPNET_CHAOS_SNAPSHOT_HPP
 #define TPNET_CHAOS_SNAPSHOT_HPP
 
 #include <cstdint>
-#include <string>
 
 namespace tpnet {
 
 class Network;
 class Rng;
 class Injector;
-
-namespace obs {
-class CkWriter;
-class CkReader;
-} // namespace obs
 
 namespace chaos {
 
@@ -54,49 +46,17 @@ class Watchdog;
  */
 struct CampaignState
 {
-    Network *net = nullptr;
-    Rng *faultRng = nullptr;
-    FaultSchedule *schedule = nullptr;
-    DeliveryOracle *oracle = nullptr;
-    Watchdog *watchdog = nullptr;
-    Injector *injector = nullptr;
+    const Network *net = nullptr;
+    const Rng *faultRng = nullptr;
+    const FaultSchedule *schedule = nullptr;
+    const DeliveryOracle *oracle = nullptr;
+    const Watchdog *watchdog = nullptr;
+    const Injector *injector = nullptr;
     std::uint8_t phase = 0;
 };
 
-/** Serialize the harness into @p w (payload only, no header). */
-void serializeCampaign(obs::CkWriter &w, CampaignState &st);
-
-/**
- * Load the harness from @p r. The targets must be freshly constructed
- * from the same spec the checkpoint was recorded under. @return false
- * when the reader reports an error (state may be partially written —
- * the caller must discard the harness).
- */
-bool deserializeCampaign(obs::CkReader &r, CampaignState &st);
-
-/** FNV-1a 64 digest of the serialized harness state. */
-std::uint64_t campaignStateDigest(CampaignState &st);
-
-/**
- * Write a complete checkpoint file (header + payload) at @p path,
- * atomically (temp file + rename) so a crash mid-write never corrupts
- * the previous checkpoint. @p config_digest identifies the campaign
- * spec (chaos::campaignSpecDigest). @return false with *error set on
- * I/O failure.
- */
-bool writeCampaignCheckpoint(const std::string &path,
-                             std::uint64_t config_digest,
-                             CampaignState &st, std::string *error);
-
-/**
- * Read a checkpoint file back into the harness. Validates the header,
- * the payload digest, that @p config_digest matches the one recorded,
- * and that the payload is consumed exactly. @return false with *error
- * set on any failure (harness state is then undefined — discard it).
- */
-bool readCampaignCheckpoint(const std::string &path,
-                            std::uint64_t config_digest,
-                            CampaignState &st, std::string *error);
+/** FNV-1a 64 digest of the harness state. */
+std::uint64_t campaignStateDigest(const CampaignState &st);
 
 } // namespace chaos
 } // namespace tpnet

@@ -17,9 +17,9 @@
  *
  *  - WakeupQueue: earliest-wins wakeup slots, one per token, used by
  *    the RunLoop (core/run_loop.hpp) to aggregate external wakeup
- *    sources — phase ends, fault schedules, watchdog deadlines,
- *    checkpoint-every boundaries, the network's own next event — into
- *    a single next-event cycle for the skip fast path.
+ *    sources — phase ends, fault schedules, watchdog deadlines, the
+ *    network's own next event — into a single next-event cycle for the
+ *    skip fast path.
  *
  * Waking an entity (or a cycle) that turns out to have nothing to do
  * is always safe: a visit of a drained entity mutates nothing, and a

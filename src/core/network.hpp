@@ -98,10 +98,10 @@ class RetireListener
 
 /**
  * Work counts of Network::step (host-side instrumentation, like the
- * benchmarks' clocks): not simulation state, so they are neither
- * serialized nor restored and never enter a digest or Counters. A
- * phase's visits are its ready set's live members under the event
- * engine and the whole scan under the stepped one.
+ * benchmarks' clocks): not simulation state, so they never enter a
+ * digest or Counters. A phase's visits are its ready set's live
+ * members under the event engine and the whole scan under the stepped
+ * one.
  */
 struct StepWork
 {
@@ -172,8 +172,8 @@ class Network
 
     /**
      * Recompute the activity sets, the mapped-flit counts and the
-     * progress clock's baseline from the current network state — used
-     * after a checkpoint restore, which rebuilds state wholesale. A
+     * progress clock's baseline from the current network state. The
+     * constructor calls it; so does a test that edits state by hand. A
      * rebuilt set may omit active-but-drained entities an organic run
      * would still visit once more; such visits mutate nothing, so
      * behavior is unchanged.
@@ -759,7 +759,7 @@ class Network
     Cycle now_ = 0;
     Cycle lastActivity_ = 0;
     /// Counters::tokenMoves() at the end of the last step (derived:
-    /// rebuildActivity() recomputes it, the checkpoint does not carry it).
+    /// rebuildActivity() recomputes it, the state hash leaves it out).
     std::uint64_t lastMoves_ = 0;
     MsgId nextMsgId_ = 0;
     bool measuring_ = false;

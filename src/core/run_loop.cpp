@@ -16,7 +16,6 @@ enum : std::uint32_t {
     TokNet,
     TokFault,
     TokWatchdog,
-    TokCheckpoint,
     TokCount,
 };
 
@@ -26,10 +25,6 @@ void
 RunLoop::run(Cycle end, bool sampling, const Stop &stop)
 {
     while (net_.now() < end && !stopped(stop)) {
-        if (checkpointEvery > 0 && net_.now() != 0 &&
-            net_.now() % checkpointEvery == 0) {
-            checkpoint();
-        }
         if (schedule)
             schedule->apply(net_, *faultRng);
         inj_.step();
@@ -70,11 +65,6 @@ RunLoop::skipIdle(Cycle end, bool sampling, const Stop &stop)
         const Cycle wd = watchdog->nextDeadline();
         if (wd != cycleNever)
             wake_.schedule(TokWatchdog, wd > now + 1 ? wd - 1 : now);
-    }
-    if (checkpointEvery > 0) {
-        wake_.schedule(TokCheckpoint,
-                       (now + checkpointEvery - 1) / checkpointEvery *
-                           checkpointEvery);
     }
     const Cycle target = wake_.nextAt();
     if (target == cycleNever || target <= now)

@@ -2,12 +2,12 @@
  * @file
  * RunLoop — the one driver loop every run of a Network steps through.
  *
- * Each iteration writes a due checkpoint, fires the faults due this
- * cycle, steps the injector and the network, then hands the new cycle
- * to the observers (metrics sampling, the chaos watchdog). Simulator
- * replications, chaos campaigns, trace recording and `tpnet_cli
- * --stats` are lists of phases over this loop; a participant a driver
- * does not use stays null.
+ * Each iteration fires the faults due this cycle, steps the injector
+ * and the network, then hands the new cycle to the observers (metrics
+ * sampling, the chaos watchdog). Simulator replications, chaos
+ * campaigns, trace recording and `tpnet_cli --stats` are lists of
+ * phases over this loop; a participant a driver does not use stays
+ * null.
  *
  * The loop owns the event engine's one idle-skip rule. The clock may
  * jump ahead only when the injector is inert, the network is idle and
@@ -15,9 +15,9 @@
  * it stopped on, so it never coasts past it). The jump lands on the
  * earliest WakeupQueue token: the phase end, the network's next
  * internal event, the next scheduled fault, the cycle before the
- * watchdog's next deadline, the next checkpoint boundary. The skipped
- * span is replayed into the registry and the watchdog, so a skipping
- * run is bit-identical to a stepped one.
+ * watchdog's next deadline. The skipped span is replayed into the
+ * registry and the watchdog, so a skipping run is bit-identical to a
+ * stepped one.
  */
 
 #ifndef TPNET_CORE_RUN_LOOP_HPP
@@ -57,10 +57,6 @@ class RunLoop
     chaos::Watchdog *watchdog = nullptr;
     /// Ticked (and replayed over skips) in sampling phases only.
     obs::MetricsRegistry *registry = nullptr;
-    /// With @ref checkpointEvery > 0, called at the start of every
-    /// iteration whose cycle is a nonzero multiple of it.
-    std::function<void()> checkpoint;
-    Cycle checkpointEvery = 0;
 
     /** Early-stop predicate of a phase (empty: run to the end). */
     using Stop = std::function<bool()>;

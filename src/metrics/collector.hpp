@@ -133,8 +133,8 @@ struct Counters
 
     /**
      * The one field list: f(s.field...) for every field, in declaration
-     * order (the checkpoint's byte order). merge and the checkpoint
-     * serializer both walk it.
+     * order (the state hash's byte order). merge and the state hasher
+     * (chaos/snapshot.cpp) both walk it.
      */
     template <class F, class... S>
     static void

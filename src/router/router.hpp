@@ -147,15 +147,6 @@ class Router
     /** Slots of one crossbar list: every input VC of the router. */
     std::size_t listCapacity() const { return cap_; }
 
-    /** Empty every crossbar list (checkpoint restore). */
-    void
-    clearInputs()
-    {
-        for (int port = 0; port < radix_; ++port)
-            list(port)[0] = 0;
-        list(ejectPort)[0] = 0;
-    }
-
   private:
     static constexpr std::size_t kLineWords = 64 / sizeof(std::uint32_t);
     static constexpr std::size_t kHeader = 2;  ///< length, rr

@@ -252,7 +252,7 @@ struct SimConfig
     /// time-stepped engine by construction; kept switchable (env
     /// TPNET_EVENT_ENGINE=off, or --no-event-skip on the tools) for
     /// differential testing. Deliberately NOT part of the config
-    /// digest: checkpoints are engine-agnostic.
+    /// digest: results are engine-agnostic.
     bool eventEngine = defaultEventEngine();
 
     // --- Verification --------------------------------------------------

@@ -100,6 +100,10 @@ class Fifo
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     T &operator[](std::size_t i) { return slots_[(head_ + i) & mask()]; }
+    const T &operator[](std::size_t i) const
+    {
+        return slots_[(head_ + i) & mask()];
+    }
     T &front() { return slots_[head_]; }
     void clear() { head_ = size_ = 0; }
 

@@ -2,15 +2,14 @@
  * @file
  * Idle-skip correctness: every wakeup source the cycle-skip fast path
  * aggregates must fire on its *exact* cycle. A skip that coasts one
- * cycle past an intermittent restore, a checkpoint boundary, a
- * watchdog sweep, or a metrics sample silently diverges from the
+ * cycle past an intermittent restore, a watchdog sweep, or a
+ * metrics sample silently diverges from the
  * time-stepped engine — these tests pin each boundary individually,
  * then cross-check whole campaigns under both engines.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "chaos/campaign.hpp"
 #include "chaos/report.hpp"
@@ -26,7 +25,6 @@ namespace tpnet {
 namespace {
 
 using namespace chaos;
-namespace fs = std::filesystem;
 
 SimConfig
 idleConfig()
@@ -154,40 +152,31 @@ TEST(EventSkip, SimulatorMeasureWindowSamplingIsEngineInvariant)
     EXPECT_EQ(on.vc.occupancy.count(), off.vc.occupancy.count());
 }
 
-TEST(EventSkip, CampaignCheckpointCadenceSurvivesSkipping)
+TEST(EventSkip, CampaignDigestsSurviveSkipping)
 {
     // Low load and a deliberately long drain: most of the campaign is
-    // idle coasting, but the checkpoint-every boundaries are wakeup
-    // tokens and every one of them must still be written.
-    const fs::path on_path =
-        fs::path(::testing::TempDir()) / "event_skip_on.ck";
-    const fs::path off_path =
-        fs::path(::testing::TempDir()) / "event_skip_off.ck";
-
+    // idle coasting, yet the skipping run must emit the same trace
+    // records and end in the same harness state as the stepped one.
     CampaignSpec spec;
     spec.cfg = test::smallConfig(Protocol::TwoPhase, 4);
     spec.cfg.load = 0.02;
     spec.seed = 5;
     spec.injectCycles = 1000;
     spec.drainCycles = 20000;
-    spec.checkpointEvery = 128;
 
+    CampaignDigests don, doff;
     spec.cfg.eventEngine = true;
-    spec.checkpointPath = on_path.string();
-    const CampaignResult on = runCampaign(spec);
+    const CampaignResult on = runCampaign(spec, &don);
     spec.cfg.eventEngine = false;
-    spec.checkpointPath = off_path.string();
-    const CampaignResult off = runCampaign(spec);
+    const CampaignResult off = runCampaign(spec, &doff);
 
     EXPECT_TRUE(on.passed) << on.summary();
-    EXPECT_EQ(on.checkpointsWritten, off.checkpointsWritten);
-    EXPECT_GT(on.checkpointsWritten, 0u);
-    EXPECT_EQ(on.tailDigest, off.tailDigest);
-    EXPECT_EQ(on.stateDigest, off.stateDigest);
+    EXPECT_EQ(don.trace, doff.trace);
+    EXPECT_EQ(don.records, doff.records);
+    EXPECT_GT(don.records, 0u);
+    EXPECT_EQ(don.state, doff.state);
+    EXPECT_NE(don.state, 0u);
     EXPECT_EQ(on.cycles, off.cycles);
-
-    fs::remove(on_path);
-    fs::remove(off_path);
 }
 
 TEST(EventSkip, WatchdogViolationCyclesAreEngineInvariant)

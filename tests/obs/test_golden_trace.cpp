@@ -25,7 +25,7 @@
 #include "chaos/fault_schedule.hpp"
 #include "core/network.hpp"
 #include "core/run_loop.hpp"
-#include "obs/checkpoint.hpp"
+#include "obs/digest.hpp"
 #include "obs/recorder.hpp"
 #include "traffic/injector.hpp"
 
@@ -113,7 +113,7 @@ TEST(GoldenTrace, DigestsMatchGoldensAtJobs1And8)
 
 TEST(GoldenTrace, DigestTeeAgreesWithTheRecorderBehindIt)
 {
-    // The checkpoint tail digest and the golden trace digest read the
+    // A campaign's trace digest and the golden trace digest read the
     // same EventSink records: a DigestTee forwarding to a TraceRecorder
     // must fold exactly what the recorder appends, and forwarding must
     // leave the recording equal to a plain recordRun.

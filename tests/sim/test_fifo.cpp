@@ -1,9 +1,8 @@
 /** @file Unit tests for the FIFO rings: the bounded RingPos over
  *  caller-owned slots (the data plane's DIBUs) and the growable Fifo<T>
- *  (the control lanes and RCU queues), including a wrapped control lane
- *  through a checkpoint round trip. */
+ *  (the control lanes and RCU queues), including how a wrapped control
+ *  lane enters the state hash. */
 
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "chaos/watchdog.hpp"
 #include "core/network.hpp"
 #include "helpers.hpp"
-#include "obs/checkpoint.hpp"
 #include "sim/fifo.hpp"
 #include "traffic/injector.hpp"
 
@@ -215,66 +213,68 @@ TEST(Fifo, GrowableRingIndexesInPopOrder)
     EXPECT_EQ(drain(f), seen);
 }
 
-TEST(Fifo, WrappedControlLaneRoundTripsThroughCheckpoint)
+/** A bare campaign harness whose state the tests hash. */
+struct Side
 {
-    // A link's control lane wrapped as above is written by the
-    // checkpoint's container codec and restored into a fresh network's
-    // empty lane, element for element and in order.
-    struct Side
+    Network net;
+    Rng faultRng{5};
+    chaos::FaultSchedule schedule;
+    chaos::DeliveryOracle oracle{net};
+    chaos::Watchdog watchdog{net, chaos::WatchdogConfig{}};
+    Injector injector{net};
+
+    Side() : net(test::smallConfig(Protocol::TwoPhase, 4, 2)) {}
+
+    std::uint64_t
+    digest() const
     {
-        Network net;
-        Rng faultRng{5};
-        chaos::FaultSchedule schedule;
-        chaos::DeliveryOracle oracle{net};
-        chaos::Watchdog watchdog{net, chaos::WatchdogConfig{}};
-        Injector injector{net};
+        return chaos::campaignStateDigest(
+            {&net, &faultRng, &schedule, &oracle, &watchdog, &injector});
+    }
 
-        explicit Side(const SimConfig &cfg) : net(cfg) {}
-
-        chaos::CampaignState
-        state()
-        {
-            return {&net, &faultRng, &schedule, &oracle, &watchdog,
-                    &injector, 0};
+    /** Push KillUp flits numbered @p from..@p to - 1 on link 0's lane. */
+    void
+    push(int from, int to)
+    {
+        for (int i = from; i < to; ++i) {
+            Flit flit;
+            flit.type = FlitType::KillUp;
+            flit.msg = invalidMsg;
+            flit.seq = i;
+            flit.readyAt = static_cast<Cycle>(100 + i);
+            net.link(0).ctrlQ.push_back(flit);
         }
-    };
-    const SimConfig cfg = test::smallConfig(Protocol::TwoPhase, 4, 2);
-    Side a(cfg);
-    Fifo<Flit> &lane = a.net.link(0).ctrlQ;
-    Flit flit;
-    flit.type = FlitType::KillUp;
-    flit.msg = invalidMsg;
-    for (int i = 0; i < 4; ++i) {
-        flit.seq = i;
-        flit.readyAt = static_cast<Cycle>(100 + i);
-        lane.push_back(flit);
     }
-    lane.pop_front();
-    lane.pop_front();
-    for (int i = 4; i < 6; ++i) {
-        flit.seq = i;
-        flit.readyAt = static_cast<Cycle>(100 + i);
-        lane.push_back(flit);
-    }
+};
 
-    obs::CkWriter w;
-    chaos::CampaignState sa = a.state();
-    chaos::serializeCampaign(w, sa);
-    std::ostringstream os(std::ios::binary);
-    w.writeTo(os, 1);
+TEST(Fifo, WrappedControlLaneHashesLikeAnUnwrappedOne)
+{
+    // The state hash folds a ring in pop order, so where its head sits
+    // in the slots stays out of the digest: a lane wrapped as above and
+    // one pushed straight hold flits 2..5 and hash alike.
+    Side wrapped, straight;
+    wrapped.push(0, 4);
+    wrapped.net.link(0).ctrlQ.pop_front();
+    wrapped.net.link(0).ctrlQ.pop_front();
+    wrapped.push(4, 6);
+    straight.push(2, 6);
+    ASSERT_EQ(wrapped.net.link(0).ctrlQ.size(), 4u);
+    EXPECT_EQ(wrapped.digest(), straight.digest());
+}
 
-    Side b(cfg);
-    chaos::CampaignState sb = b.state();
-    std::istringstream is(os.str(), std::ios::binary);
-    obs::CkReader r(is);
-    ASSERT_TRUE(r.ok() && chaos::deserializeCampaign(r, sb)) << r.error();
-    Fifo<Flit> &got = b.net.link(0).ctrlQ;
-    ASSERT_EQ(got.size(), 4u);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].type, FlitType::KillUp);
-        EXPECT_EQ(got[i].seq, static_cast<int>(i) + 2);
-        EXPECT_EQ(got[i].readyAt, static_cast<Cycle>(102 + i));
-    }
+TEST(Fifo, ChangedControlFlitMovesTheStateDigest)
+{
+    Side wrapped, straight;
+    wrapped.push(0, 4);
+    wrapped.net.link(0).ctrlQ.pop_front();
+    wrapped.net.link(0).ctrlQ.pop_front();
+    wrapped.push(4, 6);
+    straight.push(2, 6);
+    ++straight.net.link(0).ctrlQ[3].seq;
+    EXPECT_NE(wrapped.digest(), straight.digest());
+    --straight.net.link(0).ctrlQ[3].seq;
+    straight.net.link(0).ctrlQ[0].readyAt += 1;
+    EXPECT_NE(wrapped.digest(), straight.digest());
 }
 
 TEST(FifoDeath, PushIntoFullPanics)

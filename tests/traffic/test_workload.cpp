@@ -3,13 +3,12 @@
  * Workload library: permutation-pattern bijection properties, the
  * --classes spec grammar, bursty (on-off) injection, closed-loop
  * request-reply conservation, degenerate-workload detection, and the
- * bit-identity contracts (event engine on/off, --jobs 1 vs N,
- * checkpoint/restore) under the new traffic machinery.
+ * bit-identity contracts (event engine on/off, --jobs 1 vs N, replay)
+ * under the new traffic machinery.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -23,7 +22,6 @@ namespace tpnet {
 namespace {
 
 using namespace chaos;
-namespace fs = std::filesystem;
 
 std::vector<TrafficClassConfig>
 parseOrDie(const std::string &spec)
@@ -369,42 +367,34 @@ TEST(Workload, EventEngineIsBitIdenticalForBurstyClosedLoop)
     // provably inert; burst machines and pending replies must pin the
     // engine to per-cycle stepping exactly as the time-stepped run.
     CampaignSpec spec = workloadCampaignSpec(31);
+    CampaignDigests don, doff;
     spec.cfg.eventEngine = true;
-    const CampaignResult on = runCampaign(spec);
+    const CampaignResult on = runCampaign(spec, &don);
     spec.cfg.eventEngine = false;
-    const CampaignResult off = runCampaign(spec);
+    const CampaignResult off = runCampaign(spec, &doff);
     EXPECT_TRUE(on.passed) << on.summary();
     EXPECT_EQ(on.cycles, off.cycles);
     EXPECT_EQ(campaignJson(on), campaignJson(off));
-    EXPECT_EQ(on.stateDigest, off.stateDigest);
-    EXPECT_EQ(on.tailDigest, off.tailDigest);
+    EXPECT_EQ(don.state, doff.state);
+    EXPECT_EQ(don.trace, doff.trace);
+    EXPECT_EQ(don.records, doff.records);
+    EXPECT_NE(don.state, 0u);
+    EXPECT_NE(don.trace, 0u);
 }
 
-TEST(Workload, CheckpointRestoreIsBitIdenticalForBurstyClosedLoop)
+TEST(Workload, ReplayIsBitIdenticalForBurstyClosedLoop)
 {
     // The burst state machines, outstanding budgets, and pending
-    // replies all live in the snapshot: a restore mid-burst must
-    // replay the remainder of the campaign bit-identically.
-    const fs::path ck =
-        fs::path(::testing::TempDir()) / "workload-burst.ck";
-    fs::remove(ck);
-
-    CampaignSpec armed = workloadCampaignSpec(32);
-    armed.checkpointPath = ck.string();
-    armed.checkpointEvery = 128;
-    const CampaignResult a = runCampaign(armed);
-    ASSERT_TRUE(a.checkpointError.empty()) << a.checkpointError;
-    ASSERT_GE(a.checkpointsWritten, 1u);
-
-    CampaignSpec resumed = workloadCampaignSpec(32);
-    resumed.restorePath = ck.string();
-    const CampaignResult b = runCampaign(resumed);
-    ASSERT_TRUE(b.checkpointError.empty()) << b.checkpointError;
-    EXPECT_TRUE(b.restored);
+    // replies are all in the state hash: a replay from cycle 0 must
+    // end in the same state with the same trace.
+    const CampaignSpec spec = workloadCampaignSpec(32);
+    CampaignDigests da, db;
+    const CampaignResult a = runCampaign(spec, &da);
+    const CampaignResult b = runCampaign(spec, &db);
     EXPECT_EQ(campaignJson(a), campaignJson(b));
-    EXPECT_EQ(a.tailDigest, b.tailDigest);
-    EXPECT_EQ(a.stateDigest, b.stateDigest);
-    fs::remove(ck);
+    EXPECT_EQ(da.trace, db.trace);
+    EXPECT_EQ(da.state, db.state);
+    EXPECT_NE(da.state, 0u);
 }
 
 TEST(Workload, ReplicatedSweepIsJobsInvariant)

@@ -16,8 +16,6 @@
  *   digest  print the digest and record count of a trace file.
  *   check   run the trace-level property checks (VC conservation and,
  *           with --scout-k, the Section 2.2 scout-gap invariant).
- *   ckinfo  print the header of a campaign checkpoint file (version,
- *           payload size, payload digest, config digest).
  *
  * Without a subcommand, the legacy live mode renders the diagram of a
  * single freshly simulated message:
@@ -39,7 +37,6 @@
 #include "core/run_loop.hpp"
 #include "core/tpnet.hpp"
 #include "metrics/timespace.hpp"
-#include "obs/checkpoint.hpp"
 #include "obs/recorder.hpp"
 #include "obs/replay.hpp"
 #include "obs/trace_format.hpp"
@@ -286,33 +283,6 @@ cmdCheck(OptionParser &parser, int argc, const char *const *argv)
 }
 
 int
-cmdCkInfo(OptionParser &parser, int argc, const char *const *argv)
-{
-    std::string in = "campaign.ck";
-    parser.addString("in", "input checkpoint file", &in);
-
-    parser.parseOrExit(argc, argv);
-
-    std::ifstream is(in, std::ios::binary);
-    if (!is) {
-        std::fprintf(stderr, "error: cannot open %s\n", in.c_str());
-        return 1;
-    }
-    obs::CheckpointFileInfo info;
-    std::string error;
-    if (!obs::readCheckpointInfo(is, &info, &error)) {
-        std::fprintf(stderr, "error: %s: %s\n", in.c_str(),
-                     error.c_str());
-        return 1;
-    }
-    std::printf("version %u  flags %u\n", info.version, info.flags);
-    std::printf("payload %" PRIu64 " bytes  digest %016" PRIx64 "\n",
-                info.payloadSize, info.payloadDigest);
-    std::printf("config digest %016" PRIx64 "\n", info.configDigest);
-    return 0;
-}
-
-int
 legacyLive(int argc, const char *const *argv)
 {
     SimConfig cfg;
@@ -432,7 +402,6 @@ main(int argc, char **argv)
         {"replay", "time-space diagram from a recorded trace", cmdReplay},
         {"digest", "digest and record count of a trace file", cmdDigest},
         {"check", "trace-level property checks", cmdCheck},
-        {"ckinfo", "header of a campaign checkpoint file", cmdCkInfo},
     };
 
     // The subcommand is the first argument matching a known name; flags

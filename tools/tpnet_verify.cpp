@@ -492,89 +492,6 @@ printCapped(const char *tag, const std::vector<std::string> &lines,
     }
 }
 
-/** Checkpoint/restore options (replay mode only). */
-struct CheckpointCli
-{
-    std::uint64_t every = 0;  ///< --checkpoint-every N
-    std::string path;         ///< --checkpoint FILE
-    std::string restore;      ///< --restore FILE
-};
-
-void
-addCheckpointOptions(OptionParser &parser, CheckpointCli *c)
-{
-    parser.addString("checkpoint",
-                     "replay only: write checkpoints of the replayed "
-                     "campaign to this file (atomic overwrite; the "
-                     "newest complete checkpoint survives a kill)",
-                     &c->path);
-    parser.addNumber("checkpoint-every",
-                     "replay only: checkpoint cadence in cycles "
-                     "(requires --checkpoint)",
-                     &c->every);
-    parser.addString("restore",
-                     "replay only: resume the replayed campaign from "
-                     "this checkpoint file; the finished run is "
-                     "bit-identical to a straight-through replay",
-                     &c->restore);
-}
-
-/** Any checkpoint option present (arms the trace digest tee too). */
-bool
-checkpointArmed(const CheckpointCli &c)
-{
-    return c.every > 0 || !c.path.empty() || !c.restore.empty();
-}
-
-bool
-validateCheckpointCli(const CheckpointCli &c, bool replay,
-                      std::string *error)
-{
-    if (!checkpointArmed(c))
-        return true;
-    if (!replay) {
-        *error = "--checkpoint/--checkpoint-every/--restore need "
-                 "--replay-seed (they act on a single campaign)";
-        return false;
-    }
-    if (c.every > 0 && c.path.empty()) {
-        *error = "--checkpoint-every needs --checkpoint FILE";
-        return false;
-    }
-    return true;
-}
-
-/**
- * Print the restore/checkpoint/digest report for a finished replay.
- * Goes to stdout as '#' comment lines, never into --json, so a
- * restored run writes the same document as a straight-through one.
- */
-void
-printCheckpointReport(const CheckpointCli &c, const CampaignResult &r)
-{
-    if (r.restored) {
-        std::printf("# restore: resumed at cycle %llu from %s\n",
-                    static_cast<unsigned long long>(r.restoredAt),
-                    c.restore.c_str());
-    }
-    if (r.checkpointsWritten > 0) {
-        std::printf("# checkpoint: wrote %llu checkpoint(s) to %s "
-                    "(every %llu cycles)\n",
-                    static_cast<unsigned long long>(
-                        r.checkpointsWritten),
-                    c.path.c_str(),
-                    static_cast<unsigned long long>(c.every));
-    }
-    if (!r.checkpointError.empty()) {
-        std::printf("# checkpoint ERROR: %s\n",
-                    r.checkpointError.c_str());
-    }
-    std::printf("# tail digest %s (from cycle %llu), state digest %s\n",
-                hex64(r.tailDigest).c_str(),
-                static_cast<unsigned long long>(r.tailDigestFrom),
-                hex64(r.stateDigest).c_str());
-}
-
 /**
  * The headline experiment: avoidance (reserved escape bandwidth,
  * Theorem 3 contract verified online) vs recovery (escape pool freed,
@@ -703,7 +620,6 @@ main(int argc, char **argv)
     bool verbose = false;
     bool compare = false;
     std::string json_path;
-    CheckpointCli ckcli;
 
     OptionParser parser(
         "tpnet_verify",
@@ -772,7 +688,6 @@ main(int argc, char **argv)
                    "TEST HOOK: break fault recovery on purpose to prove "
                    "the oracle detects it (campaigns must FAIL)",
                    &o.skipKillBug);
-    addCheckpointOptions(parser, &ckcli);
     parser.parseOrExit(argc, argv);
 
     // The grid's base: the options apply here too, so base.seed is the
@@ -782,37 +697,22 @@ main(int argc, char **argv)
     const std::vector<Cell> grid = buildGrid(base);
     const std::vector<Cell> pristineGrid = buildGrid(gridBase());
 
-    std::string error;
     const bool replay = replay_seed != 0;
-    if (!validateCheckpointCli(ckcli, replay, &error)) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 2;
-    }
     if (!replay && campaigns < 1) {
         // A gate that runs zero campaigns passes vacuously; refuse.
         std::fprintf(stderr, "error: --campaigns must be >= 1\n");
         return 2;
     }
 
-    if (compare) {
-        if (checkpointArmed(ckcli)) {
-            std::fprintf(stderr, "error: checkpoint options cannot be "
-                                 "combined with --compare\n");
-            return 2;
-        }
+    if (compare)
         return runComparison(base, grid, campaigns, jobs, o, json_path);
-    }
 
     std::vector<CampaignSpec> specs;
     for (int i = 0; i < (replay ? 1 : campaigns); ++i) {
         const std::uint64_t s =
             replay ? replay_seed : base.seed + static_cast<std::uint64_t>(i);
-        CampaignSpec spec = buildSpec(grid[s % grid.size()], s, o,
-                                      o.faultScale);
-        spec.checkpointEvery = ckcli.every;  // replay only (validated)
-        spec.checkpointPath = ckcli.path;
-        spec.restorePath = ckcli.restore;
-        specs.push_back(spec);
+        specs.push_back(buildSpec(grid[s % grid.size()], s, o,
+                                  o.faultScale));
     }
 
     std::printf("# tpnet_verify: %zu campaign(s), grid of %zu cells "
@@ -825,8 +725,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(o.drain),
                 base.recoveryMode ? ", RECOVERY mode" : "");
 
+    // A replay also hashes its whole run: two replays of one campaign
+    // (say, event engine on and off) must print the same digest line.
+    CampaignDigests digests;
     const std::vector<CampaignResult> results =
-        runCampaigns(specs, jobs);
+        replay ? std::vector<CampaignResult>{runCampaign(specs[0], &digests)}
+               : runCampaigns(specs, jobs);
 
     // Campaigns whose classes argv gave are labelled by the option.
     const std::string classesLabel =
@@ -858,7 +762,9 @@ main(int argc, char **argv)
             pristineGrid[specs[i].seed % grid.size()].cfg;
         if (!no_shrink) {
             const ShrinkOutcome shrunk =
-                shrinkCampaign(specs[i], runCampaign);
+                shrinkCampaign(specs[i], [](const CampaignSpec &s) {
+                    return runCampaign(s);
+                });
             std::printf("    shrunk %d class step(s) + %d event "
                         "step(s)%s -> minimal replay:\n"
                         "      %s\n",
@@ -888,8 +794,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(c.healRetransmits),
                     static_cast<unsigned long long>(c.healEscalations));
     }
-    if (replay && checkpointArmed(ckcli))
-        printCheckpointReport(ckcli, results[0]);
+    if (replay) {
+        std::printf("# trace digest %s (%llu records), state digest %s\n",
+                    hex64(digests.trace).c_str(),
+                    static_cast<unsigned long long>(digests.records),
+                    hex64(digests.state).c_str());
+    }
     if (!json_path.empty() &&
         !writeCampaignJson(json_path, "tpnet_verify", results)) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
