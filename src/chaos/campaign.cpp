@@ -184,7 +184,7 @@ runCampaign(const CampaignSpec &spec, CampaignDigests *digests)
         digests->trace = tee.digest();
         digests->records = tee.records();
         digests->state = campaignStateDigest(
-            {&net, &faultRng, &schedule, &oracle, &watchdog, &injector, 2});
+            {&net, &faultRng, &schedule, &oracle, &watchdog, &injector});
     }
 
     result.quiescent = net.quiescent();

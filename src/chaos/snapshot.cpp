@@ -41,13 +41,6 @@ struct SnapshotAccess
         h.u8(static_cast<std::uint8_t>(v));
     }
 
-    /** The size of a fixed-geometry container. */
-    static void
-    ioCheckCount(Hasher &h, std::size_t n)
-    {
-        h.u64(n);
-    }
-
     /** vector/deque/Fifo: the count, then f(h, element) in index order. */
     template <class V, class F>
     static void
@@ -334,9 +327,7 @@ struct SnapshotAccess
         h.i64(net.nextMsgId_);
         h.b(net.measuring_);
 
-        ioCheckCount(h, net.links_.size());
         for (const Link &lk : net.links_) {
-            ioCheckCount(h, static_cast<std::size_t>(plane.vcsPerLink()));
             for (int v = 0; v < plane.vcsPerLink(); ++v)
                 io(h, plane, plane.index(lk.id, v));
             ioVec(h, lk.ctrlQ, [](Hasher &a, const Flit &f) { io(a, f); });
@@ -349,17 +340,14 @@ struct SnapshotAccess
             h.u64(lk.maxCtrlDepth);
         }
 
-        ioCheckCount(h, net.routers_.size());
         for (const Router &rt : net.routers_) {
             h.b(rt.faulty);
             ioVec(h, rt.rcuQueue, [](Hasher &a, const RcuEntry &e) {
                 a.i64(e.msg);
                 a.i32(e.epoch);
             });
-            ioCheckCount(h, static_cast<std::size_t>(radix));
             for (int port = 0; port <= radix; ++port)
                 ioInputs(h, plane, rt, port == radix ? ejectPort : port);
-            ioCheckCount(h, static_cast<std::size_t>(radix));
             for (int port = 0; port <= radix; ++port)
                 h.u64(rt.rr(port == radix ? ejectPort : port));
             h.u64(rt.maxRcuDepth);
@@ -373,7 +361,6 @@ struct SnapshotAccess
             io(h, m);
         });
 
-        ioCheckCount(h, net.injQ_.size());
         for (const auto &q : net.injQ_)
             ioVec(h, q, msgIdIo);
         ioVec(h, net.retryList_, msgIdIo);
@@ -403,7 +390,6 @@ struct SnapshotAccess
         h.b(net.skipKillSweep_);
         h.u64(net.rrNode_);
 
-        h.b(net.cwg_ != nullptr);
         if (net.cwg_)
             io(h, *net.cwg_);
     }
@@ -482,10 +468,8 @@ struct SnapshotAccess
         // space.
         h.b(inj.stopped_);
         h.u64(inj.offered_);
-        ioCheckCount(h, inj.burstOn_.size());
         for (std::uint8_t on : inj.burstOn_)
             h.u8(on);
-        ioCheckCount(h, inj.outBudget_.size());
         for (int b : inj.outBudget_)
             h.i32(b);
         ioVec(h, inj.pendingReplies_,
@@ -503,7 +487,6 @@ struct SnapshotAccess
     static void
     ioCampaign(Hasher &h, const chaos::CampaignState &st)
     {
-        h.u8(st.phase);
         io(h, *st.net);
         io(h, *st.faultRng);
         io(h, *st.schedule);

@@ -39,11 +39,7 @@ class DeliveryOracle;
 class FaultSchedule;
 class Watchdog;
 
-/**
- * The live harness objects of one campaign run, plus the phase the
- * run's outer loop is in: 0 = injection window, 1 = drain, 2 = final
- * (post-loop digest). All pointers must be non-null.
- */
+/** The live harness objects of one campaign run (all non-null). */
 struct CampaignState
 {
     const Network *net = nullptr;
@@ -52,7 +48,6 @@ struct CampaignState
     const DeliveryOracle *oracle = nullptr;
     const Watchdog *watchdog = nullptr;
     const Injector *injector = nullptr;
-    std::uint8_t phase = 0;
 };
 
 /** FNV-1a 64 digest of the harness state. */

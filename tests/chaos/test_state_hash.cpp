@@ -285,9 +285,9 @@ TEST(CheckpointCampaign, StateDigestsArePinned)
     CampaignSpec recovery = ckCampaignSpec(13);
     recovery.cfg.recoveryMode = true;
     const Row rows[] = {
-        {"base", ckCampaignSpec(11), 0xd16b2fcf5fe60441ull},
-        {"cwg", cwg, 0x73c17f966de2109eull},
-        {"recovery", recovery, 0xe834b190e1ab522eull},
+        {"base", ckCampaignSpec(11), 0x8cdb3fa99ab498f7ull},
+        {"cwg", cwg, 0xf638115707c0e697ull},
+        {"recovery", recovery, 0x1087ddddfba11d45ull},
     };
     for (const Row &row : rows) {
         CampaignDigests d;
@@ -299,7 +299,7 @@ TEST(CheckpointCampaign, StateDigestsArePinned)
     Harness h(harnessConfig());
     h.run(200);
     ASSERT_GT(h.net.activeMessages(), 0u);
-    EXPECT_EQ(h.digest(), 0x3afcc4cd53b3e068ull)
+    EXPECT_EQ(h.digest(), 0x9de07b3aaa0940acull)
         << std::hex << " 0x" << h.digest();
 }
 
