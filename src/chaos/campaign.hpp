@@ -61,10 +61,10 @@ struct CampaignSpec
     /// benign cycles are collected as warnings (advisory, non-fatal).
     bool verifyCwg = false;
 
-    /// Inert: nothing reads these three fields. A campaign is replayed
-    /// from (spec, seed), not restored. They stay only because the
-    /// perfbench replica (perfbench/replica.cpp) still names them, and
-    /// they go with it (ROADMAP item 9).
+    /// Inert: no library code or tool reads these three fields. A
+    /// campaign is replayed from (spec, seed), not restored. They stay
+    /// only because the perfbench replica (perfbench/replica.cpp) still
+    /// names them, and they go with it (ROADMAP item 9).
     Cycle checkpointEvery = 0;
     std::string checkpointPath;
     std::string restorePath;

@@ -226,8 +226,10 @@ struct SnapshotAccess
         ClassStat::forEachField([&h](const auto &f) { io(h, f); }, cs);
     }
 
+    /** A vector or deque of message ids. */
+    template <class V>
     static void
-    ioIds(Hasher &h, const std::vector<MsgId> &ids)
+    ioIds(Hasher &h, const V &ids)
     {
         ioVec(h, ids, [](Hasher &a, MsgId m) { a.i64(m); });
     }
@@ -300,23 +302,9 @@ struct SnapshotAccess
         h.u64(t.lastSweep_);
     }
 
-    /** Crossbar list of output @p port as (link, vc) pairs in mapping
-     *  order. */
-    static void
-    ioInputs(Hasher &h, const DataPlane &plane, const Router &rt, int port)
-    {
-        const std::span<const VcIndex> list = rt.mappedInputs(port);
-        h.u64(list.size());
-        for (VcIndex in : list) {
-            h.i32(plane.linkOf(in));
-            h.i32(plane.vcOf(in));
-        }
-    }
-
     static void
     io(Hasher &h, const Network &net)
     {
-        const auto msgIdIo = [](Hasher &a, MsgId m) { a.i64(m); };
         const DataPlane &plane = net.plane_;
         const int radix = net.topo_->radix();
 
@@ -346,25 +334,30 @@ struct SnapshotAccess
                 a.i64(e.msg);
                 a.i32(e.epoch);
             });
-            for (int port = 0; port <= radix; ++port)
-                ioInputs(h, plane, rt, port == radix ? ejectPort : port);
-            for (int port = 0; port <= radix; ++port)
-                h.u64(rt.rr(port == radix ? ejectPort : port));
+            // Each output's crossbar list as (link, vc) pairs in
+            // mapping order, then its round-robin pointer.
+            for (int port = 0; port <= radix; ++port) {
+                const int out = port == radix ? ejectPort : port;
+                const std::span<const VcIndex> list = rt.mappedInputs(out);
+                h.u64(list.size());
+                for (VcIndex in : list) {
+                    h.i32(plane.linkOf(in));
+                    h.i32(plane.vcOf(in));
+                }
+                h.u64(rt.rr(out));
+            }
             h.u64(rt.maxRcuDepth);
             h.u64(rt.headersRouted);
         }
 
-        // The message table as (id, message) pairs in id order.
+        // The message table in id order.
         h.u64(net.messages_.size());
-        net.messages_.forEach([&h](const Message &m) {
-            h.i64(m.id);
-            io(h, m);
-        });
+        net.messages_.forEach([&h](const Message &m) { io(h, m); });
 
         for (const auto &q : net.injQ_)
-            ioVec(h, q, msgIdIo);
-        ioVec(h, net.retryList_, msgIdIo);
-        ioVec(h, net.retired_, msgIdIo);
+            ioIds(h, q);
+        ioIds(h, net.retryList_);
+        ioIds(h, net.retired_);
 
         io(h, net.counters_);
 

@@ -119,18 +119,6 @@ class MessageStore
         }
     }
 
-    /** Drop every message. */
-    void
-    clear()
-    {
-        chunks_.clear();
-        free_.clear();
-        slots_ = 0;
-        span_ = 0;
-        head_ = 0;
-        live_ = 0;
-    }
-
     /** Call @p f(Message &) for every live message, in id order. */
     template <class F>
     void

@@ -285,9 +285,9 @@ TEST(CheckpointCampaign, StateDigestsArePinned)
     CampaignSpec recovery = ckCampaignSpec(13);
     recovery.cfg.recoveryMode = true;
     const Row rows[] = {
-        {"base", ckCampaignSpec(11), 0x8cdb3fa99ab498f7ull},
-        {"cwg", cwg, 0xf638115707c0e697ull},
-        {"recovery", recovery, 0x1087ddddfba11d45ull},
+        {"base", ckCampaignSpec(11), 0x8b14d3fd4d0fbb97ull},
+        {"cwg", cwg, 0xf977e35a3eba6857ull},
+        {"recovery", recovery, 0xe19db36705792425ull},
     };
     for (const Row &row : rows) {
         CampaignDigests d;
@@ -299,7 +299,7 @@ TEST(CheckpointCampaign, StateDigestsArePinned)
     Harness h(harnessConfig());
     h.run(200);
     ASSERT_GT(h.net.activeMessages(), 0u);
-    EXPECT_EQ(h.digest(), 0x9de07b3aaa0940acull)
+    EXPECT_EQ(h.digest(), 0x739e1a47ce1a6395ull)
         << std::hex << " 0x" << h.digest();
 }
 
