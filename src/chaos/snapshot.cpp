@@ -207,6 +207,12 @@ struct SnapshotAccess
     }
 
     static void
+    io(Hasher &h, const std::string &v)
+    {
+        h.str(v);
+    }
+
+    static void
     io(Hasher &h, const Counters &c)
     {
         Counters::forEachField([&h](const auto &f) { io(h, f); }, c);
@@ -426,8 +432,7 @@ struct SnapshotAccess
             h.b(r.terminated);
             ioEnum(h, r.outcome);
         }
-        ioVec(h, o.violations_,
-              [](Hasher &a, const std::string &v) { a.str(v); });
+        io(h, o.violations_);
         h.u64(o.createdCount_);
         h.u64(o.deliveredCount_);
         h.u64(o.undeliverableCount_);
@@ -438,8 +443,7 @@ struct SnapshotAccess
     static void
     io(Hasher &h, const chaos::Watchdog &w)
     {
-        ioVec(h, w.violations_,
-              [](Hasher &a, const std::string &v) { a.str(v); });
+        io(h, w.violations_);
         h.b(w.deadlocked_);
         ioVec(h, w.tracks_, [](Hasher &a, const auto &t) {
             a.i64(t.id);
@@ -476,17 +480,6 @@ struct SnapshotAccess
                   a.b(pr.e2eMeasured);
               });
     }
-
-    static void
-    ioCampaign(Hasher &h, const chaos::CampaignState &st)
-    {
-        io(h, *st.net);
-        io(h, *st.faultRng);
-        io(h, *st.schedule);
-        io(h, *st.oracle);
-        io(h, *st.watchdog);
-        io(h, *st.injector);
-    }
 };
 
 namespace chaos {
@@ -495,7 +488,12 @@ std::uint64_t
 campaignStateDigest(const CampaignState &st)
 {
     obs::StateHasher h;
-    SnapshotAccess::ioCampaign(h, st);
+    SnapshotAccess::io(h, *st.net);
+    SnapshotAccess::io(h, *st.faultRng);
+    SnapshotAccess::io(h, *st.schedule);
+    SnapshotAccess::io(h, *st.oracle);
+    SnapshotAccess::io(h, *st.watchdog);
+    SnapshotAccess::io(h, *st.injector);
     return h.digest();
 }
 
