@@ -162,7 +162,7 @@ struct SnapshotAccess
         ioEnum(h, m.state);
         h.b(m.measured);
         io(h, m.hdr);
-        ioVec(h, m.path, [](Hasher &a, const PathHop &hop) { io(a, hop); });
+        io(h, m.path);
         ioVec(h, m.visited,
               [](Hasher &a, const std::pair<NodeId, std::uint32_t> &e) {
                   a.i32(e.first);

@@ -6,8 +6,8 @@
  * StateHasher folds little-endian fields into a running FNV-1a 64
  * digest, one byte at a time, with no buffer. The harness field lists
  * in src/chaos/snapshot.cpp drive it, so two runs that end in the same
- * dynamic state hash alike, and any field that differs moves the
- * digest (DESIGN.md §6h).
+ * dynamic state hash alike, and a field that differs moves the digest
+ * short of an FNV-1a collision (DESIGN.md §6h).
  *
  * DigestTee is an EventSink that folds every event into a running
  * FNV-1a digest using the exact trace_format record encoding (the
