@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/campaign.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/watchdog.hpp"
 #include "core/network.hpp"
@@ -277,6 +278,37 @@ TEST(Watchdog, FrozenMessageReportsFireInIdOrder)
     EXPECT_EQ(h.dog.nextDeadline(), cycleNever);
 }
 
+TEST(Watchdog, RequeuedMessageIsReportedAgain)
+{
+    // One report per watched stretch: a flagged message that is torn
+    // down and re-tried is watched afresh, so freezing it again reports
+    // it a second time, under its new epoch.
+    WatchdogConfig w = quietWatchdog();
+    w.msgStallBound = 40;
+    Watched h(w);
+    h.freeze(40);
+    ASSERT_EQ(h.dog.violations().size(), 2u);
+    h.net.abortSetup(h.net.message(0));
+    for (int c = 0; c < 1000 && !(h.active(0) && h.net.message(0).epoch == 1);
+         ++c) {
+        h.net.step();
+        h.dog.observe();
+    }
+    ASSERT_TRUE(h.active(0));
+    ASSERT_EQ(h.dog.violations().size(), 2u);
+    h.freeze(40);
+    // Message 1 stayed watched, so it stays flagged.
+    const Lines want = {
+        "cycle 42: livelock: msg 0 (0->10, state 1, epoch 0) made no "
+        "progress for 40 cycles while the network kept moving",
+        "cycle 42: livelock: msg 1 (3->9, state 1, epoch 0) made no "
+        "progress for 40 cycles while the network kept moving",
+        "cycle 117: livelock: msg 0 (0->10, state 1, epoch 1) made no "
+        "progress for 40 cycles while the network kept moving",
+    };
+    EXPECT_EQ(h.dog.violations(), want);
+}
+
 TEST(Watchdog, HeaderOscillationReportFires)
 {
     WatchdogConfig w = quietWatchdog();
@@ -296,6 +328,84 @@ TEST(Watchdog, HeaderOscillationReportFires)
         "any data",
     };
     EXPECT_EQ(h.dog.violations(), want);
+}
+
+/** FNV-1a 64 of @p lines, each followed by a newline. */
+std::uint64_t
+linesDigest(const Lines &lines)
+{
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const std::string &line : lines) {
+        for (const char ch : line + "\n") {
+            digest ^= static_cast<unsigned char>(ch);
+            digest *= 0x100000001b3ull;
+        }
+    }
+    return digest;
+}
+
+TEST(Watchdog, TightBoundCampaignReportsArePinned)
+{
+    // A bound of 25 cycles is far below the legal stall of a message
+    // queued behind a retry or blocked at a busy channel, so the
+    // livelock checks report on their own in an organic campaign, in
+    // both the frozen and the oscillating form. Each row pins its
+    // report count, first line and digest under both engines.
+    struct Row
+    {
+        const char *tag;
+        bool tailAck;
+        bool recovery;
+        std::size_t count;
+        int oscillating;
+        std::string first;
+        std::uint64_t digest;
+    };
+    const std::string frozen13 =
+        "cycle 139: livelock: msg 13 (4->8, state 1, epoch 0) made no "
+        "progress for 25 cycles while the network kept moving";
+    const Row rows[] = {
+        {"plain", false, false, 54, 15, frozen13, 0x33e8709ce278ae23ull},
+        {"tailAck", true, false, 52, 12, frozen13, 0xcc04d94dbe5d8805ull},
+        {"recovery", false, true, 71, 15,
+         frozen13 + "; stranded circuit: holds 1 hops with no probe in "
+                    "flight and no RCU entry",
+         0x422502c89dfa5c56ull},
+    };
+    for (const Row &row : rows) {
+        CampaignSpec spec;
+        spec.cfg = test::smallConfig(Protocol::TwoPhase, 4);
+        spec.cfg.msgLength = 32;
+        spec.cfg.load = 0.5;
+        spec.cfg.maxRetries = 6;
+        spec.cfg.tailAck = row.tailAck;
+        spec.cfg.recoveryMode = row.recovery;
+        spec.verifyCwg = row.recovery;
+        spec.seed = 3;
+        spec.injectCycles = 3000;
+        spec.drainCycles = 20000;
+        spec.faults.earliest = 50;
+        spec.faults.horizon = 3000;
+        spec.faults.nodeKills = 2;
+        spec.faults.linkKills = 4;
+        spec.faults.intermittents = 4;
+        spec.watchdog.msgStallBound = 25;
+        spec.watchdog.maxViolations = 1000;
+
+        spec.cfg.eventEngine = true;
+        const CampaignResult on = runCampaign(spec);
+        spec.cfg.eventEngine = false;
+        const CampaignResult off = runCampaign(spec);
+        EXPECT_EQ(on.violations, off.violations) << row.tag;
+        ASSERT_EQ(on.violations.size(), row.count) << row.tag;
+        EXPECT_EQ(on.violations.front(), row.first) << row.tag;
+        EXPECT_EQ(linesDigest(on.violations), row.digest)
+            << row.tag << std::hex << " 0x" << linesDigest(on.violations);
+        int oscillating = 0;
+        for (const std::string &line : on.violations)
+            oscillating += line.find("oscillating") != std::string::npos;
+        EXPECT_EQ(oscillating, row.oscillating) << row.tag;
+    }
 }
 
 TEST(Watchdog, FlitConservationReportFires)
