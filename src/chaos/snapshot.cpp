@@ -198,6 +198,8 @@ struct SnapshotAccess
         h.i32(m.detoursBuilt);
         h.i32(m.backtracksTaken);
         h.i32(m.misroutesTaken);
+        h.u64(m.lastMoved);
+        h.u64(m.lastAdvanced);
     }
 
     static void
@@ -439,20 +441,13 @@ struct SnapshotAccess
         h.u64(o.lostCount_);
     }
 
-    /** The watchdog's state; its tracks are folded in id order. */
+    /** The watchdog's state; its flagged ids are folded in id order. */
     static void
     io(Hasher &h, const chaos::Watchdog &w)
     {
         io(h, w.violations_);
         h.b(w.deadlocked_);
-        ioVec(h, w.tracks_, [](Hasher &a, const auto &t) {
-            a.i64(t.id);
-            a.u64(t.sig);
-            a.u64(t.sig2);
-            a.u64(t.lastChange);
-            a.u64(t.lastChange2);
-            a.b(t.flagged);
-        });
+        ioVec(h, w.flagged_, [](Hasher &a, MsgId id) { a.i64(id); });
     }
 
     static void

@@ -10,10 +10,30 @@
 namespace tpnet {
 namespace chaos {
 
-Watchdog::Watchdog(Network &net, const WatchdogConfig &cfg)
-    : net_(net), cfg_(cfg)
+namespace {
+
+/** The observe() cycle that first sees a change stamped in cycle @p at:
+ *  observe() runs one cycle past the step that made it. */
+Cycle
+seenAt(Cycle at)
 {
+    return at + 1;
 }
+
+/**
+ * Whether the livelock checks judge @p msg. Queued and WaitRetry
+ * messages are not watched: whatever is ahead of them owns their
+ * progress (and is watched), and a healthy congested queue can
+ * legally hold a message for a long time.
+ */
+bool
+watched(const Message &msg)
+{
+    return !msg.terminal() && msg.state != MsgState::Queued &&
+           msg.state != MsgState::WaitRetry;
+}
+
+} // namespace
 
 void
 Watchdog::report(const std::string &what)
@@ -23,12 +43,6 @@ Watchdog::report(const std::string &what)
     std::ostringstream os;
     os << "cycle " << net_.now() << ": " << what;
     violations_.push_back(os.str());
-}
-
-Cycle
-Watchdog::lastProgress() const
-{
-    return net_.lastActivity() + 1;
 }
 
 void
@@ -48,15 +62,16 @@ Watchdog::nextDeadline() const
     Cycle at = cycleNever;
     if (cfg_.globalStallBound > 0 && !deadlocked_ &&
         net_.activeMessages() > 0) {
-        at = std::min(at, lastProgress() + cfg_.globalStallBound);
+        at = seenAt(net_.lastActivity()) + cfg_.globalStallBound;
     }
     if (cfg_.msgStallBound > 0) {
-        for (const MsgTrack &track : tracks_) {
-            if (track.flagged)
-                continue;
-            at = std::min(at, track.lastChange + cfg_.msgStallBound);
-            at = std::min(at, track.lastChange2 + cfg_.msgStallBound);
-        }
+        net_.messageStore().forEach([&](const Message &msg) {
+            if (watched(msg) && !std::binary_search(flagged_.begin(),
+                                                    flagged_.end(), msg.id)) {
+                at = std::min(at, seenAt(msg.lastAdvanced) +
+                                      cfg_.msgStallBound);
+            }
+        });
     }
     // Cadenced sweeps re-report persistent violations, so every
     // boundary is a deadline even when nothing looks wrong.
@@ -86,7 +101,7 @@ Watchdog::checkGlobalProgress()
         net_.activeMessages() == 0) {
         return;
     }
-    const Cycle since = lastProgress();
+    const Cycle since = seenAt(net_.lastActivity());
     if (net_.now() < since + cfg_.globalStallBound)
         return;
     std::ostringstream os;
@@ -102,40 +117,6 @@ Watchdog::checkGlobalProgress()
     }
     report(os.str());
     deadlocked_ = true;
-}
-
-Watchdog::Signatures
-Watchdog::signatures(const Message &msg)
-{
-    // Any field that changes when the message makes progress of any
-    // kind — probe movement, data movement, teardown, retry — feeds
-    // `all`. `real` skips hdr.hops, path.size() and srcCounter: a probe
-    // can churn those forever (search, backtrack, re-search) without
-    // the message getting any closer to delivery. Every retry bumps the
-    // epoch, so a legal abort-and-retry cycle still counts as progress.
-    Signatures h{0xcbf29ce484222325ull, 0xcbf29ce484222325ull};
-    auto mix = [](std::uint64_t &into, std::uint64_t v) {
-        into ^= v;
-        into *= 0x100000001b3ull;
-    };
-    auto both = [&h, &mix](std::uint64_t v) {
-        mix(h.all, v);
-        mix(h.real, v);
-    };
-    both(static_cast<std::uint64_t>(msg.state));
-    both(static_cast<std::uint64_t>(msg.epoch));
-    mix(h.all, static_cast<std::uint64_t>(msg.hdr.hops));
-    mix(h.all, msg.path.size());
-    both(static_cast<std::uint64_t>(msg.injectedFlits));
-    both(static_cast<std::uint64_t>(msg.arrivedFlits));
-    both(static_cast<std::uint64_t>(msg.retries));
-    mix(h.all, static_cast<std::uint64_t>(msg.srcCounter));
-    both(static_cast<std::uint64_t>(msg.releasedHops));
-    both(static_cast<std::uint64_t>(msg.killWalks));
-    both(msg.tearingDown() ? 1 : 0);
-    both(static_cast<std::uint64_t>(
-        msg.leadHop < 0 ? 0u : static_cast<unsigned>(msg.leadHop)));
-    return h;
 }
 
 std::string
@@ -163,62 +144,52 @@ void
 Watchdog::checkPerMessageProgress()
 {
     // One walk of the live messages in id order, merged against the
-    // id-sorted tracks: a track lives while its message is watched and
-    // goes once the message retires or waits again. Queued/WaitRetry
-    // messages are skipped: their progress is owned by whatever is
-    // ahead of them (which is tracked), and a healthy congested queue
-    // can legally hold a message for a long time.
+    // id-sorted flagged list: an id stays while its message is watched
+    // and goes once the message retires or waits again.
+    if (cfg_.msgStallBound == 0)
+        return;
     const Cycle now = net_.now();
-    auto old = tracks_.cbegin();
-    nextTracks_.clear();
+    const std::ptrdiff_t had = std::ssize(flagged_);
+    std::ptrdiff_t next = 0;  // first old entry not yet passed
+    std::ptrdiff_t kept = 0;  // old entries kept, compacted at the front
     net_.messageStore().forEach([&](const Message &msg) {
-        if (msg.terminal() || msg.state == MsgState::Queued ||
-            msg.state == MsgState::WaitRetry) {
+        if (!watched(msg))
+            return;
+        while (next < had && flagged_[next] < msg.id)
+            ++next;
+        if (next < had && flagged_[next] == msg.id) {
+            flagged_[kept++] = flagged_[next++];
             return;
         }
-        while (old != tracks_.cend() && old->id < msg.id)
-            ++old;
-        const Signatures sig = signatures(msg);
-        MsgTrack track{msg.id, sig.all, sig.real, now, now, false};
-        if (old != tracks_.cend() && old->id == msg.id) {
-            track = *old;
-            if (track.sig != sig.all) {
-                track.sig = sig.all;
-                track.lastChange = now;
-            }
-            if (track.sig2 != sig.real) {
-                track.sig2 = sig.real;
-                track.lastChange2 = now;
-            }
-        }
-        if (!track.flagged && cfg_.msgStallBound > 0 &&
-            now - track.lastChange >= cfg_.msgStallBound) {
-            std::ostringstream os;
+        // Real progress stamps both, so lastAdvanced is never later.
+        const Cycle moved = seenAt(msg.lastMoved);
+        const Cycle advanced = seenAt(msg.lastAdvanced);
+        if (now < advanced + cfg_.msgStallBound)
+            return;
+        std::ostringstream os;
+        if (now >= moved + cfg_.msgStallBound) {
             os << "livelock: msg " << msg.id << " (" << msg.src << "->"
                << msg.dst << ", state " << static_cast<int>(msg.state)
                << ", epoch " << msg.epoch << ") made no progress for "
-               << now - track.lastChange
-               << " cycles while the network kept moving"
+               << now - moved << " cycles while the network kept moving"
                << diagnoseFrozen(msg);
-            report(os.str());
-            track.flagged = true;
-        } else if (!track.flagged && cfg_.msgStallBound > 0 &&
-                   now - track.lastChange2 >= cfg_.msgStallBound) {
-            // The full signature kept changing (probe churn) but no
-            // real progress was made: the header is oscillating.
-            std::ostringstream os;
+        } else {
+            // The probe kept moving (churn) but no real progress was
+            // made: the header is oscillating.
             os << "livelock: header oscillating: msg " << msg.id << " ("
                << msg.src << "->" << msg.dst << ", epoch " << msg.epoch
-               << ") searched for " << now - track.lastChange2
+               << ") searched for " << now - advanced
                << " cycles (hops=" << msg.hdr.hops
                << ", backtracks=" << msg.backtracksTaken
                << ") without moving any data" << diagnoseFrozen(msg);
-            report(os.str());
-            track.flagged = true;
         }
-        nextTracks_.push_back(track);
+        report(os.str());
+        flagged_.push_back(msg.id);
     });
-    tracks_.swap(nextTracks_);
+    // Drop the old entries no longer watched, then merge in the new.
+    flagged_.erase(flagged_.begin() + kept, flagged_.begin() + had);
+    std::inplace_merge(flagged_.begin(), flagged_.begin() + kept,
+                       flagged_.end());
 }
 
 void

@@ -10,24 +10,30 @@
  *    must never happen);
  *  - livelock/starvation: one message made no progress for a (much
  *    larger) bound while the rest of the network kept moving —
- *    "blocked but live" is legal only for bounded spans;
+ *    "blocked but live" is legal only for bounded spans. A message
+ *    whose probe kept searching without any real progress is reported
+ *    as an oscillating header;
  *  - flit-conservation: every data flit a live message has injected
  *    is delivered or resident in exactly the FIFOs of its reserved
  *    path (messages being torn down are exempt: their flits are
  *    deliberately purged);
  *  - structural: periodic validateNetwork() sweeps.
  *
- * The deadlock check reads the network's progress clock
- * (Network::lastActivity, ticked by Counters::tokenMoves()), the same
- * clock the simulator's cfg.watchdog panic reads; unlike that panic,
- * this watchdog records violations and lets the campaign driver finish
- * and report.
+ * Neither stall check infers movement itself. The deadlock check reads
+ * the network's progress clock (Network::lastActivity, ticked by
+ * Counters::tokenMoves()), the same clock the simulator's cfg.watchdog
+ * panic reads. The livelock checks read each message's progress record,
+ * which the network stamps where the message changes (Network::stamp):
+ * Message::lastMoved for any move, probe churn included, and
+ * Message::lastAdvanced for real progress only. Unlike the panic, this
+ * watchdog records violations and lets the campaign driver finish and
+ * report.
  */
 
 #ifndef TPNET_CHAOS_WATCHDOG_HPP
 #define TPNET_CHAOS_WATCHDOG_HPP
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -63,7 +69,8 @@ class Watchdog
     friend struct ::tpnet::SnapshotAccess;
 
   public:
-    Watchdog(Network &net, const WatchdogConfig &cfg);
+    Watchdog(Network &net, const WatchdogConfig &cfg) : net_(net), cfg_(cfg)
+    {}
 
     /** Run this cycle's checks. */
     void observe();
@@ -103,26 +110,8 @@ class Watchdog
     void checkConservation();
     void runValidator();
 
-    /** Fingerprints of a message's externally visible progress. */
-    struct Signatures
-    {
-        /// Every field that changes when the message makes progress of
-        /// any kind.
-        std::uint64_t all;
-        /// Real progress only: leaves out the probe-churn fields (hops,
-        /// path length, source counter), so a header endlessly searching
-        /// without ever moving data shows up as frozen here while `all`
-        /// keeps changing — the livelock discriminator.
-        std::uint64_t real;
-    };
-    static Signatures signatures(const Message &msg);
-
     /** CWG-informed annotation of a frozen message ("" when none). */
     std::string diagnoseFrozen(const Message &msg) const;
-
-    /** The observe() cycle of the last token move: observe() runs
-     *  one cycle past the step that ticked the network's clock. */
-    Cycle lastProgress() const;
 
     Network &net_;
     WatchdogConfig cfg_;
@@ -130,20 +119,9 @@ class Watchdog
 
     bool deadlocked_ = false;
 
-    /** Progress record of one watched message. */
-    struct MsgTrack
-    {
-        MsgId id = invalidMsg;
-        std::uint64_t sig = 0;        ///< Signatures::all
-        std::uint64_t sig2 = 0;       ///< Signatures::real
-        Cycle lastChange = 0;
-        Cycle lastChange2 = 0;
-        bool flagged = false;
-    };
-    /// The watched messages' tracks, sorted by id.
-    std::vector<MsgTrack> tracks_;
-    /// checkPerMessageProgress() builds the next tracks here, then swaps.
-    std::vector<MsgTrack> nextTracks_;
+    /// Watched messages already reported, sorted by id: one report per
+    /// stretch a message is watched.
+    std::vector<MsgId> flagged_;
 };
 
 } // namespace chaos

@@ -43,6 +43,12 @@ enum class Teardown : std::uint8_t {
     Heal,   ///< sacrificed to dissolve a deadlock knot
 };
 
+/** What a progress stamp records (Network::stamp). */
+enum class Progress : std::uint8_t {
+    Churn,    ///< a probe hop or backtrack, a source-gate acknowledgment
+    Advance,  ///< data, teardown, retry or state: real progress
+};
+
 /** Sentinel for "the leading data flit has already been ejected". */
 constexpr int leadEjected = std::numeric_limits<int>::max();
 
@@ -176,6 +182,16 @@ struct alignas(64) Message
     int detoursBuilt = 0;
     int backtracksTaken = 0;
     int misroutesTaken = 0;
+
+    // --- Progress record (read by chaos::Watchdog) -----------------------
+    /** Cycle of the message's last move of any kind: probe churn or
+     *  real progress (Network::stamp). */
+    Cycle lastMoved = 0;
+
+    /** Cycle of its last real progress: a data flit injected, moved at
+     *  the lead or ejected, a hop released, a teardown step, a retry or
+     *  a state change. */
+    Cycle lastAdvanced = 0;
 
     bool tearingDown() const { return teardown != Teardown::None; }
 

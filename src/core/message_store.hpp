@@ -3,7 +3,7 @@
  * The network's message table: a slot table with a free list, reached
  * through an id window.
  *
- * Ids are issued in increasing order, so every live id lies in the
+ * Ids are issued one after another, so every live id lies in the
  * window [base, base + span): entry `id - base` names the message's slot,
  * or none once it has retired. find() is therefore a bounds check and
  * two indexes — no hashing, no division — and walking the window visits
@@ -67,8 +67,8 @@ class MessageStore
     }
 
     /**
-     * Store @p msg under msg.id, which must be greater than every id
-     * stored before (ids skipped over read as retired).
+     * Store @p msg under msg.id, which must be the id after the last
+     * one stored (an empty store restarts its window at any id).
      */
     Message &
     insert(Message &&msg)
@@ -77,14 +77,10 @@ class MessageStore
         if (span_ == 0) {
             base_ = id;
             head_ = 0;
-        } else if (id < base_ ||
-                   static_cast<std::uint64_t>(id - base_) < span_) {
+        } else if (id != base_ + static_cast<MsgId>(span_)) {
             tpnet_panic("message id ", id, " inserted out of order");
         }
-        const std::uint64_t off = static_cast<std::uint64_t>(id - base_);
-        reserveWindow(off + 1);
-        while (span_ < off)
-            window(span_++) = kNone;
+        reserveWindow(span_ + 1);
         std::uint32_t s;
         if (!free_.empty()) {
             s = free_.back();

@@ -238,6 +238,7 @@ Network::activateFront(NodeId node)
     if (msg->state != MsgState::Queued)
         return;  // WaitRetry front wakes by itself; Active already going
     msg->state = MsgState::Active;
+    stamp(*msg, Progress::Advance);
     dataWake(node);
     if (!msg->inRcu) {
         enqueueRcu(node, {msg->id, msg->epoch});
@@ -566,8 +567,10 @@ Network::moveFlit(VcIndex in, NodeId node, LinkId outId, Flit &moved)
         // Inline wormhole probe made a hop.
         probeArrived(*msg, flit.hopIdx);
     } else {
-        if (flit.seq == 1)
+        if (flit.seq == 1) {
             msg->leadHop = flit.hopIdx;
+            stamp(*msg, Progress::Advance);
+        }
         if (flit.type == FlitType::Tail && !cfg_.tailAck)
             releaseHop(*msg, flit.hopIdx - 1, false);
     }
@@ -635,6 +638,7 @@ Network::tryInjectOn(NodeId node, int port)
     pushData(first, target, flit);
     ++work_.injections;
     ++msg->injectedFlits;
+    stamp(*msg, Progress::Advance);
     if (flit.seq == 1)
         msg->leadHop = 0;
     ++counters_.dataCrossings;
@@ -661,6 +665,7 @@ Network::deliverFlit(Message &msg, const Flit &flit)
         return;  // inline probe consumed at the destination PE
 
     ++msg.arrivedFlits;
+    stamp(msg, Progress::Advance);
     ++counters_.dataFlitsDelivered;
     if (measuring_)
         ++counters_.windowDataFlits;
@@ -740,8 +745,10 @@ Network::releaseHop(Message &msg, int idx, bool purge)
     vc.release();
     if (cwg_)
         cwg_->onVcReleased(hop.link, hop.vc);
-    if (idx >= msg.releasedHops)
+    if (idx >= msg.releasedHops) {
         msg.releasedHops = idx + 1;
+        stamp(msg, Progress::Advance);
+    }
 }
 
 void

@@ -550,6 +550,20 @@ class Network
         dataActive_.add(static_cast<std::uint32_t>(node));
     }
 
+    /**
+     * Stamp @p msg's progress record with this cycle: lastMoved always,
+     * lastAdvanced too when @p p is real progress. Called wherever a
+     * field the watchdog judges progress by changes, never on a
+     * mid-message data hop.
+     */
+    void
+    stamp(Message &msg, Progress p)
+    {
+        msg.lastMoved = now_;
+        if (p == Progress::Advance)
+            msg.lastAdvanced = now_;
+    }
+
     /** Header search budget in hops before a setup attempt is
      *  abandoned, as a multiple of the network diameter. */
     static constexpr int searchBudgetDiameters = 8;

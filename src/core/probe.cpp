@@ -135,6 +135,7 @@ Network::applyForward(Message &msg, const Decision &d)
         dataWake(cur);
     }
     msg.path.push_back(hop);
+    stamp(msg, Progress::Churn);
     hdr.stalled = 0;
     if (trace_) {
         trace_->vcAllocated(now_, out, d.vc, msg,
@@ -170,6 +171,7 @@ Network::probeArrived(Message &msg, int hop_idx)
     hdr.datelineCrossed =
         topo_->datelineAfter(in.src, in.srcPort, hdr.datelineCrossed);
     ++hdr.hops;
+    stamp(msg, Progress::Churn);
     hdr.stalled = 0;
     ++counters_.headerMoves;
 
@@ -220,6 +222,7 @@ Network::applyBacktrack(Message &msg)
 
     releaseHop(msg, idx, false);
     msg.path.pop_back();
+    stamp(msg, Progress::Churn);
 
     if (msg.path.empty()) {
         msg.srcRouted = false;

@@ -66,6 +66,7 @@ Network::tearDown(Message &msg, Teardown cause)
     if (cwg_)
         cwg_->onMessageGone(msg.id);
     msg.teardown = cause;
+    stamp(msg, Progress::Advance);
 
     // Hops on or adjacent to failed components are released by the
     // spanning routers the moment the failure is detected. Without such
@@ -147,8 +148,10 @@ Network::cutWalkShort(Message &msg, const Flit &flit)
 void
 Network::finishWalk(Message &msg)
 {
-    if (msg.killWalks > 0)
+    if (msg.killWalks > 0) {
         --msg.killWalks;
+        stamp(msg, Progress::Advance);
+    }
     if (msg.killWalks == 0)
         finishTeardown(msg);
 }
@@ -158,6 +161,7 @@ Network::finishTeardown(Message &msg)
 {
     const Teardown cause = msg.teardown;
     msg.teardown = Teardown::None;
+    stamp(msg, Progress::Advance);
     if (cause == Teardown::Heal) {
         // Only now are the knot's trios free: close the heal episode
         // and let the tracker re-detect the hash should it re-form.
@@ -228,6 +232,7 @@ Network::requeue(Message &msg, Cycle at)
     if (cwg_)
         cwg_->onMessageGone(msg.id);
     ++msg.epoch;
+    stamp(msg, Progress::Advance);
     startAttempt(msg);
     msg.path.clear();
     msg.visited.clear();
@@ -265,6 +270,7 @@ Network::dropMessage(Message &msg, bool lost)
     if (cwg_)
         cwg_->onMessageGone(msg.id);
     msg.state = MsgState::Dropped;
+    stamp(msg, Progress::Advance);
     msg.lostToFault = lost;
     if (lost)
         ++counters_.lost;
@@ -302,6 +308,7 @@ Network::wakeRetries()
         }
         if (msg->retryAt <= now_) {
             msg->state = MsgState::Queued;
+            stamp(*msg, Progress::Advance);
             if (!nodeFaulty(msg->src))
                 activateFront(msg->src);
             retryList_[i] = retryList_.back();

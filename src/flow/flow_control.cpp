@@ -131,6 +131,7 @@ Network::processCtrlArrival(Link &wire, Flit flit)
         hdr.cur = wire.dst;
         hdr.offset = topo_->offsets(wire.dst, msg.dst);
         ++hdr.hops;
+        stamp(msg, Progress::Churn);
         hdr.stalled = 0;
         ++counters_.headerMoves;
 
@@ -302,20 +303,27 @@ Network::upstreamReachedSource(Message &msg, const Flit &flit)
 
     switch (flit.type) {
       case FlitType::AckPos:
-        if (!frontLeft)
+        if (!frontLeft) {
             ++msg.srcCounter;
+            stamp(msg, Progress::Churn);
+        }
         break;
 
       case FlitType::AckNeg:
-        if (!frontLeft)
+        if (!frontLeft) {
             --msg.srcCounter;
+            stamp(msg, Progress::Churn);
+        }
         break;
 
       case FlitType::PathDone:
         // PCS path setup complete: data may enter the network
         // (Section 2.2, t_PCS = 3l + L - 1).
         if (!frontLeft) {
-            msg.srcCounter = std::max(msg.srcCounter, msg.srcK);
+            if (msg.srcCounter < msg.srcK) {
+                msg.srcCounter = msg.srcK;
+                stamp(msg, Progress::Churn);
+            }
             msg.srcHold = false;
         }
         break;
@@ -329,6 +337,7 @@ Network::upstreamReachedSource(Message &msg, const Flit &flit)
         // Reliable delivery confirmed end-to-end (Fig. 17).
         if (msg.state == MsgState::Delivered) {
             msg.state = MsgState::Complete;
+            stamp(msg, Progress::Advance);
             retired_.push_back(msg.id);
         }
         break;

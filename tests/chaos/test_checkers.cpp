@@ -314,10 +314,14 @@ TEST(Watchdog, HeaderOscillationReportFires)
     WatchdogConfig w = quietWatchdog();
     w.msgStallBound = 40;
     Watched h(w);
-    // Probe churn moves the full signature but not the progress one.
+    // Probe churn stamps lastMoved but not lastAdvanced: one more hop
+    // each, as if the last step had made it.
     h.net.skipTo(h.net.now() + 40);
-    h.net.message(0).hdr.hops += 1;
-    h.net.message(1).hdr.hops += 1;
+    for (MsgId id : {0, 1}) {
+        Message &msg = h.net.message(id);
+        msg.hdr.hops += 1;
+        msg.lastMoved = h.net.now() - 1;
+    }
     h.dog.observe();
     const Lines want = {
         "cycle 42: livelock: header oscillating: msg 0 (0->10, epoch 0) "

@@ -181,6 +181,50 @@ TEST(EventSkip, CampaignDigestsAreEngineInvariant)
     EXPECT_EQ(on.cycles, off.cycles);
 }
 
+TEST(EventSkip, IdleSkipCampaignDigestsAreEngineInvariant)
+{
+    // The campaign above never skips: its injector stays armed, and
+    // its drain stops at quiescence. Here four scripted kills isolate
+    // node 2 at cycle 600, so every message bound to or from it backs
+    // off for 1024 cycles per attempt until its retries run out. The
+    // network then sits idle between wakeups with live messages, and
+    // the event engine skips most of the run (15 skips over 2,820 of
+    // its 4,037 cycles), each bounded by the watchdog's nextDeadline.
+    // Equal trace and state digests put the skip path under the
+    // whole-state check.
+    CampaignSpec spec;
+    spec.cfg = test::smallConfig(Protocol::TwoPhase, 4);
+    spec.cfg.load = 0.05;
+    spec.cfg.retryBackoff = 1024;
+    spec.cfg.maxRetries = 3;
+    spec.seed = 5;
+    spec.injectCycles = 1000;
+    spec.drainCycles = 20000;
+    for (NodeId node : {1, 3, 6, 14}) {
+        FaultEvent ev;
+        ev.at = 600;
+        ev.kind = FaultKind::NodeKill;
+        ev.node = node;
+        spec.scriptedFaults.push_back(ev);
+    }
+
+    CampaignDigests don, doff;
+    spec.cfg.eventEngine = true;
+    const CampaignResult on = runCampaign(spec, &don);
+    spec.cfg.eventEngine = false;
+    const CampaignResult off = runCampaign(spec, &doff);
+
+    EXPECT_TRUE(on.passed) << on.summary();
+    EXPECT_TRUE(on.quiescent);
+    EXPECT_EQ(on.faultsFired, 4u);
+    EXPECT_GT(on.counters.dropped, 0u);  // the isolated node's traffic
+    EXPECT_EQ(don.trace, doff.trace);
+    EXPECT_EQ(don.records, doff.records);
+    EXPECT_EQ(don.state, doff.state);
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(campaignJson(on), campaignJson(off));
+}
+
 TEST(EventSkip, WatchdogViolationCyclesAreEngineInvariant)
 {
     // The skip-kill test hook strands circuits on purpose, so the

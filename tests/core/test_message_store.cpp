@@ -83,25 +83,6 @@ TEST(MessageStore, WindowFollowsTheLiveSpan)
     EXPECT_EQ(store.audit(), "");
 }
 
-TEST(MessageStore, SparseInsertReadsGapsAsRetired)
-{
-    // Ids arrive increasing, with retired gaps.
-    MessageStore store;
-    store.insert(msg(7));
-    store.insert(msg(12));
-    store.insert(msg(300));
-    EXPECT_EQ(idsOf(store), (std::vector<MsgId>{7, 12, 300}));
-    EXPECT_EQ(store.find(8), nullptr);
-    EXPECT_EQ(store.span(), 294u);
-    for (MsgId id : {7, 12, 300})
-        store.erase(id);
-    EXPECT_EQ(store.size(), 0u);
-    EXPECT_EQ(store.find(7), nullptr);
-    store.insert(msg(2));  // an empty store restarts its window anywhere
-    EXPECT_EQ(idsOf(store), (std::vector<MsgId>{2}));
-    EXPECT_EQ(store.audit(), "");
-}
-
 TEST(MessageStore, MessagesDoNotMoveWhileLive)
 {
     MessageStore store;
@@ -116,6 +97,22 @@ TEST(MessageStoreDeath, OutOfOrderInsertPanics)
     MessageStore store;
     store.insert(msg(4));
     EXPECT_DEATH(store.insert(msg(4)), "out of order");
+}
+
+TEST(MessageStoreDeath, SkippingInsertPanics)
+{
+    // A non-empty store takes only the id after its last one.
+    MessageStore store;
+    store.insert(msg(7));
+    EXPECT_DEATH(store.insert(msg(9)), "message id 9 inserted out of order");
+    store.insert(msg(8));
+    EXPECT_EQ(idsOf(store), (std::vector<MsgId>{7, 8}));
+    for (MsgId id : {7, 8})
+        store.erase(id);
+    EXPECT_EQ(store.size(), 0u);
+    store.insert(msg(2));  // an empty store restarts its window anywhere
+    EXPECT_EQ(idsOf(store), (std::vector<MsgId>{2}));
+    EXPECT_EQ(store.audit(), "");
 }
 
 } // namespace
