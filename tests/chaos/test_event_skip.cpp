@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
 
 #include "chaos/campaign.hpp"
 #include "chaos/report.hpp"
@@ -185,11 +187,11 @@ TEST(EventSkip, IdleSkipCampaignDigestsAreEngineInvariant)
 {
     // The campaign above never skips: its injector stays armed, and
     // its drain stops at quiescence. Here four scripted kills isolate
-    // node 2 at cycle 600, so every message bound to or from it backs
-    // off for 1024 cycles per attempt until its retries run out. The
-    // network then sits idle between wakeups with live messages, and
-    // the event engine skips most of the run (15 skips over 2,820 of
-    // its 4,037 cycles), each bounded by the watchdog's nextDeadline.
+    // node 2 at cycle 600, so a message bound for it backs off for
+    // 1024 cycles per attempt until its retries run out. The network
+    // then sits idle between wakeups with a live message, and the
+    // event engine skips most of the run (15 skips over 2,820 of its
+    // 4,037 cycles), each bounded by the watchdog's nextDeadline.
     // Equal trace and state digests put the skip path under the
     // whole-state check.
     CampaignSpec spec;
@@ -208,21 +210,38 @@ TEST(EventSkip, IdleSkipCampaignDigestsAreEngineInvariant)
         spec.scriptedFaults.push_back(ev);
     }
 
-    CampaignDigests don, doff;
-    spec.cfg.eventEngine = true;
-    const CampaignResult on = runCampaign(spec, &don);
-    spec.cfg.eventEngine = false;
-    const CampaignResult off = runCampaign(spec, &doff);
+    // The default deadlock bound is never reached by a 1024-cycle wait;
+    // a bound of 500 ends the first idle wait in a report, which the
+    // skip must land on exactly.
+    for (const Cycle bound : {Cycle{3000}, Cycle{500}}) {
+        SCOPED_TRACE(bound);
+        spec.watchdog.globalStallBound = bound;
+        CampaignDigests don, doff;
+        spec.cfg.eventEngine = true;
+        const CampaignResult on = runCampaign(spec, &don);
+        spec.cfg.eventEngine = false;
+        const CampaignResult off = runCampaign(spec, &doff);
 
-    EXPECT_TRUE(on.passed) << on.summary();
-    EXPECT_TRUE(on.quiescent);
-    EXPECT_EQ(on.faultsFired, 4u);
-    EXPECT_GT(on.counters.dropped, 0u);  // the isolated node's traffic
-    EXPECT_EQ(don.trace, doff.trace);
-    EXPECT_EQ(don.records, doff.records);
-    EXPECT_EQ(don.state, doff.state);
-    EXPECT_EQ(on.cycles, off.cycles);
-    EXPECT_EQ(campaignJson(on), campaignJson(off));
+        EXPECT_EQ(on.faultsFired, 4u);
+        EXPECT_EQ(on.violations, off.violations);
+        EXPECT_EQ(don.trace, doff.trace);
+        EXPECT_EQ(don.records, doff.records);
+        EXPECT_EQ(don.state, doff.state);
+        EXPECT_EQ(on.cycles, off.cycles);
+        EXPECT_EQ(campaignJson(on), campaignJson(off));
+        if (bound == 3000) {
+            EXPECT_TRUE(on.passed) << on.summary();
+            EXPECT_EQ(on.counters.dropped, 1u);  // bound for node 2
+            EXPECT_EQ(on.cycles, 4037u);
+        } else {
+            EXPECT_EQ(on.violations,
+                      (std::vector<std::string>{
+                          "cycle 1513: deadlock: no token moved for 500 "
+                          "cycles with 1 live messages",
+                          "cycle 1513: oracle: msg 9 (4->2, created at "
+                          "cycle 712) never terminated"}));
+        }
+    }
 }
 
 TEST(EventSkip, WatchdogViolationCyclesAreEngineInvariant)
