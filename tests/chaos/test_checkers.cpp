@@ -6,7 +6,8 @@
  * full text, so a change to how the checkers find their records shows
  * up as a changed line. Both deadlock verdicts, the network's panic
  * and the watchdog's report, are also shown firing on a really wedged
- * worm.
+ * worm, and the livelock reports arising on their own in a campaign
+ * run under a tight bound.
  */
 
 #include <gtest/gtest.h>
@@ -334,20 +335,6 @@ TEST(Watchdog, HeaderOscillationReportFires)
     EXPECT_EQ(h.dog.violations(), want);
 }
 
-/** FNV-1a 64 of @p lines, each followed by a newline. */
-std::uint64_t
-linesDigest(const Lines &lines)
-{
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    for (const std::string &line : lines) {
-        for (const char ch : line + "\n") {
-            digest ^= static_cast<unsigned char>(ch);
-            digest *= 0x100000001b3ull;
-        }
-    }
-    return digest;
-}
-
 TEST(Watchdog, TightBoundCampaignReportsArePinned)
 {
     // A bound of 25 cycles is far below the legal stall of a message
@@ -403,8 +390,8 @@ TEST(Watchdog, TightBoundCampaignReportsArePinned)
         EXPECT_EQ(on.violations, off.violations) << row.tag;
         ASSERT_EQ(on.violations.size(), row.count) << row.tag;
         EXPECT_EQ(on.violations.front(), row.first) << row.tag;
-        EXPECT_EQ(linesDigest(on.violations), row.digest)
-            << row.tag << std::hex << " 0x" << linesDigest(on.violations);
+        const std::uint64_t digest = test::linesDigest(on.violations);
+        EXPECT_EQ(digest, row.digest) << row.tag << std::hex << " 0x" << digest;
         int oscillating = 0;
         for (const std::string &line : on.violations)
             oscillating += line.find("oscillating") != std::string::npos;

@@ -275,15 +275,8 @@ TEST(EventSkip, WatchdogViolationCyclesAreEngineInvariant)
 
     EXPECT_FALSE(on.passed);  // the hook must be detected
     EXPECT_EQ(on.violations, off.violations);
-    // The list itself is pinned: its count, first line and FNV-1a 64
-    // digest of the lines joined by newlines.
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    for (const std::string &line : on.violations) {
-        for (const char ch : line + "\n") {
-            digest ^= static_cast<unsigned char>(ch);
-            digest *= 0x100000001b3ull;
-        }
-    }
+    // The list itself is pinned: its count, first line and digest.
+    const std::uint64_t digest = test::linesDigest(on.violations);
     ASSERT_EQ(on.violations.size(), 77u);
     EXPECT_EQ(on.violations.front(),
               "cycle 1024: validator: trio (19,2) on faulty link still "

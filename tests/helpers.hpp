@@ -6,6 +6,8 @@
 #ifndef TPNET_TESTS_HELPERS_HPP
 #define TPNET_TESTS_HELPERS_HPP
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/tpnet.hpp"
@@ -73,6 +75,21 @@ loadedRun(SimConfig cfg, double load, Cycle cycles)
         net.step();
     }
     return net.counters();
+}
+
+/** FNV-1a 64 of @p lines, each followed by a newline (pins a report
+ *  list in one number). */
+inline std::uint64_t
+linesDigest(const std::vector<std::string> &lines)
+{
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const std::string &line : lines) {
+        for (const char ch : line + "\n") {
+            digest ^= static_cast<unsigned char>(ch);
+            digest *= 0x100000001b3ull;
+        }
+    }
+    return digest;
 }
 
 } // namespace tpnet::test
